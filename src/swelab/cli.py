@@ -12,7 +12,7 @@ import traceback
 
 import yaml
 
-from .config import config_from_dict, validate
+from .config import config_from_dict
 from .errors import ConfigurationError, LabError
 from .studies import run_study
 
@@ -148,15 +148,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
             f"subcommand {args.command!r} accepts kinds {args.kinds}, "
             f"but the config declares {cfg.kind!r}"
         )
-    _, notes = validate(cfg)
-    if args.verbose:
-        for note in notes:
-            print(f"  note: {note}")
     out = run_study(cfg)
     rep = out.report
     print(f"{cfg.label}: kind={cfg.kind} sigma={cfg.sigma.label()} "
           f"replicates={cfg.replicates} base_seed={cfg.base_seed}")
     if args.verbose:
+        for note in rep["notes"]:
+            print(f"  note: {note}")
         for name, value in rep["stats"].items():
             print(f"  stat {name} = {value:.8g}")
     _print_checks(rep["checks"])

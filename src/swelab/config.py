@@ -152,8 +152,10 @@ def validate(cfg: ExperimentConfig) -> tuple[list[str], list[str]]:
     if cfg.kind not in KINDS:
         errors.append(f"unknown kind {cfg.kind!r}; expected one of {KINDS}")
         return errors, notes
-    if cfg.replicates < 1:
-        errors.append(f"replicates must be >= 1, got {cfg.replicates}")
+    need = _min_replicates(cfg)
+    if cfg.replicates < need:
+        errors.append(f"replicates must be >= {need} for kind {cfg.kind!r}, "
+                      f"got {cfg.replicates}")
     if cfg.workers < 1:
         errors.append(f"workers must be >= 1, got {cfg.workers}")
     if cfg.base_seed < 0 or cfg.base_seed + max(cfg.replicates, 1) > 2 ** 64:
@@ -177,6 +179,15 @@ def validate(cfg: ExperimentConfig) -> tuple[list[str], list[str]]:
     except ConfigurationError as exc:
         errors.append(str(exc))
     return errors, notes
+
+
+def _min_replicates(cfg: ExperimentConfig) -> int:
+    """Replicates the kind's aggregation needs: standard errors take two."""
+    if cfg.kind in ("simulate", "qv-time", "qv-space", "mart"):
+        return 2
+    if cfg.kind == "ladder" and cfg.params.get("axis", "time") == "space":
+        return 2
+    return 1
 
 
 def require_valid(cfg: ExperimentConfig) -> ExperimentConfig:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -19,8 +20,8 @@ from .errors import (
     DegenerateInputError,
     PreconditionError,
 )
-from .lattice import Shell, temporal_shell_area
-from .noise import NoiseRealization, segment_slices
+from .lattice import LatticeSpec, Shell, packed_index, segment_coords, temporal_shell_area
+from .noise import NoiseRealization, cell_index
 from .wave import WaveField, cone_boundary_trace
 
 __all__ = [
@@ -61,7 +62,10 @@ def conditional_variance(field: WaveField, t: float, x: float) -> float:
     the exact base length 2t.
     """
     y, vals = cone_boundary_trace(field, t, x)
-    sv = field.sigma(vals)
+    return _trace_integral(field.sigma(vals), y)
+
+
+def _trace_integral(sv: np.ndarray, y: np.ndarray) -> float:
     return float(np.trapezoid(sv * sv, y))
 
 
@@ -86,20 +90,22 @@ def _probe_steps(field: WaveField, t: float, x: float, scale: float) -> tuple[in
 
 
 def increment_sample(field: WaveField, t: float, x: float, scale: float,
-                     standardization: str = "trace") -> IncrementSample:
+                     standardization: str = "trace",
+                     vhat: float | None = None) -> IncrementSample:
     """u(t+scale, x) - u(t, x) standardized to an approximately unit variance.
 
     standardization 'trace' divides by sqrt(scale * conditional_variance): the
     per-path normalization of the mixed-Gaussian limit.  'shell' divides by the
     exact noise variance sigma(c)^2 * ((t+scale)^2 - t^2), valid only for
-    constant sigma, where the increment is exactly Gaussian.
+    constant sigma, where the increment is exactly Gaussian.  A caller probing
+    several scales at one (t, x) passes the conditional variance as `vhat`.
     """
-    lat = field.lattice
     n0, m0, j = _probe_steps(field, t, x, scale)
     if j == 0:
         raise ConfigurationError("increment sample needs a positive scale")
     inc = field.at_point(n0 + j, m0) - field.at_point(n0, m0)
-    vhat = conditional_variance(field, t, x)
+    if vhat is None:
+        vhat = conditional_variance(field, t, x)
     if standardization == "shell":
         if not field.sigma.is_constant:
             raise PreconditionError(
@@ -123,6 +129,19 @@ def increment_sample(field: WaveField, t: float, x: float, scale: float,
     )
 
 
+@lru_cache(maxsize=16)
+def _shell_geometry(lat: LatticeSpec, n0: int, m0: int,
+                    j: int) -> tuple[np.ndarray, np.ndarray]:
+    """(noise offset, trace offset) of each cell of the truncated shell.
+
+    Truncation keeps columns with |col - m0| <= n0 - 1, so every cell's weight
+    point (n0 - |col - m0|, col) lies on the cone boundary of (t, x): entry
+    col - m0 + n0 of its trace.
+    """
+    levels, cols = segment_coords(Shell.truncated(lat, m0, n0, n0 + j).segments)
+    return packed_index(cell_index(lat, levels, cols)), packed_index(cols - m0 + n0)
+
+
 def martingale_decomposition(field: WaveField, noise: NoiseRealization,
                              t: float, x: float,
                              scales: list[float]) -> MartingaleProbe:
@@ -135,7 +154,8 @@ def martingale_decomposition(field: WaveField, noise: NoiseRealization,
     scale more than the martingale part.
     """
     lat = field.lattice
-    sig = field.sigma
+    y, trace = cone_boundary_trace(field, t, x)
+    sv = field.sigma(trace)
     incs, ms, rs = [], [], []
     for scale in scales:
         n0, m0, j = _probe_steps(field, t, x, scale)
@@ -145,14 +165,8 @@ def martingale_decomposition(field: WaveField, noise: NoiseRealization,
             rs.append(0.0)
             continue
         inc = field.at_point(n0 + j, m0) - field.at_point(n0, m0)
-        shell = Shell.truncated(lat, m0, n0, n0 + j)
-        m_val = 0.0
-        for (n, lo, hi), (_, sl) in zip(shell.segments,
-                                        segment_slices(lat, shell.segments)):
-            cols = np.arange(lo, hi + 1, 2)
-            r_levels = n0 - np.abs(cols - m0)  # strictly positive under truncation
-            w = sig(field.gather(r_levels, cols))
-            m_val += float(np.dot(w, noise.rows[n][sl]))
+        cells, cols = _shell_geometry(lat, n0, m0, j)
+        m_val = float(np.sum(sv[cols] * noise.flat[cells]))
         incs.append(inc)
         ms.append(m_val)
         rs.append(inc - m_val)
@@ -161,23 +175,24 @@ def martingale_decomposition(field: WaveField, noise: NoiseRealization,
         increments=tuple(incs),
         martingale=tuple(ms),
         remainder=tuple(rs),
-        variance_hat=conditional_variance(field, t, x),
+        variance_hat=_trace_integral(sv, y),
     )
 
 
 def lil_statistic(field: WaveField, t: float, x: float,
-                  scales: list[float]) -> float:
+                  scales: list[float], vhat: float | None = None) -> float:
     """max over the scale grid of |increment| / sqrt(2*eps*loglog(1/eps) * V).
 
     V is the conditional variance at (t, x).  The max over a finite dyadic grid
     is a finite-resolution stand-in for a limsup; it can only be compared
     against a control process probed at the same resolution, never against the
-    continuum constant.
+    continuum constant.  `vhat` passes a conditional variance already computed.
     """
     if not scales:
         raise ConfigurationError("empty scale grid")
     lat = field.lattice
-    vhat = conditional_variance(field, t, x)
+    if vhat is None:
+        vhat = conditional_variance(field, t, x)
     if vhat <= 0.0:
         raise DegenerateInputError(
             "iterated-logarithm statistic undefined: conditional variance is zero"

@@ -10,6 +10,7 @@ of whole cells, never on fractions of one.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -277,6 +278,26 @@ def side_shell_segments(lat: LatticeSpec, level_t: int, col_a: int, col_b: int,
         for lo, hi2 in _subtract_range(a_lo, a_hi, b_lo, b_hi):
             segs.append((n, lo, hi2))
     return segs
+
+
+def segment_coords(segs: Sequence[Segment]) -> tuple[np.ndarray, np.ndarray]:
+    """(levels, cols) of every cell in the segments, in segment order."""
+    if not segs:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    levels = np.concatenate([np.full((hi - lo) // 2 + 1, n, dtype=np.int64)
+                             for n, lo, hi in segs])
+    cols = np.concatenate([np.arange(lo, hi + 1, 2, dtype=np.int64) for _, lo, hi in segs])
+    return levels, cols
+
+
+def packed_index(values: np.ndarray) -> np.ndarray:
+    """Read-only copy of a nonnegative integer array in the smallest unsigned
+    dtype that holds its largest entry (cached geometry stays compact)."""
+    values = np.asarray(values)
+    top = int(values.max()) if values.size else 0
+    out = values.astype(np.min_scalar_type(top))
+    out.flags.writeable = False
+    return out
 
 
 def segments_cell_count(segs: list[Segment]) -> int:

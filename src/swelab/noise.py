@@ -59,11 +59,16 @@ def _check_seed(seed: int) -> int:
 
 @dataclass(frozen=True)
 class NoiseRealization:
-    """All cell increments of one lattice under one seed; read-only after construction."""
+    """All cell increments of one lattice under one seed; read-only after construction.
+
+    `flat` holds every increment in stream order (index = word index of the
+    cell); `rows` are per-level views into it.
+    """
 
     lattice: LatticeSpec
     seed: int
-    rows: tuple[np.ndarray, ...] = field(repr=False)  # per level, variance = cell area
+    flat: np.ndarray = field(repr=False)  # variance = cell area
+    rows: tuple[np.ndarray, ...] = field(repr=False)
 
     def row(self, level: int) -> np.ndarray:
         return self.rows[level]
@@ -72,14 +77,14 @@ class NoiseRealization:
 def make_noise(seed: int, lattice: LatticeSpec) -> NoiseRealization:
     seed = _check_seed(seed)
     words = stream_words(seed, WAVE_STREAM_TAG, 0, lattice.total_cells)
-    z = words_to_unit_normals(words)
+    flat = words_to_unit_normals(words)
     h = lattice.h
     starts = lattice.cell_row_starts
-    rows = []
-    for n in range(lattice.n_levels):
-        scale = h if n == 0 else h * np.sqrt(2.0)
-        rows.append(scale * z[starts[n]:starts[n + 1]])
-    return NoiseRealization(lattice, seed, tuple(rows))
+    flat[:starts[1]] *= h  # base triangles, area h^2
+    flat[starts[1]:] *= h * np.sqrt(2.0)  # diamonds, area 2 h^2
+    flat.flags.writeable = False
+    rows = tuple(flat[starts[n]:starts[n + 1]] for n in range(lattice.n_levels))
+    return NoiseRealization(lattice, seed, flat, rows)
 
 
 def cell_increment(noise: NoiseRealization, cell: NoiseCell) -> float:
@@ -118,12 +123,9 @@ def segment_sum(noise: NoiseRealization, segments) -> float:
     return total
 
 
-def segment_slices(lat: LatticeSpec, segments) -> list[tuple[int, slice]]:
-    out = []
-    for n, lo, hi in segments:
-        first = lat.col_lo + n + 1
-        out.append((n, slice((lo - first) // 2, (hi - first) // 2 + 1)))
-    return out
+def cell_index(lat: LatticeSpec, levels: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Offsets of cells (level, col) into NoiseRealization.flat."""
+    return lat.cell_row_starts[levels] + (cols - lat.col_lo - levels - 1) // 2
 
 
 def render_grid(lattice: LatticeSpec, seed: int, workers: int = 1) -> np.ndarray:

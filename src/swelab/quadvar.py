@@ -13,13 +13,14 @@ gap is measurable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import AlignmentError, ConfigurationError
-from .lattice import LatticeSpec, cone_segments
-from .noise import NoiseRealization, segment_slices
-from .wave import WaveField
+from .lattice import LatticeSpec, cone_segments, packed_index, segment_coords
+from .noise import NoiseRealization, cell_index
+from .wave import WaveField, point_index
 
 __all__ = [
     "TemporalPartition",
@@ -165,53 +166,27 @@ def temporal_qv_limit(field: WaveField, t: float, x: float, route: str = "column
     """Quadrature for the cone integral of sigma(u)^2 at apex (t, x).
 
     'columns' integrates each lattice column by the trapezoid rule in time, then
-    the column integrals by the trapezoid rule in space.  'characteristics'
-    parametrizes each column by the apex time at which its cone boundary crosses
-    it; the substitution has unit Jacobian, so the two quadratures agree up to
-    float round-off and are both exposed as a cross-check.  'cells' sums
+    the column integrals by the trapezoid rule in space; both rules are folded
+    into one weight per field point of the cone.  'cells' sums
     sigma(u at cell base vertex)^2 times cell area over the cone cells, which is
-    the exact conditional variance of the solved field's noise response.
+    the exact conditional variance of the solved field's noise response.  The
+    two routes are independent quadratures of the same integral.
     """
     lat = field.lattice
     n0, m0 = _temporal_apex(lat, t, x)
     if route == "cells":
-        levels, cols, areas = _cone_arrays(lat, n0, m0)
-        base = field.gather(levels - 1, cols)
-        w = field.sigma(base)
-        return float(np.sum(w * w * areas))
-    if route not in ("columns", "characteristics"):
+        cone = _cone_geometry(lat, n0, m0)
+        return _area_sum(field.sigma(field.flat[cone.base]), cone)
+    if route != "columns":
         raise ConfigurationError(f"unknown quadrature route {route!r}")
-    h = lat.h
-    sig = field.sigma
-    cols = np.arange(m0 - n0, m0 + n0 + 1)
-    g = np.zeros(cols.size)
-    for i, c in enumerate(cols):
-        dm = abs(int(c) - m0)
-        lmax = n0 - dm
-        if lmax == 0:
-            continue
-        if (c - m0) % 2 == 0:
-            ls = np.arange(0, lmax + 1, 2)
-            s = ls * h
-            vals = field.gather(ls, np.full(ls.size, c))
-        else:
-            # odd columns carry no s=0 lattice point; u(0,.) = 1 supplies it
-            ls = np.arange(1, lmax + 1, 2)
-            s = np.concatenate(([0.0], ls * h))
-            vals = np.concatenate(([1.0], field.gather(ls, np.full(ls.size, c))))
-        sv = sig(vals)
-        if route == "characteristics":
-            g[i] = np.trapezoid(sv * sv, s + dm * h)
-        else:
-            g[i] = np.trapezoid(sv * sv, s)
-    return float(np.trapezoid(g, cols * h))
+    points, weights = _limit_geometry(lat, n0, m0)
+    sv = field.sigma(field.flat[points])
+    return float(np.sum(sv * sv * weights))
 
 
 def temporal_qv_decomposition(field: WaveField, noise: NoiseRealization,
                               part: TemporalPartition) -> QvDecomposition:
-    lat, n0, m0, step = _temporal_layout(field, part)
-    levels, cols, areas, xi = _cone_arrays(lat, n0, m0, noise)
-    return _rung(field, part, step, m0, levels, cols, areas, xi)
+    return temporal_qv_ladder(field, noise, part.t, part.x, [part.n_pieces])[0]
 
 
 def temporal_qv_ladder(field: WaveField, noise: NoiseRealization,
@@ -223,31 +198,24 @@ def temporal_qv_ladder(field: WaveField, noise: NoiseRealization,
     lat = field.lattice
     steps = [_temporal_layout(field, p)[3] for p in parts]
     n0, m0 = _temporal_apex(lat, t, x)
-    levels, cols, areas, xi = _cone_arrays(lat, n0, m0, noise)
-    return [
-        _rung(field, p, s, m0, levels, cols, areas, xi)
-        for p, s in zip(parts, steps)
-    ]
-
-
-def _rung(field: WaveField, part: TemporalPartition, step: int, m0: int,
-          levels: np.ndarray, cols: np.ndarray, areas: np.ndarray,
-          xi: np.ndarray) -> QvDecomposition:
+    cone = _cone_geometry(lat, n0, m0)
     sig = field.sigma
-    dm = np.abs(cols - m0)
-    bucket = (levels + dm) // step
-    # inner-cone crossing level, clamped to the initial layer by gather()
-    w = sig(field.gather(bucket * step - dm, cols))
-    shell_sums = np.bincount(bucket, weights=w * xi, minlength=part.n_pieces)
-    base = field.gather(levels - 1, cols)
-    wd = sig(base)
-    return QvDecomposition(
-        n_pieces=part.n_pieces,
-        direct=temporal_qv(field, part),
-        frozen_noise=float(np.sum(shell_sums * shell_sums)),
-        frozen_area=float(np.sum(w * w * areas)),
-        cone_integral=float(np.sum(wd * wd * areas)),
-    )
+    u = field.flat
+    xi = noise.flat[cone.noise]
+    cone_integral = _area_sum(sig(u[cone.base]), cone)
+    out = []
+    for part, step in zip(parts, steps):
+        bucket, crossing = _rung_geometry(lat, n0, m0, step)
+        w = sig(u[crossing])
+        shell_sums = np.bincount(bucket, weights=w * xi, minlength=part.n_pieces)
+        out.append(QvDecomposition(
+            n_pieces=part.n_pieces,
+            direct=temporal_qv(field, part),
+            frozen_noise=float(np.sum(shell_sums * shell_sums)),
+            frozen_area=_area_sum(w, cone),
+            cone_integral=cone_integral,
+        ))
+    return out
 
 
 # -- spatial line --------------------------------------------------------------
@@ -377,24 +345,90 @@ def _spatial_layout(field: WaveField,
     return lat, n0, m_lo, m_hi, span // part.n_pieces
 
 
-# -- shared cone enumeration ---------------------------------------------------
+# -- cone geometry, built once per (lattice, apex, step) ---------------------
+#
+# Every array below is a pure function of its cache key, so replicates share
+# them; they are read-only and stored in the smallest index dtype.  Field
+# offsets index WaveField.flat, noise offsets NoiseRealization.flat.
+
+_GEOMETRY_CACHE_SIZE = 8
 
 
-def _cone_arrays(lat: LatticeSpec, n0: int, m0: int, noise: NoiseRealization | None = None):
-    """Flat arrays (levels, cols, areas[, increments]) over the cone's cells."""
-    segs = cone_segments(lat, n0, m0)
-    sl = segment_slices(lat, segs)
-    levels_parts, cols_parts, xi_parts = [], [], []
-    for (n, lo, hi), (_, s) in zip(segs, sl):
-        cols = np.arange(lo, hi + 1, 2)
-        levels_parts.append(np.full(cols.size, n, dtype=np.int64))
-        cols_parts.append(cols)
-        if noise is not None:
-            xi_parts.append(noise.rows[n][s])
-    levels = np.concatenate(levels_parts)
-    cols = np.concatenate(cols_parts)
-    h2 = lat.h * lat.h
-    areas = np.where(levels == 0, h2, 2.0 * h2)
-    if noise is None:
-        return levels, cols, areas
-    return levels, cols, areas, np.concatenate(xi_parts)
+@dataclass(frozen=True)
+class _ConeCells:
+    """The cone's cells level by level, columns ascending; the `triangles`
+    base cells (area h^2) come first, every later cell is a diamond (2 h^2)."""
+
+    noise: np.ndarray  # noise offset of each cell
+    base: np.ndarray  # field offset of each cell's bottom vertex
+    triangles: int
+    h: float
+
+
+def _area_sum(w: np.ndarray, cone: _ConeCells) -> float:
+    """Sum over the cone's cells of w^2 times the cell area."""
+    h2 = cone.h * cone.h
+    sq = w * w
+    sq[:cone.triangles] *= h2
+    sq[cone.triangles:] *= 2.0 * h2
+    return float(np.sum(sq))
+
+
+def _cone_cells(lat: LatticeSpec, n0: int, m0: int) -> tuple[np.ndarray, np.ndarray]:
+    return segment_coords(cone_segments(lat, n0, m0))
+
+
+@lru_cache(maxsize=_GEOMETRY_CACHE_SIZE)
+def _cone_geometry(lat: LatticeSpec, n0: int, m0: int) -> _ConeCells:
+    levels, cols = _cone_cells(lat, n0, m0)
+    return _ConeCells(
+        noise=packed_index(cell_index(lat, levels, cols)),
+        base=packed_index(point_index(lat, levels - 1, cols)),
+        triangles=int(np.count_nonzero(levels == 0)),
+        h=lat.h,
+    )
+
+
+@lru_cache(maxsize=_GEOMETRY_CACHE_SIZE)
+def _rung_geometry(lat: LatticeSpec, n0: int, m0: int,
+                   step: int) -> tuple[np.ndarray, np.ndarray]:
+    """(shell bucket, crossing-point field offset) of each cone cell for one rung.
+
+    A cell at distance dm from the apex column lies in shell
+    (level + dm) // step; its weight is read where the inner cone of that
+    shell crosses the cell's column.
+    """
+    levels, cols = _cone_cells(lat, n0, m0)
+    dm = np.abs(cols - m0)
+    bucket = (levels + dm) // step
+    return packed_index(bucket), packed_index(point_index(lat, bucket * step - dm, cols))
+
+
+@lru_cache(maxsize=_GEOMETRY_CACHE_SIZE)
+def _limit_geometry(lat: LatticeSpec, n0: int, m0: int) -> tuple[np.ndarray, np.ndarray]:
+    """(field offset, weight) of every point of the columns quadrature.
+
+    Column m0 + dm is sampled at levels of its parity up to n0 - |dm|; odd
+    columns carry no level-0 point, so u(0, .) = 1 is prepended at s = 0.  A
+    point's weight is its time-trapezoid weight along the column times the
+    space-trapezoid weight h of the column (the two end columns have zero
+    length and drop out).
+    """
+    h = lat.h
+    levels, cols, weights = [], [], []
+    for dm in range(-n0 + 1, n0):
+        lmax = n0 - abs(dm)
+        ls = np.arange(dm % 2, lmax + 1, 2)
+        if dm % 2:
+            ls = np.concatenate(([0], ls))
+        gaps = np.diff(ls * h)
+        w = np.zeros(ls.size)
+        w[:-1] += gaps / 2.0
+        w[1:] += gaps / 2.0
+        levels.append(ls)
+        cols.append(np.full(ls.size, m0 + dm))
+        weights.append(h * w)
+    points = point_index(lat, np.concatenate(levels), np.concatenate(cols))
+    weights = np.concatenate(weights)
+    weights.flags.writeable = False
+    return packed_index(points), weights

@@ -321,9 +321,10 @@ def _rep_clt(seed: int, cfg: ExperimentConfig) -> dict[str, float]:
     t, x = float(p["t"]), float(p["x"])
     scales = sorted((float(s) for s in p["scales"]), reverse=True)
     std = p.get("standardization", "trace")
+    vhat = conditional_variance(f, t, x)
     out: dict[str, float] = {}
     for i, s in enumerate(scales):
-        sample = increment_sample(f, t, x, s, standardization=std)
+        sample = increment_sample(f, t, x, s, standardization=std, vhat=vhat)
         out[f"std_{i}"] = sample.standardized
         out[f"inc_{i}"] = sample.increment
         if i == 0:
@@ -358,10 +359,10 @@ def _rep_lil(seed: int, cfg: ExperimentConfig) -> dict[str, float]:
     p = cfg.params
     t, x = float(p["t"]), float(p["x"])
     scales = sorted(float(s) for s in p["scales"])
-    out = {"stat": lil_statistic(f, t, x, scales)}
     vhat = conditional_variance(f, t, x)
+    out = {"stat": lil_statistic(f, t, x, scales, vhat=vhat)}
     for i, s in enumerate(scales):
-        inc = increment_sample(f, t, x, s).increment
+        inc = increment_sample(f, t, x, s, vhat=vhat).increment
         out[f"norm_{i}"] = abs(inc) / np.sqrt(
             2.0 * s * np.log(np.log(1.0 / s)) * vhat
         )

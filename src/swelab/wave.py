@@ -35,14 +35,24 @@ class WaveField:
     def at_point(self, level: int, col: int) -> float:
         return float(self.values[level, (col - self.lattice.col_lo - level) // 2])
 
+    @property
+    def flat(self) -> np.ndarray:
+        """The values as one flat view, indexed by point_index offsets."""
+        return self.values.reshape(-1)
+
     def gather(self, levels: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Vectorized lookup at aligned points; levels <= 0 read the initial profile."""
-        levels = np.asarray(levels)
-        cols = np.asarray(cols)
-        safe = np.maximum(levels, 1)
-        j = (cols - self.lattice.col_lo - safe) // 2
-        out = self.values[safe, j]
-        return np.where(levels <= 0, INITIAL_LEVEL, out)
+        return self.flat[point_index(self.lattice, levels, cols)]
+
+
+def point_index(lat: LatticeSpec, levels: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Offsets of aligned points into WaveField.flat.
+
+    Levels <= 0 map to offset 0: row 0 holds the initial profile everywhere.
+    """
+    levels = np.asarray(levels)
+    j = np.where(levels <= 0, 0, (np.asarray(cols) - lat.col_lo - levels) // 2)
+    return np.maximum(levels, 0) * lat.width(0) + j
 
 
 def solve_wave(sigma: SigmaSpec, noise: NoiseRealization) -> WaveField:

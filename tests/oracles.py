@@ -120,6 +120,98 @@ def enum_side_shell_area(n0: int, d: int, h: float) -> float:
     return h * h * total
 
 
+# -- cone estimators by per-column and per-cell loops -------------------------
+#
+# `values` is a solved field's padded array: values[n, j] = u(n h, (col_lo + n
+# + 2 j) h), and u(0, .) = 1 everywhere.  `rows[n][k]` is the noise of the k-th
+# cell of level n, counted from column col_lo + n + 1.  `sigma` maps an array
+# of field values to sigma(u).
+
+
+def _u(values, col_lo: int, level: int, col: int) -> float:
+    if level <= 0:
+        return 1.0
+    return float(values[level, (col - col_lo - level) // 2])
+
+
+def _xi(rows, col_lo: int, level: int, col: int) -> float:
+    return float(rows[level][(col - col_lo - level - 1) // 2])
+
+
+def cone_limit_columns(values, col_lo: int, sigma, n0: int, m0: int, h: float) -> float:
+    """Columns quadrature of the cone integral of sigma(u)^2 at apex (n0, m0).
+
+    Each column is integrated by the trapezoid rule in time over the points
+    of its parity (odd columns get u(0, .) = 1 prepended at s = 0), then the
+    column integrals by the trapezoid rule in space.
+    """
+    cols = np.arange(m0 - n0, m0 + n0 + 1)
+    g = np.zeros(cols.size)
+    for i, c in enumerate(cols):
+        dm = abs(int(c) - m0)
+        lmax = n0 - dm
+        if lmax == 0:
+            continue
+        if dm % 2 == 0:
+            ls = list(range(0, lmax + 1, 2))
+            s = [l * h for l in ls]
+        else:
+            ls = [0] + list(range(1, lmax + 1, 2))
+            s = [0.0] + [l * h for l in ls[1:]]
+        sv = sigma(np.array([_u(values, col_lo, l, int(c)) for l in ls]))
+        g[i] = np.trapezoid(sv * sv, np.array(s))
+    return float(np.trapezoid(g, cols * h))
+
+
+def cone_decomposition(values, col_lo: int, rows, sigma, n0: int, m0: int,
+                       h: float, n_pieces: int) -> dict:
+    """The four temporal estimators of one rung, from the raw cone enumeration.
+
+    Cells are taken level by level, columns ascending; a cell at distance dm
+    from the apex column falls in shell (n + dm) // step and is weighted by
+    sigma(u) where that shell's inner cone crosses its column.
+    """
+    step = n0 // n_pieces
+    cells = cone_cells(n0, m0)
+    levels = np.array([n for n, _, _ in cells])
+    cols = np.array([c for _, c, _ in cells])
+    areas = np.where(levels == 0, h * h, 2.0 * h * h)
+    xi = np.array([_xi(rows, col_lo, n, c) for n, c, _ in cells])
+    bucket = (levels + np.abs(cols - m0)) // step
+    w = sigma(np.array([_u(values, col_lo, int(b) * step - abs(c - m0), c)
+                        for b, (_, c, _) in zip(bucket, cells)]))
+    shell_sums = np.bincount(bucket, weights=w * xi, minlength=n_pieces)
+    wd = sigma(np.array([_u(values, col_lo, n - 1, c) for n, c, _ in cells]))
+    line = np.array([_u(values, col_lo, k * step, m0) for k in range(n_pieces + 1)])
+    inc = np.diff(line)
+    return {
+        "n_pieces": n_pieces,
+        "direct": float(np.sum(inc * inc)),
+        "frozen_noise": float(np.sum(shell_sums * shell_sums)),
+        "frozen_area": float(np.sum(w * w * areas)),
+        "cone_integral": float(np.sum(wd * wd * areas)),
+    }
+
+
+def truncated_shell_martingale(values, col_lo: int, rows, sigma, n0: int, m0: int,
+                               j: int) -> float:
+    """Noise of the shell between the cones of levels n0 and n0 + j at column
+    m0, truncated to |col - m0| <= n0 - 1, each cell weighted by sigma(u) where
+    the cone boundary of (n0, m0) crosses its column; one dot per level run."""
+    total = 0.0
+    for n in range(n0 + j):
+        for side in (-1, 1):
+            run = [c for c in range(m0 - (n0 - 1), m0 + n0)
+                   if (n + c) % 2 == 1 and side * (c - m0) >= 0
+                   and not (side == 1 and c == m0)
+                   and n0 <= n + abs(c - m0) <= n0 + j - 1]
+            if not run:
+                continue
+            w = sigma(np.array([_u(values, col_lo, n0 - abs(c - m0), c) for c in run]))
+            total += float(np.dot(w, [_xi(rows, col_lo, n, c) for c in run]))
+    return total
+
+
 # -- heat equation variance ----------------------------------------------------
 
 

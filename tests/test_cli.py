@@ -74,6 +74,21 @@ def test_exit_two_for_configuration_problems(tmp_path, capsys):
     assert "not valid YAML" in capsys.readouterr().err
 
 
+def test_one_replicate_is_rejected_before_any_work(tmp_path, capsys, monkeypatch):
+    import swelab.studies
+
+    def no_replicates(*args, **kwargs):
+        raise AssertionError("replicates ran")
+
+    monkeypatch.setattr(swelab.studies, "run_replicates", no_replicates)
+    out = tmp_path / "out"
+    code = main(["qv", write_cfg(tmp_path), "--replicates", "1", "--out-dir", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "replicates must be >= 2" in err
+    assert not out.exists()
+
+
 def test_exit_three_for_runtime_failures(tmp_path, capsys):
     # an absurd coefficient overflows the field; the failing seed is named
     cfg = write_cfg(tmp_path, sigma="linear:1e300", replicates=3)

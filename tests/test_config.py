@@ -99,6 +99,19 @@ def test_threshold_bounds():
     assert not Threshold("x", hi=0.5).check(2.0)
 
 
+def test_kinds_that_summarize_need_two_replicates():
+    errors, _ = validate(config_from_dict(qv_time_dict(replicates=1)))
+    assert errors == ["replicates must be >= 2 for kind 'qv-time', got 1"]
+    lat = dict(LATTICE_BLOCK)
+    space = {"kind": "ladder", "sigma": "linear:1", "replicates": 1, "lattice": lat,
+             "params": {"axis": "space", "t": 0.5, "x_lo": -0.5, "x_hi": 0.5,
+                        "counts": [2, 4]}}
+    assert any("replicates must be >= 2" in e
+               for e in validate(config_from_dict(space))[0])
+    time = dict(space, params={"axis": "time", "t": 0.5, "x": 0.0, "counts": [2, 4]})
+    assert not validate(config_from_dict(time))[0]
+
+
 def test_validate_collects_multiple_errors_at_once():
     cfg = config_from_dict(qv_time_dict(replicates=0, workers=0, equation="air"))
     errors, _ = validate(cfg)

@@ -1,11 +1,16 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+import oracles
+from swelab import fluctuations, studies
+from swelab.config import config_from_dict
 from swelab.errors import (
     AlignmentError,
     ConfigurationError,
+    ConfigurationWarning,
     DegenerateInputError,
     PreconditionError,
 )
@@ -102,6 +107,74 @@ def test_remainder_is_the_wing_noise_for_unit_sigma():
     full = segment_sum(noise, shell_segments(LAT, m0, n0, n0 + j))
     trunc = segment_sum(noise, shell_segments(LAT, m0, n0, n0 + j, col_cap=n0 - 1))
     assert probe.remainder[0] == pytest.approx(full - trunc, rel=1e-9, abs=1e-13)
+
+
+TALL = LatticeSpec(h=0.0625, t_max=1.5, x_lo=-3.0, x_hi=3.0)
+
+
+@pytest.mark.parametrize("spec, sigma", [
+    (MULTIPLICATIVE, lambda u: u),
+    (SigmaSpec("sine", (0.8,)), lambda u: 0.8 * np.sin(u)),
+])
+def test_martingale_matches_the_per_segment_oracle(spec, sigma):
+    for seed in (3, 9):
+        noise = make_noise(seed, TALL)
+        fld = solve_wave(spec, noise)
+        for t, x in [(1.0, 0.0), (0.5, 0.25)]:
+            scales = [0.125, 0.25, 0.5]
+            probe = martingale_decomposition(fld, noise, t, x, scales)
+            n0, m0 = TALL.apex(t, x)
+            for k, s in enumerate(scales):
+                want = oracles.truncated_shell_martingale(
+                    fld.values, TALL.col_lo, noise.rows, sigma, n0, m0, TALL.level_of(s))
+                assert probe.martingale[k] == pytest.approx(want, rel=1e-12)
+            assert probe.variance_hat == conditional_variance(fld, t, x)
+
+
+def test_shell_geometry_is_cached_per_lattice_and_read_only():
+    wide = LatticeSpec(h=0.0625, t_max=1.5, x_lo=-3.5, x_hi=3.5)
+    a = fluctuations._shell_geometry(TALL, 16, 0, 4)
+    b = fluctuations._shell_geometry(wide, 16, 0, 4)
+    assert fluctuations._shell_geometry(
+        LatticeSpec(h=0.0625, t_max=1.5, x_lo=-3.0, x_hi=3.0), 16, 0, 4) is a
+    assert b is not a
+    assert not np.array_equal(a[0], b[0])  # noise offsets follow the row lengths
+    for arr in a + b:
+        assert not arr.flags.writeable
+
+
+def _count_conditional_variance(monkeypatch) -> list:
+    calls = []
+    original = fluctuations.conditional_variance
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(fluctuations, "conditional_variance", counted)
+    monkeypatch.setattr(studies, "conditional_variance", counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("lil", {"t": 0.5, "x": 0.0, "scales": [2 ** -6, 2 ** -5, 2 ** -4]}),
+    ("clt", {"t": 0.5, "x": 0.0, "scales": [2 ** -6, 2 ** -5, 2 ** -4]}),
+])
+def test_conditional_variance_runs_once_per_replicate(monkeypatch, kind, params):
+    cfg = config_from_dict({
+        "kind": kind, "sigma": "linear:1", "replicates": 3,
+        "lattice": {"h": 2 ** -7, "t_max": 0.625, "x_lo": -1.25, "x_hi": 1.25},
+        "params": params,
+    })
+    rep, _ = studies.STUDY_RUNNERS[kind]
+    want = rep(11, cfg)
+    calls = _count_conditional_variance(monkeypatch)
+    assert rep(11, cfg) == want
+    assert len(calls) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConfigurationWarning)  # few clt replicates
+        studies.run_study(cfg)
+    assert len(calls) == 1 + 3
 
 
 def test_zero_scale_entries_are_zero():

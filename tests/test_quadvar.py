@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import oracles
+from swelab import quadvar
 from swelab.errors import AlignmentError, ConfigurationError
 from swelab.lattice import LatticeSpec, Shell, spatial_shell_area
 from swelab.noise import make_noise, segment_sum
@@ -104,19 +106,85 @@ def test_unit_sigma_decomposition_identities():
         assert dec.cone_integral == pytest.approx(1.0, rel=1e-12)
 
 
+SIGMAS = [
+    (MULTIPLICATIVE, lambda u: u),
+    (SigmaSpec("sine", (0.8,)), lambda u: 0.8 * np.sin(u)),
+]
+APEXES = [(1.0, 0.0), (0.5, 0.25)]
+
+
+@pytest.mark.parametrize("spec, sigma", SIGMAS)
+def test_columns_limit_matches_the_per_column_oracle(spec, sigma):
+    for seed in (6, 7):
+        fld = solve_wave(spec, make_noise(seed, LAT))
+        for t, x in APEXES:
+            want = oracles.cone_limit_columns(fld.values, LAT.col_lo, sigma,
+                                              LAT.level_of(t), LAT.col_of(x), LAT.h)
+            assert temporal_qv_limit(fld, t, x) == pytest.approx(want, rel=1e-12)
+
+
 def test_limit_quadrature_routes_agree():
     fld = solve_wave(MULTIPLICATIVE, make_noise(6, LAT))
     cols = temporal_qv_limit(fld, 1.0, 0.0, route="columns")
-    chars = temporal_qv_limit(fld, 1.0, 0.0, route="characteristics")
     cells = temporal_qv_limit(fld, 1.0, 0.0, route="cells")
-    assert cols == pytest.approx(chars, rel=1e-10)
+    assert cols == pytest.approx(
+        oracles.cone_limit_columns(fld.values, LAT.col_lo, lambda u: u, 16, 0, LAT.h),
+        rel=1e-12)
     # the cell route is a different quadrature of the same integrand
     assert cells == pytest.approx(cols, rel=0.1)
     with pytest.raises(ConfigurationError):
-        temporal_qv_limit(fld, 1.0, 0.0, route="simpson")
+        temporal_qv_limit(fld, 1.0, 0.0, route="characteristics")
     unit = solve_wave(CONSTANT_ONE, make_noise(6, LAT))
-    for route in ("columns", "characteristics", "cells"):
+    for route in ("columns", "cells"):
         assert temporal_qv_limit(unit, 1.0, 0.0, route) == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("spec, sigma", SIGMAS)
+def test_decomposition_and_ladder_equal_the_cone_enumeration(spec, sigma):
+    noise = make_noise(12, LAT)
+    fld = solve_wave(spec, noise)
+    for t, x in APEXES:
+        n0, m0 = LAT.level_of(t), LAT.col_of(x)
+        counts = admissible_temporal_pieces(t, LAT.h)
+        ladder = temporal_qv_ladder(fld, noise, t, x, counts)
+        for n, dec in zip(counts, ladder):
+            want = oracles.cone_decomposition(fld.values, LAT.col_lo, noise.rows,
+                                              sigma, n0, m0, LAT.h, n)
+            assert dec.as_dict() == want
+            single = temporal_qv_decomposition(fld, noise, TemporalPartition(t, x, n))
+            assert single.as_dict() == want
+        cells = temporal_qv_limit(fld, t, x, route="cells")
+        assert cells == ladder[0].cone_integral
+
+
+def _arrays(geometry) -> list[np.ndarray]:
+    items = vars(geometry).values() if hasattr(geometry, "__dict__") else geometry
+    return [v for v in items if isinstance(v, np.ndarray)]
+
+
+def test_cone_geometry_is_cached_per_lattice_and_read_only():
+    wide = LatticeSpec(h=0.0625, t_max=1.0, x_lo=-2.5, x_hi=2.5)
+    builders = [
+        lambda lat: quadvar._cone_geometry(lat, 16, 0),
+        lambda lat: quadvar._rung_geometry(lat, 16, 0, 4),
+        lambda lat: quadvar._limit_geometry(lat, 16, 0),
+    ]
+    for build in builders:
+        a, b = build(LAT), build(wide)
+        assert build(LatticeSpec(h=0.0625, t_max=1.0, x_lo=-2.0, x_hi=2.0)) is a
+        assert b is not a
+        # field offsets depend on the row width, which the lattices do not share
+        assert any(not np.array_equal(u, v) for u, v in zip(_arrays(a), _arrays(b)))
+        for arr in _arrays(a) + _arrays(b):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0
+    # the wide lattice's estimators still agree with the raw enumeration
+    noise = make_noise(3, wide)
+    fld = solve_wave(MULTIPLICATIVE, noise)
+    dec = temporal_qv_decomposition(fld, noise, TemporalPartition(1.0, 0.0, 4))
+    assert dec.as_dict() == oracles.cone_decomposition(
+        fld.values, wide.col_lo, noise.rows, lambda u: u, 16, 0, wide.h, 4)
 
 
 def test_ladder_matches_individual_decompositions():
