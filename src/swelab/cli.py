@@ -10,9 +10,7 @@ import json
 import sys
 import traceback
 
-import yaml
-
-from .config import config_from_dict
+from .config import config_from_dict, read_config
 from .errors import ConfigurationError, LabError
 from .studies import run_study
 
@@ -81,55 +79,38 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_raw(path: str) -> dict:
+def _count(text: str):
     try:
-        with open(path) as fh:
-            raw = yaml.safe_load(fh)
-    except OSError as exc:
-        raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
-    except yaml.YAMLError as exc:
-        raise ConfigurationError(f"config {path} is not valid YAML: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigurationError(f"config {path} must be a YAML mapping")
-    return raw
+        return int(text)
+    except ValueError:
+        return text  # refused by the params table, which names the key
 
 
-def _apply_overrides(raw: dict, args: argparse.Namespace) -> dict:
-    if args.seed is not None:
-        raw["base_seed"] = args.seed
-    if args.replicates is not None:
-        raw["replicates"] = args.replicates
-    if args.workers is not None:
-        raw["workers"] = args.workers
-    if args.out_dir is not None:
-        raw["out_dir"] = args.out_dir
-    if getattr(args, "sigma", None) is not None:
-        raw["sigma"] = args.sigma
-    if getattr(args, "equation", None) is not None:
-        raw["equation"] = args.equation
-    params = dict(raw.get("params", {}) or {})
-    for key, name in (("t", "t"), ("x", "x"), ("x_lo", "x_lo"), ("x_hi", "x_hi")):
-        value = getattr(args, key, None)
-        if value is not None:
-            params[name] = value
+def _overrides(args: argparse.Namespace, kind) -> dict:
+    """Command-line values as config overrides; None leaves the config's value."""
+    params = {key: getattr(args, key, None) for key in ("t", "x", "x_lo", "x_hi")}
+    if getattr(args, "snapshot", False):
+        params["snapshot"] = True
     pieces = getattr(args, "pieces", None)
     if pieces is not None:
-        values = [int(v) for v in str(pieces).split(",") if v.strip()]
-        if not values:
-            raise ConfigurationError(f"--pieces {pieces!r} has no counts")
-        if raw.get("kind") == "ladder":
-            params["counts"] = values
-        elif len(values) == 1:
-            params["n_pieces"] = values[0]
+        counts = [_count(v) for v in pieces.split(",")]
+        if kind == "ladder":
+            params["counts"] = counts
+        elif len(counts) == 1:
+            params["n_pieces"] = counts[0]
         else:
             raise ConfigurationError(
                 "--pieces with several counts requires a ladder config"
             )
-    if getattr(args, "snapshot", False):
-        params["snapshot"] = True
-    if params:
-        raw["params"] = params
-    return raw
+    return {
+        "base_seed": args.seed,
+        "replicates": args.replicates,
+        "workers": args.workers,
+        "out_dir": args.out_dir,
+        "sigma": getattr(args, "sigma", None),
+        "equation": getattr(args, "equation", None),
+        "params": params,
+    }
 
 
 def _print_checks(checks: list[dict]) -> None:
@@ -141,8 +122,8 @@ def _print_checks(checks: list[dict]) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    raw = _apply_overrides(_load_raw(args.config), args)
-    cfg = config_from_dict(raw)
+    raw = read_config(args.config)
+    cfg = config_from_dict(raw, _overrides(args, raw.get("kind")))
     if cfg.kind not in args.kinds:
         raise ConfigurationError(
             f"subcommand {args.command!r} accepts kinds {args.kinds}, "

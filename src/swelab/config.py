@@ -1,14 +1,20 @@
 """Config schema shared by every experiment kind, with a collecting validator.
 
 A config is a YAML mapping with common keys (kind, sigma, replicates, base_seed,
-workers, out_dir, label, thresholds) plus a geometry block (lattice for the wave
-equation, heat_grid for the heat equation) and a kind-specific params block.
-Thresholds are declared here, never hard-coded in studies: a summary's pass/fail
-flags are evaluated against exactly what the config file says.
+workers, out_dir, label, equation, thresholds) plus a geometry block (lattice
+for the wave equation, heat_grid for the heat equation) and a kind-specific
+params block. Every block is described by one table of fields below; parsing
+walks a mapping against its table once, so `ExperimentConfig.params` holds
+parsed values with defaults filled in. `validate` keeps only the rules that
+join several keys or depend on the geometry.
+
+Thresholds are declared here, never hard-coded in studies: a summary's
+pass/fail flags are evaluated against exactly what the config file says.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import sys
+from dataclasses import dataclass, field
 
 import numpy as np
 import yaml
@@ -23,14 +29,13 @@ __all__ = [
     "KINDS",
     "Threshold",
     "ExperimentConfig",
+    "read_config",
     "load_config",
     "config_from_dict",
     "validate",
-    "require_valid",
 ]
 
 KINDS = ("simulate", "qv-time", "qv-space", "clt", "lil", "mart", "linearize", "ladder")
-_EQUATIONS = ("wave", "heat")
 
 
 @dataclass(frozen=True)
@@ -78,68 +83,192 @@ class ExperimentConfig:
         return [self.base_seed + i for i in range(self.replicates)]
 
 
-def _as_mapping(obj, what: str) -> dict:
-    if not isinstance(obj, dict):
-        raise ConfigurationError(f"{what} must be a mapping, got {type(obj).__name__}")
-    return obj
+# -- field parsers: (value, key) -> parsed value, or ConfigurationError naming key
+
+
+def _refuse(key: str, what: str, value) -> ConfigurationError:
+    return ConfigurationError(f"{key} must be {what}, got {value!r}")
+
+
+def _exactly(kind: type, what: str):
+    def parse(value, key: str):
+        if type(value) is kind:  # bool is no integer here
+            return value
+        raise _refuse(key, what, value)
+    return parse
+
+
+_integer = _exactly(int, "an integer")
+_text = _exactly(str, "a string")
+_flag = _exactly(bool, "true or false")
+
+
+def _number(value, key: str) -> float:
+    if type(value) in (int, float) and abs(value) <= sys.float_info.max:
+        return float(value)
+    raise _refuse(key, "a finite number", value)
+
+
+def _sigma(value, key: str) -> SigmaSpec:
+    return SigmaSpec.parse(_text(value, key))
+
+
+def _choice(*options: str):
+    def parse(value, key: str) -> str:
+        if type(value) is str and value in options:
+            return value
+        raise _refuse(key, f"one of {options}", value)
+    return parse
+
+
+def _list(item, least: int = 1):
+    def parse(value, key: str) -> tuple:
+        if type(value) not in (list, tuple) or len(value) < least:
+            raise _refuse(key, "a nonempty list" if least else "a list", value)
+        return tuple(item(v, f"{key}[{i}]") for i, v in enumerate(value))
+    return parse
+
+
+def _pair(value, key: str) -> tuple[float, float]:
+    """A [t, x] point."""
+    if type(value) not in (list, tuple) or len(value) != 2:
+        raise _refuse(key, "a [t, x] pair", value)
+    return _number(value[0], f"{key}[0]"), _number(value[1], f"{key}[1]")
+
+
+def _block(table: dict, make=dict):
+    """A nested mapping parsed against its own table, then built by `make`."""
+    def parse(value, key: str):
+        fields = _parse(value, table, key)
+        try:
+            return make(**fields)
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"{key}: {exc}") from None
+    return parse
+
+
+_REQUIRED = object()
+
+
+def _parse(raw, table: dict, where: str) -> dict:
+    """Walk a mapping against its table of {key: (parser, default or _REQUIRED)}.
+
+    A key set to None counts as absent. Unknown keys, missing required keys and
+    values of the wrong type raise ConfigurationError naming the full key.
+    """
+    if raw is None:
+        raw = {}
+    if not isinstance(raw, dict):
+        raise ConfigurationError(
+            f"{where or 'config'} must be a mapping, got {type(raw).__name__}"
+        )
+    prefix = f"{where}." if where else ""
+    unknown = sorted(f"{prefix}{k}" for k in raw if k not in table)
+    if unknown:
+        raise ConfigurationError(f"unknown config keys: {unknown}")
+    out = {}
+    for key, (parse, default) in table.items():
+        value = raw.get(key)
+        if value is not None:
+            out[key] = parse(value, prefix + key)
+        elif default is _REQUIRED:
+            raise ConfigurationError(f"config is missing required key {prefix + key!r}")
+        else:
+            out[key] = default
+    return out
+
+
+# -- tables --------------------------------------------------------------------
+
+_NUMBER = (_number, _REQUIRED)
+_NUMBERS = (_list(_number), _REQUIRED)
+_LAGS = _block({"t": _NUMBER, "x": _NUMBER, "lags": _NUMBERS})
+_SCALES = {"t": _NUMBER, "x": _NUMBER, "scales": _NUMBERS}
+
+# params of each kind; README's config section lists the same fields
+_PARAMS = {
+    "simulate": {
+        "probes": (_list(_pair, least=0), ()),
+        "temporal_lags": (_LAGS, None),
+        "spatial_lags": (_LAGS, None),
+        "snapshot": (_flag, False),
+    },
+    "qv-time": {"t": _NUMBER, "x": _NUMBER, "n_pieces": (_integer, _REQUIRED)},
+    "qv-space": {"t": _NUMBER, "x_lo": _NUMBER, "x_hi": _NUMBER, "n_pieces": (_integer, _REQUIRED)},
+    "ladder": {
+        "axis": (_choice("time", "space"), "time"),
+        "t": _NUMBER,
+        "x": (_number, None),
+        "x_lo": (_number, None),
+        "x_hi": (_number, None),
+        "counts": (_list(_integer), _REQUIRED),
+    },
+    "clt": {**_SCALES, "standardization": (_choice("trace", "shell"), "trace")},
+    "lil": _SCALES,
+    "mart": _SCALES,
+    "linearize": {"t": _NUMBER, "x": _NUMBER, "lags": _NUMBERS},
+}
+
+_LATTICE = {"h": _NUMBER, "t_max": _NUMBER, "x_lo": _NUMBER, "x_hi": _NUMBER}
+_HEAT_GRID = {"dx": _NUMBER, "t_max": _NUMBER, "circumference": _NUMBER, "dt": (_number, 0.0)}
+_THRESHOLD = {"stat": (_text, _REQUIRED), "min": (_number, None), "max": (_number, None)}
+
+# every top-level key but params, whose table depends on the kind
+_CONFIG = {
+    "kind": (_choice(*KINDS), _REQUIRED),
+    "sigma": (_sigma, _REQUIRED),
+    "replicates": (_integer, _REQUIRED),
+    "base_seed": (_integer, 0),
+    "workers": (_integer, 1),
+    "out_dir": (_text, None),
+    "label": (_text, "study"),
+    "equation": (_choice("wave", "heat"), "wave"),
+    "lattice": (_block(_LATTICE, LatticeSpec), None),
+    "heat_grid": (_block(_HEAT_GRID, HeatGridSpec), None),
+    "thresholds": (_list(_block(_THRESHOLD, lambda **f: Threshold(f["stat"], f["min"], f["max"])),
+                         least=0), ()),
+}
 
 
 def config_from_dict(raw: dict, overrides: dict | None = None) -> ExperimentConfig:
-    raw = dict(_as_mapping(raw, "config"))
-    if overrides:
-        raw.update({k: v for k, v in overrides.items() if v is not None})
-    known = {
-        "kind", "sigma", "replicates", "base_seed", "workers", "out_dir",
-        "label", "equation", "lattice", "heat_grid", "params", "thresholds",
-    }
-    unknown = set(raw) - known
-    if unknown:
-        raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
+    """Parse a config mapping. Override values that are not None replace the
+    config's; an overrides["params"] mapping is merged into params key by key."""
+    if not isinstance(raw, dict):
+        raise ConfigurationError(f"config must be a mapping, got {type(raw).__name__}")
+    raw = dict(raw)
+    for key, value in (overrides or {}).items():
+        if key == "params" and isinstance(value, dict):
+            params = raw.get("params") or {}
+            if not isinstance(params, dict):
+                continue  # left for the params table to refuse
+            value = {**params, **{k: v for k, v in value.items() if v is not None}}
+        if value is not None:
+            raw[key] = value
+    params = raw.pop("params", None)
+    top = _parse(raw, _CONFIG, "")
+    top["params"] = _parse(params, _PARAMS[top["kind"]], "params")
+    return ExperimentConfig(**top)
+
+
+def read_config(path: str) -> dict:
+    """The YAML mapping in a config file; unreadable or malformed files raise
+    ConfigurationError."""
     try:
-        kind = raw["kind"]
-        sigma_text = raw["sigma"]
-        replicates = raw["replicates"]
-    except KeyError as exc:
-        raise ConfigurationError(f"config is missing required key {exc.args[0]!r}") from None
-    sigma = sigma_text if isinstance(sigma_text, SigmaSpec) else SigmaSpec.parse(str(sigma_text))
-    if not isinstance(replicates, int) or isinstance(replicates, bool):
-        raise ConfigurationError(f"replicates must be an integer, got {replicates!r}")
-    lattice = raw.get("lattice")
-    if isinstance(lattice, dict):
-        lattice = LatticeSpec(**{k: float(v) for k, v in lattice.items()})
-    heat_grid = raw.get("heat_grid")
-    if isinstance(heat_grid, dict):
-        heat_grid = HeatGridSpec(**{k: float(v) for k, v in heat_grid.items()})
-    thresholds = []
-    for item in raw.get("thresholds", []) or []:
-        item = dict(_as_mapping(item, "threshold entry"))
-        thresholds.append(Threshold(
-            stat=str(item.pop("stat")),
-            lo=None if item.get("min") is None else float(item.pop("min")),
-            hi=None if item.get("max") is None else float(item.pop("max")),
-        ))
-    return ExperimentConfig(
-        kind=str(kind),
-        sigma=sigma,
-        replicates=replicates,
-        base_seed=int(raw.get("base_seed", 0)),
-        workers=int(raw.get("workers", 1)),
-        out_dir=None if raw.get("out_dir") is None else str(raw["out_dir"]),
-        label=str(raw.get("label", "study")),
-        equation=str(raw.get("equation", "wave")),
-        lattice=lattice,
-        heat_grid=heat_grid,
-        params=dict(raw.get("params", {}) or {}),
-        thresholds=tuple(thresholds),
-    )
+        with open(path) as fh:
+            raw = yaml.safe_load(fh)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
+    except yaml.YAMLError as exc:
+        raise ConfigurationError(f"config {path} is not valid YAML: {exc}") from exc
+    if raw is None:
+        raise ConfigurationError(f"{path} is empty")
+    if not isinstance(raw, dict):
+        raise ConfigurationError(f"config {path} must be a YAML mapping")
+    return raw
 
 
 def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
-    with open(path) as fh:
-        raw = yaml.safe_load(fh)
-    if raw is None:
-        raise ConfigurationError(f"{path} is empty")
-    return config_from_dict(_as_mapping(raw, "config file"), overrides)
+    return config_from_dict(read_config(path), overrides)
 
 
 # -- validation ----------------------------------------------------------------
@@ -149,9 +278,6 @@ def validate(cfg: ExperimentConfig) -> tuple[list[str], list[str]]:
     """(errors, notes): all violations collected, plus admissibility echoes."""
     errors: list[str] = []
     notes: list[str] = []
-    if cfg.kind not in KINDS:
-        errors.append(f"unknown kind {cfg.kind!r}; expected one of {KINDS}")
-        return errors, notes
     need = _min_replicates(cfg)
     if cfg.replicates < need:
         errors.append(f"replicates must be >= {need} for kind {cfg.kind!r}, "
@@ -160,22 +286,18 @@ def validate(cfg: ExperimentConfig) -> tuple[list[str], list[str]]:
         errors.append(f"workers must be >= 1, got {cfg.workers}")
     if cfg.base_seed < 0 or cfg.base_seed + max(cfg.replicates, 1) > 2 ** 64:
         errors.append("base_seed must keep every replicate seed inside [0, 2^64)")
-    if cfg.equation not in _EQUATIONS:
-        errors.append(f"equation must be one of {_EQUATIONS}, got {cfg.equation!r}")
 
-    needs_wave = cfg.kind != "linearize" or cfg.equation == "wave"
     needs_heat = cfg.kind == "linearize" and cfg.equation == "heat"
-    if needs_wave and cfg.lattice is None:
+    if not needs_heat and cfg.lattice is None:
         errors.append(f"kind {cfg.kind!r} requires a lattice block")
     if needs_heat and cfg.heat_grid is None:
         errors.append("linearize on the heat equation requires a heat_grid block")
     if errors:
         return errors, notes
 
-    p = cfg.params
     check = _KIND_CHECKS[cfg.kind]
     try:
-        check(cfg, p, errors, notes)
+        check(cfg, cfg.params, errors, notes)
     except ConfigurationError as exc:
         errors.append(str(exc))
     return errors, notes
@@ -185,46 +307,30 @@ def _min_replicates(cfg: ExperimentConfig) -> int:
     """Replicates the kind's aggregation needs: standard errors take two."""
     if cfg.kind in ("simulate", "qv-time", "qv-space", "mart"):
         return 2
-    if cfg.kind == "ladder" and cfg.params.get("axis", "time") == "space":
+    if cfg.kind == "ladder" and cfg.params["axis"] == "space":
         return 2
     return 1
 
 
-def require_valid(cfg: ExperimentConfig) -> ExperimentConfig:
-    errors, _ = validate(cfg)
-    if errors:
-        raise ConfigurationError("invalid config:\n  - " + "\n  - ".join(errors))
-    return cfg
-
-
-def _need(p: dict, keys: list[str], errors: list[str], kind: str) -> bool:
-    missing = [k for k in keys if k not in p]
-    if missing:
-        errors.append(f"kind {kind!r} params missing {missing}")
-        return False
-    return True
-
-
 def _check_point(lat: LatticeSpec, t: float, x: float, errors: list[str],
-                 margin: int = 1) -> None:
-    """Apex alignment plus dependence coverage with the stated time margin."""
+                 reach: float = 0.0) -> bool:
+    """Apex alignment, and a base covering [x - t - reach, x + t + reach]."""
     try:
         n, m = lat.apex(t, x)
     except (AlignmentError, DomainError) as exc:
         errors.append(str(exc))
-        return
-    reach = margin * n
-    if m - reach < lat.col_lo or m + reach > lat.col_hi:
+        return False
+    k = n + round(reach / lat.h)
+    if m - k < lat.col_lo or m + k > lat.col_hi:
         errors.append(
             f"base [{lat.x_lo}, {lat.x_hi}] too narrow for the observable at "
-            f"(t={t}, x={x}): needs [{x - margin * t}, {x + margin * t}]"
+            f"(t={t}, x={x}): needs [{x - t - reach}, {x + t + reach}]"
         )
+        return False
+    return True
 
 
 def _even_scales(lat: LatticeSpec, scales, errors: list[str], what: str) -> None:
-    if not isinstance(scales, (list, tuple)) or not scales:
-        errors.append(f"{what} must be a nonempty list")
-        return
     for s in scales:
         k = s / lat.h
         if abs(k - round(k)) > 1e-9 or round(k) % 2 != 0 or round(k) < 2:
@@ -233,75 +339,76 @@ def _even_scales(lat: LatticeSpec, scales, errors: list[str], what: str) -> None
             )
 
 
-def _check_simulate(cfg, p, errors, notes):
-    lat = cfg.lattice
-    for pt in p.get("probes", []):
-        _check_point(lat, float(pt[0]), float(pt[1]), errors)
-    for key in ("temporal_lags", "spatial_lags"):
-        block = p.get(key)
-        if block is None:
-            continue
-        t0, x0 = float(block["t"]), float(block["x"])
-        lags = [float(v) for v in block["lags"]]
-        if len(lags) < 4:
-            notes.append(f"{key}: fitted slopes need >= 4 points, got {len(lags)}")
-        _even_scales(lat, lags, errors, key)
-        top = max(lags, default=0.0)
-        if key == "temporal_lags":
-            _check_point(lat, t0 + top, x0, errors)
-        else:
-            _check_point(lat, t0, x0 + top, errors)
-        _check_point(lat, t0, x0, errors)
-
-
-def _check_qv_time(cfg, p, errors, notes):
-    if not _need(p, ["t", "x", "n_pieces"], errors, cfg.kind):
-        return
-    lat = cfg.lattice
-    t, x = float(p["t"]), float(p["x"])
-    _check_point(lat, t, x, errors)
+def _temporal_counts(lat: LatticeSpec, t: float, x: float, errors, notes):
+    """Admissible temporal piece counts, once the apex is known to be valid."""
+    if not _check_point(lat, t, x, errors):
+        return None
     try:
         good = admissible_temporal_pieces(t, lat.h)
     except AlignmentError as exc:
         errors.append(str(exc))
-        return
+        return None
     notes.append(f"admissible temporal piece counts at t={t}, h={lat.h}: {good}")
-    if p["n_pieces"] not in good:
+    return good
+
+
+def _spatial_counts(lat: LatticeSpec, t: float, x_lo: float, x_hi: float, errors, notes):
+    """Admissible spatial piece counts, once both segment ends are valid apexes;
+    the estimators read the base [x_lo - t, x_hi + t]."""
+    ends = [_check_point(lat, t, x, errors) for x in (x_lo, x_hi)]
+    if not all(ends):
+        return None
+    try:
+        good = admissible_spatial_pieces(x_lo, x_hi, lat.h)
+    except AlignmentError as exc:
+        errors.append(str(exc))
+        return None
+    notes.append(f"admissible spatial piece counts on [{x_lo}, {x_hi}]: {good}")
+    return good
+
+
+def _check_simulate(cfg, p, errors, notes):
+    lat = cfg.lattice
+    for t, x in p["probes"]:
+        _check_point(lat, t, x, errors)
+    for key in ("temporal_lags", "spatial_lags"):
+        block = p[key]
+        if block is None:
+            continue
+        t0, x0, lags = block["t"], block["x"], block["lags"]
+        if len(lags) < 4:
+            notes.append(f"{key}: fitted slopes need >= 4 points, got {len(lags)}")
+        _even_scales(lat, lags, errors, key)
+        if key == "temporal_lags":
+            _check_point(lat, t0 + max(lags), x0, errors)
+        else:
+            _check_point(lat, t0, x0 + max(lags), errors)
+        _check_point(lat, t0, x0, errors)
+
+
+def _check_qv_time(cfg, p, errors, notes):
+    good = _temporal_counts(cfg.lattice, p["t"], p["x"], errors, notes)
+    if good is not None and p["n_pieces"] not in good:
         errors.append(
             f"n_pieces={p['n_pieces']} is not admissible; choose one of {good}"
         )
 
 
 def _check_qv_space(cfg, p, errors, notes):
-    if not _need(p, ["t", "x_lo", "x_hi", "n_pieces"], errors, cfg.kind):
-        return
-    lat = cfg.lattice
-    t = float(p["t"])
-    x_lo, x_hi = float(p["x_lo"]), float(p["x_hi"])
-    # characteristics through the whole segment: double-reach margin
-    _check_point(lat, t, x_lo, errors, margin=2)
-    _check_point(lat, t, x_hi, errors, margin=2)
-    try:
-        good = admissible_spatial_pieces(x_lo, x_hi, lat.h)
-    except AlignmentError as exc:
-        errors.append(str(exc))
-        return
-    notes.append(f"admissible spatial piece counts on [{x_lo}, {x_hi}]: {good}")
-    if p["n_pieces"] not in good:
+    good = _spatial_counts(cfg.lattice, p["t"], p["x_lo"], p["x_hi"], errors, notes)
+    if good is not None and p["n_pieces"] not in good:
         errors.append(
             f"n_pieces={p['n_pieces']} is not admissible; choose one of {good}"
         )
 
 
 def _check_probe_grid(cfg, p, errors, notes, *, cap_to_eighth: bool):
-    if not _need(p, ["t", "x", "scales"], errors, cfg.kind):
-        return
     lat = cfg.lattice
-    t, x = float(p["t"]), float(p["x"])
-    scales = [float(s) for s in p["scales"]]
+    t, x, scales = p["t"], p["x"], p["scales"]
     _even_scales(lat, scales, errors, "scales")
-    top = max(scales, default=0.0)
-    _check_point(lat, t, x, errors, margin=2)
+    top = max(scales)
+    # increments over each scale read the backward cone of (t + scale, x)
+    _check_point(lat, t, x, errors, reach=top)
     if t + top > lat.t_max + 1e-12:
         errors.append(
             f"largest scale {top} at t={t} exceeds the horizon t_max={lat.t_max}"
@@ -319,10 +426,7 @@ def _check_probe_grid(cfg, p, errors, notes, *, cap_to_eighth: bool):
 
 def _check_clt(cfg, p, errors, notes):
     _check_probe_grid(cfg, p, errors, notes, cap_to_eighth=False)
-    std = p.get("standardization", "trace")
-    if std not in ("trace", "shell"):
-        errors.append(f"standardization must be 'trace' or 'shell', got {std!r}")
-    if std == "shell" and not cfg.sigma.is_constant:
+    if p["standardization"] == "shell" and not cfg.sigma.is_constant:
         errors.append("shell standardization requires a constant sigma")
     if cfg.sigma.is_zero:
         errors.append("sigma vanishes identically: standardized increments undefined")
@@ -341,79 +445,54 @@ def _check_lil(cfg, p, errors, notes):
 
 def _check_mart(cfg, p, errors, notes):
     _check_probe_grid(cfg, p, errors, notes, cap_to_eighth=False)
-    if len(p.get("scales", [])) < 4:
+    if len(p["scales"]) < 4:
         notes.append("fitted exponents need >= 4 scales")
 
 
 def _check_linearize(cfg, p, errors, notes):
-    if not _need(p, ["t", "x", "lags"], errors, cfg.kind):
-        return
-    t, x = float(p["t"]), float(p["x"])
-    lags = [float(v) for v in p["lags"]]
+    t, x, lags = p["t"], p["x"], p["lags"]
     if len(lags) < 2:
         errors.append("linearize needs at least 2 lags to compare scales")
     if cfg.equation == "wave":
         lat = cfg.lattice
         _even_scales(lat, lags, errors, "lags")
         _check_point(lat, t, x, errors)
-        _check_point(lat, t, x + max(lags, default=0.0), errors)
+        _check_point(lat, t, x + max(lags), errors)
     else:
         grid = cfg.heat_grid
         try:
             grid.step_of(t)
         except (ConfigurationError, DomainError) as exc:
             errors.append(str(exc))
-        for lag in lags + [0.0]:
+        for lag in lags + (0.0,):
             try:
                 grid.site_of(x + lag)
             except AlignmentError as exc:
                 errors.append(str(exc))
-        if max(lags, default=0.0) + x >= grid.circumference:
+        if max(lags) + x >= grid.circumference:
             errors.append("largest lag wraps around the circle; enlarge circumference")
 
 
 def _check_ladder(cfg, p, errors, notes):
-    axis = p.get("axis", "time")
-    if axis not in ("time", "space"):
-        errors.append(f"ladder axis must be 'time' or 'space', got {axis!r}")
-        return
-    counts = p.get("counts")
-    if not isinstance(counts, (list, tuple)) or len(counts) < 1:
-        errors.append("ladder needs a nonempty counts list")
-        return
+    counts = p["counts"]
     if len(counts) < 4:
         notes.append("fitted rates need >= 4 ladder points")
     lat = cfg.lattice
-    if axis == "time":
-        if not _need(p, ["t", "x"], errors, cfg.kind):
+    if p["axis"] == "time":
+        if p["x"] is None:
+            errors.append("a time-axis ladder needs params.x")
             return
-        t, x = float(p["t"]), float(p["x"])
-        _check_point(lat, t, x, errors)
-        try:
-            good = admissible_temporal_pieces(t, lat.h)
-        except AlignmentError as exc:
-            errors.append(str(exc))
-            return
-        notes.append(f"admissible temporal piece counts at t={t}, h={lat.h}: {good}")
-        bad = [n for n in counts if n not in good]
-        if bad:
-            errors.append(f"inadmissible counts {bad}; choose from {good}")
+        good = _temporal_counts(lat, p["t"], p["x"], errors, notes)
     else:
-        if not _need(p, ["t", "x_lo", "x_hi"], errors, cfg.kind):
+        if p["x_lo"] is None or p["x_hi"] is None:
+            errors.append("a space-axis ladder needs params.x_lo and params.x_hi")
             return
-        t = float(p["t"])
-        x_lo, x_hi = float(p["x_lo"]), float(p["x_hi"])
-        _check_point(lat, t, x_lo, errors, margin=2)
-        _check_point(lat, t, x_hi, errors, margin=2)
-        try:
-            good = admissible_spatial_pieces(x_lo, x_hi, lat.h)
-        except AlignmentError as exc:
-            errors.append(str(exc))
-            return
-        notes.append(f"admissible spatial piece counts on [{x_lo}, {x_hi}]: {good}")
-        bad = [n for n in counts if n not in good]
-        if bad:
-            errors.append(f"inadmissible counts {bad}; choose from {good}")
+        good = _spatial_counts(lat, p["t"], p["x_lo"], p["x_hi"], errors, notes)
+    if good is None:
+        return
+    bad = [n for n in counts if n not in good]
+    if bad:
+        errors.append(f"inadmissible counts {bad}; choose from {good}")
 
 
 _KIND_CHECKS = {

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .errors import PreconditionError, SimulationError
 
-__all__ = ["EnsembleResult", "run_replicates", "merge_results"]
+__all__ = ["EnsembleResult", "run_replicates"]
 
 ReplicateFn = Callable[[int, object], dict[str, float]]
 
@@ -83,15 +83,12 @@ def _assemble(columns: tuple[str, ...] | None,
 
 
 def run_replicates(fn: ReplicateFn, payload, *, base_seed: int, replicates: int,
-                   workers: int = 1, start_index: int = 0) -> EnsembleResult:
+                   workers: int = 1) -> EnsembleResult:
     if replicates < 1:
         raise PreconditionError(f"replicates must be >= 1, got {replicates}")
     if workers < 1:
         raise PreconditionError(f"workers must be >= 1, got {workers}")
-    tasks = [
-        (fn, start_index + i, base_seed + start_index + i, payload)
-        for i in range(replicates)
-    ]
+    tasks = [(fn, i, base_seed + i, payload) for i in range(replicates)]
     if workers == 1:
         produced = [_call(t) for t in tasks]
     else:
@@ -99,25 +96,3 @@ def run_replicates(fn: ReplicateFn, payload, *, base_seed: int, replicates: int,
         with ProcessPoolExecutor(max_workers=workers) as pool:
             produced = list(pool.map(_call, tasks, chunksize=chunk))
     return _assemble(None, produced)
-
-
-def merge_results(parts: Sequence[EnsembleResult]) -> EnsembleResult:
-    """Order-insensitive, associative combination of disjoint replicate shards."""
-    if not parts:
-        raise PreconditionError("nothing to merge")
-    columns = parts[0].columns
-    for p in parts:
-        if p.columns != columns:
-            raise PreconditionError(f"column mismatch: {p.columns} vs {columns}")
-    index = [i for p in parts for i in p.index]
-    if len(set(index)) != len(index):
-        raise PreconditionError("shards overlap: duplicate replicate indices")
-    seeds = [s for p in parts for s in p.seeds]
-    rows = np.concatenate([p.rows for p in parts], axis=0)
-    order = np.argsort(np.array(index, dtype=np.int64), kind="stable")
-    return EnsembleResult(
-        columns,
-        tuple(int(np.array(index)[k]) for k in order),
-        tuple(int(np.array(seeds)[k]) for k in order),
-        rows[order],
-    )

@@ -22,7 +22,6 @@ __all__ = [
     "HeatField",
     "solve_heat",
     "solve_coupled_heat_linearization",
-    "site_normal",
 ]
 
 _REL_TOL = 1e-9
@@ -30,6 +29,8 @@ _REL_TOL = 1e-9
 
 def _exact_ratio(value: float, unit: float, what: str) -> int:
     k = value / unit
+    if not math.isfinite(k):
+        raise ConfigurationError(f"{what}={value!r} is not a finite multiple of {unit!r}")
     r = round(k)
     if abs(k - r) > _REL_TOL * max(1.0, abs(k)):
         raise ConfigurationError(f"{what}={value!r} is not an integer multiple of {unit!r}")
@@ -109,14 +110,6 @@ class HeatField:
 
     def at(self, t: float, x: float) -> float:
         return float(self.values[self.grid.step_of(t), self.grid.site_of(x)])
-
-
-def site_normal(seed: int, grid: HeatGridSpec, step: int, site: int) -> float:
-    """The unit normal injected at (step, site); pure function of its arguments."""
-    if not (0 <= step < grid.n_steps and 0 <= site < grid.n_sites):
-        raise DomainError(f"(step={step}, site={site}) outside the grid")
-    w = stream_words(seed, HEAT_STREAM_TAG, step * grid.n_sites + site, 1)
-    return float(words_to_unit_normals(w)[0])
 
 
 def _march(sigma: SigmaSpec, grid: HeatGridSpec, z: np.ndarray) -> np.ndarray:

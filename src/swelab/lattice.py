@@ -24,6 +24,8 @@ _REL_TOL = 1e-9
 def _exact_index(value: float, h: float, what: str) -> int:
     """Integer k with value == k*h, else alignment error."""
     k = value / h
+    if not np.isfinite(k):
+        raise AlignmentError(f"{what}={value!r} is not a finite multiple of h={h!r}")
     r = round(k)
     if abs(k - r) > _REL_TOL * max(1.0, abs(k)):
         raise AlignmentError(f"{what}={value!r} is not an integer multiple of h={h!r}")

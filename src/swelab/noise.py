@@ -2,12 +2,10 @@
 
 Every cell increment is a pure function of (seed, cell index): word g of a Philox
 stream keyed by (seed, stream tag), mapped through the inverse normal CDF and
-scaled by sqrt(cell area).  Random access is O(1), evaluation order is irrelevant,
-and a field rendered with any number of threads is bit-identical.
+scaled by sqrt(cell area).  Random access is O(1) and evaluation order is irrelevant.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -128,34 +126,11 @@ def cell_index(lat: LatticeSpec, levels: np.ndarray, cols: np.ndarray) -> np.nda
     return lat.cell_row_starts[levels] + (cols - lat.col_lo - levels - 1) // 2
 
 
-def render_grid(lattice: LatticeSpec, seed: int, workers: int = 1) -> np.ndarray:
-    """Dense (n_levels, col span) array of increments, 0.0 off-cell.
-
-    Recomputed from the stream (not from a cached realization) so that renders
-    with different worker counts genuinely race and must still agree bitwise.
-    """
-    seed = _check_seed(seed)
-    if workers < 1:
-        raise ConfigurationError("workers must be >= 1")
-    n_cols = lattice.col_hi - lattice.col_lo + 1
-    grid = np.zeros((lattice.n_levels, n_cols), dtype=np.float64)
-    starts = lattice.cell_row_starts
-    h = lattice.h
-
-    def fill(level: int) -> None:
-        count = lattice.cells_at(level)
-        if count <= 0:
-            return
-        words = stream_words(seed, WAVE_STREAM_TAG, int(starts[level]), count)
-        scale = h if level == 0 else h * np.sqrt(2.0)
-        vals = scale * words_to_unit_normals(words)
+def render_grid(noise: NoiseRealization) -> np.ndarray:
+    """Dense (n_levels, col span) array of a realization's increments, 0.0 off-cell."""
+    lat = noise.lattice
+    grid = np.zeros((lat.n_levels, lat.col_hi - lat.col_lo + 1), dtype=np.float64)
+    for level, row in enumerate(noise.rows):
         first = level + 1  # col offset of first cell from col_lo
-        grid[level, first:first + 2 * count:2] = vals
-
-    if workers == 1:
-        for n in range(lattice.n_levels):
-            fill(n)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, range(lattice.n_levels)))
+        grid[level, first:first + 2 * len(row):2] = row
     return grid

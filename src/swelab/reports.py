@@ -17,7 +17,6 @@ import numpy as np
 from .config import ExperimentConfig
 from .ensemble import EnsembleResult
 from .errors import ConfigurationError, SimulationError
-from .heat import HeatField, HeatGridSpec
 from .lattice import LatticeSpec
 from .wave import WaveField
 
@@ -33,15 +32,12 @@ __all__ = [
     "read_wave_snapshot",
     "write_noise_snapshot",
     "read_noise_snapshot",
-    "write_heat_snapshot",
-    "read_heat_snapshot",
     "ensure_out_dir",
 ]
 
 _HEADER = struct.Struct("<8sddff")
 _WAVE_MAGIC = b"SWFLD001"
 _NOISE_MAGIC = b"SWNOIS01"
-_HEAT_MAGIC = b"SWHEA001"
 
 
 def ensure_out_dir(path: str | Path) -> Path:
@@ -214,15 +210,3 @@ def read_noise_snapshot(path: str | Path) -> tuple[LatticeSpec, np.ndarray]:
     h, t_max, x_lo, x_hi, flat = _read_grid(path, _NOISE_MAGIC)
     lat = LatticeSpec(h=h, t_max=t_max, x_lo=x_lo, x_hi=x_hi)
     return lat, flat.reshape(lat.n_levels, lat.col_hi - lat.col_lo + 1)
-
-
-def write_heat_snapshot(path: str | Path, field: HeatField) -> None:
-    g = field.grid
-    # dt and circumference ride in the float32 slots: dyadic steps stay exact
-    _write_grid(path, _HEAT_MAGIC, g.dx, g.t_max, g.dt, g.circumference, field.values)
-
-
-def read_heat_snapshot(path: str | Path) -> tuple[HeatGridSpec, np.ndarray]:
-    dx, t_max, dt, circumference, flat = _read_grid(path, _HEAT_MAGIC)
-    grid = HeatGridSpec(dx=dx, t_max=t_max, circumference=circumference, dt=dt)
-    return grid, flat.reshape(grid.n_steps + 1, grid.n_sites)

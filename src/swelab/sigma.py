@@ -29,6 +29,8 @@ class SigmaSpec:
             raise ConfigurationError(
                 f"sigma kind {self.kind!r} takes {want} parameter(s), got {len(self.params)}"
             )
+        if not all(np.isfinite(self.params)):
+            raise ConfigurationError(f"sigma parameters must be finite, got {self.params}")
 
     def __call__(self, u):
         if self.kind == "constant":

@@ -96,21 +96,21 @@ def _rep_simulate(seed: int, cfg: ExperimentConfig) -> dict[str, float]:
     _, f = _wave_inputs(seed, cfg)
     p = cfg.params
     out: dict[str, float] = {}
-    for i, pt in enumerate(p.get("probes", [])):
-        u = field_at(f, float(pt[0]), float(pt[1]))
+    for i, (t, x) in enumerate(p["probes"]):
+        u = field_at(f, t, x)
         out[f"probe{i}_u"] = u
         out[f"probe{i}_u_sq"] = u * u
-    block = p.get("temporal_lags")
+    block = p["temporal_lags"]
     if block:
-        t0, x0 = float(block["t"]), float(block["x"])
+        t0, x0 = block["t"], block["x"]
         base = field_at(f, t0, x0)
-        for j, lag in enumerate(sorted(float(v) for v in block["lags"])):
+        for j, lag in enumerate(sorted(block["lags"])):
             out[f"dt{j}_sq"] = (field_at(f, t0 + lag, x0) - base) ** 2
-    block = p.get("spatial_lags")
+    block = p["spatial_lags"]
     if block:
-        t0, x0 = float(block["t"]), float(block["x"])
+        t0, x0 = block["t"], block["x"]
         base = field_at(f, t0, x0)
-        for j, lag in enumerate(sorted(float(v) for v in block["lags"])):
+        for j, lag in enumerate(sorted(block["lags"])):
             out[f"dx{j}_sq"] = (field_at(f, t0, x0 + lag) - base) ** 2
     return out
 
@@ -119,7 +119,7 @@ def _agg_simulate(cfg: ExperimentConfig, ens: EnsembleResult):
     p = cfg.params
     stats: dict[str, float] = {}
     series: dict = {}
-    for i in range(len(p.get("probes", []))):
+    for i in range(len(p["probes"])):
         s = summarize(ens.column(f"probe{i}_u"))
         q = summarize(ens.column(f"probe{i}_u_sq"))
         stats[f"probe{i}_mean"] = s.mean
@@ -127,10 +127,10 @@ def _agg_simulate(cfg: ExperimentConfig, ens: EnsembleResult):
         stats[f"probe{i}_sq_mean"] = q.mean
         stats[f"probe{i}_sq_se"] = q.std_error
     for key, col in (("temporal_lags", "dt"), ("spatial_lags", "dx")):
-        block = p.get(key)
+        block = p[key]
         if not block:
             continue
-        lags = sorted(float(v) for v in block["lags"])
+        lags = sorted(block["lags"])
         msq = [float(np.mean(ens.column(f"{col}{j}_sq"))) for j in range(len(lags))]
         rows = [(lag, m) for lag, m in zip(lags, msq)]
         series[f"{col}_lags"] = (("lag", "mean_sq_increment"), rows)
@@ -147,8 +147,8 @@ def _agg_simulate(cfg: ExperimentConfig, ens: EnsembleResult):
 def _rep_qv_time(seed: int, cfg: ExperimentConfig) -> dict[str, float]:
     noise, f = _wave_inputs(seed, cfg)
     p = cfg.params
-    t, x = float(p["t"]), float(p["x"])
-    part = TemporalPartition(t, x, int(p["n_pieces"]))
+    t, x = p["t"], p["x"]
+    part = TemporalPartition(t, x, p["n_pieces"])
     dec = temporal_qv_decomposition(f, noise, part)
     lim = temporal_qv_limit(f, t, x)
     u = field_at(f, t, x)
@@ -174,7 +174,7 @@ def _agg_qv_time(cfg: ExperimentConfig, ens: EnsembleResult):
     stats["qv_vs_limit_sigmas"] = _sigmas(stats["limit_gap_mean"], stats["limit_gap_se"])
     if cfg.sigma.is_constant:
         c = cfg.sigma.scalar(1.0)
-        t = float(cfg.params["t"])
+        t = cfg.params["t"]
         stats["exact_mean"] = c * c * t * t
         stats["qv_vs_exact_sigmas"] = _sigmas(
             stats["qv_mean"] - stats["exact_mean"], stats["qv_se"]
@@ -188,9 +188,8 @@ def _agg_qv_time(cfg: ExperimentConfig, ens: EnsembleResult):
 def _rep_qv_space(seed: int, cfg: ExperimentConfig) -> dict[str, float]:
     _, f = _wave_inputs(seed, cfg)
     p = cfg.params
-    t = float(p["t"])
-    x_lo, x_hi = float(p["x_lo"]), float(p["x_hi"])
-    part = SpatialPartition(t, x_lo, x_hi, int(p["n_pieces"]))
+    t, x_lo, x_hi = p["t"], p["x_lo"], p["x_hi"]
+    part = SpatialPartition(t, x_lo, x_hi, p["n_pieces"])
     v = spatial_qv(f, part)
     lim = spatial_qv_limit(f, t, x_lo, x_hi)
     nv = naive_qv_prediction(f, t, x_lo, x_hi)
@@ -200,7 +199,7 @@ def _rep_qv_space(seed: int, cfg: ExperimentConfig) -> dict[str, float]:
 
 def _agg_qv_space(cfg: ExperimentConfig, ens: EnsembleResult):
     p = cfg.params
-    span = float(p["x_hi"]) - float(p["x_lo"])
+    span = p["x_hi"] - p["x_lo"]
     stats: dict[str, float] = {}
     for name in ("qv", "limit", "naive", "limit_gap", "naive_gap"):
         s = summarize(ens.column(name))
@@ -213,10 +212,10 @@ def _agg_qv_space(cfg: ExperimentConfig, ens: EnsembleResult):
     stats["naive_per_unit"] = stats["naive_mean"] / span
     if cfg.sigma.is_constant:
         c = cfg.sigma.scalar(1.0)
-        n = int(p["n_pieces"])
+        n = p["n_pieces"]
         delta = span / n
         # per piece: symmetric difference of neighbor cones, twice one lune
-        stats["exact_mean"] = c * c * n * 2.0 * spatial_shell_area(float(p["t"]), delta)
+        stats["exact_mean"] = c * c * n * 2.0 * spatial_shell_area(p["t"], delta)
         stats["qv_vs_exact_sigmas"] = _sigmas(
             stats["qv_mean"] - stats["exact_mean"], stats["qv_se"]
         )
@@ -229,10 +228,10 @@ def _agg_qv_space(cfg: ExperimentConfig, ens: EnsembleResult):
 def _rep_ladder(seed: int, cfg: ExperimentConfig) -> dict[str, float]:
     noise, f = _wave_inputs(seed, cfg)
     p = cfg.params
-    counts = sorted(int(n) for n in p["counts"])
-    t = float(p["t"])
-    if p.get("axis", "time") == "time":
-        x = float(p["x"])
+    counts = sorted(p["counts"])
+    t = p["t"]
+    if p["axis"] == "time":
+        x = p["x"]
         decs = temporal_qv_ladder(f, noise, t, x, counts)
         out = {"limit": temporal_qv_limit(f, t, x)}
         for n, dec in zip(counts, decs):
@@ -241,7 +240,7 @@ def _rep_ladder(seed: int, cfg: ExperimentConfig) -> dict[str, float]:
             out[f"c_{n}"] = dec.frozen_area
             out[f"d_{n}"] = dec.cone_integral
         return out
-    x_lo, x_hi = float(p["x_lo"]), float(p["x_hi"])
+    x_lo, x_hi = p["x_lo"], p["x_hi"]
     out = {"limit": spatial_qv_limit(f, t, x_lo, x_hi),
            "naive": naive_qv_prediction(f, t, x_lo, x_hi)}
     for n in counts:
@@ -251,10 +250,10 @@ def _rep_ladder(seed: int, cfg: ExperimentConfig) -> dict[str, float]:
 
 def _agg_ladder(cfg: ExperimentConfig, ens: EnsembleResult):
     p = cfg.params
-    counts = sorted(int(n) for n in p["counts"])
+    counts = sorted(p["counts"])
     lim = ens.column("limit")
     stats: dict[str, float] = {}
-    if p.get("axis", "time") == "time":
+    if p["axis"] == "time":
         msq, m4, rms_ab, rms_cd, msq_bc = [], [], [], [], []
         rows = []
         for n in counts:
@@ -318,9 +317,9 @@ def _agg_ladder(cfg: ExperimentConfig, ens: EnsembleResult):
 def _rep_clt(seed: int, cfg: ExperimentConfig) -> dict[str, float]:
     _, f = _wave_inputs(seed, cfg)
     p = cfg.params
-    t, x = float(p["t"]), float(p["x"])
-    scales = sorted((float(s) for s in p["scales"]), reverse=True)
-    std = p.get("standardization", "trace")
+    t, x = p["t"], p["x"]
+    scales = sorted(p["scales"], reverse=True)
+    std = p["standardization"]
     vhat = conditional_variance(f, t, x)
     out: dict[str, float] = {}
     for i, s in enumerate(scales):
@@ -333,8 +332,7 @@ def _rep_clt(seed: int, cfg: ExperimentConfig) -> dict[str, float]:
 
 
 def _agg_clt(cfg: ExperimentConfig, ens: EnsembleResult):
-    p = cfg.params
-    scales = sorted((float(s) for s in p["scales"]), reverse=True)
+    scales = sorted(cfg.params["scales"], reverse=True)
     ks = [ks_distance(ens.column(f"std_{i}")) for i in range(len(scales))]
     critical = ks_critical_value(ens.n, 0.05)
     rows = [(s, k, ens.n, critical) for s, k in zip(scales, ks)]
@@ -357,8 +355,8 @@ def _agg_clt(cfg: ExperimentConfig, ens: EnsembleResult):
 def _rep_lil(seed: int, cfg: ExperimentConfig) -> dict[str, float]:
     _, f = _wave_inputs(seed, cfg)
     p = cfg.params
-    t, x = float(p["t"]), float(p["x"])
-    scales = sorted(float(s) for s in p["scales"])
+    t, x = p["t"], p["x"]
+    scales = sorted(p["scales"])
     vhat = conditional_variance(f, t, x)
     out = {"stat": lil_statistic(f, t, x, scales, vhat=vhat)}
     for i, s in enumerate(scales):
@@ -370,7 +368,7 @@ def _rep_lil(seed: int, cfg: ExperimentConfig) -> dict[str, float]:
 
 
 def _agg_lil(cfg: ExperimentConfig, ens: EnsembleResult):
-    scales = sorted(float(s) for s in cfg.params["scales"])
+    scales = sorted(cfg.params["scales"])
     q1, med, q3 = quantiles(ens.column("stat"))
     stats = {"median": med, "q1": q1, "q3": q3}
     rows = []
@@ -386,8 +384,8 @@ def _agg_lil(cfg: ExperimentConfig, ens: EnsembleResult):
 def _rep_mart(seed: int, cfg: ExperimentConfig) -> dict[str, float]:
     noise, f = _wave_inputs(seed, cfg)
     p = cfg.params
-    t, x = float(p["t"]), float(p["x"])
-    scales = sorted(float(s) for s in p["scales"])
+    t, x = p["t"], p["x"]
+    scales = sorted(p["scales"])
     probe = martingale_decomposition(f, noise, t, x, scales)
     out = {"vhat": probe.variance_hat}
     for i in range(len(scales)):
@@ -398,7 +396,7 @@ def _rep_mart(seed: int, cfg: ExperimentConfig) -> dict[str, float]:
 
 
 def _agg_mart(cfg: ExperimentConfig, ens: EnsembleResult):
-    scales = sorted(float(s) for s in cfg.params["scales"])
+    scales = sorted(cfg.params["scales"])
     vhat_mean = float(np.mean(ens.column("vhat")))
     m_rms, r_rms, ratios, rows = [], [], [], []
     worst = 0.0
@@ -432,8 +430,8 @@ def _agg_mart(cfg: ExperimentConfig, ens: EnsembleResult):
 
 def _rep_linearize(seed: int, cfg: ExperimentConfig) -> dict[str, float]:
     p = cfg.params
-    t, x = float(p["t"]), float(p["x"])
-    lags = sorted(float(v) for v in p["lags"])
+    t, x = p["t"], p["x"]
+    lags = sorted(p["lags"])
     if cfg.equation == "wave":
         u, lin = solve_coupled_linearization(cfg.sigma, make_noise(seed, cfg.lattice))
         samples = wave_defect_samples(u, lin, t, x, lags)
@@ -449,7 +447,7 @@ def _rep_linearize(seed: int, cfg: ExperimentConfig) -> dict[str, float]:
 
 
 def _agg_linearize(cfg: ExperimentConfig, ens: EnsembleResult):
-    lags = sorted(float(v) for v in cfg.params["lags"])
+    lags = sorted(cfg.params["lags"])
     ratios, rows = [], []
     for i, lag in enumerate(lags):
         inc_rms = float(np.sqrt(np.mean(ens.column(f"dl_{i}") ** 2)))
@@ -504,7 +502,7 @@ def _write_snapshots(cfg: ExperimentConfig, out: Path) -> list[Path]:
              out / f"{cfg.label}_noise.bin"]
     write_wave_snapshot(paths[0], f)
     write_field_csv(paths[1], f)
-    write_noise_snapshot(paths[2], cfg.lattice, render_grid(cfg.lattice, cfg.base_seed))
+    write_noise_snapshot(paths[2], cfg.lattice, render_grid(noise))
     return paths
 
 
@@ -530,7 +528,7 @@ def run_study(cfg: ExperimentConfig) -> StudyOutput:
             p = out / f"{cfg.label}_{name}.csv"
             write_table_csv(p, columns, rows)
             files.append(p)
-        if cfg.kind == "simulate" and cfg.params.get("snapshot"):
+        if cfg.kind == "simulate" and cfg.params["snapshot"]:
             files += _write_snapshots(cfg, out)
         p = out / f"{cfg.label}_report.json"
         write_json_report(p, report)

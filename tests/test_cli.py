@@ -171,3 +171,33 @@ def test_console_script_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "replicates=4" in proc.stdout
+
+
+LADDER = dict(BASE, kind="ladder", params={"axis": "time", "t": 0.5, "x": 0.0, "counts": [1, 2]})
+CLT = dict(BASE, kind="clt", params={"t": 0.5, "x": 0.0, "scales": [0.125, 0.25]})
+HEAT = {"kind": "linearize", "sigma": "linear:1", "replicates": 4, "equation": "heat",
+        "heat_grid": {"dx": 0.125, "t_max": 0.0625, "circumference": 4.0},
+        "params": {"t": 0.0625, "x": 0.0, "lags": [0.125, 0.25]}}
+
+
+@pytest.mark.parametrize("command, config, extra, key", [
+    ("qv", dict(BASE, thresholds=[{"stat": "qv_mean", "min": 0.5, "mx": 3}]), [],
+     "thresholds[0].mx"),
+    ("qv", dict(BASE, thresholds=[{"min": 0.5}]), [], "thresholds[0].stat"),
+    ("clt", dict(CLT, params=dict(CLT["params"], standardisation="shell")), [],
+     "params.standardisation"),
+    ("qv", dict(BASE, sigma="linear:nan"), [], "sigma"),
+    ("qv", dict(BASE, lattice=dict(BASE["lattice"], dx=0.0625)), [], "lattice.dx"),
+    ("linearize", dict(HEAT, heat_grid=dict(HEAT["heat_grid"], h=0.125)), [],
+     "heat_grid.h"),
+    ("qv", dict(BASE, workers="two"), [], "workers"),
+    ("qv", LADDER, ["--pieces", "2,x"], "params.counts[1]"),
+    ("qv", BASE, ["--pieces", "x"], "params.n_pieces"),
+])
+def test_bad_input_exits_two_and_names_the_key(tmp_path, capsys, command, config, extra, key):
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(config))
+    code = main([command, str(path), *extra])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert key in err and "Traceback" not in err

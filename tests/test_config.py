@@ -1,6 +1,12 @@
+import json
 import math
+import re
+import warnings
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swelab.config import (
     KINDS,
@@ -8,12 +14,12 @@ from swelab.config import (
     Threshold,
     config_from_dict,
     load_config,
-    require_valid,
     validate,
 )
-from swelab.errors import ConfigurationError
+from swelab.errors import ConfigurationError, ConfigurationWarning
 from swelab.lattice import LatticeSpec
 from swelab.sigma import SigmaSpec
+from swelab.studies import STUDY_RUNNERS, run_study
 
 LATTICE_BLOCK = {"h": 0.0625, "t_max": 1.0, "x_lo": -2.0, "x_hi": 2.0}
 
@@ -113,19 +119,21 @@ def test_kinds_that_summarize_need_two_replicates():
 
 
 def test_validate_collects_multiple_errors_at_once():
-    cfg = config_from_dict(qv_time_dict(replicates=0, workers=0, equation="air"))
+    cfg = config_from_dict(qv_time_dict(replicates=0, workers=0, base_seed=-1))
     errors, _ = validate(cfg)
     assert len(errors) == 3
     assert any("replicates" in e for e in errors)
     assert any("workers" in e for e in errors)
-    assert any("equation" in e for e in errors)
+    assert any("base_seed" in e for e in errors)
 
 
 def test_validate_unknown_kind_short_circuits():
-    cfg = config_from_dict(qv_time_dict(kind="qv"))
-    errors, notes = validate(cfg)
-    assert errors == [f"unknown kind 'qv'; expected one of {KINDS}"]
-    assert notes == []
+    # the kind selects the params table, so it is refused before params are read
+    want = re.escape(f"kind must be one of {KINDS}, got 'qv'")
+    with pytest.raises(ConfigurationError, match=want):
+        config_from_dict(qv_time_dict(kind="qv", params={"junk": 1}))
+    with pytest.raises(ConfigurationError, match="equation must be one of"):
+        config_from_dict(qv_time_dict(equation="air"))
 
 
 def test_validate_requires_geometry_block():
@@ -158,20 +166,51 @@ def test_qv_time_admissibility():
     assert len(errors) == 1 and "not an integer multiple" in errors[0]
 
 
-def test_qv_space_uses_double_reach_margin():
-    base = {
-        "kind": "qv-space", "sigma": "linear:1", "replicates": 4,
-        "lattice": dict(LATTICE_BLOCK),
-        "params": {"t": 0.5, "x_lo": -0.5, "x_hi": 0.5, "n_pieces": 8},
-    }
-    errors, notes = validate(config_from_dict(base))
-    assert errors == []
-    assert notes == ["admissible spatial piece counts on [-0.5, 0.5]: [1, 2, 4, 8]"]
-    # x_hi = 1.25 clears single reach (1.75 < 2) but not the double reach 2.25
-    wide = dict(base, params={"t": 0.5, "x_lo": -0.5, "x_hi": 1.25, "n_pieces": 2})
-    errors, _ = validate(config_from_dict(wide))
+# kind: (params, t_max, half-width of the base that covers exactly what the
+# estimators read). qv-space and the space-axis ladder read [x_lo - t, x_hi + t];
+# clt, lil and mart read [x - (t + top scale), x + (t + top scale)].
+REACH_CASES = {
+    "qv-space": ({"t": 0.5, "x_lo": -0.5, "x_hi": 0.5, "n_pieces": 8}, 0.5, 1.0),
+    "ladder": ({"axis": "space", "t": 0.5, "x_lo": -0.5, "x_hi": 0.5, "counts": [2, 4]},
+               0.5, 1.0),
+    "clt": ({"t": 0.5, "x": 0.0, "scales": [0.125, 0.25]}, 0.75, 0.75),
+    "lil": ({"t": 0.5, "x": 0.0, "scales": [0.0625]}, 0.5625, 0.5625),
+    "mart": ({"t": 0.5, "x": 0.0, "scales": [0.125, 0.25]}, 0.75, 0.75),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(REACH_CASES))
+def test_base_needs_exactly_the_estimator_reach(kind):
+    params, t_max, half = REACH_CASES[kind]
+    h = 1 / 32
+
+    def shifted(dx: float) -> ExperimentConfig:
+        p = {k: v + dx if k in ("x", "x_lo", "x_hi") else v for k, v in params.items()}
+        return config_from_dict({
+            "kind": kind, "sigma": "linear:1", "replicates": 2, "params": p,
+            "lattice": {"h": h, "t_max": t_max, "x_lo": -half, "x_hi": half},
+        })
+
+    exact = shifted(0.0)
+    assert validate(exact)[0] == []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConfigurationWarning)
+        assert run_study(exact).ensemble.n == 2
+    # one cell (2h) nearer the edge: refused, and the replicate itself fails there
+    narrow = shifted(2 * h)
+    errors, _ = validate(narrow)
     assert len(errors) == 1
-    assert "too narrow" in errors[0] and "[0.25, 2.25]" in errors[0]
+    assert "too narrow" in errors[0] or "outside the simulated trapezoid" in errors[0]
+    rep_fn, _ = STUDY_RUNNERS[kind]
+    with pytest.raises(ConfigurationError):
+        rep_fn(0, narrow)
+
+
+def test_piece_counts_wait_for_a_valid_apex():
+    far = config_from_dict(qv_time_dict(params={"t": 1e6, "x": 0.0, "n_pieces": 4}))
+    errors, notes = validate(far)
+    assert errors == ["(t, x)=(1000000.0, 0.0) lies outside the simulated trapezoid"]
+    assert notes == []
 
 
 def test_clt_rules():
@@ -191,8 +230,9 @@ def test_clt_rules():
     errors, _ = validate(config_from_dict(zero))
     assert errors == ["sigma vanishes identically: standardized increments undefined"]
     bad_std = dict(base, params=dict(base["params"], standardization="robust"))
-    errors, _ = validate(config_from_dict(bad_std))
-    assert errors == ["standardization must be 'trace' or 'shell', got 'robust'"]
+    with pytest.raises(ConfigurationError,
+                       match="params.standardization must be one of .* got 'robust'"):
+        config_from_dict(bad_std)
 
 
 def test_lil_rules():
@@ -237,9 +277,12 @@ def test_mart_and_ladder_notes():
     bad = dict(ladder, params=dict(ladder["params"], counts=[2, 3, 5]))
     errors, _ = validate(config_from_dict(bad))
     assert errors == ["inadmissible counts [3, 5]; choose from [1, 2, 4]"]
-    sideways = dict(ladder, params={"axis": "diag", "counts": [2]})
-    errors, _ = validate(config_from_dict(sideways))
-    assert errors == ["ladder axis must be 'time' or 'space', got 'diag'"]
+    sideways = dict(ladder, params=dict(ladder["params"], axis="diag"))
+    with pytest.raises(ConfigurationError, match="params.axis must be one of .* got 'diag'"):
+        config_from_dict(sideways)
+    no_x = dict(ladder, params={"t": 0.5, "counts": [2]})
+    errors, _ = validate(config_from_dict(no_x))
+    assert errors == ["a time-axis ladder needs params.x"]
 
 
 def test_linearize_rules():
@@ -288,14 +331,91 @@ def test_simulate_rules():
     assert len(errors) == 1 and "outside" in errors[0]
 
 
-def test_require_valid():
-    cfg = require_valid(config_from_dict(qv_time_dict()))
-    assert isinstance(cfg, ExperimentConfig)
-    with pytest.raises(ConfigurationError, match="invalid config:\n  - n_pieces=5"):
-        require_valid(config_from_dict(
-            qv_time_dict(params={"t": 0.5, "x": 0.0, "n_pieces": 5})))
-
-
 def test_replicate_seeds():
     cfg = config_from_dict(qv_time_dict(base_seed=7, replicates=3))
     assert cfg.replicate_seeds() == [7, 8, 9]
+
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs" / "acceptance"
+
+
+@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.yaml")), ids=lambda p: p.stem)
+def test_report_config_block_loads_back(path, tmp_path):
+    cfg = load_config(str(path), overrides={"replicates": 2, "out_dir": str(tmp_path)})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConfigurationWarning)
+        run_study(cfg)
+    (report,) = tmp_path.glob("*_report.json")
+    assert config_from_dict(json.loads(report.read_text())["config"]) == cfg
+
+
+# keys the schema knows, by level, plus near misses and junk
+TOP_KEYS = ["kind", "sigma", "replicates", "base_seed", "workers", "out_dir", "label",
+            "equation", "lattice", "heat_grid", "params", "thresholds", "junk"]
+PARAM_KEYS = ["t", "x", "x_lo", "x_hi", "n_pieces", "counts", "axis", "scales", "lags",
+              "standardization", "probes", "temporal_lags", "spatial_lags", "snapshot",
+              "standardisation"]
+VOCABULARY = TOP_KEYS + PARAM_KEYS + [
+    "h", "t_max", "dx", "circumference", "dt", "stat", "min", "max", "mx", 0, None,
+]
+TEXTS = list(KINDS) + [
+    "wave", "heat", "time", "space", "trace", "shell", "linear:1", "constant:1",
+    "sine:0.5", "affine:0,1", "linear:nan", "sine:inf", "affine:0:1", "u_mean", "",
+]
+NUMBERS = st.one_of(
+    st.integers(-3, 70),
+    st.sampled_from([0.0, 0.0625, 0.125, 0.25, 0.5, 1.0, 2.0, -0.5, -1.25,
+                     math.nan, math.inf, -math.inf]),
+)
+SCALARS = st.one_of(st.none(), st.booleans(), NUMBERS, st.sampled_from(TEXTS))
+VALUES = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(VOCABULARY), inner, max_size=5),
+    max_leaves=16,
+)
+
+
+def patches(keys):
+    values = st.one_of(NUMBERS, st.lists(NUMBERS, min_size=1, max_size=4), VALUES)
+    return st.dictionaries(st.sampled_from(keys), values, max_size=2)
+
+
+VALID = [
+    qv_time_dict(),
+    {"kind": "ladder", "sigma": "linear:1", "replicates": 3, "lattice": LATTICE_BLOCK,
+     "params": {"axis": "space", "t": 0.5, "x_lo": -0.5, "x_hi": 0.5, "counts": [2, 4]}},
+    {"kind": "clt", "sigma": "constant:1", "replicates": 3, "lattice": LATTICE_BLOCK,
+     "params": {"t": 0.5, "x": 0.0, "scales": [0.125, 0.25]}},
+    {"kind": "linearize", "sigma": "linear:1", "replicates": 3, "equation": "heat",
+     "heat_grid": {"dx": 0.125, "t_max": 0.0625, "circumference": 4.0},
+     "params": {"t": 0.0625, "x": 0.0, "lags": [0.125, 0.25]}},
+    {"kind": "simulate", "sigma": "sine:1", "replicates": 3, "lattice": LATTICE_BLOCK,
+     "params": {"probes": [[0.5, 0.0]],
+                "temporal_lags": {"t": 0.25, "x": 0.0, "lags": [0.125, 0.25]}}},
+]
+MAPPINGS = st.one_of(
+    patches(VOCABULARY),
+    st.builds(lambda base, top, params: {**base, **top,
+                                         "params": {**base["params"], **params}},
+              st.sampled_from(VALID), patches(TOP_KEYS), patches(PARAM_KEYS)),
+    # well-typed numbers in a valid config's own params: reaches validate
+    st.sampled_from(VALID).flatmap(lambda base: st.builds(
+        lambda params: {**base, "params": {**base["params"], **params}},
+        st.dictionaries(st.sampled_from(sorted(base["params"])),
+                        st.one_of(NUMBERS, st.lists(NUMBERS, min_size=1, max_size=4)),
+                        max_size=2))),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(raw=MAPPINGS)
+def test_only_configuration_errors_escape(raw):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConfigurationWarning)
+        try:
+            cfg = config_from_dict(raw)
+        except ConfigurationError:
+            return
+        errors, notes = validate(cfg)
+    assert all(isinstance(e, str) for e in errors + notes)

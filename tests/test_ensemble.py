@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from swelab.ensemble import EnsembleResult, merge_results, run_replicates
+from swelab.ensemble import EnsembleResult, run_replicates
 from swelab.errors import PreconditionError, SimulationError
 
 
@@ -38,12 +38,6 @@ def test_worker_count_never_changes_the_rows():
     assert one.rows.tobytes() == two.rows.tobytes()
 
 
-def test_start_index_offsets_both_index_and_seed():
-    res = run_replicates(record_seed, 0, base_seed=10, replicates=3, start_index=5)
-    assert res.index == (5, 6, 7)
-    assert res.seeds == (15, 16, 17)
-
-
 def test_non_finite_stat_names_the_seed():
     with pytest.raises(SimulationError, match="non-finite \\['value'\\].*seed 12"):
         run_replicates(explode_on_seed_12, None, base_seed=10, replicates=5)
@@ -63,27 +57,6 @@ def test_run_replicates_argument_validation():
         run_replicates(record_seed, 0, base_seed=0, replicates=0)
     with pytest.raises(PreconditionError, match="workers"):
         run_replicates(record_seed, 0, base_seed=0, replicates=1, workers=0)
-
-
-def test_merge_restores_replicate_order():
-    tail = run_replicates(record_seed, 0, base_seed=0, replicates=3, start_index=3)
-    head = run_replicates(record_seed, 0, base_seed=0, replicates=3)
-    merged = merge_results([tail, head])
-    assert merged.index == (0, 1, 2, 3, 4, 5)
-    assert merged.seeds == (0, 1, 2, 3, 4, 5)
-    whole = run_replicates(record_seed, 0, base_seed=0, replicates=6)
-    assert merged.rows.tobytes() == whole.rows.tobytes()
-
-
-def test_merge_rejects_overlap_and_column_mismatch():
-    a = run_replicates(record_seed, 0, base_seed=0, replicates=3)
-    with pytest.raises(PreconditionError, match="duplicate replicate indices"):
-        merge_results([a, a])
-    other = EnsembleResult(("x",), (9,), (9,), np.array([[1.0]]))
-    with pytest.raises(PreconditionError, match="column mismatch"):
-        merge_results([a, other])
-    with pytest.raises(PreconditionError, match="nothing to merge"):
-        merge_results([])
 
 
 def test_result_shape_is_checked():

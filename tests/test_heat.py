@@ -10,7 +10,7 @@ from swelab.errors import (
 )
 from swelab.heat import (
     HeatGridSpec,
-    site_normal,
+    _normals,
     solve_coupled_heat_linearization,
     solve_heat,
 )
@@ -39,6 +39,8 @@ def test_grid_validation_and_defaults():
         HeatGridSpec(dx=0.125, t_max=0.001, circumference=4.0)  # under one step
     with pytest.raises(ConfigurationError):
         HeatGridSpec(dx=0.125, t_max=0.06, circumference=4.0)  # misaligned t_max
+    with pytest.raises(ConfigurationError, match="finite multiple"):
+        HeatGridSpec(dx=1e-150, t_max=1e10, circumference=4.0)  # t_max/dt overflows
 
 
 def test_wraparound_warning_threshold():
@@ -97,16 +99,12 @@ def test_variance_matches_kernel_oracle():
 
 
 def test_site_normal_matches_the_stream():
+    # the normal at (step, site) is word step * n_sites + site, read on its own
     g = small_grid()
-    z = words_to_unit_normals(
-        stream_words(13, HEAT_STREAM_TAG, 0, g.n_steps * g.n_sites)
-    ).reshape(g.n_steps, g.n_sites)
+    z = _normals(13, g)
     for step, site in [(0, 0), (3, 7), (g.n_steps - 1, g.n_sites - 1)]:
-        assert site_normal(13, g, step, site) == z[step, site]
-    with pytest.raises(DomainError):
-        site_normal(13, g, g.n_steps, 0)
-    with pytest.raises(DomainError):
-        site_normal(13, g, 0, g.n_sites)
+        word = stream_words(13, HEAT_STREAM_TAG, step * g.n_sites + site, 1)
+        assert words_to_unit_normals(word)[0] == z[step, site]
 
 
 def test_coupled_heat_solutions_share_normals():

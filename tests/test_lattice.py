@@ -34,6 +34,8 @@ def test_rejects_degenerate_geometry():
         LatticeSpec(h=0.25, t_max=1.1, x_lo=-2.0, x_hi=2.0)
     with pytest.raises(ConfigurationError, match="at least one level"):
         LatticeSpec(h=0.25, t_max=0.0, x_lo=-2.0, x_hi=2.0)
+    with pytest.raises(ConfigurationError, match="finite multiple of h"):
+        LatticeSpec(h=1e-300, t_max=1e10, x_lo=-2e10, x_hi=2e10)  # t_max/h overflows
 
 
 def test_rejects_odd_base_columns_with_suggestion():

@@ -108,22 +108,15 @@ def test_segment_sum_agrees_with_explicit_cells():
     assert segment_sum(noise, segs) == pytest.approx(region_integral(noise, cells), rel=1e-12)
 
 
-def test_render_grid_matches_realization_and_workers_agree():
-    grid1 = render_grid(LAT, 23, workers=1)
-    grid4 = render_grid(LAT, 23, workers=4)
-    assert np.array_equal(grid1, grid4)
+def test_render_grid_matches_realization():
     noise = make_noise(23, LAT)
+    grid = render_grid(noise)
     n_cols = LAT.col_hi - LAT.col_lo + 1
-    assert grid1.shape == (LAT.n_levels, n_cols)
+    assert grid.shape == (LAT.n_levels, n_cols)
     for n in range(LAT.n_levels):
-        row = grid1[n]
+        row = grid[n]
         vals = row[n + 1 : n + 1 + 2 * LAT.cells_at(n) : 2]
         assert np.array_equal(vals, noise.row(n))
         mask = np.ones(n_cols, dtype=bool)
         mask[n + 1 : n + 1 + 2 * LAT.cells_at(n) : 2] = False
         assert np.all(row[mask] == 0.0)
-
-
-def test_render_grid_rejects_bad_workers():
-    with pytest.raises(ConfigurationError):
-        render_grid(LAT, 1, workers=0)

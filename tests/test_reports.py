@@ -1,26 +1,22 @@
 import json
 import math
-import warnings
 
 import numpy as np
 import pytest
 
 from swelab.config import config_from_dict
 from swelab.ensemble import EnsembleResult
-from swelab.errors import ConfigurationError, ConfigurationWarning, SimulationError
-from swelab.heat import HeatGridSpec, solve_heat
+from swelab.errors import ConfigurationError, SimulationError
 from swelab.lattice import LatticeSpec
 from swelab.noise import make_noise, render_grid
 from swelab.reports import (
     evaluate_thresholds,
     format_value,
-    read_heat_snapshot,
     read_noise_snapshot,
     read_wave_snapshot,
     summary_report,
     write_ensemble_csv,
     write_field_csv,
-    write_heat_snapshot,
     write_json_report,
     write_noise_snapshot,
     write_table_csv,
@@ -139,26 +135,12 @@ def test_wave_snapshot_round_trip(tmp_path):
 
 
 def test_noise_snapshot_round_trip(tmp_path):
-    grid = render_grid(LAT, 42)
+    grid = render_grid(make_noise(42, LAT))
     path = tmp_path / "n.bin"
     write_noise_snapshot(path, LAT, grid)
     lat, got = read_noise_snapshot(path)
     assert lat == LAT
     assert got.tobytes() == grid.tobytes()
-
-
-def test_heat_snapshot_round_trip(tmp_path):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ConfigurationWarning)
-        grid = HeatGridSpec(dx=0.25, t_max=0.125, circumference=2.0)
-    fld = solve_heat(MULTIPLICATIVE, 7, grid)
-    path = tmp_path / "h.bin"
-    write_heat_snapshot(path, fld)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ConfigurationWarning)
-        got_grid, values = read_heat_snapshot(path)
-    assert got_grid == grid
-    assert values.tobytes() == fld.values.tobytes()
 
 
 def test_snapshot_magic_and_truncation(tmp_path):

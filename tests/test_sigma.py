@@ -59,3 +59,6 @@ def test_parse_rejects_malformed_text():
     for bad in ("linear", "linear:", ":1.0", "linear:a", "affine:1.0;2.0"):
         with pytest.raises(ConfigurationError):
             SigmaSpec.parse(bad)
+    for bad in ("linear:nan", "sine:inf", "affine:0,nan", "constant:-inf"):
+        with pytest.raises(ConfigurationError, match="sigma parameters must be finite"):
+            SigmaSpec.parse(bad)
