@@ -24,7 +24,7 @@ from .fluctuations import (
     martingale_decomposition,
 )
 from .heat import HeatField, HeatGridSpec, solve_coupled_heat_linearization, solve_heat
-from .lattice import LatticeSpec, Shell, cone_area, spatial_shell_area, temporal_shell_area
+from .lattice import LatticeSpec, spatial_shell_area, temporal_shell_area
 from .linearize import heat_defect_samples, wave_defect_samples
 from .noise import NoiseRealization, make_noise, render_grid
 from .quadvar import (

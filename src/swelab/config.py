@@ -79,9 +79,6 @@ class ExperimentConfig:
     params: dict = field(default_factory=dict)
     thresholds: tuple[Threshold, ...] = ()
 
-    def replicate_seeds(self) -> list[int]:
-        return [self.base_seed + i for i in range(self.replicates)]
-
 
 # -- field parsers: (value, key) -> parsed value, or ConfigurationError naming key
 

@@ -20,7 +20,13 @@ from .errors import (
     DegenerateInputError,
     PreconditionError,
 )
-from .lattice import LatticeSpec, Shell, packed_index, segment_coords, temporal_shell_area
+from .lattice import (
+    LatticeSpec,
+    packed_index,
+    segment_coords,
+    shell_segments,
+    temporal_shell_area,
+)
 from .noise import NoiseRealization, cell_index
 from .wave import WaveField, cone_boundary_trace
 
@@ -136,9 +142,10 @@ def _shell_geometry(lat: LatticeSpec, n0: int, m0: int,
 
     Truncation keeps columns with |col - m0| <= n0 - 1, so every cell's weight
     point (n0 - |col - m0|, col) lies on the cone boundary of (t, x): entry
-    col - m0 + n0 of its trace.
+    col - m0 + n0 of its trace.  Cells are whole: diamonds straddling
+    |y - x| = t are dropped.
     """
-    levels, cols = segment_coords(Shell.truncated(lat, m0, n0, n0 + j).segments)
+    levels, cols = segment_coords(shell_segments(lat, m0, n0, n0 + j, col_cap=n0 - 1))
     return packed_index(cell_index(lat, levels, cols)), packed_index(cols - m0 + n0)
 
 
@@ -180,24 +187,23 @@ def martingale_decomposition(field: WaveField, noise: NoiseRealization,
 
 
 def lil_statistic(field: WaveField, t: float, x: float,
-                  scales: list[float], vhat: float | None = None) -> float:
-    """max over the scale grid of |increment| / sqrt(2*eps*loglog(1/eps) * V).
+                  scales: list[float]) -> tuple[float, ...]:
+    """|increment| / sqrt(2*eps*loglog(1/eps) * V) at each scale eps, in order.
 
-    V is the conditional variance at (t, x).  The max over a finite dyadic grid
-    is a finite-resolution stand-in for a limsup; it can only be compared
+    V is the conditional variance at (t, x).  The statistic is the max over the
+    scale grid: a finite-resolution stand-in for a limsup, comparable only
     against a control process probed at the same resolution, never against the
-    continuum constant.  `vhat` passes a conditional variance already computed.
+    continuum constant.
     """
     if not scales:
         raise ConfigurationError("empty scale grid")
     lat = field.lattice
-    if vhat is None:
-        vhat = conditional_variance(field, t, x)
+    vhat = conditional_variance(field, t, x)
     if vhat <= 0.0:
         raise DegenerateInputError(
             "iterated-logarithm statistic undefined: conditional variance is zero"
         )
-    best = 0.0
+    out = []
     for scale in scales:
         n0, m0, j = _probe_steps(field, t, x, scale)
         if j < 2:
@@ -214,5 +220,5 @@ def lil_statistic(field: WaveField, t: float, x: float,
                 f"probe scale {scale} too coarse for an iterated-logarithm rate"
             )
         inc = field.at_point(n0 + j, m0) - field.at_point(n0, m0)
-        best = max(best, abs(inc) / math.sqrt(2.0 * scale * loglog * vhat))
-    return best
+        out.append(abs(inc) / math.sqrt(2.0 * scale * loglog * vhat))
+    return tuple(out)

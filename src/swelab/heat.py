@@ -105,9 +105,6 @@ class HeatField:
     seed: int
     values: np.ndarray = field(repr=False)  # (n_steps + 1, n_sites)
 
-    def slice_at(self, t: float) -> np.ndarray:
-        return self.values[self.grid.step_of(t)]
-
     def at(self, t: float, x: float) -> float:
         return float(self.values[self.grid.step_of(t), self.grid.site_of(x)])
 

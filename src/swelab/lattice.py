@@ -32,18 +32,6 @@ def _exact_index(value: float, h: float, what: str) -> int:
     return int(r)
 
 
-@dataclass(frozen=True)
-class NoiseCell:
-    """One noise cell: base triangle (level 0) or diamond (level >= 1), centered at column col."""
-
-    level: int
-    col: int
-
-    @property
-    def kind(self) -> str:
-        return "triangle" if self.level == 0 else "diamond"
-
-
 Segment = tuple[int, int, int]  # (level, col_lo, col_hi) inclusive, step 2
 
 
@@ -102,9 +90,6 @@ class LatticeSpec:
         """Number of field points at a level."""
         return (self.col_hi - self.col_lo - 2 * level) // 2 + 1
 
-    def first_col(self, level: int) -> int:
-        return self.col_lo + level
-
     def cells_at(self, level: int) -> int:
         """Number of noise cells at a level (= width(level) - 1)."""
         return self.width(level) - 1
@@ -118,47 +103,28 @@ class LatticeSpec:
     def total_cells(self) -> int:
         return int(self.cell_row_starts[-1])
 
-    # -- point and cell predicates -------------------------------------------
+    # -- apex bookkeeping ------------------------------------------------------
 
     def level_of(self, t: float) -> int:
-        n = _exact_index(t, self.h, "t")
-        return n
+        return _exact_index(t, self.h, "t")
 
     def col_of(self, x: float) -> int:
         return _exact_index(x, self.h, "x")
 
-    def is_field_point(self, level: int, col: int) -> bool:
-        return (
-            0 <= level <= self.n_levels
-            and (level + col) % 2 == 0
-            and self.col_lo + level <= col <= self.col_hi - level
-        )
-
-    def is_cell(self, cell: NoiseCell) -> bool:
-        return (
-            0 <= cell.level < self.n_levels
-            and (cell.level + cell.col) % 2 == 1
-            and self.col_lo + cell.level + 1 <= cell.col <= self.col_hi - cell.level - 1
-        )
-
-    def cell_area(self, cell: NoiseCell) -> float:
-        return self.h * self.h if cell.level == 0 else 2.0 * self.h * self.h
-
-    def word_index(self, cell: NoiseCell) -> int:
-        """Flat stream index of a cell; pure function of the cell and this spec."""
-        first = self.col_lo + cell.level + 1
-        return int(self.cell_row_starts[cell.level]) + (cell.col - first) // 2
-
-    # -- apex bookkeeping ------------------------------------------------------
-
     def apex(self, t: float, x: float) -> tuple[int, int]:
-        """(level, col) of an aligned field point; alignment error otherwise."""
+        """(level, col) of an aligned field point.
+
+        Off-lattice coordinates, and odd parity within the horizon, raise an
+        alignment error; aligned points outside the trapezoid and times beyond
+        the horizon raise a domain error.
+        """
         n, m = self.level_of(t), self.col_of(x)
-        if (n + m) % 2 != 0:
+        in_horizon = 0 <= n <= self.n_levels
+        if in_horizon and (n + m) % 2 != 0:
             raise AlignmentError(
                 f"(t, x)=({t}, {x}) has odd parity (t/h + x/h must be even)"
             )
-        if not (0 <= n <= self.n_levels and self.col_lo + n <= m <= self.col_hi - n):
+        if not (in_horizon and self.col_lo + n <= m <= self.col_hi - n):
             raise DomainError(f"(t, x)=({t}, {x}) lies outside the simulated trapezoid")
         return n, m
 
@@ -173,10 +139,6 @@ class LatticeSpec:
 # -- closed-form region areas (regions are exact cell unions) ------------------
 
 
-def cone_area(t: float) -> float:
-    return t * t
-
-
 def temporal_shell_area(t_inner: float, t_outer: float) -> float:
     return t_outer * t_outer - t_inner * t_inner
 
@@ -184,16 +146,6 @@ def temporal_shell_area(t_inner: float, t_outer: float) -> float:
 def spatial_shell_area(t: float, delta: float) -> float:
     """Area of one side (left or right) of the symmetric difference of cones δ apart."""
     return t * delta - delta * delta / 4.0
-
-
-def truncated_shell_area(t: float, eps: float, h: float) -> float:
-    """Cell-union area of the temporal shell (t, t+eps) truncated to |y-x| <= t.
-
-    Cells are never subdivided, so only diamonds lying entirely within the strip
-    |y-x| <= t are kept; dropping the straddling boundary diamonds subtracts
-    eps*h from the continuum value 2*t*eps.
-    """
-    return eps * (2.0 * t - h)
 
 
 # -- cell enumeration for cones and shells ------------------------------------
@@ -300,61 +252,3 @@ def packed_index(values: np.ndarray) -> np.ndarray:
     out = values.astype(np.min_scalar_type(top))
     out.flags.writeable = False
     return out
-
-
-def segments_cell_count(segs: list[Segment]) -> int:
-    return sum((hi - lo) // 2 + 1 for _, lo, hi in segs)
-
-
-def segments_area(lat: LatticeSpec, segs: list[Segment]) -> float:
-    a = 0.0
-    for n, lo, hi in segs:
-        count = (hi - lo) // 2 + 1
-        a += count * (lat.h * lat.h if n == 0 else 2.0 * lat.h * lat.h)
-    return a
-
-
-def segments_cells(segs: list[Segment]) -> list[NoiseCell]:
-    out = []
-    for n, lo, hi in segs:
-        out.extend(NoiseCell(n, m) for m in range(lo, hi + 1, 2))
-    return out
-
-
-@dataclass(frozen=True)
-class Shell:
-    """A whole-cell region used by an estimator, with its exact area."""
-
-    kind: str  # 'temporal' | 'left' | 'right' | 'truncated'
-    area: float
-    segments: tuple[Segment, ...]
-
-    @classmethod
-    def temporal(cls, lat: LatticeSpec, apex_col: int, inner_level: int, outer_level: int) -> "Shell":
-        segs = shell_segments(lat, apex_col, inner_level, outer_level)
-        return cls("temporal", temporal_shell_area(inner_level * lat.h, outer_level * lat.h),
-                   tuple(segs))
-
-    @classmethod
-    def truncated(cls, lat: LatticeSpec, apex_col: int, inner_level: int, outer_level: int) -> "Shell":
-        if inner_level < 1:
-            raise DomainError("truncated shells need a positive inner time")
-        # whole cells only: diamonds straddling |y - x| = inner time are dropped
-        segs = shell_segments(lat, apex_col, inner_level, outer_level, col_cap=inner_level - 1)
-        t = inner_level * lat.h
-        eps = (outer_level - inner_level) * lat.h
-        return cls("truncated", truncated_shell_area(t, eps, lat.h), tuple(segs))
-
-    @classmethod
-    def side(cls, lat: LatticeSpec, level_t: int, col_a: int, col_b: int, side: str) -> "Shell":
-        segs = side_shell_segments(lat, level_t, col_a, col_b, side)
-        t = level_t * lat.h
-        delta = (col_b - col_a) * lat.h
-        return cls(side, spatial_shell_area(t, delta), tuple(segs))
-
-    @property
-    def cell_count(self) -> int:
-        return segments_cell_count(list(self.segments))
-
-    def cells(self) -> list[NoiseCell]:
-        return segments_cells(list(self.segments))

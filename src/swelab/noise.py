@@ -12,8 +12,8 @@ import numpy as np
 from numpy.random import Philox
 from scipy.special import ndtri
 
-from .errors import ConfigurationError, DomainError, PreconditionError
-from .lattice import LatticeSpec, NoiseCell
+from .errors import ConfigurationError
+from .lattice import LatticeSpec
 
 WAVE_STREAM_TAG = 0x57415645  # wave-equation cell stream
 HEAT_STREAM_TAG = 0x48454154  # rectangular-grid stream for the parabolic solver
@@ -83,42 +83,6 @@ def make_noise(seed: int, lattice: LatticeSpec) -> NoiseRealization:
     flat.flags.writeable = False
     rows = tuple(flat[starts[n]:starts[n + 1]] for n in range(lattice.n_levels))
     return NoiseRealization(lattice, seed, flat, rows)
-
-
-def cell_increment(noise: NoiseRealization, cell: NoiseCell) -> float:
-    """Gaussian increment of one cell (variance = cell area)."""
-    lat = noise.lattice
-    if not lat.is_cell(cell):
-        raise DomainError(f"{cell} is not a noise cell of this lattice")
-    first = lat.col_lo + cell.level + 1
-    return float(noise.rows[cell.level][(cell.col - first) // 2])
-
-
-def region_integral(noise: NoiseRealization, cells) -> float:
-    """Sum of increments over an explicit set of whole cells.
-
-    Duplicates are a precondition error (a cell is one Gaussian, not two); an
-    empty collection integrates to zero.
-    """
-    cells = list(cells)
-    if not cells:
-        return 0.0
-    seen = set()
-    for c in cells:
-        if (c.level, c.col) in seen:
-            raise PreconditionError(f"duplicate cell in region: {c}")
-        seen.add((c.level, c.col))
-    return float(sum(cell_increment(noise, c) for c in cells))
-
-
-def segment_sum(noise: NoiseRealization, segments) -> float:
-    """Fast whole-cell sum over step-2 column segments (no duplicates by construction)."""
-    lat = noise.lattice
-    total = 0.0
-    for n, lo, hi in segments:
-        first = lat.col_lo + n + 1
-        total += float(noise.rows[n][(lo - first) // 2:(hi - first) // 2 + 1].sum())
-    return total
 
 
 def cell_index(lat: LatticeSpec, levels: np.ndarray, cols: np.ndarray) -> np.ndarray:

@@ -12,6 +12,7 @@ gap is measurable.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -97,7 +98,9 @@ class QvDecomposition:
                   (clamped to the initial layer outside the inner cone's base)
     frozen_area   squared weights times cell areas (the conditional mean of
                   frozen_noise given the field on the inner cones)
-    cone_integral cell-route quadrature of sigma(u)^2 over the full cone
+    cone_integral sigma(u at each cell's bottom vertex)^2 times cell area,
+                  summed over the full cone: a cell quadrature of the cone
+                  integral, independent of temporal_qv_limit's columns rule
     """
 
     n_pieces: int
@@ -105,15 +108,6 @@ class QvDecomposition:
     frozen_noise: float
     frozen_area: float
     cone_integral: float
-
-    def as_dict(self) -> dict:
-        return {
-            "n_pieces": self.n_pieces,
-            "direct": self.direct,
-            "frozen_noise": self.frozen_noise,
-            "frozen_area": self.frozen_area,
-            "cone_integral": self.cone_integral,
-        }
 
 
 def _format_counts(counts: list[int]) -> str:
@@ -124,7 +118,10 @@ def _format_counts(counts: list[int]) -> str:
 
 
 def _divisors(k: int) -> list[int]:
-    return [d for d in range(1, k + 1) if k % d == 0]
+    """Divisors of k in ascending order, pairing each d <= isqrt(k) with k // d."""
+    small = [d for d in range(1, math.isqrt(k) + 1) if k % d == 0]
+    large = [k // d for d in reversed(small) if d * d != k]
+    return small + large
 
 
 def admissible_temporal_pieces(t: float, h: float) -> list[int]:
@@ -162,23 +159,16 @@ def temporal_qv(field: WaveField, part: TemporalPartition) -> float:
     return float(np.sum(inc * inc))
 
 
-def temporal_qv_limit(field: WaveField, t: float, x: float, route: str = "columns") -> float:
-    """Quadrature for the cone integral of sigma(u)^2 at apex (t, x).
+def temporal_qv_limit(field: WaveField, t: float, x: float) -> float:
+    """Columns quadrature of the cone integral of sigma(u)^2 at apex (t, x).
 
-    'columns' integrates each lattice column by the trapezoid rule in time, then
-    the column integrals by the trapezoid rule in space; both rules are folded
-    into one weight per field point of the cone.  'cells' sums
-    sigma(u at cell base vertex)^2 times cell area over the cone cells, which is
-    the exact conditional variance of the solved field's noise response.  The
-    two routes are independent quadratures of the same integral.
+    Each lattice column is integrated by the trapezoid rule in time, then the
+    column integrals by the trapezoid rule in space; both rules are folded into
+    one weight per field point of the cone.  The ladder's `cone_integral` is an
+    independent quadrature of the same integral (a sum over the cone's cells).
     """
     lat = field.lattice
     n0, m0 = _temporal_apex(lat, t, x)
-    if route == "cells":
-        cone = _cone_geometry(lat, n0, m0)
-        return _area_sum(field.sigma(field.flat[cone.base]), cone)
-    if route != "columns":
-        raise ConfigurationError(f"unknown quadrature route {route!r}")
     points, weights = _limit_geometry(lat, n0, m0)
     sv = field.sigma(field.flat[points])
     return float(np.sum(sv * sv * weights))

@@ -1,7 +1,7 @@
 """Noise coefficients sigma(u).
 
-A small closed family keeps configs parseable and Lipschitz bounds exact:
-constant, linear (multiplicative), affine, and a bounded sine variant.
+A small closed family keeps configs parseable: constant, linear
+(multiplicative), affine, and a bounded sine variant.
 """
 from __future__ import annotations
 
@@ -45,16 +45,6 @@ class SigmaSpec:
 
     def scalar(self, u: float) -> float:
         return float(self(np.float64(u)))
-
-    @property
-    def lipschitz_bound(self) -> float:
-        if self.kind == "constant":
-            return 0.0
-        if self.kind == "linear":
-            return abs(self.params[0])
-        if self.kind == "affine":
-            return abs(self.params[1])
-        return abs(self.params[0])
 
     @property
     def is_constant(self) -> bool:

@@ -50,7 +50,6 @@ from .reports import (
     write_table_csv,
     write_wave_snapshot,
 )
-from .sigma import SigmaSpec
 from .stats import ks_critical_value, ks_distance, loglog_slope, quantiles, summarize
 from .wave import field_at, solve_coupled_linearization, solve_wave
 
@@ -355,15 +354,9 @@ def _agg_clt(cfg: ExperimentConfig, ens: EnsembleResult):
 def _rep_lil(seed: int, cfg: ExperimentConfig) -> dict[str, float]:
     _, f = _wave_inputs(seed, cfg)
     p = cfg.params
-    t, x = p["t"], p["x"]
-    scales = sorted(p["scales"])
-    vhat = conditional_variance(f, t, x)
-    out = {"stat": lil_statistic(f, t, x, scales, vhat=vhat)}
-    for i, s in enumerate(scales):
-        inc = increment_sample(f, t, x, s, vhat=vhat).increment
-        out[f"norm_{i}"] = abs(inc) / np.sqrt(
-            2.0 * s * np.log(np.log(1.0 / s)) * vhat
-        )
+    norms = lil_statistic(f, p["t"], p["x"], sorted(p["scales"]))
+    out = {"stat": max(norms)}
+    out.update((f"norm_{i}", v) for i, v in enumerate(norms))
     return out
 
 

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AlignmentError, DomainError
 from .lattice import LatticeSpec
 from .noise import NoiseRealization
 from .sigma import CONSTANT_ONE, SigmaSpec
@@ -78,19 +77,9 @@ def solve_coupled_linearization(sigma: SigmaSpec, noise: NoiseRealization) -> tu
 def field_at(fld: WaveField, t: float, x: float) -> float:
     """Value at an exactly aligned lattice point; no interpolation ever.
 
-    Off-lattice coordinates or odd parity raise an alignment error; aligned points
-    outside the trapezoid raise a domain error.
+    The point is checked by LatticeSpec.apex, which names the error.
     """
-    lat = fld.lattice
-    n = lat.level_of(t)
-    m = lat.col_of(x)
-    if not 0 <= n <= lat.n_levels:
-        raise DomainError(f"t={t} outside [0, {lat.t_max}]")
-    if (n + m) % 2 != 0:
-        raise AlignmentError(f"(t, x)=({t}, {x}): t/h + x/h must be even")
-    if not lat.col_lo + n <= m <= lat.col_hi - n:
-        raise DomainError(f"x={x} outside the trapezoid at t={t}")
-    return fld.at_point(n, m)
+    return fld.at_point(*fld.lattice.apex(t, x))
 
 
 def cone_boundary_trace(fld: WaveField, t: float, x: float) -> tuple[np.ndarray, np.ndarray]:

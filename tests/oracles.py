@@ -82,6 +82,42 @@ def cone_cells(n0: int, m0: int):
     return out
 
 
+def lattice_cells(n_levels: int, col_lo: int, col_hi: int):
+    """Every noise cell (row n, center column c) of a lattice, by the parity rule.
+
+    Cells are the sites with n + c odd strictly inside the trapezoid row:
+    col_lo + n < c < col_hi - n, for rows 0 <= n < n_levels.
+    """
+    return [(n, c) for n in range(n_levels) for c in range(col_lo + n + 1, col_hi - n)
+            if (n + c) % 2 == 1]
+
+
+def segments_area(segments, h: float) -> float:
+    """Area of whole-cell segments (row, col_lo, col_hi), step 2: row-0
+    triangles have area h^2, every higher cell is a diamond of area 2 h^2."""
+    return sum(((hi - lo) // 2 + 1) * (1.0 if n == 0 else 2.0) * h * h
+               for n, lo, hi in segments)
+
+
+def segment_cells(segments) -> set:
+    """The (row, col) cells listed by step-2 segments."""
+    return {(n, c) for n, lo, hi in segments for c in range(lo, hi + 1, 2)}
+
+
+def segment_sum(noise, segments) -> float:
+    """Noise of whole-cell segments, one row slice per segment.
+
+    Reads `noise.rows[n][k]`, the k-th cell of row n counted from column
+    `noise.lattice.col_lo + n + 1`.
+    """
+    col_lo = noise.lattice.col_lo
+    total = 0.0
+    for n, lo, hi in segments:
+        first = col_lo + n + 1
+        total += float(noise.rows[n][(lo - first) // 2:(hi - first) // 2 + 1].sum())
+    return total
+
+
 def enum_cone_area(n0: int, h: float) -> float:
     return h * h * sum(a for _, _, a in cone_cells(n0, n0 % 2))
 

@@ -14,10 +14,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import brownian_lil_statistics
+from oracles import brownian_lil_statistics, segment_sum
 from swelab.config import config_from_dict, load_config
 from swelab.lattice import LatticeSpec, cone_segments
-from swelab.noise import make_noise, segment_sum
+from swelab.noise import make_noise
 from swelab.sigma import CONSTANT_ONE
 from swelab.studies import run_study
 from swelab.wave import solve_wave

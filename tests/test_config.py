@@ -331,11 +331,6 @@ def test_simulate_rules():
     assert len(errors) == 1 and "outside" in errors[0]
 
 
-def test_replicate_seeds():
-    cfg = config_from_dict(qv_time_dict(base_seed=7, replicates=3))
-    assert cfg.replicate_seeds() == [7, 8, 9]
-
-
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs" / "acceptance"
 
 

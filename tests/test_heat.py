@@ -114,4 +114,3 @@ def test_coupled_heat_solutions_share_normals():
     assert np.array_equal(lin.values, ref.values)
     assert not np.array_equal(v.values, lin.values)
     assert v.at(g.t_max, 0.25) == v.values[g.n_steps, g.site_of(0.25)]
-    assert np.array_equal(v.slice_at(g.t_max), v.values[-1])

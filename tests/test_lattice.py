@@ -3,21 +3,17 @@ import pytest
 
 import oracles
 from swelab.errors import AlignmentError, ConfigurationError, DomainError
+from oracles import segment_cells, segments_area
 from swelab.lattice import (
     LatticeSpec,
-    NoiseCell,
-    Shell,
-    cone_area,
     cone_segments,
-    segments_area,
-    segments_cell_count,
-    segments_cells,
+    segment_coords,
     shell_segments,
     side_shell_segments,
     spatial_shell_area,
     temporal_shell_area,
-    truncated_shell_area,
 )
+from swelab.noise import cell_index
 
 LAT = LatticeSpec(h=0.125, t_max=2.0, x_lo=-4.0, x_hi=4.0)
 
@@ -58,29 +54,32 @@ def test_widths_shrink_one_point_per_side():
 
 
 def test_field_point_predicate_counts_match_width():
+    # field points: n + c even, col_lo + n <= c <= col_hi - n
     for n in range(LAT.n_levels + 1):
         count = sum(
-            LAT.is_field_point(n, c) for c in range(LAT.col_lo - 2, LAT.col_hi + 3)
+            (n + c) % 2 == 0 and LAT.col_lo + n <= c <= LAT.col_hi - n
+            for c in range(LAT.col_lo - 2, LAT.col_hi + 3)
         )
         assert count == LAT.width(n)
 
 
 def test_cell_predicate_counts_match_cells_at():
+    # cells: n + c odd, col_lo + n < c < col_hi - n
     for n in range(LAT.n_levels):
         count = sum(
-            LAT.is_cell(NoiseCell(n, c)) for c in range(LAT.col_lo - 2, LAT.col_hi + 3)
+            (n + c) % 2 == 1 and LAT.col_lo + n < c < LAT.col_hi - n
+            for c in range(LAT.col_lo - 2, LAT.col_hi + 3)
         )
         assert count == LAT.cells_at(n)
 
 
 def test_word_index_is_a_bijection():
-    seen = set()
-    for n in range(LAT.n_levels):
-        for c in range(LAT.col_lo, LAT.col_hi + 1):
-            cell = NoiseCell(n, c)
-            if LAT.is_cell(cell):
-                seen.add(LAT.word_index(cell))
-    assert seen == set(range(LAT.total_cells))
+    cells = oracles.lattice_cells(LAT.n_levels, LAT.col_lo, LAT.col_hi)
+    levels = np.array([n for n, _ in cells])
+    cols = np.array([c for _, c in cells])
+    offsets = cell_index(LAT, levels, cols)
+    assert len(cells) == LAT.total_cells
+    assert sorted(offsets.tolist()) == list(range(LAT.total_cells))
 
 
 def test_apex_validation():
@@ -107,17 +106,20 @@ def test_require_cone_inside():
 def test_cone_enumeration_matches_area_and_oracle_cells():
     for n0, m0 in [(3, 1), (8, 0), (8, 6), (16, 0), (15, 1)]:
         segs = cone_segments(LAT, n0, m0)
-        assert segments_area(LAT, segs) == pytest.approx(cone_area(n0 * LAT.h), rel=1e-12)
-        got = {(c.level, c.col) for c in segments_cells(segs)}
+        assert segments_area(segs, LAT.h) == pytest.approx((n0 * LAT.h) ** 2, rel=1e-12)
+        got = segment_cells(segs)
         want = {(n, c) for n, c, _ in oracles.cone_cells(n0, m0)}
         assert got == want
+        levels, cols = segment_coords(segs)
+        assert levels.size == len(want)
+        assert set(zip(levels.tolist(), cols.tolist())) == want
 
 
 def test_temporal_shell_enumeration_matches_oracle():
     for inner, outer in [(2, 4), (4, 10), (7, 9), (2, 16)]:
         m0 = outer % 2
         segs = shell_segments(LAT, m0, inner, outer)
-        area = segments_area(LAT, segs)
+        area = segments_area(segs, LAT.h)
         assert area == pytest.approx(
             oracles.enum_shell_area(inner, outer, LAT.h), rel=1e-12
         )
@@ -137,12 +139,13 @@ def test_truncated_shell_matches_oracle_and_frozen_form():
     for inner, outer in [(4, 6), (8, 10), (8, 12), (14, 16)]:
         m0 = outer % 2
         segs = shell_segments(LAT, m0, inner, outer, col_cap=inner - 1)
-        area = segments_area(LAT, segs)
+        area = segments_area(segs, LAT.h)
         assert area == pytest.approx(
             oracles.enum_truncated_shell_area(inner, outer, LAT.h), rel=1e-12
         )
         t, eps = inner * LAT.h, (outer - inner) * LAT.h
-        assert area == pytest.approx(truncated_shell_area(t, eps, LAT.h), rel=1e-12)
+        # whole cells only: dropping the straddling diamonds costs eps*h
+        assert area == pytest.approx(eps * (2.0 * t - LAT.h), rel=1e-12)
 
 
 def test_side_shell_enumeration_matches_oracle():
@@ -150,19 +153,19 @@ def test_side_shell_enumeration_matches_oracle():
         m0 = n0 % 2
         left = side_shell_segments(LAT, n0, m0, m0 + d, "left")
         right = side_shell_segments(LAT, n0, m0, m0 + d, "right")
-        total = segments_area(LAT, left) + segments_area(LAT, right)
+        total = segments_area(left, LAT.h) + segments_area(right, LAT.h)
         assert total == pytest.approx(
             oracles.enum_side_shell_area(n0, d, LAT.h), rel=1e-12
         )
         one = spatial_shell_area(n0 * LAT.h, d * LAT.h)
-        assert segments_area(LAT, left) == pytest.approx(one, rel=1e-12)
-        assert segments_area(LAT, right) == pytest.approx(one, rel=1e-12)
+        assert segments_area(left, LAT.h) == pytest.approx(one, rel=1e-12)
+        assert segments_area(right, LAT.h) == pytest.approx(one, rel=1e-12)
 
 
 def test_side_shells_are_disjoint_and_complementary():
     n0, m0, d = 10, 0, 4
-    a = {(c.level, c.col) for c in segments_cells(side_shell_segments(LAT, n0, m0, m0 + d, "left"))}
-    b = {(c.level, c.col) for c in segments_cells(side_shell_segments(LAT, n0, m0, m0 + d, "right"))}
+    a = segment_cells(side_shell_segments(LAT, n0, m0, m0 + d, "left"))
+    b = segment_cells(side_shell_segments(LAT, n0, m0, m0 + d, "right"))
     assert not a & b
     cone_a = {(n, c) for n, c, _ in oracles.cone_cells(n0, m0)}
     cone_b = {(n, c) for n, c, _ in oracles.cone_cells(n0, m0 + d)}
@@ -175,29 +178,6 @@ def test_side_shell_alignment_rules():
         side_shell_segments(LAT, 8, 4, 4, "left")
     with pytest.raises(AlignmentError):
         side_shell_segments(LAT, 8, 0, 3, "left")
-
-
-# -- Shell wrapper -------------------------------------------------------------
-
-
-def test_shell_constructors_carry_exact_areas():
-    sh = Shell.temporal(LAT, 0, 4, 8)
-    assert sh.area == temporal_shell_area(0.5, 1.0)
-    assert segments_area(LAT, list(sh.segments)) == pytest.approx(sh.area, rel=1e-12)
-    assert sh.cell_count == segments_cell_count(list(sh.segments))
-
-    tr = Shell.truncated(LAT, 0, 8, 12)
-    assert tr.area == truncated_shell_area(1.0, 0.5, LAT.h)
-    assert segments_area(LAT, list(tr.segments)) == pytest.approx(tr.area, rel=1e-12)
-
-    sd = Shell.side(LAT, 8, 0, 4, "left")
-    assert sd.area == spatial_shell_area(1.0, 0.5)
-    assert segments_area(LAT, list(sd.segments)) == pytest.approx(sd.area, rel=1e-12)
-
-
-def test_truncated_shell_needs_positive_inner_time():
-    with pytest.raises(DomainError):
-        Shell.truncated(LAT, 0, 0, 4)
 
 
 def test_cells_tile_the_first_slab():

@@ -2,16 +2,15 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from swelab.errors import ConfigurationError, DomainError, PreconditionError
-from swelab.lattice import LatticeSpec, NoiseCell, cone_segments
+from oracles import segment_sum
+from swelab.errors import ConfigurationError
+from swelab.lattice import LatticeSpec, cone_segments, segment_coords
 from swelab.noise import (
     HEAT_STREAM_TAG,
     WAVE_STREAM_TAG,
-    cell_increment,
+    cell_index,
     make_noise,
-    region_integral,
     render_grid,
-    segment_sum,
     stream_words,
     words_to_unit_normals,
 )
@@ -80,32 +79,12 @@ def test_row_shapes_and_variance_scaling():
         assert abs(pool.mean() - 1.0) < 4.0 * np.sqrt(2.0 / pool.size)
 
 
-def test_cell_increment_matches_rows_and_rejects_non_cells():
-    noise = make_noise(5, LAT)
-    cell = NoiseCell(level=1, col=LAT.col_lo + 2)
-    j = (cell.col - (LAT.col_lo + 2)) // 2
-    assert cell_increment(noise, cell) == noise.row(1)[j]
-    with pytest.raises(DomainError):
-        cell_increment(noise, NoiseCell(level=1, col=LAT.col_lo + 3))  # parity
-    with pytest.raises(DomainError):
-        cell_increment(noise, NoiseCell(level=LAT.n_levels, col=LAT.col_lo + 1))
-
-
-def test_region_integral_rules():
-    noise = make_noise(5, LAT)
-    assert region_integral(noise, []) == 0.0
-    cells = [NoiseCell(0, LAT.col_lo + 1), NoiseCell(0, LAT.col_lo + 3)]
-    total = region_integral(noise, cells)
-    assert total == pytest.approx(sum(cell_increment(noise, c) for c in cells), rel=1e-15)
-    with pytest.raises(PreconditionError):
-        region_integral(noise, cells + [NoiseCell(0, LAT.col_lo + 1)])
-
-
 def test_segment_sum_agrees_with_explicit_cells():
     noise = make_noise(17, LAT)
     segs = cone_segments(LAT, 4, 0)
-    cells = [NoiseCell(n, c) for n, lo, hi in segs for c in range(lo, hi + 1, 2)]
-    assert segment_sum(noise, segs) == pytest.approx(region_integral(noise, cells), rel=1e-12)
+    gathered = noise.flat[cell_index(LAT, *segment_coords(segs))]
+    assert gathered.size == sum((hi - lo) // 2 + 1 for _, lo, hi in segs)
+    assert float(gathered.sum()) == pytest.approx(segment_sum(noise, segs), rel=1e-12)
 
 
 def test_render_grid_matches_realization():

@@ -1,13 +1,15 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
 import oracles
+from oracles import segment_sum
 from swelab import quadvar
 from swelab.errors import AlignmentError, ConfigurationError
-from swelab.lattice import LatticeSpec, Shell, spatial_shell_area
-from swelab.noise import make_noise, segment_sum
+from swelab.lattice import LatticeSpec, shell_segments, side_shell_segments, spatial_shell_area
+from swelab.noise import make_noise
 from swelab.quadvar import (
-    QvDecomposition,
     SpatialPartition,
     TemporalPartition,
     admissible_spatial_pieces,
@@ -62,6 +64,13 @@ def test_inadmissible_count_rejection_lists_divisors():
         spatial_qv(fld, SpatialPartition(1.0, -1.0, 1.0, 48))
 
 
+def test_divisors_pair_up_to_the_square_root():
+    for k in range(1, 501):
+        assert quadvar._divisors(k) == [d for d in range(1, k + 1) if k % d == 0]
+    # a lattice LatticeSpec accepts, far past anything a linear scan could list
+    assert admissible_temporal_pieces(1.0, 2.0**-40) == [2**i for i in range(40)]
+
+
 def test_temporal_alignment_rules():
     fld = solve_wave(CONSTANT_ONE, make_noise(0, LAT))
     with pytest.raises(AlignmentError, match="x/h even"):
@@ -89,8 +98,8 @@ def test_unit_sigma_increments_are_shell_noise_sums():
     inc = temporal_increments(fld, part)
     step = LAT.n_levels // 4
     for k in range(4):
-        sh = Shell.temporal(LAT, 0, k * step, (k + 1) * step)
-        assert inc[k] == pytest.approx(segment_sum(noise, list(sh.segments)), rel=1e-10)
+        shell = shell_segments(LAT, 0, k * step, (k + 1) * step)
+        assert inc[k] == pytest.approx(segment_sum(noise, shell), rel=1e-10)
 
 
 def test_unit_sigma_decomposition_identities():
@@ -124,19 +133,19 @@ def test_columns_limit_matches_the_per_column_oracle(spec, sigma):
 
 
 def test_limit_quadrature_routes_agree():
-    fld = solve_wave(MULTIPLICATIVE, make_noise(6, LAT))
-    cols = temporal_qv_limit(fld, 1.0, 0.0, route="columns")
-    cells = temporal_qv_limit(fld, 1.0, 0.0, route="cells")
+    noise = make_noise(6, LAT)
+    fld = solve_wave(MULTIPLICATIVE, noise)
+    cols = temporal_qv_limit(fld, 1.0, 0.0)
+    cells = temporal_qv_ladder(fld, noise, 1.0, 0.0, [1])[0].cone_integral
     assert cols == pytest.approx(
         oracles.cone_limit_columns(fld.values, LAT.col_lo, lambda u: u, 16, 0, LAT.h),
         rel=1e-12)
-    # the cell route is a different quadrature of the same integrand
+    # the cell sum is a different quadrature of the same integrand
     assert cells == pytest.approx(cols, rel=0.1)
-    with pytest.raises(ConfigurationError):
-        temporal_qv_limit(fld, 1.0, 0.0, route="characteristics")
-    unit = solve_wave(CONSTANT_ONE, make_noise(6, LAT))
-    for route in ("columns", "cells"):
-        assert temporal_qv_limit(unit, 1.0, 0.0, route) == pytest.approx(1.0, rel=1e-12)
+    unit = solve_wave(CONSTANT_ONE, noise)
+    assert temporal_qv_limit(unit, 1.0, 0.0) == pytest.approx(1.0, rel=1e-12)
+    unit_cells = temporal_qv_ladder(unit, noise, 1.0, 0.0, [1])[0].cone_integral
+    assert unit_cells == pytest.approx(1.0, rel=1e-12)
 
 
 @pytest.mark.parametrize("spec, sigma", SIGMAS)
@@ -150,11 +159,9 @@ def test_decomposition_and_ladder_equal_the_cone_enumeration(spec, sigma):
         for n, dec in zip(counts, ladder):
             want = oracles.cone_decomposition(fld.values, LAT.col_lo, noise.rows,
                                               sigma, n0, m0, LAT.h, n)
-            assert dec.as_dict() == want
+            assert asdict(dec) == want
             single = temporal_qv_decomposition(fld, noise, TemporalPartition(t, x, n))
-            assert single.as_dict() == want
-        cells = temporal_qv_limit(fld, t, x, route="cells")
-        assert cells == ladder[0].cone_integral
+            assert asdict(single) == want
 
 
 def _arrays(geometry) -> list[np.ndarray]:
@@ -183,7 +190,7 @@ def test_cone_geometry_is_cached_per_lattice_and_read_only():
     noise = make_noise(3, wide)
     fld = solve_wave(MULTIPLICATIVE, noise)
     dec = temporal_qv_decomposition(fld, noise, TemporalPartition(1.0, 0.0, 4))
-    assert dec.as_dict() == oracles.cone_decomposition(
+    assert asdict(dec) == oracles.cone_decomposition(
         fld.values, wide.col_lo, noise.rows, lambda u: u, 16, 0, wide.h, 4)
 
 
@@ -219,11 +226,9 @@ def test_spatial_increments_are_lune_differences():
     step = round(part.spacing / LAT.h)
     for k in range(8):
         a = LAT.col_of(-1.0) + k * step
-        right = Shell.side(LAT, n0, a, a + step, "right")
-        left = Shell.side(LAT, n0, a, a + step, "left")
-        want = segment_sum(noise, list(right.segments)) - segment_sum(
-            noise, list(left.segments)
-        )
+        right = side_shell_segments(LAT, n0, a, a + step, "right")
+        left = side_shell_segments(LAT, n0, a, a + step, "left")
+        want = segment_sum(noise, right) - segment_sum(noise, left)
         assert inc[k] == pytest.approx(want, rel=1e-9, abs=1e-12)
 
 
@@ -289,15 +294,3 @@ def test_rung_gap_shrinks_along_the_ladder():
     # the measured lattice rate is close to N^-1, comfortably faster than the
     # N^(-1/2) upper bound that controls it
     assert fit.slope <= -0.5
-
-
-def test_decomposition_as_dict_round_trip():
-    dec = QvDecomposition(4, 1.0, 2.0, 3.0, 4.0)
-    d = dec.as_dict()
-    assert d == {
-        "n_pieces": 4,
-        "direct": 1.0,
-        "frozen_noise": 2.0,
-        "frozen_area": 3.0,
-        "cone_integral": 4.0,
-    }

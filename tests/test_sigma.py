@@ -36,13 +36,6 @@ def test_constant_and_zero_predicates():
     assert SigmaSpec("sine", (0.0,)).is_zero
 
 
-def test_lipschitz_bounds():
-    assert CONSTANT_ONE.lipschitz_bound == 0.0
-    assert SigmaSpec("linear", (-3.0,)).lipschitz_bound == 3.0
-    assert SigmaSpec("affine", (9.0, -0.5)).lipschitz_bound == 0.5
-    assert SigmaSpec("sine", (2.0,)).lipschitz_bound == 2.0
-
-
 def test_parse_and_label_round_trip():
     for text, want in [
         ("constant:1.0", CONSTANT_ONE),

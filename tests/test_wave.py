@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import segment_sum
 from swelab.errors import AlignmentError, DomainError
 from swelab.lattice import LatticeSpec, cone_segments
-from swelab.noise import make_noise, segment_sum
+from swelab.noise import make_noise
 from swelab.sigma import CONSTANT_ONE, MULTIPLICATIVE, SigmaSpec
 from swelab.wave import (
     cone_boundary_trace,
@@ -99,7 +100,7 @@ def test_level_and_at_point_agree():
     row = fld.level(n)
     assert row.shape == (LAT.width(n),)
     for j in (0, 3, LAT.width(n) - 1):
-        col = LAT.first_col(n) + 2 * j
+        col = LAT.col_lo + n + 2 * j
         assert fld.at_point(n, col) == row[j]
     assert np.all(np.isnan(fld.values[n, LAT.width(n):]))
 
