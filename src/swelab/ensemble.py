@@ -1,16 +1,18 @@
 """Replicate scheduling with reproducible, worker-count-independent results.
 
-Replicate i always runs with seed base_seed + i. Workers only affect how the
-work is chunked; rows are reassembled in replicate order and finite-ness is
-checked in the parent, so the output bytes never depend on the worker count.
-The per-replicate callable must live at module level (it is pickled when
+Replicate i always runs with seed base_seed + i. Seeds are split into blocks
+of BLOCK_SIZE consecutive replicates; the replicate callable takes one block
+of seeds and returns one row per seed, and workers take whole blocks. Rows are
+reassembled in replicate order and finite-ness is checked per replicate in
+the parent, so the output bytes depend on neither the worker count nor the
+block size. The callable must be picklable (it is sent to workers when
 workers > 1) and must return the same stat names for every replicate.
 """
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -18,7 +20,10 @@ from .errors import PreconditionError, SimulationError
 
 __all__ = ["EnsembleResult", "run_replicates"]
 
-ReplicateFn = Callable[[int, object], dict[str, float]]
+# block of seeds, payload -> one row of named stats per seed, in seed order
+ReplicateFn = Callable[[Sequence[int], object], list[dict[str, float]]]
+
+BLOCK_SIZE = 16
 
 
 @dataclass(frozen=True)
@@ -49,9 +54,16 @@ class EnsembleResult:
         return self.rows[:, j]
 
 
-def _call(args) -> tuple[int, int, dict[str, float]]:
-    fn, index, seed, payload = args
-    return index, seed, fn(seed, payload)
+def _call(args) -> list[tuple[int, int, dict[str, float]]]:
+    fn, first, seeds, payload = args
+    records = fn(seeds, payload)
+    if len(records) != len(seeds):
+        raise SimulationError(
+            f"replicates {first}..{first + len(seeds) - 1} produced {len(records)} "
+            f"rows for {len(seeds)} seeds",
+            seed=seeds[0],
+        )
+    return [(first + k, seed, record) for k, (seed, record) in enumerate(zip(seeds, records))]
 
 
 def _assemble(columns: tuple[str, ...] | None,
@@ -88,11 +100,13 @@ def run_replicates(fn: ReplicateFn, payload, *, base_seed: int, replicates: int,
         raise PreconditionError(f"replicates must be >= 1, got {replicates}")
     if workers < 1:
         raise PreconditionError(f"workers must be >= 1, got {workers}")
-    tasks = [(fn, i, base_seed + i, payload) for i in range(replicates)]
+    blocks = [
+        (fn, i, [base_seed + j for j in range(i, min(i + BLOCK_SIZE, replicates))], payload)
+        for i in range(0, replicates, BLOCK_SIZE)
+    ]
     if workers == 1:
-        produced = [_call(t) for t in tasks]
+        produced = [row for block in blocks for row in _call(block)]
     else:
-        chunk = max(1, replicates // (workers * 8))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            produced = list(pool.map(_call, tasks, chunksize=chunk))
+            produced = [row for rows in pool.map(_call, blocks) for row in rows]
     return _assemble(None, produced)

@@ -3,13 +3,15 @@
 v(0) = 1 on a periodic circle; each step smooths with the discrete Laplacian and
 adds sigma(v) times a scaled normal per site.  The normals come from a counter
 stream keyed separately from the wave noise, one word per (step, site), so any
-value is reproducible in isolation.
+value is reproducible in isolation.  A solve marches only to the time it is
+asked for and keeps only that row.
 """
 from __future__ import annotations
 
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -25,6 +27,9 @@ __all__ = [
 ]
 
 _REL_TOL = 1e-9
+# Normals drawn per seed per chunk of steps: 128 steps of a 256-site grid, so
+# a 16-seed block holds 4 MB of normals at a time.
+_CHUNK_WORDS = 1 << 15
 
 
 def _exact_ratio(value: float, unit: float, what: str) -> int:
@@ -100,44 +105,85 @@ class HeatGridSpec:
 
 @dataclass(frozen=True)
 class HeatField:
+    """One seed's field at the single step it was marched to."""
+
     grid: HeatGridSpec
     sigma: SigmaSpec
     seed: int
-    values: np.ndarray = field(repr=False)  # (n_steps + 1, n_sites)
+    step: int
+    values: np.ndarray = field(repr=False)  # (n_sites,) at `step`
 
     def at(self, t: float, x: float) -> float:
-        return float(self.values[self.grid.step_of(t), self.grid.site_of(x)])
+        n = self.grid.step_of(t)
+        if n != self.step:
+            raise DomainError(
+                f"t={t} is step {n}, but this field kept only step {self.step} "
+                f"(t={self.step * self.grid.dt})"
+            )
+        return float(self.values[self.grid.site_of(x)])
 
 
-def _march(sigma: SigmaSpec, grid: HeatGridSpec, z: np.ndarray) -> np.ndarray:
+def _normals(seeds: Sequence[int], grid: HeatGridSpec, start: int, stop: int) -> np.ndarray:
+    """Unit normals of steps [start, stop) for each seed, shape (steps, seeds, sites).
+
+    The normal at (step, site) is word step * n_sites + site of the seed's
+    heat stream, so chunking never changes a value.
+    """
+    n = grid.n_sites
+    z = np.empty((stop - start, len(seeds), n))
+    for i, seed in enumerate(seeds):
+        words = stream_words(seed, HEAT_STREAM_TAG, start * n, (stop - start) * n)
+        z[:, i, :] = words_to_unit_normals(words).reshape(stop - start, n)
+    return z
+
+
+def _march(sigmas: Sequence[SigmaSpec], grid: HeatGridSpec, seeds: Sequence[int],
+           n_steps: int) -> np.ndarray:
+    """Row n_steps of every (sigma, seed) field, shape (sigmas, seeds, sites).
+
+    All fields start at 1 and step together; the fields of one seed take the
+    same normals. Each site's update is elementwise, so a stacked field is
+    bitwise the field marched on its own.
+    """
     r = grid.dt / (grid.dx * grid.dx)
     amp = math.sqrt(grid.dt / grid.dx)
-    v = np.empty((grid.n_steps + 1, grid.n_sites))
-    v[0] = 1.0
-    for n in range(grid.n_steps):
-        cur = v[n]
-        lap = np.roll(cur, 1) + np.roll(cur, -1) - 2.0 * cur
-        v[n + 1] = cur + r * lap + sigma(cur) * (amp * z[n])
+    v = np.ones((len(sigmas), len(seeds), grid.n_sites))
+    lap = np.empty_like(v)
+    kick = np.empty_like(v)
+    chunk = max(1, _CHUNK_WORDS // grid.n_sites)
+    for start in range(0, n_steps, chunk):
+        az = _normals(seeds, grid, start, min(start + chunk, n_steps))
+        az *= amp
+        for z in az:
+            # lap = roll(v, 1) + roll(v, -1) - 2 v along the circle
+            np.add(v[..., :-2], v[..., 2:], out=lap[..., 1:-1])
+            np.add(v[..., -1], v[..., 1], out=lap[..., 0])
+            np.add(v[..., -2], v[..., 0], out=lap[..., -1])
+            lap -= 2.0 * v
+            lap *= r
+            for f, sigma in enumerate(sigmas):
+                np.multiply(sigma(v[f]), z, out=kick[f])
+            v += lap
+            v += kick
     return v
 
 
-def _normals(seed: int, grid: HeatGridSpec) -> np.ndarray:
-    words = stream_words(seed, HEAT_STREAM_TAG, 0, grid.n_steps * grid.n_sites)
-    return words_to_unit_normals(words).reshape(grid.n_steps, grid.n_sites)
-
-
 def solve_heat(sigma: SigmaSpec, seed: int, grid: HeatGridSpec) -> HeatField:
+    """The field at t_max."""
     seed = _check_seed(seed)
-    z = _normals(seed, grid)
-    return HeatField(grid=grid, sigma=sigma, seed=seed, values=_march(sigma, grid, z))
+    v = _march((sigma,), grid, [seed], grid.n_steps)
+    return HeatField(grid=grid, sigma=sigma, seed=seed, step=grid.n_steps, values=v[0, 0])
 
 
-def solve_coupled_heat_linearization(sigma: SigmaSpec, seed: int,
-                                     grid: HeatGridSpec) -> tuple[HeatField, HeatField]:
-    """(nonlinear field, sigma==1 field) driven by the identical site normals."""
-    seed = _check_seed(seed)
-    z = _normals(seed, grid)
-    v = HeatField(grid=grid, sigma=sigma, seed=seed, values=_march(sigma, grid, z))
-    lin = HeatField(grid=grid, sigma=CONSTANT_ONE, seed=seed,
-                    values=_march(CONSTANT_ONE, grid, z))
-    return v, lin
+def solve_coupled_heat_linearization(sigma: SigmaSpec, seeds: Sequence[int], grid: HeatGridSpec,
+                                     t: float) -> list[tuple[HeatField, HeatField]]:
+    """(nonlinear field, sigma==1 field) at t for each seed, driven by the
+    identical site normals."""
+    seeds = [_check_seed(seed) for seed in seeds]
+    step = grid.step_of(t)
+    v = _march((sigma, CONSTANT_ONE), grid, seeds, step)
+    return [
+        (HeatField(grid=grid, sigma=sigma, seed=seed, step=step, values=v[0, i]),
+         HeatField(grid=grid, sigma=CONSTANT_ONE, seed=seed, step=step, values=v[1, i]))
+        for i, seed in enumerate(seeds)
+    ]

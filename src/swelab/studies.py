@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field as dc_field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -421,22 +422,27 @@ def _agg_mart(cfg: ExperimentConfig, ens: EnsembleResult):
 # -- linearization defects -----------------------------------------------------
 
 
-def _rep_linearize(seed: int, cfg: ExperimentConfig) -> dict[str, float]:
+def _rep_linearize(seeds: list[int], cfg: ExperimentConfig) -> list[dict[str, float]]:
     p = cfg.params
     t, x = p["t"], p["x"]
     lags = sorted(p["lags"])
     if cfg.equation == "wave":
-        u, lin = solve_coupled_linearization(cfg.sigma, make_noise(seed, cfg.lattice))
-        samples = wave_defect_samples(u, lin, t, x, lags)
+        pairs = (solve_coupled_linearization(cfg.sigma, make_noise(seed, cfg.lattice))
+                 for seed in seeds)
+        defect_samples = wave_defect_samples
     else:
-        v, lin = solve_coupled_heat_linearization(cfg.sigma, seed, cfg.heat_grid)
-        samples = heat_defect_samples(v, lin, t, x, lags)
-    out: dict[str, float] = {}
-    for i, s in enumerate(samples):
-        out[f"du_{i}"] = s.field_increment
-        out[f"dl_{i}"] = s.linear_increment
-        out[f"defect_{i}"] = s.defect
-    return out
+        # the whole block marches at once, only to the probe time
+        pairs = solve_coupled_heat_linearization(cfg.sigma, seeds, cfg.heat_grid, t)
+        defect_samples = heat_defect_samples
+    rows = []
+    for u, lin in pairs:
+        out: dict[str, float] = {}
+        for i, s in enumerate(defect_samples(u, lin, t, x, lags)):
+            out[f"du_{i}"] = s.field_increment
+            out[f"dl_{i}"] = s.linear_increment
+            out[f"defect_{i}"] = s.defect
+        rows.append(out)
+    return rows
 
 
 def _agg_linearize(cfg: ExperimentConfig, ens: EnsembleResult):
@@ -467,14 +473,20 @@ def _agg_linearize(cfg: ExperimentConfig, ens: EnsembleResult):
 # -- dispatch ------------------------------------------------------------------
 
 
+def _each_seed(rep, seeds: list[int], cfg: ExperimentConfig) -> list[dict[str, float]]:
+    return [rep(seed, cfg) for seed in seeds]
+
+
+# kind -> (block replicate function, aggregate). The wave kinds gain nothing
+# from a block and run their per-seed replicate once per seed.
 STUDY_RUNNERS = {
-    "simulate": (_rep_simulate, _agg_simulate),
-    "qv-time": (_rep_qv_time, _agg_qv_time),
-    "qv-space": (_rep_qv_space, _agg_qv_space),
-    "ladder": (_rep_ladder, _agg_ladder),
-    "clt": (_rep_clt, _agg_clt),
-    "lil": (_rep_lil, _agg_lil),
-    "mart": (_rep_mart, _agg_mart),
+    "simulate": (partial(_each_seed, _rep_simulate), _agg_simulate),
+    "qv-time": (partial(_each_seed, _rep_qv_time), _agg_qv_time),
+    "qv-space": (partial(_each_seed, _rep_qv_space), _agg_qv_space),
+    "ladder": (partial(_each_seed, _rep_ladder), _agg_ladder),
+    "clt": (partial(_each_seed, _rep_clt), _agg_clt),
+    "lil": (partial(_each_seed, _rep_lil), _agg_lil),
+    "mart": (partial(_each_seed, _rep_mart), _agg_mart),
     "linearize": (_rep_linearize, _agg_linearize),
 }
 

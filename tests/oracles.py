@@ -284,6 +284,20 @@ def heat_field_from_kernel(dx: float, dt: float, n_sites: int, n_steps: int,
     return 1.0 + acc
 
 
+def heat_march(sigma, dx: float, dt: float, n_steps: int, z: np.ndarray) -> np.ndarray:
+    """Full (n_steps + 1, n_sites) history of the explicit heat march, one row
+    at a time: v(0) = 1, v(n+1) = v(n) + r lap v(n) + sigma(v(n)) sqrt(dt/dx) z[n]."""
+    r = dt / (dx * dx)
+    amp = math.sqrt(dt / dx)
+    v = np.empty((n_steps + 1, z.shape[1]))
+    v[0] = 1.0
+    for n in range(n_steps):
+        cur = v[n]
+        lap = np.roll(cur, 1) + np.roll(cur, -1) - 2.0 * cur
+        v[n + 1] = cur + r * lap + sigma(cur) * (amp * z[n])
+    return v
+
+
 # -- iterated-logarithm control ------------------------------------------------
 
 

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import swelab.ensemble as ensemble
 from oracles import brownian_lil_statistics, segment_sum
 from swelab.config import config_from_dict, load_config
 from swelab.lattice import LatticeSpec, cone_segments
@@ -213,19 +214,23 @@ def test_11_holder_exponents():
                    out, ["temporal_sq_slope", "spatial_sq_slope"])
 
 
-def test_12_byte_identical_csv_any_worker_count(tmp_path):
-    outputs = []
-    for tag, workers in (("a", 1), ("b", 3), ("c", 3)):
-        cfg = load_config(
-            str(CONFIG_DIR / "temporal_qv_unit.yaml"),
-            overrides={"replicates": 200, "workers": workers,
-                       "out_dir": str(tmp_path / tag)},
-        )
-        run_study(cfg)
-        outputs.append(
-            (tmp_path / tag / "temporal_qv_unit_replicates.csv").read_bytes()
-        )
-    ok = announce("12 byte-identical replicate CSV for any worker count",
-                  outputs[0] == outputs[1] == outputs[2],
-                  f"{len(outputs[0])} bytes")
-    assert ok
+def test_12_byte_identical_csv_any_worker_count(tmp_path, monkeypatch):
+    # block size 1 runs every replicate on its own, as a per-seed scheduler would
+    runs = [(size, workers) for size in (1, ensemble.BLOCK_SIZE) for workers in (1, 3)]
+    for stem, replicates in (("temporal_qv_unit", 200), ("linearize_heat", 37)):
+        outputs = []
+        for size, workers in runs:
+            monkeypatch.setattr(ensemble, "BLOCK_SIZE", size)
+            tag = f"{stem}_b{size}_w{workers}"
+            cfg = load_config(
+                str(CONFIG_DIR / f"{stem}.yaml"),
+                overrides={"replicates": replicates, "workers": workers,
+                           "out_dir": str(tmp_path / tag)},
+            )
+            run_study(cfg)
+            outputs.append((tmp_path / tag / f"{cfg.label}_replicates.csv").read_bytes())
+        ok = announce(f"12 {stem}: byte-identical replicate CSV for any worker count "
+                      "and block size",
+                      all(out == outputs[0] for out in outputs),
+                      f"{len(outputs[0])} bytes")
+        assert ok

@@ -203,7 +203,7 @@ def test_base_needs_exactly_the_estimator_reach(kind):
     assert "too narrow" in errors[0] or "outside the simulated trapezoid" in errors[0]
     rep_fn, _ = STUDY_RUNNERS[kind]
     with pytest.raises(ConfigurationError):
-        rep_fn(0, narrow)
+        rep_fn([0], narrow)
 
 
 def test_piece_counts_wait_for_a_valid_apex():

@@ -1,22 +1,28 @@
 import numpy as np
 import pytest
 
+import swelab.ensemble as ensemble
 from swelab.ensemble import EnsembleResult, run_replicates
 from swelab.errors import PreconditionError, SimulationError
 
-
-def record_seed(seed: int, payload) -> dict[str, float]:
-    return {"seed": float(seed), "shifted": float(seed + payload)}
-
-
-def explode_on_seed_12(seed: int, payload) -> dict[str, float]:
-    return {"value": float("nan") if seed == 12 else 1.0}
+# With blocks of 16, 37 replicates span three blocks and replicate 21 is
+# neither first nor last in the second one.
 
 
-def drop_column_on_seed_5(seed: int, payload) -> dict[str, float]:
-    if seed == 5:
-        return {"a": 1.0}
-    return {"a": 1.0, "b": 2.0}
+def record_seed(seeds, payload) -> list[dict[str, float]]:
+    return [{"seed": float(s), "shifted": float(s + payload)} for s in seeds]
+
+
+def explode_on_seed(seeds, bad) -> list[dict[str, float]]:
+    return [{"value": float("nan") if s == bad else 1.0} for s in seeds]
+
+
+def drop_column_on_seed(seeds, bad) -> list[dict[str, float]]:
+    return [{"a": 1.0} if s == bad else {"a": 1.0, "b": 2.0} for s in seeds]
+
+
+def drop_row_of_seed(seeds, bad) -> list[dict[str, float]]:
+    return [{"a": 1.0} for s in seeds if s != bad]
 
 
 def test_each_replicate_gets_base_seed_plus_index():
@@ -30,26 +36,47 @@ def test_each_replicate_gets_base_seed_plus_index():
 
 
 def test_worker_count_never_changes_the_rows():
-    one = run_replicates(record_seed, 7, base_seed=3, replicates=25, workers=1)
-    two = run_replicates(record_seed, 7, base_seed=3, replicates=25, workers=3)
-    assert one.columns == two.columns
-    assert one.index == two.index
-    assert one.seeds == two.seeds
-    assert one.rows.tobytes() == two.rows.tobytes()
+    one = run_replicates(record_seed, 7, base_seed=3, replicates=37, workers=1)
+    assert one.seeds == tuple(range(3, 40))
+    for workers in (2, 3):
+        other = run_replicates(record_seed, 7, base_seed=3, replicates=37, workers=workers)
+        assert one.columns == other.columns
+        assert one.index == other.index
+        assert one.seeds == other.seeds
+        assert one.rows.tobytes() == other.rows.tobytes()
+
+
+def test_block_size_never_changes_the_rows(monkeypatch):
+    want = run_replicates(record_seed, 7, base_seed=3, replicates=37)
+    for size in (1, 5, 64):
+        monkeypatch.setattr(ensemble, "BLOCK_SIZE", size)
+        got = run_replicates(record_seed, 7, base_seed=3, replicates=37)
+        assert got.seeds == want.seeds
+        assert got.rows.tobytes() == want.rows.tobytes()
 
 
 def test_non_finite_stat_names_the_seed():
     with pytest.raises(SimulationError, match="non-finite \\['value'\\].*seed 12"):
-        run_replicates(explode_on_seed_12, None, base_seed=10, replicates=5)
-    try:
-        run_replicates(explode_on_seed_12, None, base_seed=10, replicates=5)
-    except SimulationError as exc:
-        assert exc.seed == 12
+        run_replicates(explode_on_seed, 12, base_seed=10, replicates=5)
+    for workers in (1, 2):
+        with pytest.raises(SimulationError, match="replicate 21 .*seed 31") as info:
+            run_replicates(explode_on_seed, 31, base_seed=10, replicates=37,
+                           workers=workers)
+        assert info.value.seed == 31
 
 
 def test_ragged_columns_are_rejected():
     with pytest.raises(SimulationError, match="expected \\('a', 'b'\\)"):
-        run_replicates(drop_column_on_seed_5, None, base_seed=0, replicates=8)
+        run_replicates(drop_column_on_seed, 5, base_seed=0, replicates=8)
+    with pytest.raises(SimulationError, match="replicate 21 produced stats \\('a',\\)") as info:
+        run_replicates(drop_column_on_seed, 121, base_seed=100, replicates=37)
+    assert info.value.seed == 121
+
+
+def test_a_block_must_return_one_row_per_seed():
+    with pytest.raises(SimulationError, match="replicates 16..31 produced 15 rows") as info:
+        run_replicates(drop_row_of_seed, 20, base_seed=0, replicates=37)
+    assert info.value.seed == 16
 
 
 def test_run_replicates_argument_validation():

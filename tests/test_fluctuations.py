@@ -166,9 +166,9 @@ def test_conditional_variance_runs_once_per_replicate(monkeypatch, kind, params)
         "params": params,
     })
     rep, _ = studies.STUDY_RUNNERS[kind]
-    want = rep(11, cfg)
+    want = rep([11], cfg)
     calls = _count_conditional_variance(monkeypatch)
-    assert rep(11, cfg) == want
+    assert rep([11], cfg) == want
     assert len(calls) == 1
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConfigurationWarning)  # few clt replicates

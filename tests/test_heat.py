@@ -8,6 +8,7 @@ from swelab.errors import (
     ConfigurationWarning,
     DomainError,
 )
+import swelab.heat as heat
 from swelab.heat import (
     HeatGridSpec,
     _normals,
@@ -82,7 +83,7 @@ def test_constant_sigma_matches_kernel_reconstruction():
         stream_words(21, HEAT_STREAM_TAG, 0, g.n_steps * g.n_sites)
     ).reshape(g.n_steps, g.n_sites)
     want = oracles.heat_field_from_kernel(g.dx, g.dt, g.n_sites, g.n_steps, z, c)
-    assert np.allclose(fld.values[-1], want, atol=1e-12)
+    assert np.allclose(fld.values, want, atol=1e-12)
 
 
 def test_variance_matches_kernel_oracle():
@@ -90,7 +91,7 @@ def test_variance_matches_kernel_oracle():
     n_rep = 3000
     vals = np.empty(n_rep)
     for seed in range(n_rep):
-        vals[seed] = solve_heat(CONSTANT_ONE, seed, g).values[-1, 5]
+        vals[seed] = solve_heat(CONSTANT_ONE, seed, g).values[5]
     want = oracles.heat_variance_kernel(g.dx, g.dt, g.n_sites, g.n_steps, site=5)
     var = vals.var(ddof=1)
     se = var * np.sqrt(2.0 / n_rep)
@@ -101,16 +102,65 @@ def test_variance_matches_kernel_oracle():
 def test_site_normal_matches_the_stream():
     # the normal at (step, site) is word step * n_sites + site, read on its own
     g = small_grid()
-    z = _normals(13, g)
-    for step, site in [(0, 0), (3, 7), (g.n_steps - 1, g.n_sites - 1)]:
+    z = _normals([12, 13], g, 3, g.n_steps)
+    for step, site in [(3, 0), (3, 7), (g.n_steps - 1, g.n_sites - 1)]:
         word = stream_words(13, HEAT_STREAM_TAG, step * g.n_sites + site, 1)
-        assert words_to_unit_normals(word)[0] == z[step, site]
+        assert words_to_unit_normals(word)[0] == z[step - 3, 1, site]
 
 
 def test_coupled_heat_solutions_share_normals():
     g = small_grid()
-    v, lin = solve_coupled_heat_linearization(MULTIPLICATIVE, 9, g)
+    [(v, lin)] = solve_coupled_heat_linearization(MULTIPLICATIVE, [9], g, g.t_max)
     ref = solve_heat(CONSTANT_ONE, 9, g)
     assert np.array_equal(lin.values, ref.values)
     assert not np.array_equal(v.values, lin.values)
-    assert v.at(g.t_max, 0.25) == v.values[g.n_steps, g.site_of(0.25)]
+    assert v.at(g.t_max, 0.25) == v.values[g.site_of(0.25)]
+
+
+def shipped_heat_grid() -> HeatGridSpec:
+    # the linearize_heat grid: 256 sites, 1024 steps, several normals chunks
+    return HeatGridSpec(dx=0.015625, t_max=0.0625, circumference=4.0)
+
+
+@pytest.mark.parametrize("sigma", [MULTIPLICATIVE, SigmaSpec.parse("sine:1")])
+@pytest.mark.parametrize("step", [1024, 700])
+def test_block_march_equals_the_row_by_row_history(sigma, step):
+    g = shipped_heat_grid()
+    seeds = [3, 4, 5]
+    pairs = solve_coupled_heat_linearization(sigma, seeds, g, step * g.dt)
+    for seed, (v, lin) in zip(seeds, pairs):
+        z = words_to_unit_normals(
+            stream_words(seed, HEAT_STREAM_TAG, 0, g.n_steps * g.n_sites)
+        ).reshape(g.n_steps, g.n_sites)
+        assert np.all(v.values == oracles.heat_march(sigma, g.dx, g.dt, step, z)[step])
+        assert np.all(lin.values == oracles.heat_march(CONSTANT_ONE, g.dx, g.dt, step, z)[step])
+        assert v.step == lin.step == step
+
+
+def test_march_stops_at_the_probe_time(monkeypatch):
+    g = shipped_heat_grid()
+    drawn = []
+
+    def recording_normals(seeds, grid, start, stop):
+        drawn.append((start, stop))
+        return _normals(seeds, grid, start, stop)
+
+    monkeypatch.setattr(heat, "_normals", recording_normals)
+    [(v, lin)] = solve_coupled_heat_linearization(MULTIPLICATIVE, [1], g, 700 * g.dt)
+    assert drawn[-1][1] == 700
+    assert all(stop - start <= heat._CHUNK_WORDS // g.n_sites for start, stop in drawn)
+    assert v.values.shape == lin.values.shape == (g.n_sites,)
+    v.at(700 * g.dt, 0.0)
+    with pytest.raises(DomainError, match="t=0.0625 is step 1024.*kept only step 700"):
+        v.at(g.t_max, 0.0)
+    with pytest.raises(DomainError, match="kept only step 700"):
+        lin.at(0.0, 0.0)
+
+
+def test_every_seed_of_a_block_is_checked():
+    g = small_grid()
+    with pytest.raises(ConfigurationError, match=f"got {2 ** 64}"):
+        solve_coupled_heat_linearization(MULTIPLICATIVE, [2 ** 64 - 1, 2 ** 64, 0], g,
+                                         g.t_max)
+    with pytest.raises(ConfigurationError, match="integer"):
+        solve_coupled_heat_linearization(MULTIPLICATIVE, [1, 2.0, 3], g, g.t_max)

@@ -84,7 +84,7 @@ def test_lags_must_be_positive():
 
 def test_heat_coupling_is_enforced():
     grid = small_heat_grid()
-    fld, lin = solve_coupled_heat_linearization(MULTIPLICATIVE, 9, grid)
+    [(fld, lin)] = solve_coupled_heat_linearization(MULTIPLICATIVE, [9], grid, grid.t_max)
     other = solve_heat(CONSTANT_ONE, 10, grid)
     with pytest.raises(PreconditionError, match="seeds differ"):
         heat_defect_samples(fld, other, grid.t_max, 0.0, [0.0625])
