@@ -28,8 +28,6 @@ from .lattice import LatticeSpec, spatial_shell_area, temporal_shell_area
 from .linearize import heat_defect_samples, wave_defect_samples
 from .noise import NoiseRealization, make_noise, render_grid
 from .quadvar import (
-    SpatialPartition,
-    TemporalPartition,
     admissible_spatial_pieces,
     admissible_temporal_pieces,
     naive_qv_prediction,

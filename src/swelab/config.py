@@ -13,6 +13,7 @@ pass/fail flags are evaluated against exactly what the config file says.
 """
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -327,6 +328,13 @@ def _check_point(lat: LatticeSpec, t: float, x: float, errors: list[str],
     return True
 
 
+def _check_height(lat: LatticeSpec, t: float, errors: list[str]) -> None:
+    """Probes and spatial lines read the cone below t, which needs t >= h."""
+    if t < lat.h:
+        errors.append(f"params.t={t} must be >= h={lat.h}: the estimators read "
+                      "the backward cone below t")
+
+
 def _even_scales(lat: LatticeSpec, scales, errors: list[str], what: str) -> None:
     for s in scales:
         k = s / lat.h
@@ -352,6 +360,7 @@ def _temporal_counts(lat: LatticeSpec, t: float, x: float, errors, notes):
 def _spatial_counts(lat: LatticeSpec, t: float, x_lo: float, x_hi: float, errors, notes):
     """Admissible spatial piece counts, once both segment ends are valid apexes;
     the estimators read the base [x_lo - t, x_hi + t]."""
+    _check_height(lat, t, errors)
     ends = [_check_point(lat, t, x, errors) for x in (x_lo, x_hi)]
     if not all(ends):
         return None
@@ -402,6 +411,7 @@ def _check_qv_space(cfg, p, errors, notes):
 def _check_probe_grid(cfg, p, errors, notes, *, cap_to_eighth: bool):
     lat = cfg.lattice
     t, x, scales = p["t"], p["x"], p["scales"]
+    _check_height(lat, t, errors)
     _even_scales(lat, scales, errors, "scales")
     top = max(scales)
     # increments over each scale read the backward cone of (t + scale, x)
@@ -414,6 +424,11 @@ def _check_probe_grid(cfg, p, errors, notes, *, cap_to_eighth: bool):
         for s in scales:
             if s > t / 8.0 + 1e-12:
                 errors.append(f"scale {s} exceeds t/8 = {t / 8}")
+            if s > 0.0 and math.log(1.0 / s) <= 1.0:
+                errors.append(
+                    f"params.scales value {s} is too coarse for an iterated-logarithm "
+                    f"rate: loglog(1/s) must be positive, so s < 1/e"
+                )
         if len(scales) < 5:
             notes.append(
                 f"iterated-logarithm grids are meant to span >= 4 dyadic halvings "

@@ -5,21 +5,19 @@ noise integral over a thin truncated shell; its conditional variance per unit
 time is the integral of sigma(u)^2 along the backward cone boundary.  This
 module computes that variance, standardized increments, the explicit
 martingale/remainder split of the increment, and an iterated-logarithm probe.
+
+`probe_geometry` resolves every point and cell they read once per config, for
+a config that `config.validate` accepted (scales even multiples of h, the
+cone of (t + scale, x) inside the base); the estimators only gather and sum.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .errors import (
-    AlignmentError,
-    ConfigurationError,
-    DegenerateInputError,
-    PreconditionError,
-)
+from .errors import DegenerateInputError
 from .lattice import (
     LatticeSpec,
     packed_index,
@@ -28,16 +26,65 @@ from .lattice import (
     temporal_shell_area,
 )
 from .noise import NoiseRealization, cell_index
-from .wave import WaveField, cone_boundary_trace
+from .wave import WaveField, cone_boundary_trace, point_index
 
 __all__ = [
+    "ProbeGeometry",
     "IncrementSample",
     "MartingaleProbe",
+    "probe_geometry",
     "conditional_variance",
     "increment_sample",
     "martingale_decomposition",
     "lil_statistic",
 ]
+
+
+@dataclass(frozen=True)
+class ProbeGeometry:
+    """What the fluctuation estimators read at (t, x) for a grid of scales."""
+
+    t: float
+    scales: tuple[float, ...]
+    base: int  # field offset of (t, x)
+    tops: np.ndarray  # field offset of (t + scale, x), per scale
+    y: np.ndarray  # columns of the cone boundary trace of (t, x)
+    trace: np.ndarray  # field offsets of the trace
+    # per scale, (noise offset, trace entry) of each cell of the truncated
+    # shell; empty unless built for the martingale split
+    shells: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+
+def probe_geometry(lat: LatticeSpec, t: float, x: float, scales: list[float],
+                   shells: bool = False) -> ProbeGeometry:
+    """The probe at (t, x); `LatticeSpec.apex` resolves every read point."""
+    n0, m0 = lat.apex(t, x)
+    tops = [lat.apex(t + s, x)[0] for s in scales]
+    y, trace = cone_boundary_trace(lat, n0, m0)
+    return ProbeGeometry(
+        t=t,
+        scales=tuple(scales),
+        base=int(point_index(lat, n0, m0)),
+        tops=packed_index(point_index(lat, np.array(tops), m0)),
+        y=y,
+        trace=trace,
+        shells=tuple(_truncated_shell(lat, n0, m0, top) for top in tops) if shells else (),
+    )
+
+
+def _truncated_shell(lat: LatticeSpec, n0: int, m0: int,
+                     top: int) -> tuple[np.ndarray, np.ndarray]:
+    """(noise offset, trace entry) of each cell between the cones of (n0, m0)
+    and (top, m0), truncated to |col - m0| <= n0 - 1.
+
+    Truncation keeps every cell's weight point (n0 - |col - m0|, col) on the
+    cone boundary of (t, x): entry col - m0 + n0 of its trace.  Cells are
+    whole: diamonds straddling |y - x| = t are dropped.  A zero scale has no
+    cells.
+    """
+    segs = shell_segments(lat, m0, n0, top, col_cap=n0 - 1) if top > n0 else []
+    levels, cols = segment_coords(segs)
+    return packed_index(cell_index(lat, levels, cols)), packed_index(cols - m0 + n0)
 
 
 @dataclass(frozen=True)
@@ -61,67 +108,45 @@ class MartingaleProbe:
     variance_hat: float
 
 
-def conditional_variance(field: WaveField, t: float, x: float) -> float:
+def conditional_variance(field: WaveField, probe: ProbeGeometry) -> float:
     """Integral of sigma(u)^2 along the cone boundary trace of (t, x).
 
     Trapezoid quadrature over every column of the trace; for sigma == 1 this is
     the exact base length 2t.
     """
-    y, vals = cone_boundary_trace(field, t, x)
-    return _trace_integral(field.sigma(vals), y)
+    return _trace_integral(field.sigma(field.flat[probe.trace]), probe.y)
 
 
 def _trace_integral(sv: np.ndarray, y: np.ndarray) -> float:
     return float(np.trapezoid(sv * sv, y))
 
 
-def _probe_steps(field: WaveField, t: float, x: float, scale: float) -> tuple[int, int, int]:
-    """(base level, apex col, scale in levels), validated for an aligned probe."""
-    lat = field.lattice
-    n0, m0 = lat.apex(t, x)
-    if n0 < 1:
-        raise ConfigurationError("probes need t >= h")
-    j = lat.level_of(scale) if scale != 0.0 else 0
-    if j < 0 or j % 2 != 0:
-        raise AlignmentError(
-            f"probe scale {scale} must be a nonnegative even multiple of h={lat.h} "
-            f"(odd steps land on the wrong parity at fixed x)"
-        )
-    if n0 + j > lat.n_levels:
-        raise ConfigurationError(
-            f"probe scale {scale} at t={t} exceeds the horizon {lat.t_max}"
-        )
-    lat.require_cone_inside(n0 + j, m0)
-    return n0, m0, j
+def _increments(field: WaveField, probe: ProbeGeometry) -> list[float]:
+    """u(t + scale, x) - u(t, x) at every scale."""
+    u = field.flat
+    return (u[probe.tops] - u[probe.base]).tolist()
 
 
-def increment_sample(field: WaveField, t: float, x: float, scale: float,
+def increment_sample(field: WaveField, probe: ProbeGeometry, k: int,
                      standardization: str = "trace",
                      vhat: float | None = None) -> IncrementSample:
-    """u(t+scale, x) - u(t, x) standardized to an approximately unit variance.
+    """u(t+scale, x) - u(t, x) at the probe's k-th scale, standardized to an
+    approximately unit variance.
 
     standardization 'trace' divides by sqrt(scale * conditional_variance): the
     per-path normalization of the mixed-Gaussian limit.  'shell' divides by the
     exact noise variance sigma(c)^2 * ((t+scale)^2 - t^2), valid only for
     constant sigma, where the increment is exactly Gaussian.  A caller probing
-    several scales at one (t, x) passes the conditional variance as `vhat`.
+    several scales passes the conditional variance as `vhat`.
     """
-    n0, m0, j = _probe_steps(field, t, x, scale)
-    if j == 0:
-        raise ConfigurationError("increment sample needs a positive scale")
-    inc = field.at_point(n0 + j, m0) - field.at_point(n0, m0)
+    scale = probe.scales[k]
+    inc = float(field.flat[probe.tops[k]]) - float(field.flat[probe.base])
     if vhat is None:
-        vhat = conditional_variance(field, t, x)
+        vhat = conditional_variance(field, probe)
     if standardization == "shell":
-        if not field.sigma.is_constant:
-            raise PreconditionError(
-                "exact shell standardization only applies to constant sigma"
-            )
-        var = field.sigma.scalar(1.0) ** 2 * temporal_shell_area(t, t + scale)
-    elif standardization == "trace":
-        var = scale * vhat
+        var = field.sigma.scalar(1.0) ** 2 * temporal_shell_area(probe.t, probe.t + scale)
     else:
-        raise ConfigurationError(f"unknown standardization {standardization!r}")
+        var = scale * vhat
     if var <= 0.0:
         raise DegenerateInputError(
             "increment standardization undefined: conditional variance is zero "
@@ -135,59 +160,29 @@ def increment_sample(field: WaveField, t: float, x: float, scale: float,
     )
 
 
-@lru_cache(maxsize=16)
-def _shell_geometry(lat: LatticeSpec, n0: int, m0: int,
-                    j: int) -> tuple[np.ndarray, np.ndarray]:
-    """(noise offset, trace offset) of each cell of the truncated shell.
-
-    Truncation keeps columns with |col - m0| <= n0 - 1, so every cell's weight
-    point (n0 - |col - m0|, col) lies on the cone boundary of (t, x): entry
-    col - m0 + n0 of its trace.  Cells are whole: diamonds straddling
-    |y - x| = t are dropped.
-    """
-    levels, cols = segment_coords(shell_segments(lat, m0, n0, n0 + j, col_cap=n0 - 1))
-    return packed_index(cell_index(lat, levels, cols)), packed_index(cols - m0 + n0)
-
-
 def martingale_decomposition(field: WaveField, noise: NoiseRealization,
-                             t: float, x: float,
-                             scales: list[float]) -> MartingaleProbe:
+                             probe: ProbeGeometry) -> MartingaleProbe:
     """Split each increment into its adapted shell-noise part and a remainder.
 
     The martingale part is the noise integral over the shell between the cones
     of t and t+scale, truncated to the strip |y - x| <= t, each cell weighted by
     sigma(u) at the point where the cone boundary of (t, x) crosses the cell's
     column.  The remainder is the rest of the increment; it carries one power of
-    scale more than the martingale part.
+    scale more than the martingale part.  The probe must carry its shells.
     """
-    lat = field.lattice
-    y, trace = cone_boundary_trace(field, t, x)
-    sv = field.sigma(trace)
-    incs, ms, rs = [], [], []
-    for scale in scales:
-        n0, m0, j = _probe_steps(field, t, x, scale)
-        if j == 0:
-            incs.append(0.0)
-            ms.append(0.0)
-            rs.append(0.0)
-            continue
-        inc = field.at_point(n0 + j, m0) - field.at_point(n0, m0)
-        cells, cols = _shell_geometry(lat, n0, m0, j)
-        m_val = float(np.sum(sv[cols] * noise.flat[cells]))
-        incs.append(inc)
-        ms.append(m_val)
-        rs.append(inc - m_val)
+    sv = field.sigma(field.flat[probe.trace])
+    incs = _increments(field, probe)
+    ms = [float(np.sum(sv[cols] * noise.flat[cells])) for cells, cols in probe.shells]
     return MartingaleProbe(
-        scales=tuple(scales),
+        scales=probe.scales,
         increments=tuple(incs),
         martingale=tuple(ms),
-        remainder=tuple(rs),
-        variance_hat=_trace_integral(sv, y),
+        remainder=tuple(inc - m for inc, m in zip(incs, ms)),
+        variance_hat=_trace_integral(sv, probe.y),
     )
 
 
-def lil_statistic(field: WaveField, t: float, x: float,
-                  scales: list[float]) -> tuple[float, ...]:
+def lil_statistic(field: WaveField, probe: ProbeGeometry) -> tuple[float, ...]:
     """|increment| / sqrt(2*eps*loglog(1/eps) * V) at each scale eps, in order.
 
     V is the conditional variance at (t, x).  The statistic is the max over the
@@ -195,30 +190,12 @@ def lil_statistic(field: WaveField, t: float, x: float,
     against a control process probed at the same resolution, never against the
     continuum constant.
     """
-    if not scales:
-        raise ConfigurationError("empty scale grid")
-    lat = field.lattice
-    vhat = conditional_variance(field, t, x)
+    vhat = conditional_variance(field, probe)
     if vhat <= 0.0:
         raise DegenerateInputError(
             "iterated-logarithm statistic undefined: conditional variance is zero"
         )
-    out = []
-    for scale in scales:
-        n0, m0, j = _probe_steps(field, t, x, scale)
-        if j < 2:
-            raise ConfigurationError(
-                f"probe scale {scale} below the lattice floor 2h = {2 * lat.h}"
-            )
-        if scale > t / 8.0 + 1e-12:
-            raise ConfigurationError(
-                f"probe scale {scale} too coarse: scales must stay below t/8"
-            )
-        loglog = math.log(math.log(1.0 / scale))
-        if loglog <= 0.0:
-            raise ConfigurationError(
-                f"probe scale {scale} too coarse for an iterated-logarithm rate"
-            )
-        inc = field.at_point(n0 + j, m0) - field.at_point(n0, m0)
-        out.append(abs(inc) / math.sqrt(2.0 * scale * loglog * vhat))
-    return tuple(out)
+    return tuple(
+        abs(inc) / math.sqrt(2.0 * scale * math.log(math.log(1.0 / scale)) * vhat)
+        for scale, inc in zip(probe.scales, _increments(field, probe))
+    )

@@ -236,12 +236,10 @@ def side_shell_segments(lat: LatticeSpec, level_t: int, col_a: int, col_b: int,
 
 def segment_coords(segs: Sequence[Segment]) -> tuple[np.ndarray, np.ndarray]:
     """(levels, cols) of every cell in the segments, in segment order."""
-    if not segs:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    levels = np.concatenate([np.full((hi - lo) // 2 + 1, n, dtype=np.int64)
-                             for n, lo, hi in segs])
-    cols = np.concatenate([np.arange(lo, hi + 1, 2, dtype=np.int64) for _, lo, hi in segs])
-    return levels, cols
+    seg = np.array(segs, dtype=np.int64).reshape(-1, 3)
+    sizes = (seg[:, 2] - seg[:, 1]) // 2 + 1
+    rank = np.arange(int(sizes.sum())) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    return np.repeat(seg[:, 0], sizes), np.repeat(seg[:, 1], sizes) + 2 * rank
 
 
 def packed_index(values: np.ndarray) -> np.ndarray:

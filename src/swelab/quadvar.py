@@ -9,83 +9,42 @@ Spatial route: at a fixed time the squared increments of x -> u(t, x) converge t
 an integral of sigma(u)^2 along the two characteristics through each point, not
 to the flat-slice value 2*t*int sigma(u(t,x))^2 dx; both are computed here so the
 gap is measurable.
+
+Every point and cell an estimator reads is resolved once per config by
+`temporal_geometry` or `spatial_geometry`; the estimators only gather and sum.
+The geometry assumes a config that `config.validate` accepted: apexes aligned,
+piece counts admissible, cones inside the base.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .errors import AlignmentError, ConfigurationError
+from .errors import AlignmentError
 from .lattice import LatticeSpec, cone_segments, packed_index, segment_coords
 from .noise import NoiseRealization, cell_index
 from .wave import WaveField, point_index
 
 __all__ = [
-    "TemporalPartition",
-    "SpatialPartition",
+    "TemporalRung",
+    "ConeGeometry",
+    "SpatialGeometry",
     "QvDecomposition",
     "admissible_temporal_pieces",
     "admissible_spatial_pieces",
-    "temporal_increments",
+    "temporal_geometry",
+    "spatial_geometry",
+    "increments",
     "temporal_qv",
     "temporal_qv_limit",
     "temporal_qv_decomposition",
     "temporal_qv_ladder",
-    "spatial_increments",
     "spatial_qv",
     "spatial_qv_limit",
     "naive_qv_prediction",
 ]
-
-
-@dataclass(frozen=True)
-class TemporalPartition:
-    """Evenly spaced times 0 = t_0 < ... < t_N = t observed at a fixed point x."""
-
-    t: float
-    x: float
-    n_pieces: int
-
-    def __post_init__(self):
-        if not isinstance(self.n_pieces, (int, np.integer)) or self.n_pieces < 1:
-            raise ConfigurationError(
-                f"n_pieces must be a positive integer, got {self.n_pieces!r}"
-            )
-
-    @property
-    def mesh(self) -> float:
-        return self.t / self.n_pieces
-
-    def times(self) -> np.ndarray:
-        return np.arange(self.n_pieces + 1) * self.mesh
-
-
-@dataclass(frozen=True)
-class SpatialPartition:
-    """Evenly spaced points x_lo = x_0 < ... < x_N = x_hi observed at a fixed time t."""
-
-    t: float
-    x_lo: float
-    x_hi: float
-    n_pieces: int
-
-    def __post_init__(self):
-        if not isinstance(self.n_pieces, (int, np.integer)) or self.n_pieces < 1:
-            raise ConfigurationError(
-                f"n_pieces must be a positive integer, got {self.n_pieces!r}"
-            )
-        if self.x_hi <= self.x_lo:
-            raise ConfigurationError("x_hi must exceed x_lo")
-
-    @property
-    def spacing(self) -> float:
-        return (self.x_hi - self.x_lo) / self.n_pieces
-
-    def points(self) -> np.ndarray:
-        return self.x_lo + np.arange(self.n_pieces + 1) * self.spacing
 
 
 @dataclass(frozen=True)
@@ -108,13 +67,6 @@ class QvDecomposition:
     frozen_noise: float
     frozen_area: float
     cone_integral: float
-
-
-def _format_counts(counts: list[int]) -> str:
-    if len(counts) <= 12:
-        return ", ".join(str(c) for c in counts)
-    head = ", ".join(str(c) for c in counts[:10])
-    return f"{head}, ..., {counts[-1]}"
 
 
 def _divisors(k: int) -> list[int]:
@@ -143,259 +95,72 @@ def admissible_spatial_pieces(x_lo: float, x_hi: float, h: float) -> list[int]:
     return _divisors(span // 2)
 
 
-# -- temporal line -------------------------------------------------------------
-
-
-def temporal_increments(field: WaveField, part: TemporalPartition) -> np.ndarray:
-    lat, n0, m0, step = _temporal_layout(field, part)
-    levels = np.arange(part.n_pieces + 1) * step
-    j = (m0 - lat.col_lo - levels) // 2
-    vals = field.values[levels, j]
-    return np.diff(vals)
-
-
-def temporal_qv(field: WaveField, part: TemporalPartition) -> float:
-    inc = temporal_increments(field, part)
-    return float(np.sum(inc * inc))
-
-
-def temporal_qv_limit(field: WaveField, t: float, x: float) -> float:
-    """Columns quadrature of the cone integral of sigma(u)^2 at apex (t, x).
-
-    Each lattice column is integrated by the trapezoid rule in time, then the
-    column integrals by the trapezoid rule in space; both rules are folded into
-    one weight per field point of the cone.  The ladder's `cone_integral` is an
-    independent quadrature of the same integral (a sum over the cone's cells).
-    """
-    lat = field.lattice
-    n0, m0 = _temporal_apex(lat, t, x)
-    points, weights = _limit_geometry(lat, n0, m0)
-    sv = field.sigma(field.flat[points])
-    return float(np.sum(sv * sv * weights))
-
-
-def temporal_qv_decomposition(field: WaveField, noise: NoiseRealization,
-                              part: TemporalPartition) -> QvDecomposition:
-    return temporal_qv_ladder(field, noise, part.t, part.x, [part.n_pieces])[0]
-
-
-def temporal_qv_ladder(field: WaveField, noise: NoiseRealization,
-                       t: float, x: float, counts: list[int]) -> list[QvDecomposition]:
-    """Decompositions for several piece counts sharing one cone enumeration."""
-    if not counts:
-        return []
-    parts = [TemporalPartition(t, x, n) for n in counts]
-    lat = field.lattice
-    steps = [_temporal_layout(field, p)[3] for p in parts]
-    n0, m0 = _temporal_apex(lat, t, x)
-    cone = _cone_geometry(lat, n0, m0)
-    sig = field.sigma
-    u = field.flat
-    xi = noise.flat[cone.noise]
-    cone_integral = _area_sum(sig(u[cone.base]), cone)
-    out = []
-    for part, step in zip(parts, steps):
-        bucket, crossing = _rung_geometry(lat, n0, m0, step)
-        w = sig(u[crossing])
-        shell_sums = np.bincount(bucket, weights=w * xi, minlength=part.n_pieces)
-        out.append(QvDecomposition(
-            n_pieces=part.n_pieces,
-            direct=temporal_qv(field, part),
-            frozen_noise=float(np.sum(shell_sums * shell_sums)),
-            frozen_area=_area_sum(w, cone),
-            cone_integral=cone_integral,
-        ))
-    return out
-
-
-# -- spatial line --------------------------------------------------------------
-
-
-def spatial_increments(field: WaveField, part: SpatialPartition) -> np.ndarray:
-    lat, n0, m_lo, m_hi, step = _spatial_layout(field, part)
-    cols = m_lo + np.arange(part.n_pieces + 1) * step
-    j = (cols - lat.col_lo - n0) // 2
-    vals = field.values[n0, j]
-    return np.diff(vals)
-
-
-def spatial_qv(field: WaveField, part: SpatialPartition) -> float:
-    inc = spatial_increments(field, part)
-    return float(np.sum(inc * inc))
-
-
-def spatial_qv_limit(field: WaveField, t: float, x_lo: float, x_hi: float) -> float:
-    """Characteristic-route quadrature of the spatial quadratic variation limit.
-
-    For each apex x in [x_lo, x_hi], sigma(u)^2 is integrated along the two
-    characteristics s -> (s, x - t + s) and s -> (s, x + t - s), which pass
-    through lattice points at every level; the apex integrals are then
-    integrated over x.
-    """
-    lat, n0, m_lo, m_hi = _spatial_line(field, t, x_lo, x_hi, need_cones=True)
-    h = lat.h
-    sig = field.sigma
-    ls = np.arange(n0 + 1)
-    apexes = np.arange(m_lo, m_hi + 1, 2)
-    L = np.broadcast_to(ls, (apexes.size, ls.size))
-    M = apexes[:, None]
-    left = sig(field.gather(L, M - n0 + L))
-    right = sig(field.gather(L, M + n0 - L))
-    inner = np.trapezoid(left * left + right * right, ls * h, axis=1)
-    return float(np.trapezoid(inner, apexes * h))
-
-
-def naive_qv_prediction(field: WaveField, t: float, x_lo: float, x_hi: float) -> float:
-    """2t times the flat-slice integral of sigma(u(t, x))^2 over [x_lo, x_hi].
-
-    This is the value the spatial quadratic variation would approach if the
-    time-slice behaved like a memoryless diffusion profile; it overshoots the
-    true characteristic-route limit whenever sigma(u) fluctuates.
-    """
-    lat, n0, m_lo, m_hi = _spatial_line(field, t, x_lo, x_hi, need_cones=False)
-    cols = np.arange(m_lo, m_hi + 1, 2)
-    vals = field.gather(np.full(cols.size, n0), cols)
-    sv = field.sigma(vals)
-    return float(2.0 * t * np.trapezoid(sv * sv, cols * lat.h))
-
-
-# -- layout validation ---------------------------------------------------------
-
-
-def _temporal_apex(lat: LatticeSpec, t: float, x: float) -> tuple[int, int]:
-    n0 = lat.level_of(t)
-    m0 = lat.col_of(x)
-    if m0 % 2 != 0:
-        raise AlignmentError(
-            f"temporal estimators need x/h even (all partition times share the "
-            f"base parity); got x={x}, h={lat.h}"
-        )
-    if n0 % 2 != 0:
-        raise AlignmentError(f"temporal estimators need t/h even; got t={t}, h={lat.h}")
-    if n0 < 2:
-        raise ConfigurationError(f"t={t} leaves no room for a partition (t >= 2h needed)")
-    if n0 > lat.n_levels:
-        raise ConfigurationError(f"t={t} exceeds the simulated horizon {lat.t_max}")
-    lat.require_cone_inside(n0, m0)
-    return n0, m0
-
-
-def _temporal_layout(field: WaveField,
-                     part: TemporalPartition) -> tuple[LatticeSpec, int, int, int]:
-    lat = field.lattice
-    n0, m0 = _temporal_apex(lat, part.t, part.x)
-    half = n0 // 2
-    if half % part.n_pieces != 0:
-        raise AlignmentError(
-            f"n_pieces={part.n_pieces} does not divide the time line: t/n_pieces must "
-            f"be an even multiple of h; admissible counts for t={part.t}, h={lat.h}: "
-            f"{_format_counts(_divisors(half))}"
-        )
-    return lat, n0, m0, n0 // part.n_pieces
-
-
-def _spatial_line(field: WaveField, t: float, x_lo: float, x_hi: float,
-                  need_cones: bool) -> tuple[LatticeSpec, int, int, int]:
-    lat = field.lattice
-    n0 = lat.level_of(t)
-    if not 1 <= n0 <= lat.n_levels:
-        raise ConfigurationError(f"t={t} outside the simulated horizon (0, {lat.t_max}]")
-    if x_hi <= x_lo:
-        raise ConfigurationError("x_hi must exceed x_lo")
-    m_lo = lat.col_of(x_lo)
-    m_hi = lat.col_of(x_hi)
-    if (m_lo + n0) % 2 != 0 or (m_hi + n0) % 2 != 0:
-        raise AlignmentError(
-            f"spatial line endpoints must be field points at t={t}: "
-            f"x/h + t/h must be even (got x_lo/h={m_lo}, x_hi/h={m_hi}, t/h={n0})"
-        )
-    if need_cones:
-        lat.require_cone_inside(n0, m_lo)
-        lat.require_cone_inside(n0, m_hi)
-    else:
-        for m in (m_lo, m_hi):
-            if not (lat.col_lo + n0 <= m <= lat.col_hi - n0):
-                raise ConfigurationError(
-                    f"x={m * lat.h} falls outside the trapezoid at t={t}"
-                )
-    return lat, n0, m_lo, m_hi
-
-
-def _spatial_layout(field: WaveField,
-                    part: SpatialPartition) -> tuple[LatticeSpec, int, int, int, int]:
-    lat, n0, m_lo, m_hi = _spatial_line(field, part.t, part.x_lo, part.x_hi,
-                                        need_cones=False)
-    span = m_hi - m_lo
-    if span % (2 * part.n_pieces) != 0:
-        raise AlignmentError(
-            f"n_pieces={part.n_pieces} does not divide the space line: the spacing "
-            f"must be an even multiple of h; admissible counts for "
-            f"[{part.x_lo}, {part.x_hi}], h={lat.h}: {_format_counts(_divisors(span // 2))}"
-        )
-    return lat, n0, m_lo, m_hi, span // part.n_pieces
-
-
-# -- cone geometry, built once per (lattice, apex, step) ---------------------
+# -- geometry, built once per config ------------------------------------------
 #
-# Every array below is a pure function of its cache key, so replicates share
-# them; they are read-only and stored in the smallest index dtype.  Field
-# offsets index WaveField.flat, noise offsets NoiseRealization.flat.
-
-_GEOMETRY_CACHE_SIZE = 8
+# Field offsets index WaveField.flat, noise offsets NoiseRealization.flat; every
+# array is read-only and stored in the smallest index dtype.
 
 
 @dataclass(frozen=True)
-class _ConeCells:
-    """The cone's cells level by level, columns ascending; the `triangles`
-    base cells (area h^2) come first, every later cell is a diamond (2 h^2)."""
+class TemporalRung:
+    """One piece count N at the apex: the N + 1 partition points, and for each
+    cone cell its shell and the point where that shell's inner cone crosses the
+    cell's column (a cell at distance dm from the apex column lies in shell
+    (level + dm) // step, step = t / (N h))."""
 
+    n_pieces: int
+    line: np.ndarray  # field offsets of u(i t / N, x), i = 0..N
+    bucket: np.ndarray  # shell of each cone cell
+    crossing: np.ndarray  # field offset of each cell's weight point
+
+
+@dataclass(frozen=True)
+class ConeGeometry:
+    """What the temporal estimators read in the backward cone of one apex.
+
+    Cells run level by level, columns ascending; the `triangles` base cells
+    (area h^2) come first, every later cell is a diamond (2 h^2).
+    """
+
+    h: float
     noise: np.ndarray  # noise offset of each cell
     base: np.ndarray  # field offset of each cell's bottom vertex
     triangles: int
-    h: float
+    limit_points: np.ndarray  # field offsets of the columns quadrature
+    limit_weights: np.ndarray
+    rungs: tuple[TemporalRung, ...]
 
 
-def _area_sum(w: np.ndarray, cone: _ConeCells) -> float:
-    """Sum over the cone's cells of w^2 times the cell area."""
-    h2 = cone.h * cone.h
-    sq = w * w
-    sq[:cone.triangles] *= h2
-    sq[cone.triangles:] *= 2.0 * h2
-    return float(np.sum(sq))
-
-
-def _cone_cells(lat: LatticeSpec, n0: int, m0: int) -> tuple[np.ndarray, np.ndarray]:
-    return segment_coords(cone_segments(lat, n0, m0))
-
-
-@lru_cache(maxsize=_GEOMETRY_CACHE_SIZE)
-def _cone_geometry(lat: LatticeSpec, n0: int, m0: int) -> _ConeCells:
-    levels, cols = _cone_cells(lat, n0, m0)
-    return _ConeCells(
+def temporal_geometry(lat: LatticeSpec, t: float, x: float,
+                      counts: list[int]) -> ConeGeometry:
+    """The cone of (t, x), enumerated once, with one rung per piece count."""
+    n0, m0 = lat.apex(t, x)
+    levels, cols = segment_coords(cone_segments(lat, n0, m0))
+    dm = np.abs(cols - m0)
+    rungs = []
+    for n in counts:
+        step = n0 // n
+        bucket = (levels + dm) // step
+        rungs.append(TemporalRung(
+            n_pieces=n,
+            line=packed_index(point_index(lat, np.arange(n + 1) * step, m0)),
+            bucket=packed_index(bucket),
+            crossing=packed_index(point_index(lat, bucket * step - dm, cols)),
+        ))
+    points, weights = _limit_quadrature(lat, n0, m0)
+    return ConeGeometry(
+        h=lat.h,
         noise=packed_index(cell_index(lat, levels, cols)),
         base=packed_index(point_index(lat, levels - 1, cols)),
         triangles=int(np.count_nonzero(levels == 0)),
-        h=lat.h,
+        limit_points=points,
+        limit_weights=weights,
+        rungs=tuple(rungs),
     )
 
 
-@lru_cache(maxsize=_GEOMETRY_CACHE_SIZE)
-def _rung_geometry(lat: LatticeSpec, n0: int, m0: int,
-                   step: int) -> tuple[np.ndarray, np.ndarray]:
-    """(shell bucket, crossing-point field offset) of each cone cell for one rung.
-
-    A cell at distance dm from the apex column lies in shell
-    (level + dm) // step; its weight is read where the inner cone of that
-    shell crosses the cell's column.
-    """
-    levels, cols = _cone_cells(lat, n0, m0)
-    dm = np.abs(cols - m0)
-    bucket = (levels + dm) // step
-    return packed_index(bucket), packed_index(point_index(lat, bucket * step - dm, cols))
-
-
-@lru_cache(maxsize=_GEOMETRY_CACHE_SIZE)
-def _limit_geometry(lat: LatticeSpec, n0: int, m0: int) -> tuple[np.ndarray, np.ndarray]:
+def _limit_quadrature(lat: LatticeSpec, n0: int,
+                      m0: int) -> tuple[np.ndarray, np.ndarray]:
     """(field offset, weight) of every point of the columns quadrature.
 
     Column m0 + dm is sampled at levels of its parity up to n0 - |dm|; odd
@@ -405,20 +170,158 @@ def _limit_geometry(lat: LatticeSpec, n0: int, m0: int) -> tuple[np.ndarray, np.
     length and drop out).
     """
     h = lat.h
-    levels, cols, weights = [], [], []
-    for dm in range(-n0 + 1, n0):
-        lmax = n0 - abs(dm)
-        ls = np.arange(dm % 2, lmax + 1, 2)
-        if dm % 2:
-            ls = np.concatenate(([0], ls))
-        gaps = np.diff(ls * h)
-        w = np.zeros(ls.size)
-        w[:-1] += gaps / 2.0
-        w[1:] += gaps / 2.0
-        levels.append(ls)
-        cols.append(np.full(ls.size, m0 + dm))
-        weights.append(h * w)
-    points = point_index(lat, np.concatenate(levels), np.concatenate(cols))
-    weights = np.concatenate(weights)
+    dm = np.arange(-n0 + 1, n0)
+    odd = dm % 2
+    sizes = (n0 - np.abs(dm) + odd) // 2 + 1
+    starts = np.cumsum(sizes) - sizes
+    # k-th point of a column: level 2k on even columns, 0 then 2k - 1 on odd ones
+    k = np.arange(int(sizes.sum())) - np.repeat(starts, sizes)
+    ls = np.where(k == 0, 0, 2 * k - np.repeat(odd, sizes))
+    s = ls * h
+    # half of each gap between neighbours in the same column
+    half = np.where(np.diff(k) > 0, np.diff(s) / 2.0, 0.0)
+    w = np.zeros(s.size)
+    w[:-1] += half
+    w[1:] += half
+    weights = h * w
     weights.flags.writeable = False
+    points = point_index(lat, ls, np.repeat(m0 + dm, sizes))
     return packed_index(points), weights
+
+
+@dataclass(frozen=True)
+class SpatialGeometry:
+    """What the spatial estimators read on the segment [x_lo, x_hi] at time t.
+
+    One apex per field point of the segment; each carries its two
+    characteristics s -> (s, x - t + s) and s -> (s, x + t - s), sampled at
+    every level.
+    """
+
+    t: float
+    xs: np.ndarray  # apex positions x_lo, x_lo + 2h, ..., x_hi
+    ss: np.ndarray  # characteristic times 0, h, ..., t
+    left: np.ndarray  # (apex, level) field offsets of the left characteristic
+    right: np.ndarray  # the same for the right characteristic
+    apexes: np.ndarray  # field offset of each apex
+    counts: tuple[int, ...]
+    lines: tuple[np.ndarray, ...]  # per count: field offsets of its N + 1 points
+
+
+def spatial_geometry(lat: LatticeSpec, t: float, x_lo: float, x_hi: float,
+                     counts: list[int]) -> SpatialGeometry:
+    """The segment [x_lo, x_hi] at time t, with one partition line per piece count."""
+    n0, m_lo = lat.apex(t, x_lo)
+    _, m_hi = lat.apex(t, x_hi)
+    ls = np.arange(n0 + 1)
+    cols = np.arange(m_lo, m_hi + 1, 2)
+    xs = cols * lat.h
+    ss = ls * lat.h
+    for grid in (xs, ss):
+        grid.flags.writeable = False
+    return SpatialGeometry(
+        t=t,
+        xs=xs,
+        ss=ss,
+        left=packed_index(point_index(lat, ls, cols[:, None] - n0 + ls)),
+        right=packed_index(point_index(lat, ls, cols[:, None] + n0 - ls)),
+        apexes=packed_index(point_index(lat, n0, cols)),
+        counts=tuple(counts),
+        lines=tuple(packed_index(point_index(lat, n0, cols[::(cols.size - 1) // n]))
+                    for n in counts),
+    )
+
+
+def increments(field: WaveField, line: np.ndarray) -> np.ndarray:
+    """Field increments between consecutive points of a partition line."""
+    return np.diff(field.flat[line])
+
+
+# -- temporal line -------------------------------------------------------------
+
+
+def temporal_qv(field: WaveField, line: np.ndarray) -> float:
+    inc = increments(field, line)
+    return float(np.sum(inc * inc))
+
+
+def temporal_qv_limit(field: WaveField, cone: ConeGeometry) -> float:
+    """Columns quadrature of the cone integral of sigma(u)^2 at the cone's apex.
+
+    Each lattice column is integrated by the trapezoid rule in time, then the
+    column integrals by the trapezoid rule in space; both rules are folded into
+    one weight per field point of the cone.  The ladder's `cone_integral` is an
+    independent quadrature of the same integral (a sum over the cone's cells).
+    """
+    sv = field.sigma(field.flat[cone.limit_points])
+    return float(np.sum(sv * sv * cone.limit_weights))
+
+
+def temporal_qv_decomposition(field: WaveField, noise: NoiseRealization,
+                              cone: ConeGeometry) -> QvDecomposition:
+    """The decomposition of a cone built for exactly one piece count."""
+    (dec,) = temporal_qv_ladder(field, noise, cone)
+    return dec
+
+
+def temporal_qv_ladder(field: WaveField, noise: NoiseRealization,
+                       cone: ConeGeometry) -> list[QvDecomposition]:
+    """Decompositions for every rung of the cone, sharing one gather of its cells."""
+    sig = field.sigma
+    u = field.flat
+    xi = noise.flat[cone.noise]
+    cone_integral = _area_sum(sig(u[cone.base]), cone)
+    out = []
+    for rung in cone.rungs:
+        w = sig(u[rung.crossing])
+        shell_sums = np.bincount(rung.bucket, weights=w * xi, minlength=rung.n_pieces)
+        out.append(QvDecomposition(
+            n_pieces=rung.n_pieces,
+            direct=temporal_qv(field, rung.line),
+            frozen_noise=float(np.sum(shell_sums * shell_sums)),
+            frozen_area=_area_sum(w, cone),
+            cone_integral=cone_integral,
+        ))
+    return out
+
+
+def _area_sum(w: np.ndarray, cone: ConeGeometry) -> float:
+    """Sum over the cone's cells of w^2 times the cell area."""
+    h2 = cone.h * cone.h
+    sq = w * w
+    sq[:cone.triangles] *= h2
+    sq[cone.triangles:] *= 2.0 * h2
+    return float(np.sum(sq))
+
+
+# -- spatial line --------------------------------------------------------------
+
+
+def spatial_qv(field: WaveField, line: np.ndarray) -> float:
+    inc = increments(field, line)
+    return float(np.sum(inc * inc))
+
+
+def spatial_qv_limit(field: WaveField, line: SpatialGeometry) -> float:
+    """Characteristic-route quadrature of the spatial quadratic variation limit.
+
+    For each apex x in [x_lo, x_hi], sigma(u)^2 is integrated along the two
+    characteristics through it, which pass through lattice points at every
+    level; the apex integrals are then integrated over x.
+    """
+    sig = field.sigma
+    left = sig(field.flat[line.left])
+    right = sig(field.flat[line.right])
+    inner = np.trapezoid(left * left + right * right, line.ss, axis=1)
+    return float(np.trapezoid(inner, line.xs))
+
+
+def naive_qv_prediction(field: WaveField, line: SpatialGeometry) -> float:
+    """2t times the flat-slice integral of sigma(u(t, x))^2 over [x_lo, x_hi].
+
+    This is the value the spatial quadratic variation would approach if the
+    time-slice behaved like a memoryless diffusion profile; it overshoots the
+    true characteristic-route limit whenever sigma(u) fluctuates.
+    """
+    sv = field.sigma(field.flat[line.apexes])
+    return float(2.0 * line.t * np.trapezoid(sv * sv, line.xs))

@@ -1,9 +1,12 @@
 """Study runners: one ensemble experiment per config kind.
 
-Each runner executes replicates through the shared scheduler, aggregates with
-the package's own moment and slope kernels, evaluates the config-declared
-thresholds, and (when out_dir is set) writes replicate CSV, per-scale series
-CSV, and a JSON summary. Aggregation always happens in the parent in replicate
+A study runs in two steps. Its kind's plan builder (STUDY_PLANS) resolves,
+once per study, every point and cell the estimators read; its replicate
+function (STUDY_RUNNERS) then runs each block of seeds against that plan
+through the shared scheduler. The runner aggregates with the package's own
+moment and slope kernels, evaluates the config-declared thresholds, and (when
+out_dir is set) writes replicate CSV, per-scale series CSV, and a JSON
+summary. Aggregation always happens in the parent in replicate
 order, so output bytes are independent of the worker count.
 
 Fitted slopes are only reported when the ladder has at least four points;
@@ -26,17 +29,18 @@ from .fluctuations import (
     increment_sample,
     lil_statistic,
     martingale_decomposition,
+    probe_geometry,
 )
 from .heat import solve_coupled_heat_linearization
 from .lattice import spatial_shell_area
 from .linearize import heat_defect_samples, wave_defect_samples
 from .noise import make_noise, render_grid
 from .quadvar import (
-    SpatialPartition,
-    TemporalPartition,
     naive_qv_prediction,
+    spatial_geometry,
     spatial_qv,
     spatial_qv_limit,
+    temporal_geometry,
     temporal_qv_decomposition,
     temporal_qv_ladder,
     temporal_qv_limit,
@@ -54,7 +58,8 @@ from .reports import (
 from .stats import ks_critical_value, ks_distance, loglog_slope, quantiles, summarize
 from .wave import field_at, solve_coupled_linearization, solve_wave
 
-__all__ = ["StudyOutput", "run_study", "STUDY_RUNNERS"]
+__all__ = ["StudyOutput", "StudyPlan", "plan_study", "run_study", "STUDY_PLANS",
+           "STUDY_RUNNERS"]
 
 MIN_SLOPE_POINTS = 4
 
@@ -66,6 +71,15 @@ class StudyOutput:
     # series tables: name -> (columns, rows); written as <label>_<name>.csv
     series: dict = dc_field(default_factory=dict)
     files: tuple = ()
+
+
+@dataclass(frozen=True)
+class StudyPlan:
+    """A validated config and the geometry its replicates read (None for the
+    kinds that only read single points)."""
+
+    cfg: ExperimentConfig
+    geometry: object
 
 
 def _sigmas(gap: float, se: float) -> float:
@@ -92,9 +106,9 @@ def _wave_inputs(seed: int, cfg: ExperimentConfig):
 # -- simulate ------------------------------------------------------------------
 
 
-def _rep_simulate(seed: int, cfg: ExperimentConfig) -> dict[str, float]:
-    _, f = _wave_inputs(seed, cfg)
-    p = cfg.params
+def _rep_simulate(seed: int, plan: StudyPlan) -> dict[str, float]:
+    _, f = _wave_inputs(seed, plan.cfg)
+    p = plan.cfg.params
     out: dict[str, float] = {}
     for i, (t, x) in enumerate(p["probes"]):
         u = field_at(f, t, x)
@@ -144,14 +158,17 @@ def _agg_simulate(cfg: ExperimentConfig, ens: EnsembleResult):
 # -- temporal quadratic variation ---------------------------------------------
 
 
-def _rep_qv_time(seed: int, cfg: ExperimentConfig) -> dict[str, float]:
-    noise, f = _wave_inputs(seed, cfg)
+def _plan_qv_time(cfg: ExperimentConfig):
     p = cfg.params
-    t, x = p["t"], p["x"]
-    part = TemporalPartition(t, x, p["n_pieces"])
-    dec = temporal_qv_decomposition(f, noise, part)
-    lim = temporal_qv_limit(f, t, x)
-    u = field_at(f, t, x)
+    return temporal_geometry(cfg.lattice, p["t"], p["x"], [p["n_pieces"]])
+
+
+def _rep_qv_time(seed: int, plan: StudyPlan) -> dict[str, float]:
+    noise, f = _wave_inputs(seed, plan.cfg)
+    p = plan.cfg.params
+    dec = temporal_qv_decomposition(f, noise, plan.geometry)
+    lim = temporal_qv_limit(f, plan.geometry)
+    u = field_at(f, p["t"], p["x"])
     return {
         "u_at": u,
         "u_sq": u * u,
@@ -185,14 +202,17 @@ def _agg_qv_time(cfg: ExperimentConfig, ens: EnsembleResult):
 # -- spatial quadratic variation ----------------------------------------------
 
 
-def _rep_qv_space(seed: int, cfg: ExperimentConfig) -> dict[str, float]:
-    _, f = _wave_inputs(seed, cfg)
+def _plan_qv_space(cfg: ExperimentConfig):
     p = cfg.params
-    t, x_lo, x_hi = p["t"], p["x_lo"], p["x_hi"]
-    part = SpatialPartition(t, x_lo, x_hi, p["n_pieces"])
-    v = spatial_qv(f, part)
-    lim = spatial_qv_limit(f, t, x_lo, x_hi)
-    nv = naive_qv_prediction(f, t, x_lo, x_hi)
+    return spatial_geometry(cfg.lattice, p["t"], p["x_lo"], p["x_hi"], [p["n_pieces"]])
+
+
+def _rep_qv_space(seed: int, plan: StudyPlan) -> dict[str, float]:
+    _, f = _wave_inputs(seed, plan.cfg)
+    line = plan.geometry
+    v = spatial_qv(f, line.lines[0])
+    lim = spatial_qv_limit(f, line)
+    nv = naive_qv_prediction(f, line)
     return {"qv": v, "limit": lim, "naive": nv,
             "limit_gap": v - lim, "naive_gap": v - nv}
 
@@ -225,26 +245,29 @@ def _agg_qv_space(cfg: ExperimentConfig, ens: EnsembleResult):
 # -- dyadic refinement ladder --------------------------------------------------
 
 
-def _rep_ladder(seed: int, cfg: ExperimentConfig) -> dict[str, float]:
-    noise, f = _wave_inputs(seed, cfg)
+def _plan_ladder(cfg: ExperimentConfig):
     p = cfg.params
     counts = sorted(p["counts"])
-    t = p["t"]
     if p["axis"] == "time":
-        x = p["x"]
-        decs = temporal_qv_ladder(f, noise, t, x, counts)
-        out = {"limit": temporal_qv_limit(f, t, x)}
-        for n, dec in zip(counts, decs):
+        return temporal_geometry(cfg.lattice, p["t"], p["x"], counts)
+    return spatial_geometry(cfg.lattice, p["t"], p["x_lo"], p["x_hi"], counts)
+
+
+def _rep_ladder(seed: int, plan: StudyPlan) -> dict[str, float]:
+    noise, f = _wave_inputs(seed, plan.cfg)
+    g = plan.geometry
+    if plan.cfg.params["axis"] == "time":
+        out = {"limit": temporal_qv_limit(f, g)}
+        for dec in temporal_qv_ladder(f, noise, g):
+            n = dec.n_pieces
             out[f"a_{n}"] = dec.direct
             out[f"b_{n}"] = dec.frozen_noise
             out[f"c_{n}"] = dec.frozen_area
             out[f"d_{n}"] = dec.cone_integral
         return out
-    x_lo, x_hi = p["x_lo"], p["x_hi"]
-    out = {"limit": spatial_qv_limit(f, t, x_lo, x_hi),
-           "naive": naive_qv_prediction(f, t, x_lo, x_hi)}
-    for n in counts:
-        out[f"v_{n}"] = spatial_qv(f, SpatialPartition(t, x_lo, x_hi, n))
+    out = {"limit": spatial_qv_limit(f, g), "naive": naive_qv_prediction(f, g)}
+    for n, line in zip(g.counts, g.lines):
+        out[f"v_{n}"] = spatial_qv(f, line)
     return out
 
 
@@ -314,16 +337,20 @@ def _agg_ladder(cfg: ExperimentConfig, ens: EnsembleResult):
 # -- central limit harness -----------------------------------------------------
 
 
-def _rep_clt(seed: int, cfg: ExperimentConfig) -> dict[str, float]:
-    _, f = _wave_inputs(seed, cfg)
+def _plan_probes(cfg: ExperimentConfig, descending: bool = False, shells: bool = False):
     p = cfg.params
-    t, x = p["t"], p["x"]
-    scales = sorted(p["scales"], reverse=True)
-    std = p["standardization"]
-    vhat = conditional_variance(f, t, x)
+    scales = sorted(p["scales"], reverse=descending)
+    return probe_geometry(cfg.lattice, p["t"], p["x"], scales, shells=shells)
+
+
+def _rep_clt(seed: int, plan: StudyPlan) -> dict[str, float]:
+    _, f = _wave_inputs(seed, plan.cfg)
+    probe = plan.geometry
+    std = plan.cfg.params["standardization"]
+    vhat = conditional_variance(f, probe)
     out: dict[str, float] = {}
-    for i, s in enumerate(scales):
-        sample = increment_sample(f, t, x, s, standardization=std, vhat=vhat)
+    for i in range(len(probe.scales)):
+        sample = increment_sample(f, probe, i, standardization=std, vhat=vhat)
         out[f"std_{i}"] = sample.standardized
         out[f"inc_{i}"] = sample.increment
         if i == 0:
@@ -352,10 +379,9 @@ def _agg_clt(cfg: ExperimentConfig, ens: EnsembleResult):
 # -- iterated-logarithm probe --------------------------------------------------
 
 
-def _rep_lil(seed: int, cfg: ExperimentConfig) -> dict[str, float]:
-    _, f = _wave_inputs(seed, cfg)
-    p = cfg.params
-    norms = lil_statistic(f, p["t"], p["x"], sorted(p["scales"]))
+def _rep_lil(seed: int, plan: StudyPlan) -> dict[str, float]:
+    _, f = _wave_inputs(seed, plan.cfg)
+    norms = lil_statistic(f, plan.geometry)
     out = {"stat": max(norms)}
     out.update((f"norm_{i}", v) for i, v in enumerate(norms))
     return out
@@ -375,14 +401,11 @@ def _agg_lil(cfg: ExperimentConfig, ens: EnsembleResult):
 # -- martingale split ----------------------------------------------------------
 
 
-def _rep_mart(seed: int, cfg: ExperimentConfig) -> dict[str, float]:
-    noise, f = _wave_inputs(seed, cfg)
-    p = cfg.params
-    t, x = p["t"], p["x"]
-    scales = sorted(p["scales"])
-    probe = martingale_decomposition(f, noise, t, x, scales)
+def _rep_mart(seed: int, plan: StudyPlan) -> dict[str, float]:
+    noise, f = _wave_inputs(seed, plan.cfg)
+    probe = martingale_decomposition(f, noise, plan.geometry)
     out = {"vhat": probe.variance_hat}
-    for i in range(len(scales)):
+    for i in range(len(probe.scales)):
         out[f"m_{i}"] = probe.martingale[i]
         out[f"r_{i}"] = probe.remainder[i]
         out[f"inc_{i}"] = probe.increments[i]
@@ -422,7 +445,8 @@ def _agg_mart(cfg: ExperimentConfig, ens: EnsembleResult):
 # -- linearization defects -----------------------------------------------------
 
 
-def _rep_linearize(seeds: list[int], cfg: ExperimentConfig) -> list[dict[str, float]]:
+def _rep_linearize(seeds: list[int], plan: StudyPlan) -> list[dict[str, float]]:
+    cfg = plan.cfg
     p = cfg.params
     t, x = p["t"], p["x"]
     lags = sorted(p["lags"])
@@ -473,12 +497,28 @@ def _agg_linearize(cfg: ExperimentConfig, ens: EnsembleResult):
 # -- dispatch ------------------------------------------------------------------
 
 
-def _each_seed(rep, seeds: list[int], cfg: ExperimentConfig) -> list[dict[str, float]]:
-    return [rep(seed, cfg) for seed in seeds]
+def _each_seed(rep, seeds: list[int], plan: StudyPlan) -> list[dict[str, float]]:
+    return [rep(seed, plan) for seed in seeds]
 
 
-# kind -> (block replicate function, aggregate). The wave kinds gain nothing
-# from a block and run their per-seed replicate once per seed.
+def _no_geometry(cfg: ExperimentConfig) -> None:
+    return None
+
+
+# kind -> plan builder: config -> the geometry its replicates read
+STUDY_PLANS = {
+    "simulate": _no_geometry,
+    "qv-time": _plan_qv_time,
+    "qv-space": _plan_qv_space,
+    "ladder": _plan_ladder,
+    "clt": partial(_plan_probes, descending=True),
+    "lil": _plan_probes,
+    "mart": partial(_plan_probes, shells=True),
+    "linearize": _no_geometry,
+}
+
+# kind -> (block replicate function over (seeds, plan), aggregate). The wave
+# kinds gain nothing from a block and run their per-seed replicate once per seed.
 STUDY_RUNNERS = {
     "simulate": (partial(_each_seed, _rep_simulate), _agg_simulate),
     "qv-time": (partial(_each_seed, _rep_qv_time), _agg_qv_time),
@@ -511,6 +551,11 @@ def _write_snapshots(cfg: ExperimentConfig, out: Path) -> list[Path]:
     return paths
 
 
+def plan_study(cfg: ExperimentConfig) -> StudyPlan:
+    """The plan of a config that validate accepted."""
+    return StudyPlan(cfg, STUDY_PLANS[cfg.kind](cfg))
+
+
 def run_study(cfg: ExperimentConfig) -> StudyOutput:
     errors, notes = validate(cfg)
     if errors:
@@ -519,7 +564,7 @@ def run_study(cfg: ExperimentConfig) -> StudyOutput:
     for w in warn:
         warnings.warn(w, ConfigurationWarning, stacklevel=2)
     rep_fn, agg_fn = STUDY_RUNNERS[cfg.kind]
-    ens = run_replicates(rep_fn, cfg, base_seed=cfg.base_seed,
+    ens = run_replicates(rep_fn, plan_study(cfg), base_seed=cfg.base_seed,
                          replicates=cfg.replicates, workers=cfg.workers)
     stats, series = agg_fn(cfg, ens)
     report = summary_report(cfg, stats, extra={"notes": notes, "warnings": warn})

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import LatticeSpec
+from .lattice import LatticeSpec, packed_index
 from .noise import NoiseRealization
 from .sigma import CONSTANT_ONE, SigmaSpec
 
@@ -38,10 +38,6 @@ class WaveField:
     def flat(self) -> np.ndarray:
         """The values as one flat view, indexed by point_index offsets."""
         return self.values.reshape(-1)
-
-    def gather(self, levels: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Vectorized lookup at aligned points; levels <= 0 read the initial profile."""
-        return self.flat[point_index(self.lattice, levels, cols)]
 
 
 def point_index(lat: LatticeSpec, levels: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -82,17 +78,14 @@ def field_at(fld: WaveField, t: float, x: float) -> float:
     return fld.at_point(*fld.lattice.apex(t, x))
 
 
-def cone_boundary_trace(fld: WaveField, t: float, x: float) -> tuple[np.ndarray, np.ndarray]:
-    """u along the backward cone boundary of (t, x): y -> u(t - |x - y|, y).
+def cone_boundary_trace(lat: LatticeSpec, level: int, col: int) -> tuple[np.ndarray, np.ndarray]:
+    """Points of the backward cone boundary of an apex: y -> (t - |x - y|, y).
 
     Every column in [x-t, x+t] carries an aligned boundary point when the apex is
-    aligned, so the trace is sampled at spacing h.  Returns (y, values).
+    aligned, so the trace is sampled at spacing h.  Returns (y, field offsets),
+    both read-only.
     """
-    lat = fld.lattice
-    n0, m0 = lat.apex(t, x)
-    lat.require_cone_inside(n0, m0)
-    dm = np.arange(-n0, n0 + 1)
-    levels = n0 - np.abs(dm)
-    cols = m0 + dm
-    ys = cols * lat.h
-    return ys, fld.gather(levels, cols)
+    dm = np.arange(-level, level + 1)
+    ys = (col + dm) * lat.h
+    ys.flags.writeable = False
+    return ys, packed_index(point_index(lat, level - np.abs(dm), col + dm))

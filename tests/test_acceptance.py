@@ -217,7 +217,10 @@ def test_11_holder_exponents():
 def test_12_byte_identical_csv_any_worker_count(tmp_path, monkeypatch):
     # block size 1 runs every replicate on its own, as a per-seed scheduler would
     runs = [(size, workers) for size in (1, ensemble.BLOCK_SIZE) for workers in (1, 3)]
-    for stem, replicates in (("temporal_qv_unit", 200), ("linearize_heat", 37)):
+    # plans carrying cone rungs, characteristics and martingale shells all
+    # travel to the workers
+    for stem, replicates in (("temporal_qv_unit", 200), ("linearize_heat", 37),
+                             ("martingale_split", 37), ("spatial_qv_unit_n32", 37)):
         outputs = []
         for size, workers in runs:
             monkeypatch.setattr(ensemble, "BLOCK_SIZE", size)

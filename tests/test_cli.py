@@ -175,6 +175,8 @@ def test_console_script_entry_point(tmp_path):
 
 LADDER = dict(BASE, kind="ladder", params={"axis": "time", "t": 0.5, "x": 0.0, "counts": [1, 2]})
 CLT = dict(BASE, kind="clt", params={"t": 0.5, "x": 0.0, "scales": [0.125, 0.25]})
+LIL = dict(BASE, kind="lil", lattice={"h": 0.0625, "t_max": 4.5, "x_lo": -4.5, "x_hi": 4.5},
+           params={"t": 4.0, "x": 0.0, "scales": [0.125, 0.25, 0.5]})
 HEAT = {"kind": "linearize", "sigma": "linear:1", "replicates": 4, "equation": "heat",
         "heat_grid": {"dx": 0.125, "t_max": 0.0625, "circumference": 4.0},
         "params": {"t": 0.0625, "x": 0.0, "lags": [0.125, 0.25]}}
@@ -193,6 +195,9 @@ HEAT = {"kind": "linearize", "sigma": "linear:1", "replicates": 4, "equation": "
     ("qv", dict(BASE, workers="two"), [], "workers"),
     ("qv", LADDER, ["--pieces", "2,x"], "params.counts[1]"),
     ("qv", BASE, ["--pieces", "x"], "params.n_pieces"),
+    ("lil", LIL, [], "params.scales"),
+    ("clt", dict(CLT, params=dict(CLT["params"], t=0)), [], "params.t"),
+    ("mart", dict(CLT, kind="mart", params=dict(CLT["params"], t=0)), [], "params.t"),
 ])
 def test_bad_input_exits_two_and_names_the_key(tmp_path, capsys, command, config, extra, key):
     path = tmp_path / "cfg.yaml"

@@ -19,7 +19,7 @@ from swelab.config import (
 from swelab.errors import ConfigurationError, ConfigurationWarning
 from swelab.lattice import LatticeSpec
 from swelab.sigma import SigmaSpec
-from swelab.studies import STUDY_RUNNERS, run_study
+from swelab.studies import plan_study, run_study
 
 LATTICE_BLOCK = {"h": 0.0625, "t_max": 1.0, "x_lo": -2.0, "x_hi": 2.0}
 
@@ -196,14 +196,13 @@ def test_base_needs_exactly_the_estimator_reach(kind):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConfigurationWarning)
         assert run_study(exact).ensemble.n == 2
-    # one cell (2h) nearer the edge: refused, and the replicate itself fails there
+    # one cell (2h) nearer the edge: refused, and the plan cannot be built there
     narrow = shifted(2 * h)
     errors, _ = validate(narrow)
     assert len(errors) == 1
     assert "too narrow" in errors[0] or "outside the simulated trapezoid" in errors[0]
-    rep_fn, _ = STUDY_RUNNERS[kind]
     with pytest.raises(ConfigurationError):
-        rep_fn([0], narrow)
+        plan_study(narrow)
 
 
 def test_piece_counts_wait_for_a_valid_apex():
@@ -252,6 +251,86 @@ def test_lil_rules():
     odd = dict(base, params=dict(base["params"], scales=[3 * 2 ** -7]))
     errors, _ = validate(config_from_dict(odd))
     assert any("even multiple" in e for e in errors)
+
+
+def test_lil_rejects_scales_without_iterated_log_decay():
+    # loglog(1/s) <= 0 for s >= 1/e: refused before any replicate, naming the key
+    cfg = config_from_dict({
+        "kind": "lil", "sigma": "constant:1", "replicates": 4,
+        "lattice": {"h": 0.0625, "t_max": 4.5, "x_lo": -4.5, "x_hi": 4.5},
+        "params": {"t": 4.0, "x": 0.0, "scales": [0.125, 0.25, 0.5]},
+    })
+    errors, _ = validate(cfg)
+    assert errors == ["params.scales value 0.5 is too coarse for an iterated-logarithm "
+                      "rate: loglog(1/s) must be positive, so s < 1/e"]
+
+
+def probe_dict(kind: str, **params) -> dict:
+    return {"kind": kind, "sigma": "constant:1", "replicates": 4,
+            "lattice": dict(LATTICE_BLOCK),
+            "params": {"t": 0.5, "x": 0.0, "scales": [0.125, 0.25], **params}}
+
+
+@pytest.mark.parametrize("kind", ["clt", "lil", "mart"])
+def test_probe_grid_rules(kind):
+    # what the fluctuation estimators used to check on every replicate
+    def errors(**params):
+        return validate(config_from_dict(probe_dict(kind, **params)))[0]
+
+    if kind != "lil":  # on this lattice every lil grid breaks the t/8 cap
+        assert errors() == []
+    floor = "scales value {} must be an even multiple of h=0.0625, >= 0.125"
+    assert floor.format(0.0) in errors(scales=[0.0])
+    assert floor.format(0.0625) in errors(scales=[0.0625])
+    assert ("largest scale 0.125 at t=1.0 exceeds the horizon t_max=1.0"
+            in errors(t=1.0, scales=[0.125]))
+    assert ("params.t=0.0 must be >= h=0.0625: the estimators read the backward "
+            "cone below t" in errors(t=0.0))
+    with pytest.raises(ConfigurationError, match="params.scales must be a nonempty list"):
+        config_from_dict(probe_dict(kind, scales=[]))
+
+
+def test_temporal_alignment_rules():
+    def errors(t, x):
+        return validate(config_from_dict(
+            qv_time_dict(params={"t": t, "x": x, "n_pieces": 1})))[0]
+
+    assert errors(1.0, 0.0625) == [
+        "(t, x)=(1.0, 0.0625) has odd parity (t/h + x/h must be even)"]
+    assert errors(0.9375, 0.0625) == [
+        "t=0.9375 must be a positive even multiple of h=0.0625"]
+    assert errors(0.0, 0.0) == ["t=0.0 must be a positive even multiple of h=0.0625"]
+
+
+def test_spatial_line_validation():
+    def errors(t, x_lo, x_hi):
+        return validate(config_from_dict({
+            "kind": "qv-space", "sigma": "linear:1", "replicates": 4,
+            "lattice": dict(LATTICE_BLOCK),
+            "params": {"t": t, "x_lo": x_lo, "x_hi": x_hi, "n_pieces": 1}}))[0]
+
+    assert errors(0.5, -1.0625, 1.0) == [
+        "(t, x)=(0.5, -1.0625) has odd parity (t/h + x/h must be even)"]
+    beyond = errors(1.25, -0.5, 0.5)
+    assert beyond and all("outside the simulated trapezoid" in e for e in beyond)
+    assert errors(1.0, -1.5, 1.5) == [
+        "(t, x)=(1.0, -1.5) lies outside the simulated trapezoid",
+        "(t, x)=(1.0, 1.5) lies outside the simulated trapezoid"]
+    assert errors(0.0, -0.5, 0.5) == [
+        "params.t=0.0 must be >= h=0.0625: the estimators read the backward cone below t"]
+    assert errors(0.5, 0.5, -0.5) == [
+        "[0.5, -0.5] must span a positive even multiple of h=0.0625"]
+
+
+def test_inadmissible_count_rejection_lists_divisors():
+    cfg = config_from_dict(qv_time_dict(params={"t": 1.0, "x": 0.0, "n_pieces": 3}))
+    assert validate(cfg)[0] == ["n_pieces=3 is not admissible; choose one of [1, 2, 4, 8]"]
+    cfg = config_from_dict({
+        "kind": "qv-space", "sigma": "linear:1", "replicates": 4,
+        "lattice": dict(LATTICE_BLOCK),
+        "params": {"t": 1.0, "x_lo": -1.0, "x_hi": 1.0, "n_pieces": 48}})
+    assert validate(cfg)[0] == [
+        "n_pieces=48 is not admissible; choose one of [1, 2, 4, 8, 16]"]
 
 
 def test_mart_and_ladder_notes():

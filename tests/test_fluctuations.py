@@ -8,18 +8,13 @@ import oracles
 from oracles import segment_sum
 from swelab import fluctuations, studies
 from swelab.config import config_from_dict
-from swelab.errors import (
-    AlignmentError,
-    ConfigurationError,
-    ConfigurationWarning,
-    DegenerateInputError,
-    PreconditionError,
-)
+from swelab.errors import ConfigurationWarning, DegenerateInputError
 from swelab.fluctuations import (
     conditional_variance,
     increment_sample,
     lil_statistic,
     martingale_decomposition,
+    probe_geometry,
 )
 from swelab.lattice import LatticeSpec, shell_segments, temporal_shell_area
 from swelab.noise import make_noise
@@ -29,30 +24,34 @@ from swelab.wave import cone_boundary_trace, field_at, solve_wave
 LAT = LatticeSpec(h=0.0625, t_max=1.0, x_lo=-2.0, x_hi=2.0)
 
 
+def probe(t, x, scales=(), lat=LAT, shells=False):
+    return probe_geometry(lat, t, x, list(scales), shells=shells)
+
+
 def test_conditional_variance_is_exact_for_unit_sigma():
     fld = solve_wave(CONSTANT_ONE, make_noise(1, LAT))
     for t, x in [(0.5, 0.0), (0.25, 0.75), (0.875, -0.125)]:
-        assert conditional_variance(fld, t, x) == pytest.approx(2.0 * t, rel=1e-12)
+        assert conditional_variance(fld, probe(t, x)) == pytest.approx(2.0 * t, rel=1e-12)
 
 
 def test_conditional_variance_matches_trace_quadrature():
     fld = solve_wave(MULTIPLICATIVE, make_noise(6, LAT))
     t, x = 0.5, 0.25
-    y, vals = cone_boundary_trace(fld, t, x)
-    want = float(np.trapezoid(vals**2, y))
-    assert conditional_variance(fld, t, x) == pytest.approx(want, rel=1e-14)
+    y, points = cone_boundary_trace(LAT, *LAT.apex(t, x))
+    want = float(np.trapezoid(fld.flat[points] ** 2, y))
+    assert conditional_variance(fld, probe(t, x)) == pytest.approx(want, rel=1e-14)
 
 
 def test_increment_sample_standardizations():
     fld = solve_wave(CONSTANT_ONE, make_noise(8, LAT))
     t, x, s = 0.5, 0.0, 0.125
-    sample = increment_sample(fld, t, x, s, standardization="trace")
+    sample = increment_sample(fld, probe(t, x, [s]), 0, standardization="trace")
     inc = field_at(fld, t + s, x) - field_at(fld, t, x)
     assert sample.increment == pytest.approx(inc, rel=1e-15)
     assert sample.variance_hat == pytest.approx(2.0 * t, rel=1e-12)
     assert sample.standardized == pytest.approx(inc / math.sqrt(s * 2.0 * t), rel=1e-12)
 
-    shell = increment_sample(fld, t, x, s, standardization="shell")
+    shell = increment_sample(fld, probe(t, x, [s]), 0, standardization="shell")
     var = temporal_shell_area(t, t + s)
     assert shell.standardized == pytest.approx(inc / math.sqrt(var), rel=1e-12)
     # the trace estimate is per-path; for constant sigma both carry the same increment
@@ -60,20 +59,11 @@ def test_increment_sample_standardizations():
 
 
 def test_increment_sample_preconditions():
-    fld = solve_wave(MULTIPLICATIVE, make_noise(8, LAT))
-    with pytest.raises(PreconditionError, match="constant sigma"):
-        increment_sample(fld, 0.5, 0.0, 0.125, standardization="shell")
-    with pytest.raises(ConfigurationError, match="positive scale"):
-        increment_sample(fld, 0.5, 0.0, 0.0)
-    with pytest.raises(ConfigurationError, match="unknown standardization"):
-        increment_sample(fld, 0.5, 0.0, 0.125, standardization="exact")
-    with pytest.raises(AlignmentError, match="even multiple"):
-        increment_sample(fld, 0.5, 0.0, 0.0625)
-    with pytest.raises(ConfigurationError, match="horizon"):
-        increment_sample(fld, 1.0, 0.0, 0.125)
+    # the scale, standardization and horizon rules are validate's
+    # (test_config.py); only the data-dependent zero variance is left here
     zero = solve_wave(SigmaSpec("constant", (0.0,)), make_noise(8, LAT))
     with pytest.raises(DegenerateInputError, match="conditional variance is zero"):
-        increment_sample(zero, 0.5, 0.0, 0.125)
+        increment_sample(zero, probe(0.5, 0.0, [0.125]), 0)
 
 
 def test_martingale_part_is_the_truncated_shell_noise_for_unit_sigma():
@@ -81,18 +71,18 @@ def test_martingale_part_is_the_truncated_shell_noise_for_unit_sigma():
     fld = solve_wave(CONSTANT_ONE, noise)
     t, x = 0.5, 0.25
     scales = [0.125, 0.25]
-    probe = martingale_decomposition(fld, noise, t, x, scales)
-    assert probe.scales == (0.125, 0.25)
-    assert probe.variance_hat == pytest.approx(2.0 * t, rel=1e-12)
+    split = martingale_decomposition(fld, noise, probe(t, x, scales, shells=True))
+    assert split.scales == (0.125, 0.25)
+    assert split.variance_hat == pytest.approx(2.0 * t, rel=1e-12)
     n0, m0 = LAT.apex(t, x)
     for k, s in enumerate(scales):
         j = LAT.level_of(s)
         shell = shell_segments(LAT, m0, n0, n0 + j, col_cap=n0 - 1)
         want_m = segment_sum(noise, shell)
-        assert probe.martingale[k] == pytest.approx(want_m, rel=1e-10, abs=1e-13)
+        assert split.martingale[k] == pytest.approx(want_m, rel=1e-10, abs=1e-13)
         inc = field_at(fld, t + s, x) - field_at(fld, t, x)
-        assert probe.increments[k] == pytest.approx(inc, rel=1e-15)
-        assert probe.remainder[k] == pytest.approx(inc - want_m, rel=1e-9, abs=1e-13)
+        assert split.increments[k] == pytest.approx(inc, rel=1e-15)
+        assert split.remainder[k] == pytest.approx(inc - want_m, rel=1e-9, abs=1e-13)
 
 
 def test_remainder_is_the_wing_noise_for_unit_sigma():
@@ -102,10 +92,10 @@ def test_remainder_is_the_wing_noise_for_unit_sigma():
     t, x, s = 0.5, 0.0, 0.25
     n0, m0 = LAT.apex(t, x)
     j = LAT.level_of(s)
-    probe = martingale_decomposition(fld, noise, t, x, [s])
+    split = martingale_decomposition(fld, noise, probe(t, x, [s], shells=True))
     full = segment_sum(noise, shell_segments(LAT, m0, n0, n0 + j))
     trunc = segment_sum(noise, shell_segments(LAT, m0, n0, n0 + j, col_cap=n0 - 1))
-    assert probe.remainder[0] == pytest.approx(full - trunc, rel=1e-9, abs=1e-13)
+    assert split.remainder[0] == pytest.approx(full - trunc, rel=1e-9, abs=1e-13)
 
 
 TALL = LatticeSpec(h=0.0625, t_max=1.5, x_lo=-3.0, x_hi=3.0)
@@ -121,25 +111,14 @@ def test_martingale_matches_the_per_segment_oracle(spec, sigma):
         fld = solve_wave(spec, noise)
         for t, x in [(1.0, 0.0), (0.5, 0.25)]:
             scales = [0.125, 0.25, 0.5]
-            probe = martingale_decomposition(fld, noise, t, x, scales)
+            geometry = probe(t, x, scales, lat=TALL, shells=True)
+            split = martingale_decomposition(fld, noise, geometry)
             n0, m0 = TALL.apex(t, x)
             for k, s in enumerate(scales):
                 want = oracles.truncated_shell_martingale(
                     fld.values, TALL.col_lo, noise.rows, sigma, n0, m0, TALL.level_of(s))
-                assert probe.martingale[k] == pytest.approx(want, rel=1e-12)
-            assert probe.variance_hat == conditional_variance(fld, t, x)
-
-
-def test_shell_geometry_is_cached_per_lattice_and_read_only():
-    wide = LatticeSpec(h=0.0625, t_max=1.5, x_lo=-3.5, x_hi=3.5)
-    a = fluctuations._shell_geometry(TALL, 16, 0, 4)
-    b = fluctuations._shell_geometry(wide, 16, 0, 4)
-    assert fluctuations._shell_geometry(
-        LatticeSpec(h=0.0625, t_max=1.5, x_lo=-3.0, x_hi=3.0), 16, 0, 4) is a
-    assert b is not a
-    assert not np.array_equal(a[0], b[0])  # noise offsets follow the row lengths
-    for arr in a + b:
-        assert not arr.flags.writeable
+                assert split.martingale[k] == pytest.approx(want, rel=1e-12)
+            assert split.variance_hat == conditional_variance(fld, geometry)
 
 
 def _count_conditional_variance(monkeypatch) -> list:
@@ -166,9 +145,10 @@ def test_conditional_variance_runs_once_per_replicate(monkeypatch, kind, params)
         "params": params,
     })
     rep, _ = studies.STUDY_RUNNERS[kind]
-    want = rep([11], cfg)
+    plan = studies.plan_study(cfg)
+    want = rep([11], plan)
     calls = _count_conditional_variance(monkeypatch)
-    assert rep([11], cfg) == want
+    assert rep([11], plan) == want
     assert len(calls) == 1
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConfigurationWarning)  # few clt replicates
@@ -179,11 +159,11 @@ def test_conditional_variance_runs_once_per_replicate(monkeypatch, kind, params)
 def test_zero_scale_entries_are_zero():
     noise = make_noise(2, LAT)
     fld = solve_wave(CONSTANT_ONE, noise)
-    probe = martingale_decomposition(fld, noise, 0.5, 0.0, [0.0, 0.125])
-    assert probe.increments[0] == 0.0
-    assert probe.martingale[0] == 0.0
-    assert probe.remainder[0] == 0.0
-    assert probe.increments[1] != 0.0
+    split = martingale_decomposition(fld, noise, probe(0.5, 0.0, [0.0, 0.125], shells=True))
+    assert split.increments[0] == 0.0
+    assert split.martingale[0] == 0.0
+    assert split.remainder[0] == 0.0
+    assert split.increments[1] != 0.0
 
 
 def test_martingale_second_moment_matches_truncated_area():
@@ -191,11 +171,12 @@ def test_martingale_second_moment_matches_truncated_area():
     t, x, s = 0.5, 0.0, 0.125
     area = s * (2.0 * t - LAT.h)
     ratios = np.empty(n_rep)
+    geometry = probe(t, x, [s], shells=True)
     for seed in range(n_rep):
         noise = make_noise(seed, LAT)
         fld = solve_wave(CONSTANT_ONE, noise)
-        probe = martingale_decomposition(fld, noise, t, x, [s])
-        ratios[seed] = probe.martingale[0] ** 2 / area
+        split = martingale_decomposition(fld, noise, geometry)
+        ratios[seed] = split.martingale[0] ** 2 / area
     se = ratios.std(ddof=1) / np.sqrt(n_rep)
     assert abs(ratios.mean() - 1.0) < 3.5 * se
 
@@ -207,8 +188,9 @@ def test_lil_statistic_matches_hand_computation():
     fld = solve_wave(CONSTANT_ONE, make_noise(4, FINE))
     t, x = 0.5, 0.0
     scales = [2**-6, 2**-5, 2**-4]
-    got = lil_statistic(fld, t, x, scales)
-    vhat = conditional_variance(fld, t, x)
+    geometry = probe(t, x, scales, lat=FINE)
+    got = lil_statistic(fld, geometry)
+    vhat = conditional_variance(fld, geometry)
     want = [
         abs(field_at(fld, t + s, x) - field_at(fld, t, x))
         / math.sqrt(2.0 * s * math.log(math.log(1.0 / s)) * vhat)
@@ -221,27 +203,15 @@ def test_lil_statistic_matches_hand_computation():
 
 def test_lil_statistic_monotone_under_grid_extension():
     fld = solve_wave(MULTIPLICATIVE, make_noise(5, FINE))
-    small = lil_statistic(fld, 0.5, 0.0, [2**-5, 2**-4])
-    big = lil_statistic(fld, 0.5, 0.0, [2**-6, 2**-5, 2**-4])
+    small = lil_statistic(fld, probe(0.5, 0.0, [2**-5, 2**-4], lat=FINE))
+    big = lil_statistic(fld, probe(0.5, 0.0, [2**-6, 2**-5, 2**-4], lat=FINE))
     assert big[1:] == small  # a scale's value does not depend on the grid
     assert max(big) >= max(small)
 
 
 def test_lil_scale_validation():
-    fld = solve_wave(CONSTANT_ONE, make_noise(4, FINE))
-    with pytest.raises(ConfigurationError, match="empty scale grid"):
-        lil_statistic(fld, 0.5, 0.0, [])
-    with pytest.raises(ConfigurationError, match="lattice floor"):
-        lil_statistic(fld, 0.5, 0.0, [0.0])
-    with pytest.raises(ConfigurationError, match="below t/8"):
-        lil_statistic(fld, 0.5, 0.0, [2**-3])
+    # the scale grid rules are validate's (test_config.py); only the
+    # data-dependent zero variance is left here
     zero = solve_wave(SigmaSpec("linear", (0.0,)), make_noise(4, FINE))
     with pytest.raises(DegenerateInputError):
-        lil_statistic(zero, 0.5, 0.0, [2**-5])
-
-
-def test_lil_rejects_scales_without_iterated_log_decay():
-    lat = LatticeSpec(h=0.25, t_max=4.5, x_lo=-9.0, x_hi=9.0)
-    fld = solve_wave(CONSTANT_ONE, make_noise(1, lat))
-    with pytest.raises(ConfigurationError, match="iterated-logarithm"):
-        lil_statistic(fld, 4.0, 0.0, [0.5])
+        lil_statistic(zero, probe(0.5, 0.0, [2**-5], lat=FINE))

@@ -6,19 +6,18 @@ import pytest
 import oracles
 from oracles import segment_sum
 from swelab import quadvar
-from swelab.errors import AlignmentError, ConfigurationError
+from swelab.errors import AlignmentError
 from swelab.lattice import LatticeSpec, shell_segments, side_shell_segments, spatial_shell_area
 from swelab.noise import make_noise
 from swelab.quadvar import (
-    SpatialPartition,
-    TemporalPartition,
     admissible_spatial_pieces,
     admissible_temporal_pieces,
+    increments,
     naive_qv_prediction,
-    spatial_increments,
+    spatial_geometry,
     spatial_qv,
     spatial_qv_limit,
-    temporal_increments,
+    temporal_geometry,
     temporal_qv,
     temporal_qv_decomposition,
     temporal_qv_ladder,
@@ -29,6 +28,15 @@ from swelab.stats import loglog_slope
 from swelab.wave import field_at, solve_wave
 
 LAT = LatticeSpec(h=0.0625, t_max=1.0, x_lo=-2.0, x_hi=2.0)
+
+
+def line(t: float, x: float, n: int, lat: LatticeSpec = LAT) -> np.ndarray:
+    """Field offsets of the n-piece partition of the time line at x."""
+    return temporal_geometry(lat, t, x, [n]).rungs[0].line
+
+
+def segment(t: float, x_lo: float, x_hi: float, counts=()):
+    return spatial_geometry(LAT, t, x_lo, x_hi, list(counts))
 
 
 def test_admissible_piece_counts():
@@ -43,27 +51,6 @@ def test_admissible_piece_counts():
         admissible_spatial_pieces(0.0, 0.4375, 0.0625)
 
 
-def test_partition_validation():
-    with pytest.raises(ConfigurationError):
-        TemporalPartition(1.0, 0.0, 0)
-    part = TemporalPartition(1.0, 0.0, 4)
-    assert part.mesh == 0.25
-    assert np.allclose(part.times(), [0.0, 0.25, 0.5, 0.75, 1.0])
-    with pytest.raises(ConfigurationError):
-        SpatialPartition(1.0, 1.0, -1.0, 4)
-    sp = SpatialPartition(1.0, -1.0, 1.0, 4)
-    assert sp.spacing == 0.5
-    assert np.allclose(sp.points(), [-1.0, -0.5, 0.0, 0.5, 1.0])
-
-
-def test_inadmissible_count_rejection_lists_divisors():
-    fld = solve_wave(CONSTANT_ONE, make_noise(0, LAT))
-    with pytest.raises(AlignmentError, match="admissible counts.*1, 2, 4, 8"):
-        temporal_qv(fld, TemporalPartition(1.0, 0.0, 3))
-    with pytest.raises(AlignmentError, match="admissible counts"):
-        spatial_qv(fld, SpatialPartition(1.0, -1.0, 1.0, 48))
-
-
 def test_divisors_pair_up_to_the_square_root():
     for k in range(1, 501):
         assert quadvar._divisors(k) == [d for d in range(1, k + 1) if k % d == 0]
@@ -71,31 +58,20 @@ def test_divisors_pair_up_to_the_square_root():
     assert admissible_temporal_pieces(1.0, 2.0**-40) == [2**i for i in range(40)]
 
 
-def test_temporal_alignment_rules():
-    fld = solve_wave(CONSTANT_ONE, make_noise(0, LAT))
-    with pytest.raises(AlignmentError, match="x/h even"):
-        temporal_qv(fld, TemporalPartition(1.0, 0.0625, 2))
-    with pytest.raises(AlignmentError, match="t/h even"):
-        temporal_qv(fld, TemporalPartition(0.9375, 0.0, 1))
-    with pytest.raises(ConfigurationError, match="t >= 2h"):
-        temporal_qv(fld, TemporalPartition(0.0, 0.0, 1))
-
-
 def test_temporal_increments_match_field_differences():
     fld = solve_wave(MULTIPLICATIVE, make_noise(4, LAT))
-    part = TemporalPartition(1.0, 0.25, 8)
-    inc = temporal_increments(fld, part)
-    times = part.times()
+    points = line(1.0, 0.25, 8)
+    inc = increments(fld, points)
+    times = np.arange(9) * 0.125
     want = np.diff([field_at(fld, t, 0.25) for t in times])
     assert np.allclose(inc, want, rtol=0, atol=0)
-    assert temporal_qv(fld, part) == pytest.approx(float(np.sum(want**2)), rel=1e-15)
+    assert temporal_qv(fld, points) == pytest.approx(float(np.sum(want**2)), rel=1e-15)
 
 
 def test_unit_sigma_increments_are_shell_noise_sums():
     noise = make_noise(8, LAT)
     fld = solve_wave(CONSTANT_ONE, noise)
-    part = TemporalPartition(1.0, 0.0, 4)
-    inc = temporal_increments(fld, part)
+    inc = increments(fld, line(1.0, 0.0, 4))
     step = LAT.n_levels // 4
     for k in range(4):
         shell = shell_segments(LAT, 0, k * step, (k + 1) * step)
@@ -106,7 +82,7 @@ def test_unit_sigma_decomposition_identities():
     noise = make_noise(15, LAT)
     fld = solve_wave(CONSTANT_ONE, noise)
     for n in (1, 2, 8):
-        dec = temporal_qv_decomposition(fld, noise, TemporalPartition(1.0, 0.0, n))
+        dec = temporal_qv_decomposition(fld, noise, temporal_geometry(LAT, 1.0, 0.0, [n]))
         assert dec.n_pieces == n
         # unit weights: the frozen-noise estimator IS the direct sum
         assert dec.frozen_noise == pytest.approx(dec.direct, rel=1e-10)
@@ -129,22 +105,24 @@ def test_columns_limit_matches_the_per_column_oracle(spec, sigma):
         for t, x in APEXES:
             want = oracles.cone_limit_columns(fld.values, LAT.col_lo, sigma,
                                               LAT.level_of(t), LAT.col_of(x), LAT.h)
-            assert temporal_qv_limit(fld, t, x) == pytest.approx(want, rel=1e-12)
+            cone = temporal_geometry(LAT, t, x, [])
+            assert temporal_qv_limit(fld, cone) == pytest.approx(want, rel=1e-12)
 
 
 def test_limit_quadrature_routes_agree():
     noise = make_noise(6, LAT)
     fld = solve_wave(MULTIPLICATIVE, noise)
-    cols = temporal_qv_limit(fld, 1.0, 0.0)
-    cells = temporal_qv_ladder(fld, noise, 1.0, 0.0, [1])[0].cone_integral
+    cone = temporal_geometry(LAT, 1.0, 0.0, [1])
+    cols = temporal_qv_limit(fld, cone)
+    cells = temporal_qv_ladder(fld, noise, cone)[0].cone_integral
     assert cols == pytest.approx(
         oracles.cone_limit_columns(fld.values, LAT.col_lo, lambda u: u, 16, 0, LAT.h),
         rel=1e-12)
     # the cell sum is a different quadrature of the same integrand
     assert cells == pytest.approx(cols, rel=0.1)
     unit = solve_wave(CONSTANT_ONE, noise)
-    assert temporal_qv_limit(unit, 1.0, 0.0) == pytest.approx(1.0, rel=1e-12)
-    unit_cells = temporal_qv_ladder(unit, noise, 1.0, 0.0, [1])[0].cone_integral
+    assert temporal_qv_limit(unit, cone) == pytest.approx(1.0, rel=1e-12)
+    unit_cells = temporal_qv_ladder(unit, noise, cone)[0].cone_integral
     assert unit_cells == pytest.approx(1.0, rel=1e-12)
 
 
@@ -155,64 +133,35 @@ def test_decomposition_and_ladder_equal_the_cone_enumeration(spec, sigma):
     for t, x in APEXES:
         n0, m0 = LAT.level_of(t), LAT.col_of(x)
         counts = admissible_temporal_pieces(t, LAT.h)
-        ladder = temporal_qv_ladder(fld, noise, t, x, counts)
+        ladder = temporal_qv_ladder(fld, noise, temporal_geometry(LAT, t, x, counts))
         for n, dec in zip(counts, ladder):
             want = oracles.cone_decomposition(fld.values, LAT.col_lo, noise.rows,
                                               sigma, n0, m0, LAT.h, n)
             assert asdict(dec) == want
-            single = temporal_qv_decomposition(fld, noise, TemporalPartition(t, x, n))
+            single = temporal_qv_decomposition(fld, noise, temporal_geometry(LAT, t, x, [n]))
             assert asdict(single) == want
-
-
-def _arrays(geometry) -> list[np.ndarray]:
-    items = vars(geometry).values() if hasattr(geometry, "__dict__") else geometry
-    return [v for v in items if isinstance(v, np.ndarray)]
-
-
-def test_cone_geometry_is_cached_per_lattice_and_read_only():
-    wide = LatticeSpec(h=0.0625, t_max=1.0, x_lo=-2.5, x_hi=2.5)
-    builders = [
-        lambda lat: quadvar._cone_geometry(lat, 16, 0),
-        lambda lat: quadvar._rung_geometry(lat, 16, 0, 4),
-        lambda lat: quadvar._limit_geometry(lat, 16, 0),
-    ]
-    for build in builders:
-        a, b = build(LAT), build(wide)
-        assert build(LatticeSpec(h=0.0625, t_max=1.0, x_lo=-2.0, x_hi=2.0)) is a
-        assert b is not a
-        # field offsets depend on the row width, which the lattices do not share
-        assert any(not np.array_equal(u, v) for u, v in zip(_arrays(a), _arrays(b)))
-        for arr in _arrays(a) + _arrays(b):
-            assert not arr.flags.writeable
-            with pytest.raises(ValueError):
-                arr[0] = 0
-    # the wide lattice's estimators still agree with the raw enumeration
-    noise = make_noise(3, wide)
-    fld = solve_wave(MULTIPLICATIVE, noise)
-    dec = temporal_qv_decomposition(fld, noise, TemporalPartition(1.0, 0.0, 4))
-    assert asdict(dec) == oracles.cone_decomposition(
-        fld.values, wide.col_lo, noise.rows, lambda u: u, 16, 0, wide.h, 4)
 
 
 def test_ladder_matches_individual_decompositions():
     noise = make_noise(12, LAT)
     fld = solve_wave(MULTIPLICATIVE, noise)
     counts = [2, 4, 8]
-    ladder = temporal_qv_ladder(fld, noise, 1.0, 0.0, counts)
+    ladder = temporal_qv_ladder(fld, noise, temporal_geometry(LAT, 1.0, 0.0, counts))
     assert [d.n_pieces for d in ladder] == counts
     for dec, n in zip(ladder, counts):
-        single = temporal_qv_decomposition(fld, noise, TemporalPartition(1.0, 0.0, n))
+        single = temporal_qv_decomposition(fld, noise, temporal_geometry(LAT, 1.0, 0.0, [n]))
         assert dec == single
-    assert temporal_qv_ladder(fld, noise, 1.0, 0.0, []) == []
+    assert temporal_qv_ladder(fld, noise, temporal_geometry(LAT, 1.0, 0.0, [])) == []
 
 
 def test_qv_mean_approaches_cone_area_for_unit_sigma():
     n_rep = 300
     vals = np.empty(n_rep)
+    points = line(1.0, 0.0, 8)
     for seed in range(n_rep):
         noise = make_noise(seed, LAT)
         fld = solve_wave(CONSTANT_ONE, noise)
-        vals[seed] = temporal_qv(fld, TemporalPartition(1.0, 0.0, 8))
+        vals[seed] = temporal_qv(fld, points)
     se = vals.std(ddof=1) / np.sqrt(n_rep)
     assert abs(vals.mean() - 1.0) < 3.5 * se
 
@@ -220,10 +169,9 @@ def test_qv_mean_approaches_cone_area_for_unit_sigma():
 def test_spatial_increments_are_lune_differences():
     noise = make_noise(31, LAT)
     fld = solve_wave(CONSTANT_ONE, noise)
-    part = SpatialPartition(0.5, -1.0, 1.0, 8)
-    inc = spatial_increments(fld, part)
+    inc = increments(fld, segment(0.5, -1.0, 1.0, [8]).lines[0])
     n0 = LAT.level_of(0.5)
-    step = round(part.spacing / LAT.h)
+    step = round(0.25 / LAT.h)
     for k in range(8):
         a = LAT.col_of(-1.0) + k * step
         right = side_shell_segments(LAT, n0, a, a + step, "right")
@@ -235,42 +183,31 @@ def test_spatial_increments_are_lune_differences():
 def test_spatial_qv_mean_matches_exact_lune_areas():
     # constant sigma: E[(u(x+d) - u(x))^2] = 2 * lune area, a lattice identity
     n_rep = 300
-    part = SpatialPartition(0.5, -1.0, 1.0, 8)
+    points = segment(0.5, -1.0, 1.0, [8]).lines[0]
     vals = np.empty(n_rep)
     for seed in range(n_rep):
         fld = solve_wave(CONSTANT_ONE, make_noise(seed, LAT))
-        vals[seed] = spatial_qv(fld, part)
-    want = 8 * 2.0 * spatial_shell_area(0.5, part.spacing)
+        vals[seed] = spatial_qv(fld, points)
+    want = 8 * 2.0 * spatial_shell_area(0.5, 0.25)
     se = vals.std(ddof=1) / np.sqrt(n_rep)
     assert abs(vals.mean() - want) < 3.5 * se
 
 
 def test_spatial_limits_for_unit_sigma():
     fld = solve_wave(CONSTANT_ONE, make_noise(3, LAT))
-    lim = spatial_qv_limit(fld, 0.5, -1.0, 1.0)
-    naive = naive_qv_prediction(fld, 0.5, -1.0, 1.0)
+    lim = spatial_qv_limit(fld, segment(0.5, -1.0, 1.0))
+    naive = naive_qv_prediction(fld, segment(0.5, -1.0, 1.0))
     assert lim == pytest.approx(2.0 * 0.5 * 2.0, rel=1e-12)
     assert naive == pytest.approx(lim, rel=1e-12)
-
-
-def test_spatial_line_validation():
-    fld = solve_wave(CONSTANT_ONE, make_noise(3, LAT))
-    with pytest.raises(AlignmentError, match="field points"):
-        spatial_qv_limit(fld, 0.5, -1.0625, 1.0)
-    with pytest.raises(ConfigurationError):
-        spatial_qv_limit(fld, 1.25, -0.5, 0.5)
-    with pytest.raises(ConfigurationError):
-        naive_qv_prediction(fld, 1.0, -1.5, 1.5)  # outside trapezoid at t
 
 
 def test_naive_prediction_overshoots_for_multiplicative_sigma():
     n_rep = 200
     gap = np.empty(n_rep)
+    seg = segment(1.0, -0.5, 0.5)
     for seed in range(n_rep):
         fld = solve_wave(MULTIPLICATIVE, make_noise(seed, LAT))
-        gap[seed] = naive_qv_prediction(fld, 1.0, -0.5, 0.5) - spatial_qv_limit(
-            fld, 1.0, -0.5, 0.5
-        )
+        gap[seed] = naive_qv_prediction(fld, seg) - spatial_qv_limit(fld, seg)
     se = gap.std(ddof=1) / np.sqrt(n_rep)
     assert gap.mean() > 3.0 * se
 
@@ -282,10 +219,11 @@ def test_rung_gap_shrinks_along_the_ladder():
     counts = [2, 4, 8, 16]
     sq = np.zeros(len(counts))
     n_rep = 400
+    cone = temporal_geometry(lat, 1.0, 0.0, counts)
     for seed in range(n_rep):
         noise = make_noise(seed, lat)
         fld = solve_wave(MULTIPLICATIVE, noise)
-        ladder = temporal_qv_ladder(fld, noise, 1.0, 0.0, counts)
+        ladder = temporal_qv_ladder(fld, noise, cone)
         for i, dec in enumerate(ladder):
             sq[i] += (dec.direct - dec.frozen_noise) ** 2
     rms = np.sqrt(sq / n_rep)

@@ -1,14 +1,21 @@
 import json
 import math
+import warnings
+from collections import Counter
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
 
+import oracles
+from swelab import fluctuations, lattice, quadvar
 from swelab.config import config_from_dict
 from swelab.errors import ConfigurationError, ConfigurationWarning
 from swelab.lattice import spatial_shell_area
+from swelab.noise import make_noise
 from swelab.stats import ks_critical_value
-from swelab.studies import run_study
+from swelab.studies import plan_study, run_study
+from swelab.wave import solve_wave
 
 LATTICE_BLOCK = {"h": 0.0625, "t_max": 1.0, "x_lo": -2.0, "x_hi": 2.0}
 
@@ -245,3 +252,84 @@ def test_thresholds_drive_the_passed_flag():
     out = run_study(cfg)
     assert out.report["passed"] is True
     assert out.report["checks"][0]["stat"] == "qv_vs_exact_sigmas"
+
+
+PLANNED = {
+    "ladder": {"axis": "time", "t": 1.0, "x": 0.0, "counts": [2, 4]},
+    "qv-space": {"t": 0.5, "x_lo": -0.5, "x_hi": 0.5, "n_pieces": 4},
+    "mart": {"t": 0.5, "x": 0.0, "scales": [0.125, 0.25]},
+}
+
+
+def _plan_arrays(geometry) -> list[np.ndarray]:
+    out = []
+    for f in fields(geometry):
+        value = getattr(geometry, f.name)
+        items = value if isinstance(value, tuple) else (value,)
+        for item in items:
+            if isinstance(item, np.ndarray):
+                out.append(item)
+            elif isinstance(item, tuple):  # the martingale shells
+                out += [a for a in item if isinstance(a, np.ndarray)]
+            elif hasattr(item, "__dataclass_fields__"):  # temporal rungs
+                out += _plan_arrays(item)
+    return out
+
+
+def _count_enumerations(monkeypatch) -> Counter:
+    """Count cone_segments and shell_segments calls, wherever they are imported."""
+    calls = Counter()
+    for name in ("cone_segments", "shell_segments"):
+        original = getattr(lattice, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in (lattice, quadvar, fluctuations):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind", sorted(PLANNED))
+def test_plan_is_built_once_per_study_and_read_only(kind, monkeypatch):
+    cfg = config_from_dict(make_cfg(kind, PLANNED[kind]))
+    wide = config_from_dict(make_cfg(
+        kind, PLANNED[kind], lattice=dict(LATTICE_BLOCK, x_lo=-2.5, x_hi=2.5)))
+    shifted = config_from_dict(make_cfg(kind, {
+        k: v + 0.125 if k in ("x", "x_lo", "x_hi") else v for k, v in PLANNED[kind].items()}))
+    plan = plan_study(cfg).geometry
+    arrays = _plan_arrays(plan)
+    assert len(arrays) >= 5
+    for arr in arrays:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[...] = 0
+    # field offsets follow the row width and the apex, so neither plan is shared
+    for other in (wide, shifted):
+        assert any(not np.array_equal(a, b)
+                   for a, b in zip(arrays, _plan_arrays(plan_study(other).geometry)))
+    # the geometry is enumerated once per study, however many blocks run
+    calls = _count_enumerations(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConfigurationWarning)
+        run_study(config_from_dict(make_cfg(kind, PLANNED[kind], replicates=37)))
+        many = dict(calls)
+        calls.clear()
+        run_study(config_from_dict(make_cfg(kind, PLANNED[kind], replicates=2)))
+    assert many == dict(calls)
+    if kind != "qv-space":  # the spatial estimators read no cells
+        assert sum(many.values()) >= 1
+
+
+def test_wide_lattice_plan_matches_the_raw_enumeration():
+    cfg = config_from_dict(make_cfg(
+        "qv-time", {"t": 1.0, "x": 0.0, "n_pieces": 4},
+        lattice=dict(LATTICE_BLOCK, x_lo=-2.5, x_hi=2.5)))
+    lat = cfg.lattice
+    noise = make_noise(3, lat)
+    fld = solve_wave(cfg.sigma, noise)
+    dec = quadvar.temporal_qv_decomposition(fld, noise, plan_study(cfg).geometry)
+    assert asdict(dec) == oracles.cone_decomposition(
+        fld.values, lat.col_lo, noise.rows, lambda u: u, 16, 0, lat.h, 4)

@@ -10,6 +10,7 @@ from swelab.sigma import CONSTANT_ONE, MULTIPLICATIVE, SigmaSpec
 from swelab.wave import (
     cone_boundary_trace,
     field_at,
+    point_index,
     solve_coupled_linearization,
     solve_wave,
 )
@@ -48,7 +49,7 @@ def test_nonlinear_field_satisfies_the_discrete_integral_identity():
                 total = 0.0
                 for n, lo, hi in cone_segments(LAT, n0, m0):
                     cols = np.arange(lo, hi + 1, 2)
-                    base = fld.gather(np.full(cols.size, n - 1), cols)
+                    base = fld.flat[point_index(LAT, np.full(cols.size, n - 1), cols)]
                     first = LAT.col_lo + n + 1
                     xi = noise.rows[n][(lo - first) // 2:(hi - first) // 2 + 1]
                     total += float(np.dot(sig(base), xi))
@@ -76,7 +77,7 @@ def test_gather_clamps_to_initial_profile():
     fld = solve_wave(CONSTANT_ONE, make_noise(1, LAT))
     levels = np.array([-1, 0, 1])
     cols = np.array([0, 0, 1])
-    out = fld.gather(levels, cols)
+    out = fld.flat[point_index(LAT, levels, cols)]
     assert out[0] == 1.0 and out[1] == 1.0
     assert out[2] == fld.at_point(1, 1)
 
@@ -108,8 +109,10 @@ def test_level_and_at_point_agree():
 def test_cone_boundary_trace_shape_and_endpoints():
     fld = solve_wave(MULTIPLICATIVE, make_noise(2, LAT))
     t, x = 0.5, 0.25
-    y, vals = cone_boundary_trace(fld, t, x)
-    n0 = LAT.level_of(t)
+    n0, m0 = LAT.apex(t, x)
+    y, points = cone_boundary_trace(LAT, n0, m0)
+    vals = fld.flat[points]
+    assert not y.flags.writeable and not points.flags.writeable
     assert y.size == 2 * n0 + 1
     assert y[0] == pytest.approx(x - t) and y[-1] == pytest.approx(x + t)
     assert vals[0] == 1.0 and vals[-1] == 1.0  # the cone base sits on u(0,.) = 1
