@@ -310,22 +310,15 @@ def _min_replicates(cfg: ExperimentConfig) -> int:
     return 1
 
 
-def _check_point(lat: LatticeSpec, t: float, x: float, errors: list[str],
-                 reach: float = 0.0) -> bool:
-    """Apex alignment, and a base covering [x - t - reach, x + t + reach]."""
+def _check_point(lat: LatticeSpec, t: float, x: float,
+                 errors: list[str]) -> tuple[int, int] | None:
+    """The apex of an aligned point inside the trapezoid (its backward cone is
+    then inside the base), else None with the error recorded."""
     try:
-        n, m = lat.apex(t, x)
+        return lat.apex(t, x)
     except (AlignmentError, DomainError) as exc:
         errors.append(str(exc))
-        return False
-    k = n + round(reach / lat.h)
-    if m - k < lat.col_lo or m + k > lat.col_hi:
-        errors.append(
-            f"base [{lat.x_lo}, {lat.x_hi}] too narrow for the observable at "
-            f"(t={t}, x={x}): needs [{x - t - reach}, {x + t + reach}]"
-        )
-        return False
-    return True
+        return None
 
 
 def _check_height(lat: LatticeSpec, t: float, errors: list[str]) -> None:
@@ -415,7 +408,15 @@ def _check_probe_grid(cfg, p, errors, notes, *, cap_to_eighth: bool):
     _even_scales(lat, scales, errors, "scales")
     top = max(scales)
     # increments over each scale read the backward cone of (t + scale, x)
-    _check_point(lat, t, x, errors, reach=top)
+    apex = _check_point(lat, t, x, errors)
+    if apex is not None:
+        n, m = apex
+        k = n + round(top / lat.h)
+        if m - k < lat.col_lo or m + k > lat.col_hi:
+            errors.append(
+                f"base [{lat.x_lo}, {lat.x_hi}] too narrow for the observable at "
+                f"(t={t}, x={x}): needs [{x - t - top}, {x + t + top}]"
+            )
     if t + top > lat.t_max + 1e-12:
         errors.append(
             f"largest scale {top} at t={t} exceeds the horizon t_max={lat.t_max}"

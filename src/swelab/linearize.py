@@ -16,9 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .errors import AlignmentError, PreconditionError
 from .heat import HeatField
-from .wave import WaveField, field_at
+from .wave import WaveField
 
 __all__ = ["DefectSample", "wave_defect_samples", "heat_defect_samples"]
 
@@ -39,8 +41,10 @@ def _require_unit_linear(linear) -> None:
         )
 
 
-def wave_defect_samples(field: WaveField, linear: WaveField, t: float, x: float,
+def wave_defect_samples(field: WaveField, linear: WaveField, points: np.ndarray,
                         lags: Sequence[float]) -> list[DefectSample]:
+    """Defects at resolved field offsets: `points` holds (t, x) first, then
+    (t, x + lag) for each lag in turn."""
     if field.lattice != linear.lattice:
         raise PreconditionError("fields live on different lattices; not coupled")
     if field.seed != linear.seed:
@@ -49,15 +53,15 @@ def wave_defect_samples(field: WaveField, linear: WaveField, t: float, x: float,
             "driven by the same noise"
         )
     _require_unit_linear(linear)
-    frozen = field.sigma.scalar(field_at(field, t, x))
-    base_u = field_at(field, t, x)
-    base_l = field_at(linear, t, x)
+    base_u, *us = field.flat[points].tolist()
+    base_l, *ls = linear.flat[points].tolist()
+    frozen = field.sigma.scalar(base_u)
     out = []
-    for lag in lags:
+    for lag, u, lin in zip(lags, us, ls):
         if lag <= 0:
             raise AlignmentError(f"lags must be positive, got {lag}")
-        du = field_at(field, t, x + lag) - base_u
-        dl = field_at(linear, t, x + lag) - base_l
+        du = u - base_u
+        dl = lin - base_l
         out.append(DefectSample(float(lag), du, dl, du - frozen * dl))
     return out
 

@@ -2,7 +2,9 @@
 
 Every cell increment is a pure function of (seed, cell index): word g of a Philox
 stream keyed by (seed, stream tag), mapped through the inverse normal CDF and
-scaled by sqrt(cell area).  Random access is O(1) and evaluation order is irrelevant.
+scaled by sqrt(cell area).  Random access is O(1) and evaluation order is irrelevant,
+so a study can draw only the cells of a smaller solve trapezoid: each keeps the
+word, and with it the value, it has in the configured lattice.
 """
 from __future__ import annotations
 
@@ -57,32 +59,49 @@ def _check_seed(seed: int) -> int:
 
 @dataclass(frozen=True)
 class NoiseRealization:
-    """All cell increments of one lattice under one seed; read-only after construction.
+    """The cell increments of one lattice under one seed; read-only after construction.
 
-    `flat` holds every increment in stream order (index = word index of the
-    cell); `rows` are per-level views into it.
+    `flat` holds the increments of `lattice`'s cells level by level, columns
+    ascending; `row(level)` is one level.  The lattice is either the configured
+    one, whose cell g is word g of the stream, or a solve trapezoid cut out of
+    it, whose cells are drawn from their words in the configured lattice.
     """
 
     lattice: LatticeSpec
     seed: int
     flat: np.ndarray = field(repr=False)  # variance = cell area
-    rows: tuple[np.ndarray, ...] = field(repr=False)
 
     def row(self, level: int) -> np.ndarray:
-        return self.rows[level]
+        starts = self.lattice.cell_row_starts
+        return self.flat[starts[level]:starts[level + 1]]
+
+    @property
+    def rows(self) -> tuple[np.ndarray, ...]:
+        return tuple(self.row(n) for n in range(self.lattice.n_levels))
 
 
-def make_noise(seed: int, lattice: LatticeSpec) -> NoiseRealization:
+def make_noise(seed: int, lattice: LatticeSpec,
+               words: np.ndarray | None = None) -> NoiseRealization:
+    """The realization of `lattice` under `seed`.
+
+    Without `words` cell g is word g.  With `words`, the Philox word of each
+    cell in the configured lattice, one stream span [first, last] is drawn and
+    the cells gathered from it, so every cell has its configured value.
+    """
     seed = _check_seed(seed)
-    words = stream_words(seed, WAVE_STREAM_TAG, 0, lattice.total_cells)
+    if words is None:
+        words = stream_words(seed, WAVE_STREAM_TAG, 0, lattice.total_cells)
+    else:
+        first = int(words[0])
+        span = stream_words(seed, WAVE_STREAM_TAG, first, int(words[-1]) - first + 1)
+        words = span[words - first]
     flat = words_to_unit_normals(words)
     h = lattice.h
     starts = lattice.cell_row_starts
     flat[:starts[1]] *= h  # base triangles, area h^2
     flat[starts[1]:] *= h * np.sqrt(2.0)  # diamonds, area 2 h^2
     flat.flags.writeable = False
-    rows = tuple(flat[starts[n]:starts[n + 1]] for n in range(lattice.n_levels))
-    return NoiseRealization(lattice, seed, flat, rows)
+    return NoiseRealization(lattice, seed, flat)
 
 
 def cell_index(lat: LatticeSpec, levels: np.ndarray, cols: np.ndarray) -> np.ndarray:

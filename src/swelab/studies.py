@@ -1,12 +1,17 @@
 """Study runners: one ensemble experiment per config kind.
 
-A study runs in two steps. Its kind's plan builder (STUDY_PLANS) resolves,
-once per study, every point and cell the estimators read; its replicate
-function (STUDY_RUNNERS) then runs each block of seeds against that plan
-through the shared scheduler. The runner aggregates with the package's own
-moment and slope kernels, evaluates the config-declared thresholds, and (when
-out_dir is set) writes replicate CSV, per-scale series CSV, and a JSON
-summary. Aggregation always happens in the parent in replicate
+A study runs in two steps. Its plan (`plan_study`, from the kind's entries in
+STUDY_PLANS) resolves, once per study, every point the replicates read and
+cuts the solve trapezoid out of the configured lattice: the smallest one that
+holds the backward cones of those points. The field there depends only on the
+noise of its own cells, and each cell is drawn from its Philox word in the
+configured lattice, so every value read is the one the configured lattice
+gives. The estimators' geometry is built against the solve trapezoid. The
+kind's replicate function (STUDY_RUNNERS) then runs each block of seeds
+against that plan through the shared scheduler. The runner aggregates with
+the package's own moment and slope kernels, evaluates the config-declared
+thresholds, and (when out_dir is set) writes replicate CSV, per-scale series
+CSV, and a JSON summary. Aggregation always happens in the parent in replicate
 order, so output bytes are independent of the worker count.
 
 Fitted slopes are only reported when the ladder has at least four points;
@@ -32,7 +37,7 @@ from .fluctuations import (
     probe_geometry,
 )
 from .heat import solve_coupled_heat_linearization
-from .lattice import spatial_shell_area
+from .lattice import LatticeSpec, packed_index, spatial_shell_area
 from .linearize import heat_defect_samples, wave_defect_samples
 from .noise import make_noise, render_grid
 from .quadvar import (
@@ -56,7 +61,7 @@ from .reports import (
     write_wave_snapshot,
 )
 from .stats import ks_critical_value, ks_distance, loglog_slope, quantiles, summarize
-from .wave import field_at, solve_coupled_linearization, solve_wave
+from .wave import point_index, solve_coupled_linearization, solve_wave
 
 __all__ = ["StudyOutput", "StudyPlan", "plan_study", "run_study", "STUDY_PLANS",
            "STUDY_RUNNERS"]
@@ -75,10 +80,18 @@ class StudyOutput:
 
 @dataclass(frozen=True)
 class StudyPlan:
-    """A validated config and the geometry its replicates read (None for the
-    kinds that only read single points)."""
+    """A validated config, the solve trapezoid its replicates draw and solve,
+    and what they read there. The lattice fields are None on the heat equation.
+
+    `points` are the field offsets of the points the kind reads, in the order
+    its read function lists them; `geometry` holds the estimators' index
+    arrays (None for the kinds that read only points).
+    """
 
     cfg: ExperimentConfig
+    lattice: LatticeSpec | None  # the solve trapezoid
+    words: np.ndarray | None  # Philox word of each of its cells in cfg.lattice
+    points: np.ndarray | None
     geometry: object
 
 
@@ -98,34 +111,44 @@ def _maybe_slope(stats: dict, prefix: str, xs, ys) -> None:
     stats[prefix + "_se"] = fit.slope_std_error
 
 
-def _wave_inputs(seed: int, cfg: ExperimentConfig):
-    noise = make_noise(seed, cfg.lattice)
-    return noise, solve_wave(cfg.sigma, noise)
+def _wave_inputs(seed: int, plan: StudyPlan):
+    noise = make_noise(seed, plan.lattice, plan.words)
+    return noise, solve_wave(plan.cfg.sigma, noise)
 
 
 # -- simulate ------------------------------------------------------------------
 
 
+def _reads_simulate(cfg: ExperimentConfig) -> list[tuple[float, float]]:
+    """The probes, then per lag block its base point and one point per lag."""
+    p = cfg.params
+    out = list(p["probes"])
+    for key in ("temporal_lags", "spatial_lags"):
+        block = p[key]
+        if block:
+            t0, x0 = block["t"], block["x"]
+            out.append((t0, x0))
+            out += [(t0 + lag, x0) if key == "temporal_lags" else (t0, x0 + lag)
+                    for lag in sorted(block["lags"])]
+    return out
+
+
 def _rep_simulate(seed: int, plan: StudyPlan) -> dict[str, float]:
-    _, f = _wave_inputs(seed, plan.cfg)
+    _, f = _wave_inputs(seed, plan)
     p = plan.cfg.params
+    u = f.flat[plan.points].tolist()
     out: dict[str, float] = {}
-    for i, (t, x) in enumerate(p["probes"]):
-        u = field_at(f, t, x)
-        out[f"probe{i}_u"] = u
-        out[f"probe{i}_u_sq"] = u * u
-    block = p["temporal_lags"]
-    if block:
-        t0, x0 = block["t"], block["x"]
-        base = field_at(f, t0, x0)
-        for j, lag in enumerate(sorted(block["lags"])):
-            out[f"dt{j}_sq"] = (field_at(f, t0 + lag, x0) - base) ** 2
-    block = p["spatial_lags"]
-    if block:
-        t0, x0 = block["t"], block["x"]
-        base = field_at(f, t0, x0)
-        for j, lag in enumerate(sorted(block["lags"])):
-            out[f"dx{j}_sq"] = (field_at(f, t0, x0 + lag) - base) ** 2
+    k = len(p["probes"])
+    for i in range(k):
+        out[f"probe{i}_u"] = u[i]
+        out[f"probe{i}_u_sq"] = u[i] * u[i]
+    for key, col in (("temporal_lags", "dt"), ("spatial_lags", "dx")):
+        block = p[key]
+        if block:
+            base = u[k]
+            for j in range(len(block["lags"])):
+                out[f"{col}{j}_sq"] = (u[k + 1 + j] - base) ** 2
+            k += 1 + len(block["lags"])
     return out
 
 
@@ -158,17 +181,20 @@ def _agg_simulate(cfg: ExperimentConfig, ens: EnsembleResult):
 # -- temporal quadratic variation ---------------------------------------------
 
 
-def _plan_qv_time(cfg: ExperimentConfig):
+def _reads_apex(cfg: ExperimentConfig) -> list[tuple[float, float]]:
+    return [(cfg.params["t"], cfg.params["x"])]
+
+
+def _plan_qv_time(cfg: ExperimentConfig, lat: LatticeSpec):
     p = cfg.params
-    return temporal_geometry(cfg.lattice, p["t"], p["x"], [p["n_pieces"]])
+    return temporal_geometry(lat, p["t"], p["x"], [p["n_pieces"]])
 
 
 def _rep_qv_time(seed: int, plan: StudyPlan) -> dict[str, float]:
-    noise, f = _wave_inputs(seed, plan.cfg)
-    p = plan.cfg.params
+    noise, f = _wave_inputs(seed, plan)
     dec = temporal_qv_decomposition(f, noise, plan.geometry)
     lim = temporal_qv_limit(f, plan.geometry)
-    u = field_at(f, p["t"], p["x"])
+    u = float(f.flat[plan.points[0]])
     return {
         "u_at": u,
         "u_sq": u * u,
@@ -202,13 +228,19 @@ def _agg_qv_time(cfg: ExperimentConfig, ens: EnsembleResult):
 # -- spatial quadratic variation ----------------------------------------------
 
 
-def _plan_qv_space(cfg: ExperimentConfig):
+def _reads_segment(cfg: ExperimentConfig) -> list[tuple[float, float]]:
+    """The two ends of the segment: their cones hold every cone between."""
     p = cfg.params
-    return spatial_geometry(cfg.lattice, p["t"], p["x_lo"], p["x_hi"], [p["n_pieces"]])
+    return [(p["t"], p["x_lo"]), (p["t"], p["x_hi"])]
+
+
+def _plan_qv_space(cfg: ExperimentConfig, lat: LatticeSpec):
+    p = cfg.params
+    return spatial_geometry(lat, p["t"], p["x_lo"], p["x_hi"], [p["n_pieces"]])
 
 
 def _rep_qv_space(seed: int, plan: StudyPlan) -> dict[str, float]:
-    _, f = _wave_inputs(seed, plan.cfg)
+    _, f = _wave_inputs(seed, plan)
     line = plan.geometry
     v = spatial_qv(f, line.lines[0])
     lim = spatial_qv_limit(f, line)
@@ -245,16 +277,20 @@ def _agg_qv_space(cfg: ExperimentConfig, ens: EnsembleResult):
 # -- dyadic refinement ladder --------------------------------------------------
 
 
-def _plan_ladder(cfg: ExperimentConfig):
+def _reads_ladder(cfg: ExperimentConfig) -> list[tuple[float, float]]:
+    return _reads_apex(cfg) if cfg.params["axis"] == "time" else _reads_segment(cfg)
+
+
+def _plan_ladder(cfg: ExperimentConfig, lat: LatticeSpec):
     p = cfg.params
     counts = sorted(p["counts"])
     if p["axis"] == "time":
-        return temporal_geometry(cfg.lattice, p["t"], p["x"], counts)
-    return spatial_geometry(cfg.lattice, p["t"], p["x_lo"], p["x_hi"], counts)
+        return temporal_geometry(lat, p["t"], p["x"], counts)
+    return spatial_geometry(lat, p["t"], p["x_lo"], p["x_hi"], counts)
 
 
 def _rep_ladder(seed: int, plan: StudyPlan) -> dict[str, float]:
-    noise, f = _wave_inputs(seed, plan.cfg)
+    noise, f = _wave_inputs(seed, plan)
     g = plan.geometry
     if plan.cfg.params["axis"] == "time":
         out = {"limit": temporal_qv_limit(f, g)}
@@ -337,14 +373,22 @@ def _agg_ladder(cfg: ExperimentConfig, ens: EnsembleResult):
 # -- central limit harness -----------------------------------------------------
 
 
-def _plan_probes(cfg: ExperimentConfig, descending: bool = False, shells: bool = False):
+def _reads_probes(cfg: ExperimentConfig) -> list[tuple[float, float]]:
+    """(t, x) and (t + scale, x) at every scale."""
+    p = cfg.params
+    t, x = p["t"], p["x"]
+    return [(t, x)] + [(t + s, x) for s in p["scales"]]
+
+
+def _plan_probes(cfg: ExperimentConfig, lat: LatticeSpec, descending: bool = False,
+                 shells: bool = False):
     p = cfg.params
     scales = sorted(p["scales"], reverse=descending)
-    return probe_geometry(cfg.lattice, p["t"], p["x"], scales, shells=shells)
+    return probe_geometry(lat, p["t"], p["x"], scales, shells=shells)
 
 
 def _rep_clt(seed: int, plan: StudyPlan) -> dict[str, float]:
-    _, f = _wave_inputs(seed, plan.cfg)
+    _, f = _wave_inputs(seed, plan)
     probe = plan.geometry
     std = plan.cfg.params["standardization"]
     vhat = conditional_variance(f, probe)
@@ -380,7 +424,7 @@ def _agg_clt(cfg: ExperimentConfig, ens: EnsembleResult):
 
 
 def _rep_lil(seed: int, plan: StudyPlan) -> dict[str, float]:
-    _, f = _wave_inputs(seed, plan.cfg)
+    _, f = _wave_inputs(seed, plan)
     norms = lil_statistic(f, plan.geometry)
     out = {"stat": max(norms)}
     out.update((f"norm_{i}", v) for i, v in enumerate(norms))
@@ -402,7 +446,7 @@ def _agg_lil(cfg: ExperimentConfig, ens: EnsembleResult):
 
 
 def _rep_mart(seed: int, plan: StudyPlan) -> dict[str, float]:
-    noise, f = _wave_inputs(seed, plan.cfg)
+    noise, f = _wave_inputs(seed, plan)
     probe = martingale_decomposition(f, noise, plan.geometry)
     out = {"vhat": probe.variance_hat}
     for i in range(len(probe.scales)):
@@ -445,23 +489,32 @@ def _agg_mart(cfg: ExperimentConfig, ens: EnsembleResult):
 # -- linearization defects -----------------------------------------------------
 
 
+def _reads_linearize(cfg: ExperimentConfig) -> list[tuple[float, float]] | None:
+    """(t, x), then (t, x + lag) at every lag; None on the heat equation."""
+    if cfg.equation == "heat":
+        return None
+    t, x = cfg.params["t"], cfg.params["x"]
+    return [(t, x)] + [(t, x + lag) for lag in sorted(cfg.params["lags"])]
+
+
 def _rep_linearize(seeds: list[int], plan: StudyPlan) -> list[dict[str, float]]:
     cfg = plan.cfg
     p = cfg.params
     t, x = p["t"], p["x"]
     lags = sorted(p["lags"])
     if cfg.equation == "wave":
-        pairs = (solve_coupled_linearization(cfg.sigma, make_noise(seed, cfg.lattice))
+        pairs = (solve_coupled_linearization(cfg.sigma,
+                                             make_noise(seed, plan.lattice, plan.words))
                  for seed in seeds)
-        defect_samples = wave_defect_samples
+        defect_samples = partial(wave_defect_samples, points=plan.points, lags=lags)
     else:
         # the whole block marches at once, only to the probe time
         pairs = solve_coupled_heat_linearization(cfg.sigma, seeds, cfg.heat_grid, t)
-        defect_samples = heat_defect_samples
+        defect_samples = partial(heat_defect_samples, t=t, x=x, lags=lags)
     rows = []
     for u, lin in pairs:
         out: dict[str, float] = {}
-        for i, s in enumerate(defect_samples(u, lin, t, x, lags)):
+        for i, s in enumerate(defect_samples(u, lin)):
             out[f"du_{i}"] = s.field_increment
             out[f"dl_{i}"] = s.linear_increment
             out[f"defect_{i}"] = s.defect
@@ -501,20 +554,17 @@ def _each_seed(rep, seeds: list[int], plan: StudyPlan) -> list[dict[str, float]]
     return [rep(seed, plan) for seed in seeds]
 
 
-def _no_geometry(cfg: ExperimentConfig) -> None:
-    return None
-
-
-# kind -> plan builder: config -> the geometry its replicates read
+# kind -> (config -> the (t, x) points its replicates read, (config, solve
+# trapezoid) -> the geometry its estimators read, or None)
 STUDY_PLANS = {
-    "simulate": _no_geometry,
-    "qv-time": _plan_qv_time,
-    "qv-space": _plan_qv_space,
-    "ladder": _plan_ladder,
-    "clt": partial(_plan_probes, descending=True),
-    "lil": _plan_probes,
-    "mart": partial(_plan_probes, shells=True),
-    "linearize": _no_geometry,
+    "simulate": (_reads_simulate, None),
+    "qv-time": (_reads_apex, _plan_qv_time),
+    "qv-space": (_reads_segment, _plan_qv_space),
+    "ladder": (_reads_ladder, _plan_ladder),
+    "clt": (_reads_probes, partial(_plan_probes, descending=True)),
+    "lil": (_reads_probes, _plan_probes),
+    "mart": (_reads_probes, partial(_plan_probes, shells=True)),
+    "linearize": (_reads_linearize, None),
 }
 
 # kind -> (block replicate function over (seeds, plan), aggregate). The wave
@@ -551,9 +601,39 @@ def _write_snapshots(cfg: ExperimentConfig, out: Path) -> list[Path]:
     return paths
 
 
+def _solve_trapezoid(lat: LatticeSpec,
+                     apexes: list[tuple[int, int]]) -> tuple[LatticeSpec, np.ndarray | None]:
+    """The smallest trapezoid of `lat` holding the backward cones of the apexes,
+    and the word of each of its cells in `lat`.
+
+    Points on the initial row need no cone; when no point has one, `lat` itself
+    comes back, with no word map.
+    """
+    cones = [(n, m) for n, m in apexes if n > 0]
+    if not cones:
+        return lat, None
+    top = max(n for n, _ in cones)
+    lo = min(m - n for n, m in cones)
+    hi = max(m + n for n, m in cones)
+    sub = LatticeSpec(lat.h, top * lat.h, lo * lat.h, hi * lat.h)
+    # a row of the trapezoid is a run of consecutive words of the same row of lat
+    starts = sub.cell_row_starts
+    first = lat.cell_row_starts[:top] + (lo - lat.col_lo) // 2
+    words = np.repeat(first - starts[:-1], np.diff(starts)) + np.arange(sub.total_cells)
+    return sub, packed_index(words)
+
+
 def plan_study(cfg: ExperimentConfig) -> StudyPlan:
     """The plan of a config that validate accepted."""
-    return StudyPlan(cfg, STUDY_PLANS[cfg.kind](cfg))
+    reads, geometry = STUDY_PLANS[cfg.kind]
+    points = reads(cfg)
+    if points is None:
+        return StudyPlan(cfg, None, None, None, None)
+    apexes = [cfg.lattice.apex(t, x) for t, x in points]
+    lat, words = _solve_trapezoid(cfg.lattice, apexes)
+    levels, cols = np.array(apexes, dtype=np.int64).reshape(-1, 2).T
+    return StudyPlan(cfg, lat, words, packed_index(point_index(lat, levels, cols)),
+                     geometry(cfg, lat) if geometry else None)
 
 
 def run_study(cfg: ExperimentConfig) -> StudyOutput:

@@ -53,15 +53,25 @@ def point_index(lat: LatticeSpec, levels: np.ndarray, cols: np.ndarray) -> np.nd
 def solve_wave(sigma: SigmaSpec, noise: NoiseRealization) -> WaveField:
     lat = noise.lattice
     n_levels = lat.n_levels
-    u = np.full((n_levels + 1, lat.width(0)), np.nan)
-    u[0, : lat.width(0)] = INITIAL_LEVEL
+    w0 = lat.width(0)
+    u = np.full((n_levels + 1, w0), np.nan)
+    u[0] = INITIAL_LEVEL
     # first layer: each base point sits on the apex of one base triangle
-    u[1, : lat.width(1)] = INITIAL_LEVEL + sigma.scalar(INITIAL_LEVEL) * noise.row(0)
+    u[1, : w0 - 1] = INITIAL_LEVEL + sigma.scalar(INITIAL_LEVEL) * noise.row(0)
+    xi = noise.flat
+    starts = lat.cell_row_starts.tolist()
+    # level n holds w0 - n points; the new level is written in place with the
+    # rounding of prev[:-1] + prev[1:] - below + sigma(below) * xi, term by term
     for n in range(1, n_levels):
-        w = lat.width(n)
-        prev = u[n, :w]
+        w = w0 - n
+        prev = u[n]
         below = u[n - 1, 1:w]  # columns directly under the new level
-        u[n + 1, : w - 1] = prev[:-1] + prev[1:] - below + sigma(below) * noise.row(n)
+        new = u[n + 1, : w - 1]
+        np.add(prev[: w - 1], prev[1:w], out=new)
+        new -= below
+        kick = sigma(below)
+        kick *= xi[starts[n]:starts[n + 1]]
+        new += kick
     return WaveField(lat, sigma, noise.seed, u)
 
 

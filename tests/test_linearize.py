@@ -1,5 +1,6 @@
 import warnings
 
+import numpy as np
 import pytest
 
 from swelab.errors import AlignmentError, ConfigurationWarning, PreconditionError
@@ -8,10 +9,16 @@ from swelab.lattice import LatticeSpec
 from swelab.linearize import heat_defect_samples, wave_defect_samples
 from swelab.noise import make_noise
 from swelab.sigma import CONSTANT_ONE, MULTIPLICATIVE, SigmaSpec
-from swelab.wave import field_at, solve_coupled_linearization, solve_wave
+from swelab.wave import field_at, point_index, solve_coupled_linearization, solve_wave
 
 LAT = LatticeSpec(h=0.0625, t_max=1.0, x_lo=-2.0, x_hi=2.0)
 LAGS = [0.125, 0.25, 0.5]
+
+
+def reads(t: float, x: float, lags) -> np.ndarray:
+    """Field offsets of (t, x), then of (t, x + lag) for each lag."""
+    levels, cols = np.array([LAT.apex(t, x)] + [LAT.apex(t, x + lag) for lag in lags]).T
+    return point_index(LAT, levels, cols)
 
 
 def small_heat_grid() -> HeatGridSpec:
@@ -27,7 +34,7 @@ def test_constant_sigma_wave_defect_vanishes():
     noise = make_noise(11, LAT)
     fld = solve_wave(sigma, noise)
     lin = solve_wave(CONSTANT_ONE, noise)
-    for s in wave_defect_samples(fld, lin, 0.5, 0.0, LAGS):
+    for s in wave_defect_samples(fld, lin, reads(0.5, 0.0, LAGS), LAGS):
         assert abs(s.defect) < 1e-12
         assert s.field_increment == pytest.approx(0.7 * s.linear_increment, rel=1e-10)
 
@@ -44,7 +51,7 @@ def test_defect_matches_hand_formula():
     sigma = MULTIPLICATIVE
     fld, lin = solve_coupled_linearization(sigma, make_noise(3, LAT))
     t, x = 0.5, 0.25
-    samples = wave_defect_samples(fld, lin, t, x, LAGS)
+    samples = wave_defect_samples(fld, lin, reads(t, x, LAGS), LAGS)
     frozen = field_at(fld, t, x)
     for s in samples:
         du = field_at(fld, t, x + s.lag) - field_at(fld, t, x)
@@ -59,11 +66,11 @@ def test_wave_coupling_is_enforced():
     fld = solve_wave(MULTIPLICATIVE, make_noise(3, LAT))
     other = solve_wave(CONSTANT_ONE, make_noise(4, LAT))
     with pytest.raises(PreconditionError, match="seeds differ"):
-        wave_defect_samples(fld, other, 0.5, 0.0, LAGS)
+        wave_defect_samples(fld, other, reads(0.5, 0.0, LAGS), LAGS)
     coarse = LatticeSpec(h=0.125, t_max=1.0, x_lo=-2.0, x_hi=2.0)
     with pytest.raises(PreconditionError, match="different lattices"):
         wave_defect_samples(fld, solve_wave(CONSTANT_ONE, make_noise(3, coarse)),
-                            0.5, 0.0, LAGS)
+                            reads(0.5, 0.0, LAGS), LAGS)
 
 
 def test_linear_field_must_have_unit_coefficient():
@@ -71,15 +78,17 @@ def test_linear_field_must_have_unit_coefficient():
     fld = solve_wave(MULTIPLICATIVE, noise)
     with pytest.raises(PreconditionError, match="constant coefficient 1"):
         wave_defect_samples(fld, solve_wave(SigmaSpec("constant", (2.0,)), noise),
-                            0.5, 0.0, LAGS)
+                            reads(0.5, 0.0, LAGS), LAGS)
     with pytest.raises(PreconditionError, match="linear:1"):
-        wave_defect_samples(fld, solve_wave(MULTIPLICATIVE, noise), 0.5, 0.0, LAGS)
+        wave_defect_samples(fld, solve_wave(MULTIPLICATIVE, noise), reads(0.5, 0.0, LAGS),
+                            LAGS)
 
 
 def test_lags_must_be_positive():
     fld, lin = solve_coupled_linearization(MULTIPLICATIVE, make_noise(3, LAT))
     with pytest.raises(AlignmentError, match="positive"):
-        wave_defect_samples(fld, lin, 0.5, 0.0, [0.125, -0.125])
+        wave_defect_samples(fld, lin, reads(0.5, 0.0, [0.125, -0.125]),
+                            [0.125, -0.125])
 
 
 def test_heat_coupling_is_enforced():

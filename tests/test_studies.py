@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import oracles
-from swelab import fluctuations, lattice, quadvar
+from swelab import fluctuations, lattice, quadvar, studies
 from swelab.config import config_from_dict
 from swelab.errors import ConfigurationError, ConfigurationWarning
 from swelab.lattice import spatial_shell_area
@@ -299,17 +299,25 @@ def test_plan_is_built_once_per_study_and_read_only(kind, monkeypatch):
         kind, PLANNED[kind], lattice=dict(LATTICE_BLOCK, x_lo=-2.5, x_hi=2.5)))
     shifted = config_from_dict(make_cfg(kind, {
         k: v + 0.125 if k in ("x", "x_lo", "x_hi") else v for k, v in PLANNED[kind].items()}))
-    plan = plan_study(cfg).geometry
-    arrays = _plan_arrays(plan)
+    plan = plan_study(cfg)
+    arrays = _plan_arrays(plan.geometry)
     assert len(arrays) >= 5
-    for arr in arrays:
+    for arr in arrays + [plan.words, plan.points]:
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[...] = 0
-    # field offsets follow the row width and the apex, so neither plan is shared
+    # offsets index the solve trapezoid, which a wider base leaves as it is and
+    # a shifted apex moves along: the index arrays are shared by design, and
+    # only the words the trapezoid draws follow the configured lattice
     for other in (wide, shifted):
-        assert any(not np.array_equal(a, b)
-                   for a, b in zip(arrays, _plan_arrays(plan_study(other).geometry)))
+        moved = plan_study(other)
+        assert moved.lattice.n_levels == plan.lattice.n_levels
+        assert moved.lattice.width(0) == plan.lattice.width(0)
+        assert np.array_equal(moved.points, plan.points)
+        for a, b in zip(arrays, _plan_arrays(moved.geometry), strict=True):
+            if other is wide or a.dtype.kind == "u":  # coordinates move with the apex
+                assert np.array_equal(a, b)
+        assert not np.array_equal(moved.words, plan.words)
     # the geometry is enumerated once per study, however many blocks run
     calls = _count_enumerations(monkeypatch)
     with warnings.catch_warnings():
@@ -327,9 +335,83 @@ def test_wide_lattice_plan_matches_the_raw_enumeration():
     cfg = config_from_dict(make_cfg(
         "qv-time", {"t": 1.0, "x": 0.0, "n_pieces": 4},
         lattice=dict(LATTICE_BLOCK, x_lo=-2.5, x_hi=2.5)))
-    lat = cfg.lattice
-    noise = make_noise(3, lat)
+    plan = plan_study(cfg)
+    noise = make_noise(3, plan.lattice, plan.words)
     fld = solve_wave(cfg.sigma, noise)
-    dec = quadvar.temporal_qv_decomposition(fld, noise, plan_study(cfg).geometry)
+    dec = quadvar.temporal_qv_decomposition(fld, noise, plan.geometry)
+    # the oracle enumerates the configured lattice, solved in full
+    lat = cfg.lattice
+    full_noise = make_noise(3, lat)
+    full = solve_wave(cfg.sigma, full_noise)
     assert asdict(dec) == oracles.cone_decomposition(
-        fld.values, lat.col_lo, noise.rows, lambda u: u, 16, 0, lat.h, 4)
+        full.values, lat.col_lo, full_noise.rows, lambda u: u, 16, 0, lat.h, 4)
+
+
+# -- the solve trapezoid -------------------------------------------------------
+
+# read sets: points at several levels, and a base wider than the reads
+TRAPEZOID_READS = {
+    "levels": ("simulate", {
+        "probes": [[0.5, -0.25], [1.0, 0.0]],
+        "temporal_lags": {"t": 0.5, "x": 0.5, "lags": [0.125, 0.25]},
+        "spatial_lags": {"t": 0.75, "x": -0.5, "lags": [0.125, 0.5]},
+    }, LATTICE_BLOCK),
+    "wide": ("qv-space", {"t": 0.5, "x_lo": -0.5, "x_hi": 0.25, "n_pieces": 6},
+             dict(LATTICE_BLOCK, x_lo=-2.5, x_hi=2.5)),
+}
+
+
+@pytest.mark.parametrize("sigma", ["linear:1", "sine:1", "constant:1"])
+@pytest.mark.parametrize("reads", sorted(TRAPEZOID_READS))
+def test_solve_trapezoid_equals_the_full_solve(reads, sigma):
+    kind, params, block = TRAPEZOID_READS[reads]
+    cfg = config_from_dict(make_cfg(kind, params, sigma=sigma, lattice=block))
+    plan = plan_study(cfg)
+    lat, sub = cfg.lattice, plan.lattice
+    assert sub.total_cells < lat.total_cells
+    # column offset of the trapezoid's base in the configured rows
+    shift = (sub.col_lo - lat.col_lo) // 2
+    for seed in (0, 7):
+        full_noise = make_noise(seed, lat)
+        noise = make_noise(seed, sub, plan.words)
+        assert np.array_equal(noise.flat, full_noise.flat[plan.words])
+        full = solve_wave(cfg.sigma, full_noise)
+        fld = solve_wave(cfg.sigma, noise)
+        for n in range(sub.n_levels + 1):
+            w = sub.width(n)
+            assert np.array_equal(fld.values[n, :w], full.values[n, shift:shift + w])
+
+
+SEED_BLOCK = list(range(5, 9))
+KIND_CONFIGS = {
+    "simulate": make_cfg("simulate", TRAPEZOID_READS["levels"][1]),
+    "qv-time": make_cfg("qv-time", {"t": 0.5, "x": 0.25, "n_pieces": 2}),
+    "qv-space": make_cfg("qv-space", {"t": 0.5, "x_lo": -0.5, "x_hi": 0.5, "n_pieces": 4}),
+    "ladder-time": make_cfg("ladder", {"axis": "time", "t": 1.0, "x": 0.0, "counts": [2, 4]}),
+    "ladder-space": make_cfg("ladder", {"axis": "space", "t": 0.5, "x_lo": -0.5,
+                                        "x_hi": 0.5, "counts": [2, 4]}),
+    "clt": make_cfg("clt", {"t": 0.5, "x": 0.0, "scales": [0.125, 0.25]}),
+    "lil": make_cfg("lil", {"t": 0.5, "x": 0.0, "scales": [0.125]}, sigma="sine:1"),
+    "mart": make_cfg("mart", {"t": 0.5, "x": 0.0, "scales": [0.125, 0.25]}),
+    "linearize-wave": make_cfg("linearize", {"t": 0.5, "x": 0.0, "lags": [0.125, 0.25]},
+                               sigma="sine:1"),
+    "linearize-heat": {
+        "kind": "linearize", "sigma": "linear:1", "replicates": 2, "equation": "heat",
+        "heat_grid": {"dx": 0.125, "t_max": 0.0625, "circumference": 4.0},
+        "params": {"t": 0.0625, "x": 0.0, "lags": [0.125, 0.25]},
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(KIND_CONFIGS))
+def test_plan_rows_equal_the_full_trapezoid_rows(name, monkeypatch):
+    cfg = config_from_dict(KIND_CONFIGS[name])
+    rep, _ = studies.STUDY_RUNNERS[cfg.kind]
+    plan = plan_study(cfg)
+    rows = rep(SEED_BLOCK, plan)
+    monkeypatch.setattr(studies, "_solve_trapezoid", lambda lat, apexes: (lat, None))
+    full = plan_study(cfg)
+    if cfg.equation == "wave":
+        assert full.lattice == cfg.lattice and full.words is None
+        assert plan.lattice.total_cells < cfg.lattice.total_cells
+    assert rows == rep(SEED_BLOCK, full)
