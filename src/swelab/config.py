@@ -6,7 +6,9 @@ for the wave equation, heat_grid for the heat equation) and a kind-specific
 params block. Every block is described by one table of fields below; parsing
 walks a mapping against its table once, so `ExperimentConfig.params` holds
 parsed values with defaults filled in. `validate` keeps only the rules that
-join several keys or depend on the geometry.
+join several keys or depend on the geometry. `READS` lists the points each
+kind reads, in one place: `validate` resolves them and `studies.plan_study`
+solves for them.
 
 Thresholds are declared here, never hard-coded in studies: a summary's
 pass/fail flags are evaluated against exactly what the config file says.
@@ -28,6 +30,7 @@ from .sigma import SigmaSpec
 
 __all__ = [
     "KINDS",
+    "READS",
     "Threshold",
     "ExperimentConfig",
     "read_config",
@@ -79,6 +82,11 @@ class ExperimentConfig:
     heat_grid: HeatGridSpec | None = None
     params: dict = field(default_factory=dict)
     thresholds: tuple[Threshold, ...] = ()
+
+    @property
+    def on_heat_grid(self) -> bool:
+        """Heat linearize runs on heat_grid; every other study on the lattice."""
+        return self.kind == "linearize" and self.equation == "heat"
 
 
 # -- field parsers: (value, key) -> parsed value, or ConfigurationError naming key
@@ -269,6 +277,66 @@ def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
     return config_from_dict(read_config(path), overrides)
 
 
+# -- read points ---------------------------------------------------------------
+# Each kind's replicates read the field at a few points; READS[kind](params)
+# lists them as (key, t, x), in the order the replicates read them, with key
+# naming the params key or keys that place the point. validate resolves every
+# one and names the key of each it refuses; studies.plan_study solves for them.
+Read = tuple[str, float, float]
+
+
+def _reads_simulate(p: dict) -> list[Read]:
+    """The probes, then per lag block its base point and one point per lag."""
+    out = [(f"params.probes[{i}]", t, x) for i, (t, x) in enumerate(p["probes"])]
+    for key in ("temporal_lags", "spatial_lags"):
+        block = p[key]
+        if block:
+            t0, x0 = block["t"], block["x"]
+            out.append((f"params.{key}.t, params.{key}.x", t0, x0))
+            for lag in sorted(block["lags"]):
+                t, x = (t0 + lag, x0) if key == "temporal_lags" else (t0, x0 + lag)
+                out.append((f"params.{key}.lags", t, x))
+    return out
+
+
+def _reads_apex(p: dict) -> list[Read]:
+    return [("params.t, params.x", p["t"], p["x"])]
+
+
+def _reads_segment(p: dict) -> list[Read]:
+    """The two ends of the segment: their cones hold every cone between."""
+    return [("params.t, params.x_lo", p["t"], p["x_lo"]),
+            ("params.t, params.x_hi", p["t"], p["x_hi"])]
+
+
+def _reads_ladder(p: dict) -> list[Read]:
+    return _reads_apex(p) if p["axis"] == "time" else _reads_segment(p)
+
+
+def _reads_probes(p: dict) -> list[Read]:
+    """(t, x) and (t + scale, x) at every scale."""
+    t, x = p["t"], p["x"]
+    return _reads_apex(p) + [("params.scales", t + s, x) for s in p["scales"]]
+
+
+def _reads_linearize(p: dict) -> list[Read]:
+    """(t, x), then (t, x + lag) at every lag, on either equation."""
+    t, x = p["t"], p["x"]
+    return _reads_apex(p) + [("params.lags", t, x + lag) for lag in sorted(p["lags"])]
+
+
+READS = {
+    "simulate": _reads_simulate,
+    "qv-time": _reads_apex,
+    "qv-space": _reads_segment,
+    "ladder": _reads_ladder,
+    "clt": _reads_probes,
+    "lil": _reads_probes,
+    "mart": _reads_probes,
+    "linearize": _reads_linearize,
+}
+
+
 # -- validation ----------------------------------------------------------------
 
 
@@ -285,10 +353,9 @@ def validate(cfg: ExperimentConfig) -> tuple[list[str], list[str]]:
     if cfg.base_seed < 0 or cfg.base_seed + max(cfg.replicates, 1) > 2 ** 64:
         errors.append("base_seed must keep every replicate seed inside [0, 2^64)")
 
-    needs_heat = cfg.kind == "linearize" and cfg.equation == "heat"
-    if not needs_heat and cfg.lattice is None:
+    if not cfg.on_heat_grid and cfg.lattice is None:
         errors.append(f"kind {cfg.kind!r} requires a lattice block")
-    if needs_heat and cfg.heat_grid is None:
+    if cfg.on_heat_grid and cfg.heat_grid is None:
         errors.append("linearize on the heat equation requires a heat_grid block")
     if errors:
         return errors, notes
@@ -310,15 +377,20 @@ def _min_replicates(cfg: ExperimentConfig) -> int:
     return 1
 
 
-def _check_point(lat: LatticeSpec, t: float, x: float,
-                 errors: list[str]) -> tuple[int, int] | None:
-    """The apex of an aligned point inside the trapezoid (its backward cone is
-    then inside the base), else None with the error recorded."""
-    try:
-        return lat.apex(t, x)
-    except (AlignmentError, DomainError) as exc:
-        errors.append(str(exc))
-        return None
+def _check_reads(cfg: ExperimentConfig, errors: list[str]) -> bool:
+    """Resolve every point the kind reads (READS) once: to its apex on the
+    lattice, whose backward cone is then inside the base, or to its site on
+    the heat grid. Each failure is recorded under its key; True if none."""
+    resolve = ((lambda t, x: cfg.heat_grid.site_of(x)) if cfg.on_heat_grid
+               else cfg.lattice.apex)
+    placed = True
+    for key, t, x in READS[cfg.kind](cfg.params):
+        try:
+            resolve(t, x)
+        except (AlignmentError, DomainError) as exc:
+            errors.append(f"{key}: {exc}")
+            placed = False
+    return placed
 
 
 def _check_height(lat: LatticeSpec, t: float, errors: list[str]) -> None:
@@ -337,64 +409,43 @@ def _even_scales(lat: LatticeSpec, scales, errors: list[str], what: str) -> None
             )
 
 
-def _temporal_counts(lat: LatticeSpec, t: float, x: float, errors, notes):
-    """Admissible temporal piece counts, once the apex is known to be valid."""
-    if not _check_point(lat, t, x, errors):
+def _piece_counts(cfg: ExperimentConfig, p: dict, errors, notes) -> list[int] | None:
+    """Admissible piece counts of a qv study or ladder, once every point it
+    reads has resolved. Spatial lines read the base [x_lo - t, x_hi + t]."""
+    lat, t = cfg.lattice, p["t"]
+    temporal = cfg.kind == "qv-time" or (cfg.kind == "ladder" and p["axis"] == "time")
+    if not temporal:
+        _check_height(lat, t, errors)
+    if not _check_reads(cfg, errors):
         return None
     try:
-        good = admissible_temporal_pieces(t, lat.h)
+        if temporal:
+            good = admissible_temporal_pieces(t, lat.h)
+            where = f"temporal piece counts at t={t}, h={lat.h}"
+        else:
+            good = admissible_spatial_pieces(p["x_lo"], p["x_hi"], lat.h)
+            where = f"spatial piece counts on [{p['x_lo']}, {p['x_hi']}]"
     except AlignmentError as exc:
         errors.append(str(exc))
         return None
-    notes.append(f"admissible temporal piece counts at t={t}, h={lat.h}: {good}")
-    return good
-
-
-def _spatial_counts(lat: LatticeSpec, t: float, x_lo: float, x_hi: float, errors, notes):
-    """Admissible spatial piece counts, once both segment ends are valid apexes;
-    the estimators read the base [x_lo - t, x_hi + t]."""
-    _check_height(lat, t, errors)
-    ends = [_check_point(lat, t, x, errors) for x in (x_lo, x_hi)]
-    if not all(ends):
-        return None
-    try:
-        good = admissible_spatial_pieces(x_lo, x_hi, lat.h)
-    except AlignmentError as exc:
-        errors.append(str(exc))
-        return None
-    notes.append(f"admissible spatial piece counts on [{x_lo}, {x_hi}]: {good}")
+    notes.append(f"admissible {where}: {good}")
     return good
 
 
 def _check_simulate(cfg, p, errors, notes):
-    lat = cfg.lattice
-    for t, x in p["probes"]:
-        _check_point(lat, t, x, errors)
     for key in ("temporal_lags", "spatial_lags"):
         block = p[key]
         if block is None:
             continue
-        t0, x0, lags = block["t"], block["x"], block["lags"]
+        lags = block["lags"]
         if len(lags) < 4:
             notes.append(f"{key}: fitted slopes need >= 4 points, got {len(lags)}")
-        _even_scales(lat, lags, errors, key)
-        if key == "temporal_lags":
-            _check_point(lat, t0 + max(lags), x0, errors)
-        else:
-            _check_point(lat, t0, x0 + max(lags), errors)
-        _check_point(lat, t0, x0, errors)
+        _even_scales(cfg.lattice, lags, errors, key)
+    _check_reads(cfg, errors)
 
 
-def _check_qv_time(cfg, p, errors, notes):
-    good = _temporal_counts(cfg.lattice, p["t"], p["x"], errors, notes)
-    if good is not None and p["n_pieces"] not in good:
-        errors.append(
-            f"n_pieces={p['n_pieces']} is not admissible; choose one of {good}"
-        )
-
-
-def _check_qv_space(cfg, p, errors, notes):
-    good = _spatial_counts(cfg.lattice, p["t"], p["x_lo"], p["x_hi"], errors, notes)
+def _check_qv(cfg, p, errors, notes):
+    good = _piece_counts(cfg, p, errors, notes)
     if good is not None and p["n_pieces"] not in good:
         errors.append(
             f"n_pieces={p['n_pieces']} is not admissible; choose one of {good}"
@@ -403,24 +454,10 @@ def _check_qv_space(cfg, p, errors, notes):
 
 def _check_probe_grid(cfg, p, errors, notes, *, cap_to_eighth: bool):
     lat = cfg.lattice
-    t, x, scales = p["t"], p["x"], p["scales"]
+    t, scales = p["t"], p["scales"]
     _check_height(lat, t, errors)
     _even_scales(lat, scales, errors, "scales")
-    top = max(scales)
-    # increments over each scale read the backward cone of (t + scale, x)
-    apex = _check_point(lat, t, x, errors)
-    if apex is not None:
-        n, m = apex
-        k = n + round(top / lat.h)
-        if m - k < lat.col_lo or m + k > lat.col_hi:
-            errors.append(
-                f"base [{lat.x_lo}, {lat.x_hi}] too narrow for the observable at "
-                f"(t={t}, x={x}): needs [{x - t - top}, {x + t + top}]"
-            )
-    if t + top > lat.t_max + 1e-12:
-        errors.append(
-            f"largest scale {top} at t={t} exceeds the horizon t_max={lat.t_max}"
-        )
+    _check_reads(cfg, errors)
     if cap_to_eighth:
         for s in scales:
             if s > t / 8.0 + 1e-12:
@@ -463,44 +500,37 @@ def _check_mart(cfg, p, errors, notes):
 
 
 def _check_linearize(cfg, p, errors, notes):
-    t, x, lags = p["t"], p["x"], p["lags"]
+    lags = p["lags"]
     if len(lags) < 2:
         errors.append("linearize needs at least 2 lags to compare scales")
-    if cfg.equation == "wave":
-        lat = cfg.lattice
-        _even_scales(lat, lags, errors, "lags")
-        _check_point(lat, t, x, errors)
-        _check_point(lat, t, x + max(lags), errors)
-    else:
+    if cfg.on_heat_grid:
         grid = cfg.heat_grid
         try:
-            grid.step_of(t)
-        except (ConfigurationError, DomainError) as exc:
-            errors.append(str(exc))
-        for lag in lags + (0.0,):
-            try:
-                grid.site_of(x + lag)
-            except AlignmentError as exc:
-                errors.append(str(exc))
-        if max(lags) + x >= grid.circumference:
-            errors.append("largest lag wraps around the circle; enlarge circumference")
+            grid.step_of(p["t"])
+        except ConfigurationError as exc:
+            errors.append(f"params.t: {exc}")
+        for lag in lags:
+            if lag <= 0:
+                errors.append(f"params.lags value {lag} must be positive")
+        if max(lags) >= grid.circumference:
+            errors.append("params.lags: largest lag wraps around the circle; "
+                          "enlarge circumference")
+    else:
+        _even_scales(cfg.lattice, lags, errors, "lags")
+    _check_reads(cfg, errors)
 
 
 def _check_ladder(cfg, p, errors, notes):
     counts = p["counts"]
     if len(counts) < 4:
         notes.append("fitted rates need >= 4 ladder points")
-    lat = cfg.lattice
-    if p["axis"] == "time":
-        if p["x"] is None:
-            errors.append("a time-axis ladder needs params.x")
-            return
-        good = _temporal_counts(lat, p["t"], p["x"], errors, notes)
-    else:
-        if p["x_lo"] is None or p["x_hi"] is None:
-            errors.append("a space-axis ladder needs params.x_lo and params.x_hi")
-            return
-        good = _spatial_counts(lat, p["t"], p["x_lo"], p["x_hi"], errors, notes)
+    if p["axis"] == "time" and p["x"] is None:
+        errors.append("a time-axis ladder needs params.x")
+        return
+    if p["axis"] == "space" and (p["x_lo"] is None or p["x_hi"] is None):
+        errors.append("a space-axis ladder needs params.x_lo and params.x_hi")
+        return
+    good = _piece_counts(cfg, p, errors, notes)
     if good is None:
         return
     bad = [n for n in counts if n not in good]
@@ -510,8 +540,8 @@ def _check_ladder(cfg, p, errors, notes):
 
 _KIND_CHECKS = {
     "simulate": _check_simulate,
-    "qv-time": _check_qv_time,
-    "qv-space": _check_qv_space,
+    "qv-time": _check_qv,
+    "qv-space": _check_qv,
     "clt": _check_clt,
     "lil": _check_lil,
     "mart": _check_mart,

@@ -66,9 +66,10 @@ def _call(args) -> list[tuple[int, int, dict[str, float]]]:
     return [(first + k, seed, record) for k, (seed, record) in enumerate(zip(seeds, records))]
 
 
-def _assemble(columns: tuple[str, ...] | None,
-              produced: list[tuple[int, int, dict[str, float]]]) -> EnsembleResult:
+def _assemble(produced: list[tuple[int, int, dict[str, float]]]) -> EnsembleResult:
+    """The rows in replicate order, with the first row's stat names as columns."""
     produced.sort(key=lambda item: item[0])
+    columns: tuple[str, ...] | None = None
     index: list[int] = []
     seeds: list[int] = []
     rows: list[list[float]] = []
@@ -109,4 +110,4 @@ def run_replicates(fn: ReplicateFn, payload, *, base_seed: int, replicates: int,
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             produced = [row for rows in pool.map(_call, blocks) for row in rows]
-    return _assemble(None, produced)
+    return _assemble(produced)

@@ -96,8 +96,8 @@ class LatticeSpec:
 
     @cached_property
     def cell_row_starts(self) -> np.ndarray:
-        counts = [self.cells_at(n) for n in range(self.n_levels)]
-        return np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
+        counts = (self.col_hi - self.col_lo) // 2 - np.arange(self.n_levels, dtype=np.int64)
+        return np.concatenate(([0], np.cumsum(counts)))
 
     @property
     def total_cells(self) -> int:

@@ -33,12 +33,31 @@ class DefectSample:
     defect: float
 
 
-def _require_unit_linear(linear) -> None:
+def _defect_samples(field, linear, u: np.ndarray, lin: np.ndarray,
+                    lags: Sequence[float]) -> list[DefectSample]:
+    """The defect at each lag from the values read at the base point (first)
+    and at each lagged point, on a coupled pair of fields."""
+    if field.seed != linear.seed:
+        raise PreconditionError(
+            f"seeds differ ({field.seed} vs {linear.seed}); increments are not "
+            "driven by the same noise"
+        )
     if not (linear.sigma.is_constant and linear.sigma.scalar(1.0) == 1.0):
         raise PreconditionError(
             f"the comparison field must be solved with constant coefficient 1, "
             f"got {linear.sigma.label()}"
         )
+    base_u, *us = u.tolist()
+    base_l, *ls = lin.tolist()
+    frozen = field.sigma.scalar(base_u)
+    out = []
+    for lag, u_lag, l_lag in zip(lags, us, ls):
+        if lag <= 0:
+            raise AlignmentError(f"lags must be positive, got {lag}")
+        du = u_lag - base_u
+        dl = l_lag - base_l
+        out.append(DefectSample(float(lag), du, dl, du - frozen * dl))
+    return out
 
 
 def wave_defect_samples(field: WaveField, linear: WaveField, points: np.ndarray,
@@ -47,43 +66,14 @@ def wave_defect_samples(field: WaveField, linear: WaveField, points: np.ndarray,
     (t, x + lag) for each lag in turn."""
     if field.lattice != linear.lattice:
         raise PreconditionError("fields live on different lattices; not coupled")
-    if field.seed != linear.seed:
-        raise PreconditionError(
-            f"seeds differ ({field.seed} vs {linear.seed}); increments are not "
-            "driven by the same noise"
-        )
-    _require_unit_linear(linear)
-    base_u, *us = field.flat[points].tolist()
-    base_l, *ls = linear.flat[points].tolist()
-    frozen = field.sigma.scalar(base_u)
-    out = []
-    for lag, u, lin in zip(lags, us, ls):
-        if lag <= 0:
-            raise AlignmentError(f"lags must be positive, got {lag}")
-        du = u - base_u
-        dl = lin - base_l
-        out.append(DefectSample(float(lag), du, dl, du - frozen * dl))
-    return out
+    return _defect_samples(field, linear, field.flat[points], linear.flat[points], lags)
 
 
-def heat_defect_samples(field: HeatField, linear: HeatField, t: float, x: float,
+def heat_defect_samples(field: HeatField, linear: HeatField, points: np.ndarray,
                         lags: Sequence[float]) -> list[DefectSample]:
-    if field.grid != linear.grid:
-        raise PreconditionError("fields live on different grids; not coupled")
-    if field.seed != linear.seed:
-        raise PreconditionError(
-            f"seeds differ ({field.seed} vs {linear.seed}); increments are not "
-            "driven by the same noise"
-        )
-    _require_unit_linear(linear)
-    base_u = field.at(t, x)
-    base_l = linear.at(t, x)
-    frozen = field.sigma.scalar(base_u)
-    out = []
-    for lag in lags:
-        if lag <= 0:
-            raise AlignmentError(f"lags must be positive, got {lag}")
-        du = field.at(t, x + lag) - base_u
-        dl = linear.at(t, x + lag) - base_l
-        out.append(DefectSample(float(lag), du, dl, du - frozen * dl))
-    return out
+    """Defects at resolved grid sites: `points` holds the site of x first,
+    then that of x + lag for each lag in turn."""
+    if field.grid != linear.grid or field.step != linear.step:
+        raise PreconditionError("fields live on different grids or steps; not coupled")
+    return _defect_samples(field, linear, field.values[points], linear.values[points],
+                           lags)

@@ -1,12 +1,13 @@
 """Study runners: one ensemble experiment per config kind.
 
-A study runs in two steps. Its plan (`plan_study`, from the kind's entries in
-STUDY_PLANS) resolves, once per study, every point the replicates read and
-cuts the solve trapezoid out of the configured lattice: the smallest one that
+A study runs in two steps. Its plan (`plan_study`) resolves, once per study,
+every point the replicates read (config.READS lists them per kind) and cuts
+the solve trapezoid out of the configured lattice: the smallest one that
 holds the backward cones of those points. The field there depends only on the
 noise of its own cells, and each cell is drawn from its Philox word in the
 configured lattice, so every value read is the one the configured lattice
-gives. The estimators' geometry is built against the solve trapezoid. The
+gives. The estimators' geometry (STUDY_PLANS) is built against the solve
+trapezoid; a heat study's plan holds only the grid sites it reads. The
 kind's replicate function (STUDY_RUNNERS) then runs each block of seeds
 against that plan through the shared scheduler. The runner aggregates with
 the package's own moment and slope kernels, evaluates the config-declared
@@ -26,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ExperimentConfig, validate
+from .config import READS, ExperimentConfig, validate
 from .ensemble import EnsembleResult, run_replicates
 from .errors import ConfigurationError, ConfigurationWarning
 from .fluctuations import (
@@ -83,9 +84,10 @@ class StudyPlan:
     """A validated config, the solve trapezoid its replicates draw and solve,
     and what they read there. The lattice fields are None on the heat equation.
 
-    `points` are the field offsets of the points the kind reads, in the order
-    its read function lists them; `geometry` holds the estimators' index
-    arrays (None for the kinds that read only points).
+    `points` are the field offsets of the points the kind reads (grid sites
+    on the heat equation), in the order config.READS lists them; `geometry`
+    holds the estimators' index arrays (None for the kinds that read only
+    points).
     """
 
     cfg: ExperimentConfig
@@ -117,20 +119,6 @@ def _wave_inputs(seed: int, plan: StudyPlan):
 
 
 # -- simulate ------------------------------------------------------------------
-
-
-def _reads_simulate(cfg: ExperimentConfig) -> list[tuple[float, float]]:
-    """The probes, then per lag block its base point and one point per lag."""
-    p = cfg.params
-    out = list(p["probes"])
-    for key in ("temporal_lags", "spatial_lags"):
-        block = p[key]
-        if block:
-            t0, x0 = block["t"], block["x"]
-            out.append((t0, x0))
-            out += [(t0 + lag, x0) if key == "temporal_lags" else (t0, x0 + lag)
-                    for lag in sorted(block["lags"])]
-    return out
 
 
 def _rep_simulate(seed: int, plan: StudyPlan) -> dict[str, float]:
@@ -181,10 +169,6 @@ def _agg_simulate(cfg: ExperimentConfig, ens: EnsembleResult):
 # -- temporal quadratic variation ---------------------------------------------
 
 
-def _reads_apex(cfg: ExperimentConfig) -> list[tuple[float, float]]:
-    return [(cfg.params["t"], cfg.params["x"])]
-
-
 def _plan_qv_time(cfg: ExperimentConfig, lat: LatticeSpec):
     p = cfg.params
     return temporal_geometry(lat, p["t"], p["x"], [p["n_pieces"]])
@@ -228,12 +212,6 @@ def _agg_qv_time(cfg: ExperimentConfig, ens: EnsembleResult):
 # -- spatial quadratic variation ----------------------------------------------
 
 
-def _reads_segment(cfg: ExperimentConfig) -> list[tuple[float, float]]:
-    """The two ends of the segment: their cones hold every cone between."""
-    p = cfg.params
-    return [(p["t"], p["x_lo"]), (p["t"], p["x_hi"])]
-
-
 def _plan_qv_space(cfg: ExperimentConfig, lat: LatticeSpec):
     p = cfg.params
     return spatial_geometry(lat, p["t"], p["x_lo"], p["x_hi"], [p["n_pieces"]])
@@ -275,10 +253,6 @@ def _agg_qv_space(cfg: ExperimentConfig, ens: EnsembleResult):
 
 
 # -- dyadic refinement ladder --------------------------------------------------
-
-
-def _reads_ladder(cfg: ExperimentConfig) -> list[tuple[float, float]]:
-    return _reads_apex(cfg) if cfg.params["axis"] == "time" else _reads_segment(cfg)
 
 
 def _plan_ladder(cfg: ExperimentConfig, lat: LatticeSpec):
@@ -371,13 +345,6 @@ def _agg_ladder(cfg: ExperimentConfig, ens: EnsembleResult):
 
 
 # -- central limit harness -----------------------------------------------------
-
-
-def _reads_probes(cfg: ExperimentConfig) -> list[tuple[float, float]]:
-    """(t, x) and (t + scale, x) at every scale."""
-    p = cfg.params
-    t, x = p["t"], p["x"]
-    return [(t, x)] + [(t + s, x) for s in p["scales"]]
 
 
 def _plan_probes(cfg: ExperimentConfig, lat: LatticeSpec, descending: bool = False,
@@ -489,32 +456,23 @@ def _agg_mart(cfg: ExperimentConfig, ens: EnsembleResult):
 # -- linearization defects -----------------------------------------------------
 
 
-def _reads_linearize(cfg: ExperimentConfig) -> list[tuple[float, float]] | None:
-    """(t, x), then (t, x + lag) at every lag; None on the heat equation."""
-    if cfg.equation == "heat":
-        return None
-    t, x = cfg.params["t"], cfg.params["x"]
-    return [(t, x)] + [(t, x + lag) for lag in sorted(cfg.params["lags"])]
-
-
 def _rep_linearize(seeds: list[int], plan: StudyPlan) -> list[dict[str, float]]:
     cfg = plan.cfg
-    p = cfg.params
-    t, x = p["t"], p["x"]
-    lags = sorted(p["lags"])
-    if cfg.equation == "wave":
+    if cfg.on_heat_grid:
+        # the whole block marches at once, only to the probe time
+        pairs = solve_coupled_heat_linearization(cfg.sigma, seeds, cfg.heat_grid,
+                                                 cfg.params["t"])
+        defect_samples = heat_defect_samples
+    else:
         pairs = (solve_coupled_linearization(cfg.sigma,
                                              make_noise(seed, plan.lattice, plan.words))
                  for seed in seeds)
-        defect_samples = partial(wave_defect_samples, points=plan.points, lags=lags)
-    else:
-        # the whole block marches at once, only to the probe time
-        pairs = solve_coupled_heat_linearization(cfg.sigma, seeds, cfg.heat_grid, t)
-        defect_samples = partial(heat_defect_samples, t=t, x=x, lags=lags)
+        defect_samples = wave_defect_samples
+    lags = sorted(cfg.params["lags"])
     rows = []
     for u, lin in pairs:
         out: dict[str, float] = {}
-        for i, s in enumerate(defect_samples(u, lin)):
+        for i, s in enumerate(defect_samples(u, lin, plan.points, lags)):
             out[f"du_{i}"] = s.field_increment
             out[f"dl_{i}"] = s.linear_increment
             out[f"defect_{i}"] = s.defect
@@ -554,17 +512,17 @@ def _each_seed(rep, seeds: list[int], plan: StudyPlan) -> list[dict[str, float]]
     return [rep(seed, plan) for seed in seeds]
 
 
-# kind -> (config -> the (t, x) points its replicates read, (config, solve
-# trapezoid) -> the geometry its estimators read, or None)
+# kind -> (config, solve trapezoid) -> the geometry its estimators read, or
+# None for the kinds that read only points (config.READS lists the points)
 STUDY_PLANS = {
-    "simulate": (_reads_simulate, None),
-    "qv-time": (_reads_apex, _plan_qv_time),
-    "qv-space": (_reads_segment, _plan_qv_space),
-    "ladder": (_reads_ladder, _plan_ladder),
-    "clt": (_reads_probes, partial(_plan_probes, descending=True)),
-    "lil": (_reads_probes, _plan_probes),
-    "mart": (_reads_probes, partial(_plan_probes, shells=True)),
-    "linearize": (_reads_linearize, None),
+    "simulate": None,
+    "qv-time": _plan_qv_time,
+    "qv-space": _plan_qv_space,
+    "ladder": _plan_ladder,
+    "clt": partial(_plan_probes, descending=True),
+    "lil": _plan_probes,
+    "mart": partial(_plan_probes, shells=True),
+    "linearize": None,
 }
 
 # kind -> (block replicate function over (seeds, plan), aggregate). The wave
@@ -625,13 +583,14 @@ def _solve_trapezoid(lat: LatticeSpec,
 
 def plan_study(cfg: ExperimentConfig) -> StudyPlan:
     """The plan of a config that validate accepted."""
-    reads, geometry = STUDY_PLANS[cfg.kind]
-    points = reads(cfg)
-    if points is None:
-        return StudyPlan(cfg, None, None, None, None)
-    apexes = [cfg.lattice.apex(t, x) for t, x in points]
+    reads = READS[cfg.kind](cfg.params)
+    if cfg.on_heat_grid:
+        sites = [cfg.heat_grid.site_of(x) for _, _, x in reads]
+        return StudyPlan(cfg, None, None, packed_index(sites), None)
+    apexes = [cfg.lattice.apex(t, x) for _, t, x in reads]
     lat, words = _solve_trapezoid(cfg.lattice, apexes)
     levels, cols = np.array(apexes, dtype=np.int64).reshape(-1, 2).T
+    geometry = STUDY_PLANS[cfg.kind]
     return StudyPlan(cfg, lat, words, packed_index(point_index(lat, levels, cols)),
                      geometry(cfg, lat) if geometry else None)
 

@@ -198,6 +198,17 @@ HEAT = {"kind": "linearize", "sigma": "linear:1", "replicates": 4, "equation": "
     ("lil", LIL, [], "params.scales"),
     ("clt", dict(CLT, params=dict(CLT["params"], t=0)), [], "params.t"),
     ("mart", dict(CLT, kind="mart", params=dict(CLT["params"], t=0)), [], "params.t"),
+    # point errors carry the key that places the point
+    ("qv", dict(BASE, kind="qv-space",
+                params={"t": 1.0, "x_lo": -0.5, "x_hi": 1.5, "n_pieces": 2}), [],
+     "params.x_hi"),
+    ("clt", dict(CLT, params=dict(CLT["params"], t=0.875)), [], "params.scales"),
+    ("simulate", dict(BASE, kind="simulate", params={"probes": [[0.5, 2.5]]}), [],
+     "params.probes[0]"),
+    ("linearize", dict(HEAT, params=dict(HEAT["params"], lags=[0, 0.125])), [],
+     "params.lags"),
+    ("linearize", dict(HEAT, params=dict(HEAT["params"], lags=[0.125, 4.0])), [],
+     "params.lags"),
 ])
 def test_bad_input_exits_two_and_names_the_key(tmp_path, capsys, command, config, extra, key):
     path = tmp_path / "cfg.yaml"

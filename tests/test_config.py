@@ -200,7 +200,7 @@ def test_base_needs_exactly_the_estimator_reach(kind):
     narrow = shifted(2 * h)
     errors, _ = validate(narrow)
     assert len(errors) == 1
-    assert "too narrow" in errors[0] or "outside the simulated trapezoid" in errors[0]
+    assert "outside the simulated trapezoid" in errors[0]
     with pytest.raises(ConfigurationError):
         plan_study(narrow)
 
@@ -208,7 +208,8 @@ def test_base_needs_exactly_the_estimator_reach(kind):
 def test_piece_counts_wait_for_a_valid_apex():
     far = config_from_dict(qv_time_dict(params={"t": 1e6, "x": 0.0, "n_pieces": 4}))
     errors, notes = validate(far)
-    assert errors == ["(t, x)=(1000000.0, 0.0) lies outside the simulated trapezoid"]
+    assert errors == [
+        "params.t, params.x: (t, x)=(1000000.0, 0.0) lies outside the simulated trapezoid"]
     assert notes == []
 
 
@@ -282,7 +283,8 @@ def test_probe_grid_rules(kind):
     floor = "scales value {} must be an even multiple of h=0.0625, >= 0.125"
     assert floor.format(0.0) in errors(scales=[0.0])
     assert floor.format(0.0625) in errors(scales=[0.0625])
-    assert ("largest scale 0.125 at t=1.0 exceeds the horizon t_max=1.0"
+    # the read of (t + s, x) covers the horizon and the base width
+    assert ("params.scales: (t, x)=(1.125, 0.0) lies outside the simulated trapezoid"
             in errors(t=1.0, scales=[0.125]))
     assert ("params.t=0.0 must be >= h=0.0625: the estimators read the backward "
             "cone below t" in errors(t=0.0))
@@ -296,7 +298,7 @@ def test_temporal_alignment_rules():
             qv_time_dict(params={"t": t, "x": x, "n_pieces": 1})))[0]
 
     assert errors(1.0, 0.0625) == [
-        "(t, x)=(1.0, 0.0625) has odd parity (t/h + x/h must be even)"]
+        "params.t, params.x: (t, x)=(1.0, 0.0625) has odd parity (t/h + x/h must be even)"]
     assert errors(0.9375, 0.0625) == [
         "t=0.9375 must be a positive even multiple of h=0.0625"]
     assert errors(0.0, 0.0) == ["t=0.0 must be a positive even multiple of h=0.0625"]
@@ -310,12 +312,12 @@ def test_spatial_line_validation():
             "params": {"t": t, "x_lo": x_lo, "x_hi": x_hi, "n_pieces": 1}}))[0]
 
     assert errors(0.5, -1.0625, 1.0) == [
-        "(t, x)=(0.5, -1.0625) has odd parity (t/h + x/h must be even)"]
+        "params.t, params.x_lo: (t, x)=(0.5, -1.0625) has odd parity (t/h + x/h must be even)"]
     beyond = errors(1.25, -0.5, 0.5)
     assert beyond and all("outside the simulated trapezoid" in e for e in beyond)
     assert errors(1.0, -1.5, 1.5) == [
-        "(t, x)=(1.0, -1.5) lies outside the simulated trapezoid",
-        "(t, x)=(1.0, 1.5) lies outside the simulated trapezoid"]
+        "params.t, params.x_lo: (t, x)=(1.0, -1.5) lies outside the simulated trapezoid",
+        "params.t, params.x_hi: (t, x)=(1.0, 1.5) lies outside the simulated trapezoid"]
     assert errors(0.0, -0.5, 0.5) == [
         "params.t=0.0 must be >= h=0.0625: the estimators read the backward cone below t"]
     assert errors(0.5, 0.5, -0.5) == [
@@ -383,7 +385,20 @@ def test_linearize_rules():
     assert validate(config_from_dict(heat)) == ([], [])
     wrap = dict(heat, params=dict(heat["params"], lags=[0.125, 4.0]))
     errors, _ = validate(config_from_dict(wrap))
-    assert errors == ["largest lag wraps around the circle; enlarge circumference"]
+    assert errors == ["params.lags: largest lag wraps around the circle; enlarge circumference"]
+    # the wrap rule looks at the lag alone: x + lag may pass the circumference
+    edge = dict(heat, params=dict(heat["params"], x=3.875))
+    assert validate(config_from_dict(edge)) == ([], [])
+    behind = dict(heat, params=dict(heat["params"], x=-8.0, lags=[0.125, 5.0]))
+    errors, _ = validate(config_from_dict(behind))
+    assert errors == ["params.lags: largest lag wraps around the circle; enlarge circumference"]
+    backwards = dict(heat, params=dict(heat["params"], lags=[-0.125, 0.0, 0.25]))
+    errors, _ = validate(config_from_dict(backwards))
+    assert errors == ["params.lags value -0.125 must be positive",
+                      "params.lags value 0.0 must be positive"]
+    off_grid = dict(heat, params=dict(heat["params"], lags=[0.1, 0.25]))
+    errors, _ = validate(config_from_dict(off_grid))
+    assert errors == ["params.lags: x=0.1 is not a multiple of dx=0.125"]
 
 
 def test_simulate_rules():

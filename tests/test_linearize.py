@@ -21,6 +21,11 @@ def reads(t: float, x: float, lags) -> np.ndarray:
     return point_index(LAT, levels, cols)
 
 
+def sites(grid: HeatGridSpec, x: float, lags) -> np.ndarray:
+    """Grid sites of x, then of x + lag for each lag."""
+    return np.array([grid.site_of(x + lag) for lag in [0.0, *lags]])
+
+
 def small_heat_grid() -> HeatGridSpec:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConfigurationWarning)
@@ -43,7 +48,8 @@ def test_constant_sigma_heat_defect_vanishes():
     grid = small_heat_grid()
     fld = solve_heat(SigmaSpec("constant", (0.7,)), 11, grid)
     lin = solve_heat(CONSTANT_ONE, 11, grid)
-    for s in heat_defect_samples(fld, lin, grid.t_max, 0.25, [0.0625, 0.125]):
+    for s in heat_defect_samples(fld, lin, sites(grid, 0.25, [0.0625, 0.125]),
+                                 [0.0625, 0.125]):
         assert abs(s.defect) < 1e-12
 
 
@@ -96,13 +102,17 @@ def test_heat_coupling_is_enforced():
     [(fld, lin)] = solve_coupled_heat_linearization(MULTIPLICATIVE, [9], grid, grid.t_max)
     other = solve_heat(CONSTANT_ONE, 10, grid)
     with pytest.raises(PreconditionError, match="seeds differ"):
-        heat_defect_samples(fld, other, grid.t_max, 0.0, [0.0625])
+        heat_defect_samples(fld, other, sites(grid, 0.0, [0.0625]), [0.0625])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConfigurationWarning)
         grid2 = HeatGridSpec(dx=0.03125, t_max=0.015625, circumference=1.0)
     with pytest.raises(PreconditionError, match="different grids"):
         heat_defect_samples(fld, solve_heat(CONSTANT_ONE, 9, grid2),
-                            grid.t_max, 0.0, [0.0625])
+                            sites(grid, 0.0, [0.0625]), [0.0625])
+    [(_, early)] = solve_coupled_heat_linearization(MULTIPLICATIVE, [9], grid,
+                                                    grid.t_max / 2)
+    with pytest.raises(PreconditionError, match="different grids or steps"):
+        heat_defect_samples(fld, early, sites(grid, 0.0, [0.0625]), [0.0625])
     assert fld.seed == lin.seed
-    samples = heat_defect_samples(fld, lin, grid.t_max, 0.0, [0.0625])
+    samples = heat_defect_samples(fld, lin, sites(grid, 0.0, [0.0625]), [0.0625])
     assert samples[0].lag == 0.0625
