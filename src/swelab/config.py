@@ -400,12 +400,12 @@ def _check_height(lat: LatticeSpec, t: float, errors: list[str]) -> None:
                       "the backward cone below t")
 
 
-def _even_scales(lat: LatticeSpec, scales, errors: list[str], what: str) -> None:
+def _even_scales(lat: LatticeSpec, scales, errors: list[str], key: str) -> None:
     for s in scales:
         k = s / lat.h
         if abs(k - round(k)) > 1e-9 or round(k) % 2 != 0 or round(k) < 2:
             errors.append(
-                f"{what} value {s} must be an even multiple of h={lat.h}, >= {2 * lat.h}"
+                f"{key} value {s} must be an even multiple of h={lat.h}, >= {2 * lat.h}"
             )
 
 
@@ -418,6 +418,7 @@ def _piece_counts(cfg: ExperimentConfig, p: dict, errors, notes) -> list[int] | 
         _check_height(lat, t, errors)
     if not _check_reads(cfg, errors):
         return None
+    key = "params.t" if temporal else "params.x_lo, params.x_hi"
     try:
         if temporal:
             good = admissible_temporal_pieces(t, lat.h)
@@ -426,7 +427,7 @@ def _piece_counts(cfg: ExperimentConfig, p: dict, errors, notes) -> list[int] | 
             good = admissible_spatial_pieces(p["x_lo"], p["x_hi"], lat.h)
             where = f"spatial piece counts on [{p['x_lo']}, {p['x_hi']}]"
     except AlignmentError as exc:
-        errors.append(str(exc))
+        errors.append(f"{key}: {exc}")
         return None
     notes.append(f"admissible {where}: {good}")
     return good
@@ -440,7 +441,7 @@ def _check_simulate(cfg, p, errors, notes):
         lags = block["lags"]
         if len(lags) < 4:
             notes.append(f"{key}: fitted slopes need >= 4 points, got {len(lags)}")
-        _even_scales(cfg.lattice, lags, errors, key)
+        _even_scales(cfg.lattice, lags, errors, f"params.{key}.lags")
     _check_reads(cfg, errors)
 
 
@@ -448,7 +449,7 @@ def _check_qv(cfg, p, errors, notes):
     good = _piece_counts(cfg, p, errors, notes)
     if good is not None and p["n_pieces"] not in good:
         errors.append(
-            f"n_pieces={p['n_pieces']} is not admissible; choose one of {good}"
+            f"params.n_pieces value {p['n_pieces']} is not admissible; choose one of {good}"
         )
 
 
@@ -456,12 +457,12 @@ def _check_probe_grid(cfg, p, errors, notes, *, cap_to_eighth: bool):
     lat = cfg.lattice
     t, scales = p["t"], p["scales"]
     _check_height(lat, t, errors)
-    _even_scales(lat, scales, errors, "scales")
+    _even_scales(lat, scales, errors, "params.scales")
     _check_reads(cfg, errors)
     if cap_to_eighth:
         for s in scales:
             if s > t / 8.0 + 1e-12:
-                errors.append(f"scale {s} exceeds t/8 = {t / 8}")
+                errors.append(f"params.scales value {s} exceeds t/8 = {t / 8}")
             if s > 0.0 and math.log(1.0 / s) <= 1.0:
                 errors.append(
                     f"params.scales value {s} is too coarse for an iterated-logarithm "
@@ -516,7 +517,7 @@ def _check_linearize(cfg, p, errors, notes):
             errors.append("params.lags: largest lag wraps around the circle; "
                           "enlarge circumference")
     else:
-        _even_scales(cfg.lattice, lags, errors, "lags")
+        _even_scales(cfg.lattice, lags, errors, "params.lags")
     _check_reads(cfg, errors)
 
 
@@ -535,7 +536,7 @@ def _check_ladder(cfg, p, errors, notes):
         return
     bad = [n for n in counts if n not in good]
     if bad:
-        errors.append(f"inadmissible counts {bad}; choose from {good}")
+        errors.append(f"params.counts values {bad} are not admissible; choose from {good}")
 
 
 _KIND_CHECKS = {

@@ -114,7 +114,7 @@ def conditional_variance(field: WaveField, probe: ProbeGeometry) -> float:
     Trapezoid quadrature over every column of the trace; for sigma == 1 this is
     the exact base length 2t.
     """
-    return _trace_integral(field.sigma(field.flat[probe.trace]), probe.y)
+    return _trace_integral(field.sigma(field.values[probe.trace]), probe.y)
 
 
 def _trace_integral(sv: np.ndarray, y: np.ndarray) -> float:
@@ -123,7 +123,7 @@ def _trace_integral(sv: np.ndarray, y: np.ndarray) -> float:
 
 def _increments(field: WaveField, probe: ProbeGeometry) -> list[float]:
     """u(t + scale, x) - u(t, x) at every scale."""
-    u = field.flat
+    u = field.values
     return (u[probe.tops] - u[probe.base]).tolist()
 
 
@@ -140,7 +140,7 @@ def increment_sample(field: WaveField, probe: ProbeGeometry, k: int,
     several scales passes the conditional variance as `vhat`.
     """
     scale = probe.scales[k]
-    inc = float(field.flat[probe.tops[k]]) - float(field.flat[probe.base])
+    inc = float(field.values[probe.tops[k]]) - float(field.values[probe.base])
     if vhat is None:
         vhat = conditional_variance(field, probe)
     if standardization == "shell":
@@ -170,7 +170,7 @@ def martingale_decomposition(field: WaveField, noise: NoiseRealization,
     column.  The remainder is the rest of the increment; it carries one power of
     scale more than the martingale part.  The probe must carry its shells.
     """
-    sv = field.sigma(field.flat[probe.trace])
+    sv = field.sigma(field.values[probe.trace])
     incs = _increments(field, probe)
     ms = [float(np.sum(sv[cols] * noise.flat[cells])) for cells, cols in probe.shells]
     return MartingaleProbe(

@@ -113,15 +113,6 @@ class HeatField:
     step: int
     values: np.ndarray = field(repr=False)  # (n_sites,) at `step`
 
-    def at(self, t: float, x: float) -> float:
-        n = self.grid.step_of(t)
-        if n != self.step:
-            raise DomainError(
-                f"t={t} is step {n}, but this field kept only step {self.step} "
-                f"(t={self.step * self.grid.dt})"
-            )
-        return float(self.values[self.grid.site_of(x)])
-
 
 def _normals(seeds: Sequence[int], grid: HeatGridSpec, start: int, stop: int) -> np.ndarray:
     """Unit normals of steps [start, stop) for each seed, shape (steps, seeds, sites).

@@ -33,10 +33,10 @@ class DefectSample:
     defect: float
 
 
-def _defect_samples(field, linear, u: np.ndarray, lin: np.ndarray,
+def _defect_samples(field, linear, points: np.ndarray,
                     lags: Sequence[float]) -> list[DefectSample]:
-    """The defect at each lag from the values read at the base point (first)
-    and at each lagged point, on a coupled pair of fields."""
+    """The defect at each lag from the values at the base point (first) and at
+    each lagged point, on a coupled pair of fields."""
     if field.seed != linear.seed:
         raise PreconditionError(
             f"seeds differ ({field.seed} vs {linear.seed}); increments are not "
@@ -47,8 +47,8 @@ def _defect_samples(field, linear, u: np.ndarray, lin: np.ndarray,
             f"the comparison field must be solved with constant coefficient 1, "
             f"got {linear.sigma.label()}"
         )
-    base_u, *us = u.tolist()
-    base_l, *ls = lin.tolist()
+    base_u, *us = field.values[points].tolist()
+    base_l, *ls = linear.values[points].tolist()
     frozen = field.sigma.scalar(base_u)
     out = []
     for lag, u_lag, l_lag in zip(lags, us, ls):
@@ -66,7 +66,7 @@ def wave_defect_samples(field: WaveField, linear: WaveField, points: np.ndarray,
     (t, x + lag) for each lag in turn."""
     if field.lattice != linear.lattice:
         raise PreconditionError("fields live on different lattices; not coupled")
-    return _defect_samples(field, linear, field.flat[points], linear.flat[points], lags)
+    return _defect_samples(field, linear, points, lags)
 
 
 def heat_defect_samples(field: HeatField, linear: HeatField, points: np.ndarray,
@@ -75,5 +75,4 @@ def heat_defect_samples(field: HeatField, linear: HeatField, points: np.ndarray,
     then that of x + lag for each lag in turn."""
     if field.grid != linear.grid or field.step != linear.step:
         raise PreconditionError("fields live on different grids or steps; not coupled")
-    return _defect_samples(field, linear, field.values[points], linear.values[points],
-                           lags)
+    return _defect_samples(field, linear, points, lags)

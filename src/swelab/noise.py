@@ -5,9 +5,13 @@ stream keyed by (seed, stream tag), mapped through the inverse normal CDF and
 scaled by sqrt(cell area).  Random access is O(1) and evaluation order is irrelevant,
 so a study can draw only the cells of a smaller solve trapezoid: each keeps the
 word, and with it the value, it has in the configured lattice.
+
+A study draws a whole block of seeds into one array (NoiseBlock), one row per
+seed, laid out for the solver to overwrite in place (see wave.solve_wave).
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,6 +20,8 @@ from scipy.special import ndtri
 
 from .errors import ConfigurationError
 from .lattice import LatticeSpec
+
+INITIAL_LEVEL = 1.0  # flat initial profile; also the value of u(0, y) for every y
 
 WAVE_STREAM_TAG = 0x57415645  # wave-equation cell stream
 HEAT_STREAM_TAG = 0x48454154  # rectangular-grid stream for the parabolic solver
@@ -43,10 +49,13 @@ def stream_words(seed: int, tag: int, start: int, count: int) -> np.ndarray:
     return raw[off:]
 
 
-def words_to_unit_normals(words: np.ndarray) -> np.ndarray:
-    """Map 64-bit words to standard normals via the open-(0,1) inverse CDF."""
-    u = (words >> _SHIFT).astype(np.float64) * _SCALE + _HALF_ULP
-    return ndtri(u)
+def words_to_unit_normals(words: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Map 64-bit words to standard normals via the open-(0,1) inverse CDF,
+    written into `out` when it is given."""
+    u = (words >> _SHIFT).astype(np.float64)
+    u *= _SCALE
+    u += _HALF_ULP
+    return ndtri(u, out=u if out is None else out)
 
 
 def _check_seed(seed: int) -> int:
@@ -59,7 +68,7 @@ def _check_seed(seed: int) -> int:
 
 @dataclass(frozen=True)
 class NoiseRealization:
-    """The cell increments of one lattice under one seed; read-only after construction.
+    """The cell increments of one lattice under one seed.
 
     `flat` holds the increments of `lattice`'s cells level by level, columns
     ascending; `row(level)` is one level.  The lattice is either the configured
@@ -80,28 +89,68 @@ class NoiseRealization:
         return tuple(self.row(n) for n in range(self.lattice.n_levels))
 
 
-def make_noise(seed: int, lattice: LatticeSpec,
-               words: np.ndarray | None = None) -> NoiseRealization:
-    """The realization of `lattice` under `seed`.
+@dataclass(frozen=True)
+class NoiseBlock:
+    """The realizations of one lattice under each seed of a block, in one array.
+
+    Row b belongs to seeds[b]: column 0 holds INITIAL_LEVEL and cell g's
+    increment sits in column 1 + g, so that solve_wave can overwrite the row
+    with the field in place.  Indexing gives one seed's NoiseRealization, a
+    view of its row.
+    """
+
+    lattice: LatticeSpec
+    seeds: tuple[int, ...]
+    rows: np.ndarray = field(repr=False)  # (len(seeds), 1 + total_cells)
+
+    def __len__(self) -> int:
+        return len(self.seeds)
+
+    def __getitem__(self, b: int) -> NoiseRealization:
+        return NoiseRealization(self.lattice, self.seeds[b], self.rows[b, 1:])
+
+    def copy(self) -> NoiseBlock:
+        return NoiseBlock(self.lattice, self.seeds, self.rows.copy())
+
+
+def make_noise(seeds: int | Sequence[int], lattice: LatticeSpec,
+               words: np.ndarray | None = None) -> NoiseRealization | NoiseBlock:
+    """The realizations of `lattice` under a block of seeds, as a NoiseBlock;
+    one seed alone gives its read-only NoiseRealization.
 
     Without `words` cell g is word g.  With `words`, the Philox word of each
-    cell in the configured lattice, one stream span [first, last] is drawn and
-    the cells gathered from it, so every cell has its configured value.
+    cell in the configured lattice, one stream span [first, last] is drawn per
+    seed and the cells gathered from it, so every cell has its configured value.
     """
-    seed = _check_seed(seed)
-    if words is None:
-        words = stream_words(seed, WAVE_STREAM_TAG, 0, lattice.total_cells)
-    else:
+    if np.ndim(seeds) == 0:
+        seed = _check_seed(seeds)
+        flat = _draw([seed], lattice, words)[0, 1:]
+        flat.flags.writeable = False
+        return NoiseRealization(lattice, seed, flat)
+    seeds = tuple(_check_seed(seed) for seed in seeds)
+    return NoiseBlock(lattice, seeds, _draw(seeds, lattice, words))
+
+
+def _draw(seeds: Sequence[int], lattice: LatticeSpec,
+          words: np.ndarray | None) -> np.ndarray:
+    """NoiseBlock.rows of the seeds: each seed's normals are written straight
+    into its row, then every row is scaled by sqrt(cell area) at once."""
+    total = lattice.total_cells
+    rows = np.empty((len(seeds), 1 + total))
+    rows[:, 0] = INITIAL_LEVEL
+    first, count, gather = 0, total, None
+    if words is not None:
         first = int(words[0])
-        span = stream_words(seed, WAVE_STREAM_TAG, first, int(words[-1]) - first + 1)
-        words = span[words - first]
-    flat = words_to_unit_normals(words)
+        count = int(words[-1]) - first + 1
+        gather = words - first
+    for row, seed in zip(rows, seeds):
+        span = stream_words(seed, WAVE_STREAM_TAG, first, count)
+        words_to_unit_normals(span if gather is None else span[gather], out=row[1:])
     h = lattice.h
-    starts = lattice.cell_row_starts
-    flat[:starts[1]] *= h  # base triangles, area h^2
-    flat[starts[1]:] *= h * np.sqrt(2.0)  # diamonds, area 2 h^2
-    flat.flags.writeable = False
-    return NoiseRealization(lattice, seed, flat)
+    split = 1 + lattice.cells_at(0)
+    rows[:, 1:split] *= h  # base triangles, area h^2
+    rows[:, split:] *= h * np.sqrt(2.0)  # diamonds, area 2 h^2
+    return rows
 
 
 def cell_index(lat: LatticeSpec, levels: np.ndarray, cols: np.ndarray) -> np.ndarray:

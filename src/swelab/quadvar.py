@@ -97,7 +97,7 @@ def admissible_spatial_pieces(x_lo: float, x_hi: float, h: float) -> list[int]:
 
 # -- geometry, built once per config ------------------------------------------
 #
-# Field offsets index WaveField.flat, noise offsets NoiseRealization.flat; every
+# Field offsets index WaveField.values, noise offsets NoiseRealization.flat; every
 # array is read-only and stored in the smallest index dtype.
 
 
@@ -234,7 +234,7 @@ def spatial_geometry(lat: LatticeSpec, t: float, x_lo: float, x_hi: float,
 
 def increments(field: WaveField, line: np.ndarray) -> np.ndarray:
     """Field increments between consecutive points of a partition line."""
-    return np.diff(field.flat[line])
+    return np.diff(field.values[line])
 
 
 # -- temporal line -------------------------------------------------------------
@@ -253,7 +253,7 @@ def temporal_qv_limit(field: WaveField, cone: ConeGeometry) -> float:
     one weight per field point of the cone.  The ladder's `cone_integral` is an
     independent quadrature of the same integral (a sum over the cone's cells).
     """
-    sv = field.sigma(field.flat[cone.limit_points])
+    sv = field.sigma(field.values[cone.limit_points])
     return float(np.sum(sv * sv * cone.limit_weights))
 
 
@@ -268,7 +268,7 @@ def temporal_qv_ladder(field: WaveField, noise: NoiseRealization,
                        cone: ConeGeometry) -> list[QvDecomposition]:
     """Decompositions for every rung of the cone, sharing one gather of its cells."""
     sig = field.sigma
-    u = field.flat
+    u = field.values
     xi = noise.flat[cone.noise]
     cone_integral = _area_sum(sig(u[cone.base]), cone)
     out = []
@@ -310,8 +310,8 @@ def spatial_qv_limit(field: WaveField, line: SpatialGeometry) -> float:
     level; the apex integrals are then integrated over x.
     """
     sig = field.sigma
-    left = sig(field.flat[line.left])
-    right = sig(field.flat[line.right])
+    left = sig(field.values[line.left])
+    right = sig(field.values[line.right])
     inner = np.trapezoid(left * left + right * right, line.ss, axis=1)
     return float(np.trapezoid(inner, line.xs))
 
@@ -323,5 +323,5 @@ def naive_qv_prediction(field: WaveField, line: SpatialGeometry) -> float:
     time-slice behaved like a memoryless diffusion profile; it overshoots the
     true characteristic-route limit whenever sigma(u) fluctuates.
     """
-    sv = field.sigma(field.flat[line.apexes])
+    sv = field.sigma(field.values[line.apexes])
     return float(2.0 * line.t * np.trapezoid(sv * sv, line.xs))

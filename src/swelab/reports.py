@@ -190,8 +190,13 @@ def _read_grid(path: str | Path, magic: bytes):
 
 
 def write_wave_snapshot(path: str | Path, field: WaveField) -> None:
+    """The field as an (n_levels + 1, width(0)) grid, level n in row n and NaN
+    beyond its width."""
     lat = field.lattice
-    _write_grid(path, _WAVE_MAGIC, lat.h, lat.t_max, lat.x_lo, lat.x_hi, field.values)
+    grid = np.full((lat.n_levels + 1, lat.width(0)), np.nan)
+    for n, row in enumerate(grid):
+        row[:lat.width(n)] = field.level(n)
+    _write_grid(path, _WAVE_MAGIC, lat.h, lat.t_max, lat.x_lo, lat.x_hi, grid)
 
 
 def read_wave_snapshot(path: str | Path) -> tuple[LatticeSpec, np.ndarray]:

@@ -9,7 +9,8 @@ configured lattice, so every value read is the one the configured lattice
 gives. The estimators' geometry (STUDY_PLANS) is built against the solve
 trapezoid; a heat study's plan holds only the grid sites it reads. The
 kind's replicate function (STUDY_RUNNERS) then runs each block of seeds
-against that plan through the shared scheduler. The runner aggregates with
+against that plan through the shared scheduler, drawing and solving the
+whole block as one array. The runner aggregates with
 the package's own moment and slope kernels, evaluates the config-declared
 thresholds, and (when out_dir is set) writes replicate CSV, per-scale series
 CSV, and a JSON summary. Aggregation always happens in the parent in replicate
@@ -40,7 +41,7 @@ from .fluctuations import (
 from .heat import solve_coupled_heat_linearization
 from .lattice import LatticeSpec, packed_index, spatial_shell_area
 from .linearize import heat_defect_samples, wave_defect_samples
-from .noise import make_noise, render_grid
+from .noise import NoiseRealization, make_noise, render_grid
 from .quadvar import (
     naive_qv_prediction,
     spatial_geometry,
@@ -62,7 +63,7 @@ from .reports import (
     write_wave_snapshot,
 )
 from .stats import ks_critical_value, ks_distance, loglog_slope, quantiles, summarize
-from .wave import point_index, solve_coupled_linearization, solve_wave
+from .wave import WaveField, point_index, solve_coupled_linearization, solve_wave
 
 __all__ = ["StudyOutput", "StudyPlan", "plan_study", "run_study", "STUDY_PLANS",
            "STUDY_RUNNERS"]
@@ -113,18 +114,13 @@ def _maybe_slope(stats: dict, prefix: str, xs, ys) -> None:
     stats[prefix + "_se"] = fit.slope_std_error
 
 
-def _wave_inputs(seed: int, plan: StudyPlan):
-    noise = make_noise(seed, plan.lattice, plan.words)
-    return noise, solve_wave(plan.cfg.sigma, noise)
-
-
 # -- simulate ------------------------------------------------------------------
 
 
-def _rep_simulate(seed: int, plan: StudyPlan) -> dict[str, float]:
-    _, f = _wave_inputs(seed, plan)
+def _rep_simulate(f: WaveField, noise: NoiseRealization | None,
+                  plan: StudyPlan) -> dict[str, float]:
     p = plan.cfg.params
-    u = f.flat[plan.points].tolist()
+    u = f.values[plan.points].tolist()
     out: dict[str, float] = {}
     k = len(p["probes"])
     for i in range(k):
@@ -174,11 +170,11 @@ def _plan_qv_time(cfg: ExperimentConfig, lat: LatticeSpec):
     return temporal_geometry(lat, p["t"], p["x"], [p["n_pieces"]])
 
 
-def _rep_qv_time(seed: int, plan: StudyPlan) -> dict[str, float]:
-    noise, f = _wave_inputs(seed, plan)
+def _rep_qv_time(f: WaveField, noise: NoiseRealization,
+                 plan: StudyPlan) -> dict[str, float]:
     dec = temporal_qv_decomposition(f, noise, plan.geometry)
     lim = temporal_qv_limit(f, plan.geometry)
-    u = float(f.flat[plan.points[0]])
+    u = float(f.values[plan.points[0]])
     return {
         "u_at": u,
         "u_sq": u * u,
@@ -217,8 +213,8 @@ def _plan_qv_space(cfg: ExperimentConfig, lat: LatticeSpec):
     return spatial_geometry(lat, p["t"], p["x_lo"], p["x_hi"], [p["n_pieces"]])
 
 
-def _rep_qv_space(seed: int, plan: StudyPlan) -> dict[str, float]:
-    _, f = _wave_inputs(seed, plan)
+def _rep_qv_space(f: WaveField, noise: NoiseRealization | None,
+                  plan: StudyPlan) -> dict[str, float]:
     line = plan.geometry
     v = spatial_qv(f, line.lines[0])
     lim = spatial_qv_limit(f, line)
@@ -263,8 +259,8 @@ def _plan_ladder(cfg: ExperimentConfig, lat: LatticeSpec):
     return spatial_geometry(lat, p["t"], p["x_lo"], p["x_hi"], counts)
 
 
-def _rep_ladder(seed: int, plan: StudyPlan) -> dict[str, float]:
-    noise, f = _wave_inputs(seed, plan)
+def _rep_ladder(f: WaveField, noise: NoiseRealization | None,
+                plan: StudyPlan) -> dict[str, float]:
     g = plan.geometry
     if plan.cfg.params["axis"] == "time":
         out = {"limit": temporal_qv_limit(f, g)}
@@ -354,8 +350,8 @@ def _plan_probes(cfg: ExperimentConfig, lat: LatticeSpec, descending: bool = Fal
     return probe_geometry(lat, p["t"], p["x"], scales, shells=shells)
 
 
-def _rep_clt(seed: int, plan: StudyPlan) -> dict[str, float]:
-    _, f = _wave_inputs(seed, plan)
+def _rep_clt(f: WaveField, noise: NoiseRealization | None,
+             plan: StudyPlan) -> dict[str, float]:
     probe = plan.geometry
     std = plan.cfg.params["standardization"]
     vhat = conditional_variance(f, probe)
@@ -390,8 +386,8 @@ def _agg_clt(cfg: ExperimentConfig, ens: EnsembleResult):
 # -- iterated-logarithm probe --------------------------------------------------
 
 
-def _rep_lil(seed: int, plan: StudyPlan) -> dict[str, float]:
-    _, f = _wave_inputs(seed, plan)
+def _rep_lil(f: WaveField, noise: NoiseRealization | None,
+             plan: StudyPlan) -> dict[str, float]:
     norms = lil_statistic(f, plan.geometry)
     out = {"stat": max(norms)}
     out.update((f"norm_{i}", v) for i, v in enumerate(norms))
@@ -412,8 +408,8 @@ def _agg_lil(cfg: ExperimentConfig, ens: EnsembleResult):
 # -- martingale split ----------------------------------------------------------
 
 
-def _rep_mart(seed: int, plan: StudyPlan) -> dict[str, float]:
-    noise, f = _wave_inputs(seed, plan)
+def _rep_mart(f: WaveField, noise: NoiseRealization,
+              plan: StudyPlan) -> dict[str, float]:
     probe = martingale_decomposition(f, noise, plan.geometry)
     out = {"vhat": probe.variance_hat}
     for i in range(len(probe.scales)):
@@ -464,9 +460,9 @@ def _rep_linearize(seeds: list[int], plan: StudyPlan) -> list[dict[str, float]]:
                                                  cfg.params["t"])
         defect_samples = heat_defect_samples
     else:
-        pairs = (solve_coupled_linearization(cfg.sigma,
-                                             make_noise(seed, plan.lattice, plan.words))
-                 for seed in seeds)
+        # the whole block solves at once; the sigma == 1 fields on a copy
+        pairs = zip(*solve_coupled_linearization(
+            cfg.sigma, make_noise(seeds, plan.lattice, plan.words)))
         defect_samples = wave_defect_samples
     lags = sorted(cfg.params["lags"])
     rows = []
@@ -508,8 +504,19 @@ def _agg_linearize(cfg: ExperimentConfig, ens: EnsembleResult):
 # -- dispatch ------------------------------------------------------------------
 
 
+def _reads_noise(cfg: ExperimentConfig) -> bool:
+    """Whether the kind's estimators read the increments after the solve."""
+    return cfg.kind in ("qv-time", "mart") or (cfg.kind == "ladder"
+                                               and cfg.params["axis"] == "time")
+
+
 def _each_seed(rep, seeds: list[int], plan: StudyPlan) -> list[dict[str, float]]:
-    return [rep(seed, plan) for seed in seeds]
+    """Draw and solve the block's fields at once, in place over their noise,
+    then run the per-seed estimators rep(field, noise or None, plan); a copy
+    of the increments is kept only for the kinds that read them."""
+    noise = make_noise(seeds, plan.lattice, plan.words)
+    kept = noise.copy() if _reads_noise(plan.cfg) else [None] * len(seeds)
+    return [rep(f, xi, plan) for f, xi in zip(solve_wave(plan.cfg.sigma, noise), kept)]
 
 
 # kind -> (config, solve trapezoid) -> the geometry its estimators read, or
@@ -525,8 +532,9 @@ STUDY_PLANS = {
     "linearize": None,
 }
 
-# kind -> (block replicate function over (seeds, plan), aggregate). The wave
-# kinds gain nothing from a block and run their per-seed replicate once per seed.
+# kind -> (block replicate function over (seeds, plan), aggregate). Every kind
+# draws and solves a whole block at once; the wave kinds but linearize then run
+# their per-seed estimators once per seed.
 STUDY_RUNNERS = {
     "simulate": (partial(_each_seed, _rep_simulate), _agg_simulate),
     "qv-time": (partial(_each_seed, _rep_qv_time), _agg_qv_time),

@@ -158,23 +158,23 @@ def enum_side_shell_area(n0: int, d: int, h: float) -> float:
 
 # -- cone estimators by per-column and per-cell loops -------------------------
 #
-# `values` is a solved field's padded array: values[n, j] = u(n h, (col_lo + n
-# + 2 j) h), and u(0, .) = 1 everywhere.  `rows[n][k]` is the noise of the k-th
-# cell of level n, counted from column col_lo + n + 1.  `sigma` maps an array
-# of field values to sigma(u).
+# `field` is a solved field: field.level(n)[j] = u(n h, (col_lo + n + 2 j) h),
+# and u(0, .) = 1 everywhere.  `noise.rows[n][k]` is the noise of the k-th cell
+# of level n, counted from column col_lo + n + 1.  `sigma` maps an array of
+# field values to sigma(u).
 
 
-def _u(values, col_lo: int, level: int, col: int) -> float:
+def _u(field, level: int, col: int) -> float:
     if level <= 0:
         return 1.0
-    return float(values[level, (col - col_lo - level) // 2])
+    return float(field.level(level)[(col - field.lattice.col_lo - level) // 2])
 
 
-def _xi(rows, col_lo: int, level: int, col: int) -> float:
-    return float(rows[level][(col - col_lo - level - 1) // 2])
+def _xi(noise, level: int, col: int) -> float:
+    return float(noise.rows[level][(col - noise.lattice.col_lo - level - 1) // 2])
 
 
-def cone_limit_columns(values, col_lo: int, sigma, n0: int, m0: int, h: float) -> float:
+def cone_limit_columns(field, sigma, n0: int, m0: int, h: float) -> float:
     """Columns quadrature of the cone integral of sigma(u)^2 at apex (n0, m0).
 
     Each column is integrated by the trapezoid rule in time over the points
@@ -194,13 +194,13 @@ def cone_limit_columns(values, col_lo: int, sigma, n0: int, m0: int, h: float) -
         else:
             ls = [0] + list(range(1, lmax + 1, 2))
             s = [0.0] + [l * h for l in ls[1:]]
-        sv = sigma(np.array([_u(values, col_lo, l, int(c)) for l in ls]))
+        sv = sigma(np.array([_u(field, l, int(c)) for l in ls]))
         g[i] = np.trapezoid(sv * sv, np.array(s))
     return float(np.trapezoid(g, cols * h))
 
 
-def cone_decomposition(values, col_lo: int, rows, sigma, n0: int, m0: int,
-                       h: float, n_pieces: int) -> dict:
+def cone_decomposition(field, noise, sigma, n0: int, m0: int, h: float,
+                       n_pieces: int) -> dict:
     """The four temporal estimators of one rung, from the raw cone enumeration.
 
     Cells are taken level by level, columns ascending; a cell at distance dm
@@ -212,13 +212,13 @@ def cone_decomposition(values, col_lo: int, rows, sigma, n0: int, m0: int,
     levels = np.array([n for n, _, _ in cells])
     cols = np.array([c for _, c, _ in cells])
     areas = np.where(levels == 0, h * h, 2.0 * h * h)
-    xi = np.array([_xi(rows, col_lo, n, c) for n, c, _ in cells])
+    xi = np.array([_xi(noise, n, c) for n, c, _ in cells])
     bucket = (levels + np.abs(cols - m0)) // step
-    w = sigma(np.array([_u(values, col_lo, int(b) * step - abs(c - m0), c)
+    w = sigma(np.array([_u(field, int(b) * step - abs(c - m0), c)
                         for b, (_, c, _) in zip(bucket, cells)]))
     shell_sums = np.bincount(bucket, weights=w * xi, minlength=n_pieces)
-    wd = sigma(np.array([_u(values, col_lo, n - 1, c) for n, c, _ in cells]))
-    line = np.array([_u(values, col_lo, k * step, m0) for k in range(n_pieces + 1)])
+    wd = sigma(np.array([_u(field, n - 1, c) for n, c, _ in cells]))
+    line = np.array([_u(field, k * step, m0) for k in range(n_pieces + 1)])
     inc = np.diff(line)
     return {
         "n_pieces": n_pieces,
@@ -229,8 +229,7 @@ def cone_decomposition(values, col_lo: int, rows, sigma, n0: int, m0: int,
     }
 
 
-def truncated_shell_martingale(values, col_lo: int, rows, sigma, n0: int, m0: int,
-                               j: int) -> float:
+def truncated_shell_martingale(field, noise, sigma, n0: int, m0: int, j: int) -> float:
     """Noise of the shell between the cones of levels n0 and n0 + j at column
     m0, truncated to |col - m0| <= n0 - 1, each cell weighted by sigma(u) where
     the cone boundary of (n0, m0) crosses its column; one dot per level run."""
@@ -243,8 +242,8 @@ def truncated_shell_martingale(values, col_lo: int, rows, sigma, n0: int, m0: in
                    and n0 <= n + abs(c - m0) <= n0 + j - 1]
             if not run:
                 continue
-            w = sigma(np.array([_u(values, col_lo, n0 - abs(c - m0), c) for c in run]))
-            total += float(np.dot(w, [_xi(rows, col_lo, n, c) for c in run]))
+            w = sigma(np.array([_u(field, n0 - abs(c - m0), c) for c in run]))
+            total += float(np.dot(w, [_xi(noise, n, c) for c in run]))
     return total
 
 
@@ -282,6 +281,14 @@ def heat_field_from_kernel(dx: float, dt: float, n_sites: int, n_steps: int,
         acc = (1.0 - 2.0 * r) * acc + r * (np.roll(acc, 1) + np.roll(acc, -1))
         acc += c * math.sqrt(dt / dx) * z[k]
     return 1.0 + acc
+
+
+def heat_at(field, t: float, x: float) -> float:
+    """A heat field's value at (t, x), which must be the one step it kept."""
+    n = field.grid.step_of(t)
+    if n != field.step:
+        raise LookupError(f"t={t} is step {n}, but the field kept only step {field.step}")
+    return float(field.values[field.grid.site_of(x)])
 
 
 def heat_march(sigma, dx: float, dt: float, n_steps: int, z: np.ndarray) -> np.ndarray:

@@ -209,6 +209,25 @@ HEAT = {"kind": "linearize", "sigma": "linear:1", "replicates": 4, "equation": "
      "params.lags"),
     ("linearize", dict(HEAT, params=dict(HEAT["params"], lags=[0.125, 4.0])), [],
      "params.lags"),
+    # rules on scales, lags and piece counts name their key too
+    ("clt", dict(CLT, params=dict(CLT["params"], scales=[0.0, 0.125])), [], "params.scales"),
+    ("linearize", dict(BASE, kind="linearize",
+                       params={"t": 0.5, "x": 0.0, "lags": [-0.125, 0.125]}), [],
+     "params.lags"),
+    ("simulate", dict(BASE, kind="simulate", params={
+        "temporal_lags": {"t": 0.25, "x": 0.0, "lags": [0.0, 0.125]}}), [],
+     "params.temporal_lags.lags"),
+    ("simulate", dict(BASE, kind="simulate", params={
+        "spatial_lags": {"t": 0.25, "x": 0.0, "lags": [0.0, 0.125]}}), [],
+     "params.spatial_lags.lags"),
+    ("lil", dict(BASE, kind="lil", params={"t": 0.5, "x": 0.0, "scales": [0.125]}), [],
+     "params.scales"),
+    ("qv", dict(BASE, params={"t": 0.9375, "x": 0.0625, "n_pieces": 1}), [], "params.t"),
+    ("qv", dict(BASE, kind="qv-space",
+                params={"t": 0.5, "x_lo": 0.5, "x_hi": -0.5, "n_pieces": 1}), [],
+     "params.x_lo, params.x_hi"),
+    ("qv", dict(BASE, params={"t": 1.0, "x": 0.0, "n_pieces": 3}), [], "params.n_pieces"),
+    ("qv", dict(LADDER, params=dict(LADDER["params"], counts=[1, 3])), [], "params.counts"),
 ])
 def test_bad_input_exits_two_and_names_the_key(tmp_path, capsys, command, config, extra, key):
     path = tmp_path / "cfg.yaml"

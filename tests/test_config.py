@@ -160,7 +160,7 @@ def test_qv_time_admissibility():
     assert notes == ["admissible temporal piece counts at t=0.5, h=0.0625: [1, 2, 4]"]
     cfg = config_from_dict(qv_time_dict(params={"t": 0.5, "x": 0.0, "n_pieces": 3}))
     errors, _ = validate(cfg)
-    assert errors == ["n_pieces=3 is not admissible; choose one of [1, 2, 4]"]
+    assert errors == ["params.n_pieces value 3 is not admissible; choose one of [1, 2, 4]"]
     cfg = config_from_dict(qv_time_dict(params={"t": 0.5, "x": 0.03, "n_pieces": 4}))
     errors, _ = validate(cfg)
     assert len(errors) == 1 and "not an integer multiple" in errors[0]
@@ -248,7 +248,7 @@ def test_lil_rules():
                      "halvings below t/8; got 3 scales"]
     over = dict(base, params=dict(base["params"], scales=[2 ** -3]))
     errors, _ = validate(config_from_dict(over))
-    assert "exceeds t/8 = 0.0625" in " ".join(errors)
+    assert "params.scales value 0.125 exceeds t/8 = 0.0625" in errors
     odd = dict(base, params=dict(base["params"], scales=[3 * 2 ** -7]))
     errors, _ = validate(config_from_dict(odd))
     assert any("even multiple" in e for e in errors)
@@ -280,7 +280,7 @@ def test_probe_grid_rules(kind):
 
     if kind != "lil":  # on this lattice every lil grid breaks the t/8 cap
         assert errors() == []
-    floor = "scales value {} must be an even multiple of h=0.0625, >= 0.125"
+    floor = "params.scales value {} must be an even multiple of h=0.0625, >= 0.125"
     assert floor.format(0.0) in errors(scales=[0.0])
     assert floor.format(0.0625) in errors(scales=[0.0625])
     # the read of (t + s, x) covers the horizon and the base width
@@ -300,8 +300,8 @@ def test_temporal_alignment_rules():
     assert errors(1.0, 0.0625) == [
         "params.t, params.x: (t, x)=(1.0, 0.0625) has odd parity (t/h + x/h must be even)"]
     assert errors(0.9375, 0.0625) == [
-        "t=0.9375 must be a positive even multiple of h=0.0625"]
-    assert errors(0.0, 0.0) == ["t=0.0 must be a positive even multiple of h=0.0625"]
+        "params.t: t=0.9375 must be a positive even multiple of h=0.0625"]
+    assert errors(0.0, 0.0) == ["params.t: t=0.0 must be a positive even multiple of h=0.0625"]
 
 
 def test_spatial_line_validation():
@@ -321,18 +321,19 @@ def test_spatial_line_validation():
     assert errors(0.0, -0.5, 0.5) == [
         "params.t=0.0 must be >= h=0.0625: the estimators read the backward cone below t"]
     assert errors(0.5, 0.5, -0.5) == [
-        "[0.5, -0.5] must span a positive even multiple of h=0.0625"]
+        "params.x_lo, params.x_hi: [0.5, -0.5] must span a positive even multiple of h=0.0625"]
 
 
 def test_inadmissible_count_rejection_lists_divisors():
     cfg = config_from_dict(qv_time_dict(params={"t": 1.0, "x": 0.0, "n_pieces": 3}))
-    assert validate(cfg)[0] == ["n_pieces=3 is not admissible; choose one of [1, 2, 4, 8]"]
+    assert validate(cfg)[0] == [
+        "params.n_pieces value 3 is not admissible; choose one of [1, 2, 4, 8]"]
     cfg = config_from_dict({
         "kind": "qv-space", "sigma": "linear:1", "replicates": 4,
         "lattice": dict(LATTICE_BLOCK),
         "params": {"t": 1.0, "x_lo": -1.0, "x_hi": 1.0, "n_pieces": 48}})
     assert validate(cfg)[0] == [
-        "n_pieces=48 is not admissible; choose one of [1, 2, 4, 8, 16]"]
+        "params.n_pieces value 48 is not admissible; choose one of [1, 2, 4, 8, 16]"]
 
 
 def test_mart_and_ladder_notes():
@@ -357,7 +358,7 @@ def test_mart_and_ladder_notes():
     ]
     bad = dict(ladder, params=dict(ladder["params"], counts=[2, 3, 5]))
     errors, _ = validate(config_from_dict(bad))
-    assert errors == ["inadmissible counts [3, 5]; choose from [1, 2, 4]"]
+    assert errors == ["params.counts values [3, 5] are not admissible; choose from [1, 2, 4]"]
     sideways = dict(ladder, params=dict(ladder["params"], axis="diag"))
     with pytest.raises(ConfigurationError, match="params.axis must be one of .* got 'diag'"):
         config_from_dict(sideways)

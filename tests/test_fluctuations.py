@@ -38,7 +38,7 @@ def test_conditional_variance_matches_trace_quadrature():
     fld = solve_wave(MULTIPLICATIVE, make_noise(6, LAT))
     t, x = 0.5, 0.25
     y, points = cone_boundary_trace(LAT, *LAT.apex(t, x))
-    want = float(np.trapezoid(fld.flat[points] ** 2, y))
+    want = float(np.trapezoid(fld.values[points] ** 2, y))
     assert conditional_variance(fld, probe(t, x)) == pytest.approx(want, rel=1e-14)
 
 
@@ -116,7 +116,7 @@ def test_martingale_matches_the_per_segment_oracle(spec, sigma):
             n0, m0 = TALL.apex(t, x)
             for k, s in enumerate(scales):
                 want = oracles.truncated_shell_martingale(
-                    fld.values, TALL.col_lo, noise.rows, sigma, n0, m0, TALL.level_of(s))
+                    fld, noise, sigma, n0, m0, TALL.level_of(s))
                 assert split.martingale[k] == pytest.approx(want, rel=1e-12)
             assert split.variance_hat == conditional_variance(fld, geometry)
 

@@ -114,7 +114,7 @@ def test_coupled_heat_solutions_share_normals():
     ref = solve_heat(CONSTANT_ONE, 9, g)
     assert np.array_equal(lin.values, ref.values)
     assert not np.array_equal(v.values, lin.values)
-    assert v.at(g.t_max, 0.25) == v.values[g.site_of(0.25)]
+    assert oracles.heat_at(v, g.t_max, 0.25) == v.values[g.site_of(0.25)]
 
 
 def shipped_heat_grid() -> HeatGridSpec:
@@ -150,11 +150,11 @@ def test_march_stops_at_the_probe_time(monkeypatch):
     assert drawn[-1][1] == 700
     assert all(stop - start <= heat._CHUNK_WORDS // g.n_sites for start, stop in drawn)
     assert v.values.shape == lin.values.shape == (g.n_sites,)
-    v.at(700 * g.dt, 0.0)
-    with pytest.raises(DomainError, match="t=0.0625 is step 1024.*kept only step 700"):
-        v.at(g.t_max, 0.0)
-    with pytest.raises(DomainError, match="kept only step 700"):
-        lin.at(0.0, 0.0)
+    oracles.heat_at(v, 700 * g.dt, 0.0)
+    with pytest.raises(LookupError, match="t=0.0625 is step 1024.*kept only step 700"):
+        oracles.heat_at(v, g.t_max, 0.0)
+    with pytest.raises(LookupError, match="kept only step 700"):
+        oracles.heat_at(lin, 0.0, 0.0)
 
 
 def test_every_seed_of_a_block_is_checked():

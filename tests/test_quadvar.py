@@ -103,8 +103,7 @@ def test_columns_limit_matches_the_per_column_oracle(spec, sigma):
     for seed in (6, 7):
         fld = solve_wave(spec, make_noise(seed, LAT))
         for t, x in APEXES:
-            want = oracles.cone_limit_columns(fld.values, LAT.col_lo, sigma,
-                                              LAT.level_of(t), LAT.col_of(x), LAT.h)
+            want = oracles.cone_limit_columns(fld, sigma, LAT.level_of(t), LAT.col_of(x), LAT.h)
             cone = temporal_geometry(LAT, t, x, [])
             assert temporal_qv_limit(fld, cone) == pytest.approx(want, rel=1e-12)
 
@@ -116,7 +115,7 @@ def test_limit_quadrature_routes_agree():
     cols = temporal_qv_limit(fld, cone)
     cells = temporal_qv_ladder(fld, noise, cone)[0].cone_integral
     assert cols == pytest.approx(
-        oracles.cone_limit_columns(fld.values, LAT.col_lo, lambda u: u, 16, 0, LAT.h),
+        oracles.cone_limit_columns(fld, lambda u: u, 16, 0, LAT.h),
         rel=1e-12)
     # the cell sum is a different quadrature of the same integrand
     assert cells == pytest.approx(cols, rel=0.1)
@@ -135,8 +134,7 @@ def test_decomposition_and_ladder_equal_the_cone_enumeration(spec, sigma):
         counts = admissible_temporal_pieces(t, LAT.h)
         ladder = temporal_qv_ladder(fld, noise, temporal_geometry(LAT, t, x, counts))
         for n, dec in zip(counts, ladder):
-            want = oracles.cone_decomposition(fld.values, LAT.col_lo, noise.rows,
-                                              sigma, n0, m0, LAT.h, n)
+            want = oracles.cone_decomposition(fld, noise, sigma, n0, m0, LAT.h, n)
             assert asdict(dec) == want
             single = temporal_qv_decomposition(fld, noise, temporal_geometry(LAT, t, x, [n]))
             assert asdict(single) == want

@@ -130,8 +130,12 @@ def test_wave_snapshot_round_trip(tmp_path):
     write_wave_snapshot(path, fld)
     lat, values = read_wave_snapshot(path)
     assert lat == LAT
-    assert values.shape == fld.values.shape
-    assert values.tobytes() == fld.values.tobytes()
+    # the packed levels come back padded: level n in row n, NaN beyond its width
+    assert values.shape == (LAT.n_levels + 1, LAT.width(0))
+    for n, row in enumerate(values):
+        w = LAT.width(n)
+        assert row[:w].tobytes() == fld.level(n).tobytes()
+        assert np.all(np.isnan(row[w:]))
 
 
 def test_noise_snapshot_round_trip(tmp_path):

@@ -344,7 +344,7 @@ def test_wide_lattice_plan_matches_the_raw_enumeration():
     full_noise = make_noise(3, lat)
     full = solve_wave(cfg.sigma, full_noise)
     assert asdict(dec) == oracles.cone_decomposition(
-        full.values, lat.col_lo, full_noise.rows, lambda u: u, 16, 0, lat.h, 4)
+        full, full_noise, lambda u: u, 16, 0, lat.h, 4)
 
 
 # -- the solve trapezoid -------------------------------------------------------
@@ -379,7 +379,7 @@ def test_solve_trapezoid_equals_the_full_solve(reads, sigma):
         fld = solve_wave(cfg.sigma, noise)
         for n in range(sub.n_levels + 1):
             w = sub.width(n)
-            assert np.array_equal(fld.values[n, :w], full.values[n, shift:shift + w])
+            assert np.array_equal(fld.level(n), full.level(n)[shift:shift + w])
 
 
 SEED_BLOCK = list(range(5, 9))

@@ -49,7 +49,7 @@ def test_nonlinear_field_satisfies_the_discrete_integral_identity():
                 total = 0.0
                 for n, lo, hi in cone_segments(LAT, n0, m0):
                     cols = np.arange(lo, hi + 1, 2)
-                    base = fld.flat[point_index(LAT, np.full(cols.size, n - 1), cols)]
+                    base = fld.values[point_index(LAT, np.full(cols.size, n - 1), cols)]
                     first = LAT.col_lo + n + 1
                     xi = noise.rows[n][(lo - first) // 2:(hi - first) // 2 + 1]
                     total += float(np.dot(sig(base), xi))
@@ -77,7 +77,7 @@ def test_gather_clamps_to_initial_profile():
     fld = solve_wave(CONSTANT_ONE, make_noise(1, LAT))
     levels = np.array([-1, 0, 1])
     cols = np.array([0, 0, 1])
-    out = fld.flat[point_index(LAT, levels, cols)]
+    out = fld.values[point_index(LAT, levels, cols)]
     assert out[0] == 1.0 and out[1] == 1.0
     assert out[2] == fld.at_point(1, 1)
 
@@ -103,7 +103,13 @@ def test_level_and_at_point_agree():
     for j in (0, 3, LAT.width(n) - 1):
         col = LAT.col_lo + n + 2 * j
         assert fld.at_point(n, col) == row[j]
-    assert np.all(np.isnan(fld.values[n, LAT.width(n):]))
+    # packed: the initial level once, then each level in the slots of the
+    # cell row below it, with no padding
+    assert fld.values.shape == (1 + LAT.total_cells,)
+    assert np.all(fld.level(0) == 1.0) and fld.level(0).shape == (LAT.width(0),)
+    for n in range(LAT.n_levels + 1):
+        assert fld.level(n).shape == (LAT.width(n),)
+    assert np.isfinite(fld.values).all()
 
 
 def test_cone_boundary_trace_shape_and_endpoints():
@@ -111,7 +117,7 @@ def test_cone_boundary_trace_shape_and_endpoints():
     t, x = 0.5, 0.25
     n0, m0 = LAT.apex(t, x)
     y, points = cone_boundary_trace(LAT, n0, m0)
-    vals = fld.flat[points]
+    vals = fld.values[points]
     assert not y.flags.writeable and not points.flags.writeable
     assert y.size == 2 * n0 + 1
     assert y[0] == pytest.approx(x - t) and y[-1] == pytest.approx(x + t)
@@ -124,10 +130,36 @@ def test_coupled_linearization_shares_the_noise():
     noise = make_noise(77, LAT)
     nonlin, lin = solve_coupled_linearization(MULTIPLICATIVE, noise)
     ref = solve_wave(CONSTANT_ONE, noise)
-    assert np.array_equal(
-        np.nan_to_num(lin.values), np.nan_to_num(ref.values)
-    )
+    assert np.array_equal(lin.values, ref.values)
     assert nonlin.seed == lin.seed == 77
-    assert not np.array_equal(
-        np.nan_to_num(nonlin.values), np.nan_to_num(lin.values)
-    )
+    assert not np.array_equal(nonlin.values, lin.values)
+
+
+BLOCK_SIGMAS = [SigmaSpec("constant", (0.75,)), MULTIPLICATIVE,
+                SigmaSpec("affine", (0.5, 0.5)), SigmaSpec("sine", (1.0,))]
+
+
+@pytest.mark.parametrize("sigma", BLOCK_SIGMAS, ids=lambda s: s.kind)
+@pytest.mark.parametrize("size", [1, 3, 16])
+def test_block_solve_equals_each_seed_alone(sigma, size):
+    seeds = list(range(40, 40 + size))
+    block = make_noise(seeds, LAT)
+    assert block.rows.shape == (size, 1 + LAT.total_cells)
+    alone = [make_noise(seed, LAT) for seed in seeds]
+    for b, noise in enumerate(alone):
+        assert block[b].flat.tobytes() == noise.flat.tobytes()
+    kept = block.copy()
+    fields = solve_wave(sigma, block)
+    assert len(fields) == size and fields.seeds == tuple(seeds)
+    # solved in place: the block's rows now hold the fields
+    assert np.shares_memory(fields.rows, block.rows)
+    for b, noise in enumerate(alone):
+        fld = solve_wave(sigma, noise)
+        assert fields[b].seed == fld.seed
+        assert fields[b].values.tobytes() == fld.values.tobytes()
+        assert kept[b].flat.tobytes() == noise.flat.tobytes()
+    nonlin, lin = solve_coupled_linearization(sigma, kept)
+    for b, noise in enumerate(alone):
+        want = solve_coupled_linearization(sigma, noise)
+        assert nonlin[b].values.tobytes() == want[0].values.tobytes()
+        assert lin[b].values.tobytes() == want[1].values.tobytes()
