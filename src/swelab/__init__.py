@@ -26,7 +26,7 @@ from .fluctuations import (
 from .heat import HeatField, HeatGridSpec, solve_coupled_heat_linearization, solve_heat
 from .lattice import LatticeSpec, spatial_shell_area, temporal_shell_area
 from .linearize import heat_defect_samples, wave_defect_samples
-from .noise import NoiseRealization, make_noise, render_grid
+from .noise import make_noise
 from .quadvar import (
     admissible_spatial_pieces,
     admissible_temporal_pieces,
@@ -38,7 +38,7 @@ from .quadvar import (
     temporal_qv_ladder,
     temporal_qv_limit,
 )
-from .sigma import CONSTANT_ONE, MULTIPLICATIVE, SigmaSpec
+from .sigma import CONSTANT_ONE, SigmaSpec
 from .stats import ks_critical_value, ks_distance, loglog_slope, summarize
 from .studies import run_study
 from .wave import WaveField, field_at, solve_coupled_linearization, solve_wave

@@ -135,6 +135,17 @@ def _list(item, least: int = 1):
     return parse
 
 
+def _distinct(parse):
+    """A list parser that also refuses a repeated value: each value of a
+    ladder is one rung, and a rung given twice would count twice in a fit."""
+    def distinct(value, key: str) -> tuple:
+        out = parse(value, key)
+        if len(set(out)) < len(out):
+            raise _refuse(key, "a list without repeated values", value)
+        return out
+    return distinct
+
+
 def _pair(value, key: str) -> tuple[float, float]:
     """A [t, x] point."""
     if type(value) not in (list, tuple) or len(value) != 2:
@@ -187,7 +198,7 @@ def _parse(raw, table: dict, where: str) -> dict:
 # -- tables --------------------------------------------------------------------
 
 _NUMBER = (_number, _REQUIRED)
-_NUMBERS = (_list(_number), _REQUIRED)
+_NUMBERS = (_distinct(_list(_number)), _REQUIRED)
 _LAGS = _block({"t": _NUMBER, "x": _NUMBER, "lags": _NUMBERS})
 _SCALES = {"t": _NUMBER, "x": _NUMBER, "scales": _NUMBERS}
 
@@ -207,7 +218,7 @@ _PARAMS = {
         "x": (_number, None),
         "x_lo": (_number, None),
         "x_hi": (_number, None),
-        "counts": (_list(_integer), _REQUIRED),
+        "counts": (_distinct(_list(_integer)), _REQUIRED),
     },
     "clt": {**_SCALES, "standardization": (_choice("trace", "shell"), "trace")},
     "lil": _SCALES,
@@ -256,12 +267,16 @@ def config_from_dict(raw: dict, overrides: dict | None = None) -> ExperimentConf
     return ExperimentConfig(**top)
 
 
+# libyaml's parser where it is built (several times faster), else PyYAML's own
+_YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+
+
 def read_config(path: str) -> dict:
     """The YAML mapping in a config file; unreadable or malformed files raise
     ConfigurationError."""
     try:
         with open(path) as fh:
-            raw = yaml.safe_load(fh)
+            raw = yaml.load(fh, Loader=_YAML_LOADER)
     except OSError as exc:
         raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
     except yaml.YAMLError as exc:
@@ -360,6 +375,9 @@ def validate(cfg: ExperimentConfig) -> tuple[list[str], list[str]]:
     if errors:
         return errors, notes
 
+    if cfg.kind in ("clt", "lil", "mart", "linearize") and cfg.sigma.is_zero:
+        errors.append(f"sigma: vanishes identically, so u stays 1 and {cfg.kind} "
+                      "has no fluctuation to measure")
     check = _KIND_CHECKS[cfg.kind]
     try:
         check(cfg, cfg.params, errors, notes)
@@ -478,9 +496,7 @@ def _check_probe_grid(cfg, p, errors, notes, *, cap_to_eighth: bool):
 def _check_clt(cfg, p, errors, notes):
     _check_probe_grid(cfg, p, errors, notes, cap_to_eighth=False)
     if p["standardization"] == "shell" and not cfg.sigma.is_constant:
-        errors.append("shell standardization requires a constant sigma")
-    if cfg.sigma.is_zero:
-        errors.append("sigma vanishes identically: standardized increments undefined")
+        errors.append("params.standardization: shell standardization requires a constant sigma")
     if cfg.replicates < 500:
         notes.append(
             f"warning: {cfg.replicates} replicates gives a weak distribution test; "
@@ -490,8 +506,6 @@ def _check_clt(cfg, p, errors, notes):
 
 def _check_lil(cfg, p, errors, notes):
     _check_probe_grid(cfg, p, errors, notes, cap_to_eighth=True)
-    if cfg.sigma.is_zero:
-        errors.append("sigma vanishes identically: the normalized statistic is undefined")
 
 
 def _check_mart(cfg, p, errors, notes):
@@ -503,7 +517,7 @@ def _check_mart(cfg, p, errors, notes):
 def _check_linearize(cfg, p, errors, notes):
     lags = p["lags"]
     if len(lags) < 2:
-        errors.append("linearize needs at least 2 lags to compare scales")
+        errors.append("params.lags: linearize needs at least 2 lags to compare scales")
     if cfg.on_heat_grid:
         grid = cfg.heat_grid
         try:

@@ -25,7 +25,7 @@ from .lattice import (
     shell_segments,
     temporal_shell_area,
 )
-from .noise import NoiseRealization, cell_index
+from .noise import cell_index
 from .wave import WaveField, cone_boundary_trace, point_index
 
 __all__ = [
@@ -160,7 +160,7 @@ def increment_sample(field: WaveField, probe: ProbeGeometry, k: int,
     )
 
 
-def martingale_decomposition(field: WaveField, noise: NoiseRealization,
+def martingale_decomposition(field: WaveField, noise: np.ndarray,
                              probe: ProbeGeometry) -> MartingaleProbe:
     """Split each increment into its adapted shell-noise part and a remainder.
 
@@ -168,11 +168,12 @@ def martingale_decomposition(field: WaveField, noise: NoiseRealization,
     of t and t+scale, truncated to the strip |y - x| <= t, each cell weighted by
     sigma(u) at the point where the cone boundary of (t, x) crosses the cell's
     column.  The remainder is the rest of the increment; it carries one power of
-    scale more than the martingale part.  The probe must carry its shells.
+    scale more than the martingale part.  `noise` is the field's seed's row of
+    NoiseBlock.increments; the probe must carry its shells.
     """
     sv = field.sigma(field.values[probe.trace])
     incs = _increments(field, probe)
-    ms = [float(np.sum(sv[cols] * noise.flat[cells])) for cells, cols in probe.shells]
+    ms = [float(np.sum(sv[cols] * noise[cells])) for cells, cols in probe.shells]
     return MartingaleProbe(
         scales=probe.scales,
         increments=tuple(incs),

@@ -67,66 +67,39 @@ def _check_seed(seed: int) -> int:
 
 
 @dataclass(frozen=True)
-class NoiseRealization:
-    """The cell increments of one lattice under one seed.
-
-    `flat` holds the increments of `lattice`'s cells level by level, columns
-    ascending; `row(level)` is one level.  The lattice is either the configured
-    one, whose cell g is word g of the stream, or a solve trapezoid cut out of
-    it, whose cells are drawn from their words in the configured lattice.
-    """
-
-    lattice: LatticeSpec
-    seed: int
-    flat: np.ndarray = field(repr=False)  # variance = cell area
-
-    def row(self, level: int) -> np.ndarray:
-        starts = self.lattice.cell_row_starts
-        return self.flat[starts[level]:starts[level + 1]]
-
-    @property
-    def rows(self) -> tuple[np.ndarray, ...]:
-        return tuple(self.row(n) for n in range(self.lattice.n_levels))
-
-
-@dataclass(frozen=True)
 class NoiseBlock:
-    """The realizations of one lattice under each seed of a block, in one array.
+    """The cell increments of one lattice under each seed of a block, in one array.
 
     Row b belongs to seeds[b]: column 0 holds INITIAL_LEVEL and cell g's
     increment sits in column 1 + g, so that solve_wave can overwrite the row
-    with the field in place.  Indexing gives one seed's NoiseRealization, a
-    view of its row.
+    with the field in place.  The lattice is either the configured one, whose
+    cell g is word g of the stream, or a solve trapezoid cut out of it, whose
+    cells are drawn from their words in the configured lattice.
     """
 
     lattice: LatticeSpec
     seeds: tuple[int, ...]
     rows: np.ndarray = field(repr=False)  # (len(seeds), 1 + total_cells)
 
-    def __len__(self) -> int:
-        return len(self.seeds)
-
-    def __getitem__(self, b: int) -> NoiseRealization:
-        return NoiseRealization(self.lattice, self.seeds[b], self.rows[b, 1:])
+    @property
+    def increments(self) -> np.ndarray:
+        """One row of cell increments per seed, level by level, columns
+        ascending (variance = cell area); a view of `rows`."""
+        return self.rows[:, 1:]
 
     def copy(self) -> NoiseBlock:
         return NoiseBlock(self.lattice, self.seeds, self.rows.copy())
 
 
-def make_noise(seeds: int | Sequence[int], lattice: LatticeSpec,
-               words: np.ndarray | None = None) -> NoiseRealization | NoiseBlock:
-    """The realizations of `lattice` under a block of seeds, as a NoiseBlock;
-    one seed alone gives its read-only NoiseRealization.
+def make_noise(seeds: Sequence[int], lattice: LatticeSpec,
+               words: np.ndarray | None = None) -> NoiseBlock:
+    """The realizations of `lattice` under a block of seeds; one seed alone
+    is the block [seed].
 
     Without `words` cell g is word g.  With `words`, the Philox word of each
     cell in the configured lattice, one stream span [first, last] is drawn per
     seed and the cells gathered from it, so every cell has its configured value.
     """
-    if np.ndim(seeds) == 0:
-        seed = _check_seed(seeds)
-        flat = _draw([seed], lattice, words)[0, 1:]
-        flat.flags.writeable = False
-        return NoiseRealization(lattice, seed, flat)
     seeds = tuple(_check_seed(seed) for seed in seeds)
     return NoiseBlock(lattice, seeds, _draw(seeds, lattice, words))
 
@@ -154,15 +127,5 @@ def _draw(seeds: Sequence[int], lattice: LatticeSpec,
 
 
 def cell_index(lat: LatticeSpec, levels: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Offsets of cells (level, col) into NoiseRealization.flat."""
+    """Offsets of cells (level, col) into a row of NoiseBlock.increments."""
     return lat.cell_row_starts[levels] + (cols - lat.col_lo - levels - 1) // 2
-
-
-def render_grid(noise: NoiseRealization) -> np.ndarray:
-    """Dense (n_levels, col span) array of a realization's increments, 0.0 off-cell."""
-    lat = noise.lattice
-    grid = np.zeros((lat.n_levels, lat.col_hi - lat.col_lo + 1), dtype=np.float64)
-    for level, row in enumerate(noise.rows):
-        first = level + 1  # col offset of first cell from col_lo
-        grid[level, first:first + 2 * len(row):2] = row
-    return grid

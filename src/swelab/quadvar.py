@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import AlignmentError
 from .lattice import LatticeSpec, cone_segments, packed_index, segment_coords
-from .noise import NoiseRealization, cell_index
+from .noise import cell_index
 from .wave import WaveField, point_index
 
 __all__ = [
@@ -97,8 +97,9 @@ def admissible_spatial_pieces(x_lo: float, x_hi: float, h: float) -> list[int]:
 
 # -- geometry, built once per config ------------------------------------------
 #
-# Field offsets index WaveField.values, noise offsets NoiseRealization.flat; every
-# array is read-only and stored in the smallest index dtype.
+# Field offsets index WaveField.values, noise offsets a row of
+# NoiseBlock.increments; every array is read-only and stored in the smallest
+# index dtype.
 
 
 @dataclass(frozen=True)
@@ -257,19 +258,20 @@ def temporal_qv_limit(field: WaveField, cone: ConeGeometry) -> float:
     return float(np.sum(sv * sv * cone.limit_weights))
 
 
-def temporal_qv_decomposition(field: WaveField, noise: NoiseRealization,
+def temporal_qv_decomposition(field: WaveField, noise: np.ndarray,
                               cone: ConeGeometry) -> QvDecomposition:
     """The decomposition of a cone built for exactly one piece count."""
     (dec,) = temporal_qv_ladder(field, noise, cone)
     return dec
 
 
-def temporal_qv_ladder(field: WaveField, noise: NoiseRealization,
+def temporal_qv_ladder(field: WaveField, noise: np.ndarray,
                        cone: ConeGeometry) -> list[QvDecomposition]:
-    """Decompositions for every rung of the cone, sharing one gather of its cells."""
+    """Decompositions for every rung of the cone, sharing one gather of its
+    cells from `noise`, the field's seed's row of NoiseBlock.increments."""
     sig = field.sigma
     u = field.values
-    xi = noise.flat[cone.noise]
+    xi = noise[cone.noise]
     cone_integral = _area_sum(sig(u[cone.base]), cone)
     out = []
     for rung in cone.rungs:

@@ -206,7 +206,14 @@ def read_wave_snapshot(path: str | Path) -> tuple[LatticeSpec, np.ndarray]:
 
 
 def write_noise_snapshot(path: str | Path, lattice: LatticeSpec,
-                         grid: np.ndarray) -> None:
+                         increments: np.ndarray) -> None:
+    """One seed's increments on `lattice` as an (n_levels, col span) grid:
+    cell k of level n in column n + 1 + 2k of row n, 0.0 off-cell."""
+    grid = np.zeros((lattice.n_levels, lattice.col_hi - lattice.col_lo + 1))
+    starts = lattice.cell_row_starts
+    for n, row in enumerate(grid):
+        cells = increments[starts[n]:starts[n + 1]]
+        row[n + 1:n + 1 + 2 * cells.size:2] = cells
     _write_grid(path, _NOISE_MAGIC, lattice.h, lattice.t_max,
                 lattice.x_lo, lattice.x_hi, grid)
 

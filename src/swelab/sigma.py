@@ -78,4 +78,3 @@ class SigmaSpec:
 
 
 CONSTANT_ONE = SigmaSpec("constant", (1.0,))
-MULTIPLICATIVE = SigmaSpec("linear", (1.0,))

@@ -41,7 +41,7 @@ from .fluctuations import (
 from .heat import solve_coupled_heat_linearization
 from .lattice import LatticeSpec, packed_index, spatial_shell_area
 from .linearize import heat_defect_samples, wave_defect_samples
-from .noise import NoiseRealization, make_noise, render_grid
+from .noise import make_noise
 from .quadvar import (
     naive_qv_prediction,
     spatial_geometry,
@@ -117,7 +117,7 @@ def _maybe_slope(stats: dict, prefix: str, xs, ys) -> None:
 # -- simulate ------------------------------------------------------------------
 
 
-def _rep_simulate(f: WaveField, noise: NoiseRealization | None,
+def _rep_simulate(f: WaveField, noise: np.ndarray | None,
                   plan: StudyPlan) -> dict[str, float]:
     p = plan.cfg.params
     u = f.values[plan.points].tolist()
@@ -170,7 +170,7 @@ def _plan_qv_time(cfg: ExperimentConfig, lat: LatticeSpec):
     return temporal_geometry(lat, p["t"], p["x"], [p["n_pieces"]])
 
 
-def _rep_qv_time(f: WaveField, noise: NoiseRealization,
+def _rep_qv_time(f: WaveField, noise: np.ndarray,
                  plan: StudyPlan) -> dict[str, float]:
     dec = temporal_qv_decomposition(f, noise, plan.geometry)
     lim = temporal_qv_limit(f, plan.geometry)
@@ -213,7 +213,7 @@ def _plan_qv_space(cfg: ExperimentConfig, lat: LatticeSpec):
     return spatial_geometry(lat, p["t"], p["x_lo"], p["x_hi"], [p["n_pieces"]])
 
 
-def _rep_qv_space(f: WaveField, noise: NoiseRealization | None,
+def _rep_qv_space(f: WaveField, noise: np.ndarray | None,
                   plan: StudyPlan) -> dict[str, float]:
     line = plan.geometry
     v = spatial_qv(f, line.lines[0])
@@ -259,7 +259,7 @@ def _plan_ladder(cfg: ExperimentConfig, lat: LatticeSpec):
     return spatial_geometry(lat, p["t"], p["x_lo"], p["x_hi"], counts)
 
 
-def _rep_ladder(f: WaveField, noise: NoiseRealization | None,
+def _rep_ladder(f: WaveField, noise: np.ndarray | None,
                 plan: StudyPlan) -> dict[str, float]:
     g = plan.geometry
     if plan.cfg.params["axis"] == "time":
@@ -350,7 +350,7 @@ def _plan_probes(cfg: ExperimentConfig, lat: LatticeSpec, descending: bool = Fal
     return probe_geometry(lat, p["t"], p["x"], scales, shells=shells)
 
 
-def _rep_clt(f: WaveField, noise: NoiseRealization | None,
+def _rep_clt(f: WaveField, noise: np.ndarray | None,
              plan: StudyPlan) -> dict[str, float]:
     probe = plan.geometry
     std = plan.cfg.params["standardization"]
@@ -386,7 +386,7 @@ def _agg_clt(cfg: ExperimentConfig, ens: EnsembleResult):
 # -- iterated-logarithm probe --------------------------------------------------
 
 
-def _rep_lil(f: WaveField, noise: NoiseRealization | None,
+def _rep_lil(f: WaveField, noise: np.ndarray | None,
              plan: StudyPlan) -> dict[str, float]:
     norms = lil_statistic(f, plan.geometry)
     out = {"stat": max(norms)}
@@ -408,7 +408,7 @@ def _agg_lil(cfg: ExperimentConfig, ens: EnsembleResult):
 # -- martingale split ----------------------------------------------------------
 
 
-def _rep_mart(f: WaveField, noise: NoiseRealization,
+def _rep_mart(f: WaveField, noise: np.ndarray,
               plan: StudyPlan) -> dict[str, float]:
     probe = martingale_decomposition(f, noise, plan.geometry)
     out = {"vhat": probe.variance_hat}
@@ -512,10 +512,10 @@ def _reads_noise(cfg: ExperimentConfig) -> bool:
 
 def _each_seed(rep, seeds: list[int], plan: StudyPlan) -> list[dict[str, float]]:
     """Draw and solve the block's fields at once, in place over their noise,
-    then run the per-seed estimators rep(field, noise or None, plan); a copy
-    of the increments is kept only for the kinds that read them."""
+    then run the per-seed estimators rep(field, increments or None, plan); a
+    copy of the increments is kept only for the kinds that read them."""
     noise = make_noise(seeds, plan.lattice, plan.words)
-    kept = noise.copy() if _reads_noise(plan.cfg) else [None] * len(seeds)
+    kept = noise.increments.copy() if _reads_noise(plan.cfg) else [None] * len(seeds)
     return [rep(f, xi, plan) for f, xi in zip(solve_wave(plan.cfg.sigma, noise), kept)]
 
 
@@ -557,13 +557,14 @@ def _study_warnings(cfg: ExperimentConfig) -> list[str]:
 
 
 def _write_snapshots(cfg: ExperimentConfig, out: Path) -> list[Path]:
-    noise = make_noise(cfg.base_seed, cfg.lattice)
-    f = solve_wave(cfg.sigma, noise)
+    noise = make_noise([cfg.base_seed], cfg.lattice)
     paths = [out / f"{cfg.label}_field.bin", out / f"{cfg.label}_field.csv",
              out / f"{cfg.label}_noise.bin"]
+    # before the solve overwrites the increments with the field
+    write_noise_snapshot(paths[2], cfg.lattice, noise.increments[0])
+    f = solve_wave(cfg.sigma, noise)[0]
     write_wave_snapshot(paths[0], f)
     write_field_csv(paths[1], f)
-    write_noise_snapshot(paths[2], cfg.lattice, render_grid(noise))
     return paths
 
 

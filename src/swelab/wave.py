@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lattice import LatticeSpec, packed_index
-from .noise import INITIAL_LEVEL, NoiseBlock, NoiseRealization
+from .noise import INITIAL_LEVEL, NoiseBlock
 from .sigma import CONSTANT_ONE, SigmaSpec
 
 
@@ -37,9 +37,6 @@ class WaveField:
             return np.full(self.lattice.width(0), self.values[0])
         start = 1 + int(self.lattice.cell_row_starts[n - 1])
         return self.values[start:start + self.lattice.width(n)]
-
-    def at_point(self, level: int, col: int) -> float:
-        return float(self.values[point_index(self.lattice, level, col)])
 
 
 @dataclass(frozen=True)
@@ -70,25 +67,11 @@ def point_index(lat: LatticeSpec, levels: np.ndarray, cols: np.ndarray) -> np.nd
     return np.where(levels <= 0, 0, 1 + start + j)
 
 
-def solve_wave(sigma: SigmaSpec, noise: NoiseRealization | NoiseBlock) -> WaveField | WaveBlock:
-    """The field of a realization, or the fields of every seed of a block.
-
-    A block is solved in place: level n + 1 overwrites cell row n, so the
-    block holds fields, not increments, afterwards.  A realization is copied
-    into a block of one first and stays as it was.
-    """
-    if isinstance(noise, NoiseRealization):
-        rows = np.empty((1, 1 + noise.flat.size))
-        rows[0, 0] = INITIAL_LEVEL
-        rows[0, 1:] = noise.flat
-        _solve_rows(sigma, noise.lattice, rows)
-        return WaveField(noise.lattice, sigma, noise.seed, rows[0])
-    _solve_rows(sigma, noise.lattice, noise.rows)
-    return WaveBlock(noise.lattice, sigma, noise.seeds, noise.rows)
-
-
-def _solve_rows(sigma: SigmaSpec, lat: LatticeSpec, u: np.ndarray) -> None:
-    """Overwrite NoiseBlock rows with their fields, one level for all rows at a time."""
+def solve_wave(sigma: SigmaSpec, noise: NoiseBlock) -> WaveBlock:
+    """The fields of every seed of a block, solved in place: level n + 1
+    overwrites cell row n, so the block holds fields, not increments,
+    afterwards. All rows advance one level at a time."""
+    lat, u = noise.lattice, noise.rows
     # offset of each level's first point; level 0 is the single column 0
     at = [0, *(1 + lat.cell_row_starts).tolist()]
     # first layer: each base point sits on the apex of one base triangle
@@ -110,14 +93,14 @@ def _solve_rows(sigma: SigmaSpec, lat: LatticeSpec, u: np.ndarray) -> None:
         np.add(prev[:, :-1], prev[:, 1:], out=row)
         row -= below
         row += kick
+    return WaveBlock(lat, sigma, noise.seeds, u)
 
 
-def solve_coupled_linearization(
-        sigma: SigmaSpec, noise: NoiseRealization | NoiseBlock,
-) -> tuple[WaveField, WaveField] | tuple[WaveBlock, WaveBlock]:
-    """(nonlinear field, sigma==1 field) driven by the identical noise; for a
-    block, the sigma==1 fields are solved on a copy and the nonlinear in place."""
-    linear = solve_wave(CONSTANT_ONE, noise.copy() if isinstance(noise, NoiseBlock) else noise)
+def solve_coupled_linearization(sigma: SigmaSpec,
+                                noise: NoiseBlock) -> tuple[WaveBlock, WaveBlock]:
+    """(nonlinear fields, sigma==1 fields) driven by the identical noise; the
+    sigma==1 fields are solved on a copy and the nonlinear in place."""
+    linear = solve_wave(CONSTANT_ONE, noise.copy())
     return solve_wave(sigma, noise), linear
 
 
@@ -126,7 +109,7 @@ def field_at(fld: WaveField, t: float, x: float) -> float:
 
     The point is checked by LatticeSpec.apex, which names the error.
     """
-    return fld.at_point(*fld.lattice.apex(t, x))
+    return float(fld.values[point_index(fld.lattice, *fld.lattice.apex(t, x))])
 
 
 def cone_boundary_trace(lat: LatticeSpec, level: int, col: int) -> tuple[np.ndarray, np.ndarray]:

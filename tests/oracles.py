@@ -1,10 +1,11 @@
 """Independent oracles used by the test suite.
 
-Nothing in this file calls package numerics. Expected values come from closed
-forms, scipy ODE integration, raw enumeration loops over lattice cells, and
-control simulations with numpy's default RNG (a different bitstream than the
+No oracle calls package numerics. Expected values come from closed forms,
+scipy ODE integration, raw enumeration loops over lattice cells, and control
+simulations with numpy's default RNG (a different bitstream than the
 package's counter-based generator). Frozen constants quoted in tests can be
-regenerated with `python tests/oracles.py`.
+regenerated with `python tests/oracles.py`. `solved`, the one helper that
+runs the package, gives the tests one seed's field and increments to check.
 """
 from __future__ import annotations
 
@@ -12,6 +13,9 @@ import math
 
 import numpy as np
 from scipy.integrate import solve_ivp
+
+from swelab.noise import make_noise
+from swelab.wave import solve_wave
 
 SQRT2 = math.sqrt(2.0)
 
@@ -104,17 +108,18 @@ def segment_cells(segments) -> set:
     return {(n, c) for n, lo, hi in segments for c in range(lo, hi + 1, 2)}
 
 
-def segment_sum(noise, segments) -> float:
+def segment_sum(xi, lat, segments) -> float:
     """Noise of whole-cell segments, one row slice per segment.
 
-    Reads `noise.rows[n][k]`, the k-th cell of row n counted from column
-    `noise.lattice.col_lo + n + 1`.
+    `xi` holds the increments of `lat`'s cells level by level: cell k of
+    level n, counted from column `lat.col_lo + n + 1`, is
+    `xi[lat.cell_row_starts[n] + k]`.
     """
-    col_lo = noise.lattice.col_lo
     total = 0.0
     for n, lo, hi in segments:
-        first = col_lo + n + 1
-        total += float(noise.rows[n][(lo - first) // 2:(hi - first) // 2 + 1].sum())
+        row = xi[lat.cell_row_starts[n]:lat.cell_row_starts[n + 1]]
+        first = lat.col_lo + n + 1
+        total += float(row[(lo - first) // 2:(hi - first) // 2 + 1].sum())
     return total
 
 
@@ -159,9 +164,9 @@ def enum_side_shell_area(n0: int, d: int, h: float) -> float:
 # -- cone estimators by per-column and per-cell loops -------------------------
 #
 # `field` is a solved field: field.level(n)[j] = u(n h, (col_lo + n + 2 j) h),
-# and u(0, .) = 1 everywhere.  `noise.rows[n][k]` is the noise of the k-th cell
-# of level n, counted from column col_lo + n + 1.  `sigma` maps an array of
-# field values to sigma(u).
+# and u(0, .) = 1 everywhere.  `xi` holds the increments of the field's
+# lattice, as segment_sum reads them.  `sigma` maps an array of field values
+# to sigma(u).
 
 
 def _u(field, level: int, col: int) -> float:
@@ -170,8 +175,8 @@ def _u(field, level: int, col: int) -> float:
     return float(field.level(level)[(col - field.lattice.col_lo - level) // 2])
 
 
-def _xi(noise, level: int, col: int) -> float:
-    return float(noise.rows[level][(col - noise.lattice.col_lo - level - 1) // 2])
+def _xi(xi, lat, level: int, col: int) -> float:
+    return float(xi[lat.cell_row_starts[level] + (col - lat.col_lo - level - 1) // 2])
 
 
 def cone_limit_columns(field, sigma, n0: int, m0: int, h: float) -> float:
@@ -199,7 +204,7 @@ def cone_limit_columns(field, sigma, n0: int, m0: int, h: float) -> float:
     return float(np.trapezoid(g, cols * h))
 
 
-def cone_decomposition(field, noise, sigma, n0: int, m0: int, h: float,
+def cone_decomposition(field, xi, sigma, n0: int, m0: int, h: float,
                        n_pieces: int) -> dict:
     """The four temporal estimators of one rung, from the raw cone enumeration.
 
@@ -212,11 +217,11 @@ def cone_decomposition(field, noise, sigma, n0: int, m0: int, h: float,
     levels = np.array([n for n, _, _ in cells])
     cols = np.array([c for _, c, _ in cells])
     areas = np.where(levels == 0, h * h, 2.0 * h * h)
-    xi = np.array([_xi(noise, n, c) for n, c, _ in cells])
+    cell_xi = np.array([_xi(xi, field.lattice, n, c) for n, c, _ in cells])
     bucket = (levels + np.abs(cols - m0)) // step
     w = sigma(np.array([_u(field, int(b) * step - abs(c - m0), c)
                         for b, (_, c, _) in zip(bucket, cells)]))
-    shell_sums = np.bincount(bucket, weights=w * xi, minlength=n_pieces)
+    shell_sums = np.bincount(bucket, weights=w * cell_xi, minlength=n_pieces)
     wd = sigma(np.array([_u(field, n - 1, c) for n, c, _ in cells]))
     line = np.array([_u(field, k * step, m0) for k in range(n_pieces + 1)])
     inc = np.diff(line)
@@ -229,7 +234,7 @@ def cone_decomposition(field, noise, sigma, n0: int, m0: int, h: float,
     }
 
 
-def truncated_shell_martingale(field, noise, sigma, n0: int, m0: int, j: int) -> float:
+def truncated_shell_martingale(field, xi, sigma, n0: int, m0: int, j: int) -> float:
     """Noise of the shell between the cones of levels n0 and n0 + j at column
     m0, truncated to |col - m0| <= n0 - 1, each cell weighted by sigma(u) where
     the cone boundary of (n0, m0) crosses its column; one dot per level run."""
@@ -243,7 +248,7 @@ def truncated_shell_martingale(field, noise, sigma, n0: int, m0: int, j: int) ->
             if not run:
                 continue
             w = sigma(np.array([_u(field, n0 - abs(c - m0), c) for c in run]))
-            total += float(np.dot(w, [_xi(noise, n, c) for c in run]))
+            total += float(np.dot(w, [_xi(xi, field.lattice, n, c) for c in run]))
     return total
 
 
@@ -322,6 +327,17 @@ def brownian_lil_statistics(scales, n_replicates: int, rng_seed: int) -> np.ndar
     z = rng.standard_normal((n_replicates, len(scales)))
     paths = np.cumsum(z * np.sqrt(steps), axis=1)
     return np.max(np.abs(paths) / denom, axis=1)
+
+
+# -- the package under test ----------------------------------------------------
+
+
+def solved(sigma, seed: int, lat, words=None):
+    """(field, increments) of one seed on `lat`: the field solved in a block of
+    one, and a copy of the increments it was driven by."""
+    block = make_noise([seed], lat, words)
+    xi = block.increments[0].copy()
+    return solve_wave(sigma, block)[0], xi
 
 
 if __name__ == "__main__":

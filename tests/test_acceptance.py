@@ -15,13 +15,11 @@ import numpy as np
 import pytest
 
 import swelab.ensemble as ensemble
-from oracles import brownian_lil_statistics, segment_sum
+from oracles import brownian_lil_statistics, segment_sum, solved
 from swelab.config import config_from_dict, load_config
 from swelab.lattice import LatticeSpec, cone_segments
-from swelab.noise import make_noise
 from swelab.sigma import CONSTANT_ONE
 from swelab.studies import run_study
-from swelab.wave import solve_wave
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs" / "acceptance"
 
@@ -63,14 +61,13 @@ def test_01_scheme_exactness_every_point_100_seeds():
     lat = LatticeSpec(h=0.0625, t_max=1.0, x_lo=-2.0, x_hi=2.0)
     worst = 0.0
     for seed in range(100):
-        noise = make_noise(seed, lat)
-        fld = solve_wave(CONSTANT_ONE, noise)
+        fld, noise = solved(CONSTANT_ONE, seed, lat)
         scale = max(1.0, float(np.max(np.abs(fld.values))))
         for n in range(1, lat.n_levels + 1):
             row = fld.level(n)
             for j, m in enumerate(range(lat.col_lo + n, lat.col_hi - n + 1, 2)):
                 resid = abs(
-                    (row[j] - 1.0) - segment_sum(noise, cone_segments(lat, n, m))
+                    (row[j] - 1.0) - segment_sum(noise, lat, cone_segments(lat, n, m))
                 )
                 worst = max(worst, resid / scale)
     ok = announce("01 scheme exactness (unit sigma, all points, 100 seeds)",

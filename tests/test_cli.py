@@ -228,6 +228,28 @@ HEAT = {"kind": "linearize", "sigma": "linear:1", "replicates": 4, "equation": "
      "params.x_lo, params.x_hi"),
     ("qv", dict(BASE, params={"t": 1.0, "x": 0.0, "n_pieces": 3}), [], "params.n_pieces"),
     ("qv", dict(LADDER, params=dict(LADDER["params"], counts=[1, 3])), [], "params.counts"),
+    ("linearize", dict(HEAT, params=dict(HEAT["params"], lags=[0.125])), [], "params.lags"),
+    ("clt", dict(CLT, sigma="linear:1", params=dict(CLT["params"], standardization="shell")),
+     [], "params.standardization"),
+    # sigma == 0 leaves nothing to measure; refused before any replicate
+    ("clt", dict(CLT, sigma="constant:0"), [], "sigma:"),
+    ("lil", dict(LIL, sigma="linear:0"), [], "sigma:"),
+    ("mart", dict(CLT, kind="mart", sigma="constant:0"), [], "sigma:"),
+    ("linearize", dict(BASE, kind="linearize", sigma="sine:0",
+                       params={"t": 0.5, "x": 0.0, "lags": [0.125, 0.25]}), [], "sigma:"),
+    ("linearize", dict(HEAT, sigma="affine:0,0"), [], "sigma:"),
+    # a ladder value given twice would count twice in a fit
+    ("qv", LADDER, ["--pieces", "2,2"], "params.counts"),
+    ("linearize", dict(HEAT, params=dict(HEAT["params"], lags=[0.125, 0.125, 0.25])), [],
+     "params.lags"),
+    ("mart", dict(CLT, kind="mart", params=dict(CLT["params"], scales=[0.125, 0.125])), [],
+     "params.scales"),
+    ("simulate", dict(BASE, kind="simulate", params={
+        "temporal_lags": {"t": 0.25, "x": 0.0, "lags": [0.125, 0.125]}}), [],
+     "params.temporal_lags.lags"),
+    ("simulate", dict(BASE, kind="simulate", params={
+        "spatial_lags": {"t": 0.25, "x": 0.0, "lags": [0.25, 0.125, 0.25]}}), [],
+     "params.spatial_lags.lags"),
 ])
 def test_bad_input_exits_two_and_names_the_key(tmp_path, capsys, command, config, extra, key):
     path = tmp_path / "cfg.yaml"

@@ -225,10 +225,11 @@ def test_clt_rules():
                      "500+ recommended"]
     shell = dict(base, params=dict(base["params"], standardization="shell"))
     errors, _ = validate(config_from_dict(shell))
-    assert errors == ["shell standardization requires a constant sigma"]
+    assert errors == ["params.standardization: shell standardization requires a constant sigma"]
     zero = dict(base, sigma="constant:0")
     errors, _ = validate(config_from_dict(zero))
-    assert errors == ["sigma vanishes identically: standardized increments undefined"]
+    assert errors == ["sigma: vanishes identically, so u stays 1 and clt has no fluctuation "
+                      "to measure"]
     bad_std = dict(base, params=dict(base["params"], standardization="robust"))
     with pytest.raises(ConfigurationError,
                        match="params.standardization must be one of .* got 'robust'"):
@@ -376,7 +377,7 @@ def test_linearize_rules():
     assert validate(config_from_dict(wave)) == ([], [])
     short = dict(wave, params=dict(wave["params"], lags=[0.125]))
     errors, _ = validate(config_from_dict(short))
-    assert errors == ["linearize needs at least 2 lags to compare scales"]
+    assert errors == ["params.lags: linearize needs at least 2 lags to compare scales"]
     heat = {
         "kind": "linearize", "sigma": "linear:1", "replicates": 8,
         "equation": "heat",

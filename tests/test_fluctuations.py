@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import segment_sum
+from oracles import segment_sum, solved
 from swelab import fluctuations, studies
 from swelab.config import config_from_dict
 from swelab.errors import ConfigurationWarning, DegenerateInputError
@@ -17,11 +17,11 @@ from swelab.fluctuations import (
     probe_geometry,
 )
 from swelab.lattice import LatticeSpec, shell_segments, temporal_shell_area
-from swelab.noise import make_noise
-from swelab.sigma import CONSTANT_ONE, MULTIPLICATIVE, SigmaSpec
-from swelab.wave import cone_boundary_trace, field_at, solve_wave
+from swelab.sigma import CONSTANT_ONE, SigmaSpec
+from swelab.wave import cone_boundary_trace, field_at
 
 LAT = LatticeSpec(h=0.0625, t_max=1.0, x_lo=-2.0, x_hi=2.0)
+LINEAR = SigmaSpec("linear", (1.0,))
 
 
 def probe(t, x, scales=(), lat=LAT, shells=False):
@@ -29,13 +29,13 @@ def probe(t, x, scales=(), lat=LAT, shells=False):
 
 
 def test_conditional_variance_is_exact_for_unit_sigma():
-    fld = solve_wave(CONSTANT_ONE, make_noise(1, LAT))
+    fld, _ = solved(CONSTANT_ONE, 1, LAT)
     for t, x in [(0.5, 0.0), (0.25, 0.75), (0.875, -0.125)]:
         assert conditional_variance(fld, probe(t, x)) == pytest.approx(2.0 * t, rel=1e-12)
 
 
 def test_conditional_variance_matches_trace_quadrature():
-    fld = solve_wave(MULTIPLICATIVE, make_noise(6, LAT))
+    fld, _ = solved(LINEAR, 6, LAT)
     t, x = 0.5, 0.25
     y, points = cone_boundary_trace(LAT, *LAT.apex(t, x))
     want = float(np.trapezoid(fld.values[points] ** 2, y))
@@ -43,7 +43,7 @@ def test_conditional_variance_matches_trace_quadrature():
 
 
 def test_increment_sample_standardizations():
-    fld = solve_wave(CONSTANT_ONE, make_noise(8, LAT))
+    fld, _ = solved(CONSTANT_ONE, 8, LAT)
     t, x, s = 0.5, 0.0, 0.125
     sample = increment_sample(fld, probe(t, x, [s]), 0, standardization="trace")
     inc = field_at(fld, t + s, x) - field_at(fld, t, x)
@@ -61,14 +61,13 @@ def test_increment_sample_standardizations():
 def test_increment_sample_preconditions():
     # the scale, standardization and horizon rules are validate's
     # (test_config.py); only the data-dependent zero variance is left here
-    zero = solve_wave(SigmaSpec("constant", (0.0,)), make_noise(8, LAT))
+    zero, _ = solved(SigmaSpec("constant", (0.0,)), 8, LAT)
     with pytest.raises(DegenerateInputError, match="conditional variance is zero"):
         increment_sample(zero, probe(0.5, 0.0, [0.125]), 0)
 
 
 def test_martingale_part_is_the_truncated_shell_noise_for_unit_sigma():
-    noise = make_noise(14, LAT)
-    fld = solve_wave(CONSTANT_ONE, noise)
+    fld, noise = solved(CONSTANT_ONE, 14, LAT)
     t, x = 0.5, 0.25
     scales = [0.125, 0.25]
     split = martingale_decomposition(fld, noise, probe(t, x, scales, shells=True))
@@ -78,7 +77,7 @@ def test_martingale_part_is_the_truncated_shell_noise_for_unit_sigma():
     for k, s in enumerate(scales):
         j = LAT.level_of(s)
         shell = shell_segments(LAT, m0, n0, n0 + j, col_cap=n0 - 1)
-        want_m = segment_sum(noise, shell)
+        want_m = segment_sum(noise, LAT, shell)
         assert split.martingale[k] == pytest.approx(want_m, rel=1e-10, abs=1e-13)
         inc = field_at(fld, t + s, x) - field_at(fld, t, x)
         assert split.increments[k] == pytest.approx(inc, rel=1e-15)
@@ -87,14 +86,13 @@ def test_martingale_part_is_the_truncated_shell_noise_for_unit_sigma():
 
 def test_remainder_is_the_wing_noise_for_unit_sigma():
     # increment - martingale = noise of the shell cells outside |y - x| <= t
-    noise = make_noise(25, LAT)
-    fld = solve_wave(CONSTANT_ONE, noise)
+    fld, noise = solved(CONSTANT_ONE, 25, LAT)
     t, x, s = 0.5, 0.0, 0.25
     n0, m0 = LAT.apex(t, x)
     j = LAT.level_of(s)
     split = martingale_decomposition(fld, noise, probe(t, x, [s], shells=True))
-    full = segment_sum(noise, shell_segments(LAT, m0, n0, n0 + j))
-    trunc = segment_sum(noise, shell_segments(LAT, m0, n0, n0 + j, col_cap=n0 - 1))
+    full = segment_sum(noise, LAT, shell_segments(LAT, m0, n0, n0 + j))
+    trunc = segment_sum(noise, LAT, shell_segments(LAT, m0, n0, n0 + j, col_cap=n0 - 1))
     assert split.remainder[0] == pytest.approx(full - trunc, rel=1e-9, abs=1e-13)
 
 
@@ -102,13 +100,12 @@ TALL = LatticeSpec(h=0.0625, t_max=1.5, x_lo=-3.0, x_hi=3.0)
 
 
 @pytest.mark.parametrize("spec, sigma", [
-    (MULTIPLICATIVE, lambda u: u),
+    (LINEAR, lambda u: u),
     (SigmaSpec("sine", (0.8,)), lambda u: 0.8 * np.sin(u)),
 ])
 def test_martingale_matches_the_per_segment_oracle(spec, sigma):
     for seed in (3, 9):
-        noise = make_noise(seed, TALL)
-        fld = solve_wave(spec, noise)
+        fld, noise = solved(spec, seed, TALL)
         for t, x in [(1.0, 0.0), (0.5, 0.25)]:
             scales = [0.125, 0.25, 0.5]
             geometry = probe(t, x, scales, lat=TALL, shells=True)
@@ -157,8 +154,7 @@ def test_conditional_variance_runs_once_per_replicate(monkeypatch, kind, params)
 
 
 def test_zero_scale_entries_are_zero():
-    noise = make_noise(2, LAT)
-    fld = solve_wave(CONSTANT_ONE, noise)
+    fld, noise = solved(CONSTANT_ONE, 2, LAT)
     split = martingale_decomposition(fld, noise, probe(0.5, 0.0, [0.0, 0.125], shells=True))
     assert split.increments[0] == 0.0
     assert split.martingale[0] == 0.0
@@ -173,8 +169,7 @@ def test_martingale_second_moment_matches_truncated_area():
     ratios = np.empty(n_rep)
     geometry = probe(t, x, [s], shells=True)
     for seed in range(n_rep):
-        noise = make_noise(seed, LAT)
-        fld = solve_wave(CONSTANT_ONE, noise)
+        fld, noise = solved(CONSTANT_ONE, seed, LAT)
         split = martingale_decomposition(fld, noise, geometry)
         ratios[seed] = split.martingale[0] ** 2 / area
     se = ratios.std(ddof=1) / np.sqrt(n_rep)
@@ -185,7 +180,7 @@ FINE = LatticeSpec(h=2**-7, t_max=0.625, x_lo=-1.25, x_hi=1.25)
 
 
 def test_lil_statistic_matches_hand_computation():
-    fld = solve_wave(CONSTANT_ONE, make_noise(4, FINE))
+    fld, _ = solved(CONSTANT_ONE, 4, FINE)
     t, x = 0.5, 0.0
     scales = [2**-6, 2**-5, 2**-4]
     geometry = probe(t, x, scales, lat=FINE)
@@ -202,7 +197,7 @@ def test_lil_statistic_matches_hand_computation():
 
 
 def test_lil_statistic_monotone_under_grid_extension():
-    fld = solve_wave(MULTIPLICATIVE, make_noise(5, FINE))
+    fld, _ = solved(LINEAR, 5, FINE)
     small = lil_statistic(fld, probe(0.5, 0.0, [2**-5, 2**-4], lat=FINE))
     big = lil_statistic(fld, probe(0.5, 0.0, [2**-6, 2**-5, 2**-4], lat=FINE))
     assert big[1:] == small  # a scale's value does not depend on the grid
@@ -212,6 +207,6 @@ def test_lil_statistic_monotone_under_grid_extension():
 def test_lil_scale_validation():
     # the scale grid rules are validate's (test_config.py); only the
     # data-dependent zero variance is left here
-    zero = solve_wave(SigmaSpec("linear", (0.0,)), make_noise(4, FINE))
+    zero, _ = solved(SigmaSpec("linear", (0.0,)), 4, FINE)
     with pytest.raises(DegenerateInputError):
         lil_statistic(zero, probe(0.5, 0.0, [2**-5], lat=FINE))

@@ -16,7 +16,9 @@ from swelab.heat import (
     solve_heat,
 )
 from swelab.noise import HEAT_STREAM_TAG, stream_words, words_to_unit_normals
-from swelab.sigma import CONSTANT_ONE, MULTIPLICATIVE, SigmaSpec
+from swelab.sigma import CONSTANT_ONE, SigmaSpec
+
+LINEAR = SigmaSpec("linear", (1.0,))
 
 
 def small_grid() -> HeatGridSpec:
@@ -110,7 +112,7 @@ def test_site_normal_matches_the_stream():
 
 def test_coupled_heat_solutions_share_normals():
     g = small_grid()
-    [(v, lin)] = solve_coupled_heat_linearization(MULTIPLICATIVE, [9], g, g.t_max)
+    [(v, lin)] = solve_coupled_heat_linearization(LINEAR, [9], g, g.t_max)
     ref = solve_heat(CONSTANT_ONE, 9, g)
     assert np.array_equal(lin.values, ref.values)
     assert not np.array_equal(v.values, lin.values)
@@ -122,7 +124,7 @@ def shipped_heat_grid() -> HeatGridSpec:
     return HeatGridSpec(dx=0.015625, t_max=0.0625, circumference=4.0)
 
 
-@pytest.mark.parametrize("sigma", [MULTIPLICATIVE, SigmaSpec.parse("sine:1")])
+@pytest.mark.parametrize("sigma", [LINEAR, SigmaSpec.parse("sine:1")])
 @pytest.mark.parametrize("step", [1024, 700])
 def test_block_march_equals_the_row_by_row_history(sigma, step):
     g = shipped_heat_grid()
@@ -146,7 +148,7 @@ def test_march_stops_at_the_probe_time(monkeypatch):
         return _normals(seeds, grid, start, stop)
 
     monkeypatch.setattr(heat, "_normals", recording_normals)
-    [(v, lin)] = solve_coupled_heat_linearization(MULTIPLICATIVE, [1], g, 700 * g.dt)
+    [(v, lin)] = solve_coupled_heat_linearization(LINEAR, [1], g, 700 * g.dt)
     assert drawn[-1][1] == 700
     assert all(stop - start <= heat._CHUNK_WORDS // g.n_sites for start, stop in drawn)
     assert v.values.shape == lin.values.shape == (g.n_sites,)
@@ -160,7 +162,7 @@ def test_march_stops_at_the_probe_time(monkeypatch):
 def test_every_seed_of_a_block_is_checked():
     g = small_grid()
     with pytest.raises(ConfigurationError, match=f"got {2 ** 64}"):
-        solve_coupled_heat_linearization(MULTIPLICATIVE, [2 ** 64 - 1, 2 ** 64, 0], g,
+        solve_coupled_heat_linearization(LINEAR, [2 ** 64 - 1, 2 ** 64, 0], g,
                                          g.t_max)
     with pytest.raises(ConfigurationError, match="integer"):
-        solve_coupled_heat_linearization(MULTIPLICATIVE, [1, 2.0, 3], g, g.t_max)
+        solve_coupled_heat_linearization(LINEAR, [1, 2.0, 3], g, g.t_max)

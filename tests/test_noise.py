@@ -10,10 +10,10 @@ from swelab.noise import (
     WAVE_STREAM_TAG,
     cell_index,
     make_noise,
-    render_grid,
     stream_words,
     words_to_unit_normals,
 )
+from swelab.reports import read_noise_snapshot, write_noise_snapshot
 
 LAT = LatticeSpec(h=0.25, t_max=1.0, x_lo=-2.0, x_hi=2.0)
 
@@ -59,43 +59,44 @@ def test_large_seeds_keep_full_precision():
 def test_seed_validation():
     for bad in (-1, 2**64, True, 1.5, "7"):
         with pytest.raises(ConfigurationError):
-            make_noise(bad, LAT)
-    make_noise(0, LAT)
-    make_noise(2**64 - 1, LAT)
+            make_noise([0, bad], LAT)
+    assert make_noise([0, 2**64 - 1], LAT).seeds == (0, 2**64 - 1)
 
 
 def test_row_shapes_and_variance_scaling():
-    noise = make_noise(11, LAT)
-    assert len(noise.rows) == LAT.n_levels
-    for n in range(LAT.n_levels):
-        assert noise.row(n).shape == (LAT.cells_at(n),)
+    block = make_noise(range(400), LAT)
+    assert block.rows.shape == (400, 1 + LAT.total_cells)
+    assert np.all(block.rows[:, 0] == 1.0)
+    starts = LAT.cell_row_starts
+    assert np.array_equal(np.diff(starts), [LAT.cells_at(n) for n in range(LAT.n_levels)])
+    assert starts[-1] == LAT.total_cells == block.increments.shape[1]
     # variance = cell area: pool standardized squares per level over many seeds
-    sq0, sq1 = [], []
-    for seed in range(400):
-        nz = make_noise(seed, LAT)
-        sq0.append((nz.row(0) / LAT.h) ** 2)
-        sq1.append((nz.row(1) / (LAT.h * np.sqrt(2.0))) ** 2)
-    for pool in (np.concatenate(sq0), np.concatenate(sq1)):
+    sq0 = (block.increments[:, :starts[1]] / LAT.h) ** 2
+    sq1 = (block.increments[:, starts[1]:starts[2]] / (LAT.h * np.sqrt(2.0))) ** 2
+    for pool in (sq0, sq1):
         assert abs(pool.mean() - 1.0) < 4.0 * np.sqrt(2.0 / pool.size)
 
 
 def test_segment_sum_agrees_with_explicit_cells():
-    noise = make_noise(17, LAT)
+    xi = make_noise([17], LAT).increments[0]
     segs = cone_segments(LAT, 4, 0)
-    gathered = noise.flat[cell_index(LAT, *segment_coords(segs))]
+    gathered = xi[cell_index(LAT, *segment_coords(segs))]
     assert gathered.size == sum((hi - lo) // 2 + 1 for _, lo, hi in segs)
-    assert float(gathered.sum()) == pytest.approx(segment_sum(noise, segs), rel=1e-12)
+    assert float(gathered.sum()) == pytest.approx(segment_sum(xi, LAT, segs), rel=1e-12)
 
 
-def test_render_grid_matches_realization():
-    noise = make_noise(23, LAT)
-    grid = render_grid(noise)
+def test_render_grid_matches_realization(tmp_path):
+    xi = make_noise([23], LAT).increments[0]
+    path = tmp_path / "n.bin"
+    write_noise_snapshot(path, LAT, xi)
+    _, grid = read_noise_snapshot(path)
     n_cols = LAT.col_hi - LAT.col_lo + 1
     assert grid.shape == (LAT.n_levels, n_cols)
-    for n in range(LAT.n_levels):
-        row = grid[n]
-        vals = row[n + 1 : n + 1 + 2 * LAT.cells_at(n) : 2]
-        assert np.array_equal(vals, noise.row(n))
+    # cell k of level n in column n + 1 + 2k, 0.0 off-cell
+    starts = LAT.cell_row_starts
+    for n, row in enumerate(grid):
+        cells = slice(n + 1, n + 1 + 2 * LAT.cells_at(n), 2)
+        assert row[cells].tobytes() == xi[starts[n]:starts[n + 1]].tobytes()
         mask = np.ones(n_cols, dtype=bool)
-        mask[n + 1 : n + 1 + 2 * LAT.cells_at(n) : 2] = False
+        mask[cells] = False
         assert np.all(row[mask] == 0.0)

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import segment_sum
+from oracles import segment_sum, solved
 from swelab import quadvar
 from swelab.errors import AlignmentError
 from swelab.lattice import LatticeSpec, shell_segments, side_shell_segments, spatial_shell_area
-from swelab.noise import make_noise
 from swelab.quadvar import (
     admissible_spatial_pieces,
     admissible_temporal_pieces,
@@ -23,11 +22,12 @@ from swelab.quadvar import (
     temporal_qv_ladder,
     temporal_qv_limit,
 )
-from swelab.sigma import CONSTANT_ONE, MULTIPLICATIVE, SigmaSpec
+from swelab.sigma import CONSTANT_ONE, SigmaSpec
 from swelab.stats import loglog_slope
-from swelab.wave import field_at, solve_wave
+from swelab.wave import field_at
 
 LAT = LatticeSpec(h=0.0625, t_max=1.0, x_lo=-2.0, x_hi=2.0)
+LINEAR = SigmaSpec("linear", (1.0,))
 
 
 def line(t: float, x: float, n: int, lat: LatticeSpec = LAT) -> np.ndarray:
@@ -59,7 +59,7 @@ def test_divisors_pair_up_to_the_square_root():
 
 
 def test_temporal_increments_match_field_differences():
-    fld = solve_wave(MULTIPLICATIVE, make_noise(4, LAT))
+    fld, _ = solved(LINEAR, 4, LAT)
     points = line(1.0, 0.25, 8)
     inc = increments(fld, points)
     times = np.arange(9) * 0.125
@@ -69,18 +69,16 @@ def test_temporal_increments_match_field_differences():
 
 
 def test_unit_sigma_increments_are_shell_noise_sums():
-    noise = make_noise(8, LAT)
-    fld = solve_wave(CONSTANT_ONE, noise)
+    fld, noise = solved(CONSTANT_ONE, 8, LAT)
     inc = increments(fld, line(1.0, 0.0, 4))
     step = LAT.n_levels // 4
     for k in range(4):
         shell = shell_segments(LAT, 0, k * step, (k + 1) * step)
-        assert inc[k] == pytest.approx(segment_sum(noise, shell), rel=1e-10)
+        assert inc[k] == pytest.approx(segment_sum(noise, LAT, shell), rel=1e-10)
 
 
 def test_unit_sigma_decomposition_identities():
-    noise = make_noise(15, LAT)
-    fld = solve_wave(CONSTANT_ONE, noise)
+    fld, noise = solved(CONSTANT_ONE, 15, LAT)
     for n in (1, 2, 8):
         dec = temporal_qv_decomposition(fld, noise, temporal_geometry(LAT, 1.0, 0.0, [n]))
         assert dec.n_pieces == n
@@ -92,7 +90,7 @@ def test_unit_sigma_decomposition_identities():
 
 
 SIGMAS = [
-    (MULTIPLICATIVE, lambda u: u),
+    (LINEAR, lambda u: u),
     (SigmaSpec("sine", (0.8,)), lambda u: 0.8 * np.sin(u)),
 ]
 APEXES = [(1.0, 0.0), (0.5, 0.25)]
@@ -101,7 +99,7 @@ APEXES = [(1.0, 0.0), (0.5, 0.25)]
 @pytest.mark.parametrize("spec, sigma", SIGMAS)
 def test_columns_limit_matches_the_per_column_oracle(spec, sigma):
     for seed in (6, 7):
-        fld = solve_wave(spec, make_noise(seed, LAT))
+        fld, _ = solved(spec, seed, LAT)
         for t, x in APEXES:
             want = oracles.cone_limit_columns(fld, sigma, LAT.level_of(t), LAT.col_of(x), LAT.h)
             cone = temporal_geometry(LAT, t, x, [])
@@ -109,8 +107,7 @@ def test_columns_limit_matches_the_per_column_oracle(spec, sigma):
 
 
 def test_limit_quadrature_routes_agree():
-    noise = make_noise(6, LAT)
-    fld = solve_wave(MULTIPLICATIVE, noise)
+    fld, noise = solved(LINEAR, 6, LAT)
     cone = temporal_geometry(LAT, 1.0, 0.0, [1])
     cols = temporal_qv_limit(fld, cone)
     cells = temporal_qv_ladder(fld, noise, cone)[0].cone_integral
@@ -119,7 +116,7 @@ def test_limit_quadrature_routes_agree():
         rel=1e-12)
     # the cell sum is a different quadrature of the same integrand
     assert cells == pytest.approx(cols, rel=0.1)
-    unit = solve_wave(CONSTANT_ONE, noise)
+    unit, _ = solved(CONSTANT_ONE, 6, LAT)
     assert temporal_qv_limit(unit, cone) == pytest.approx(1.0, rel=1e-12)
     unit_cells = temporal_qv_ladder(unit, noise, cone)[0].cone_integral
     assert unit_cells == pytest.approx(1.0, rel=1e-12)
@@ -127,8 +124,7 @@ def test_limit_quadrature_routes_agree():
 
 @pytest.mark.parametrize("spec, sigma", SIGMAS)
 def test_decomposition_and_ladder_equal_the_cone_enumeration(spec, sigma):
-    noise = make_noise(12, LAT)
-    fld = solve_wave(spec, noise)
+    fld, noise = solved(spec, 12, LAT)
     for t, x in APEXES:
         n0, m0 = LAT.level_of(t), LAT.col_of(x)
         counts = admissible_temporal_pieces(t, LAT.h)
@@ -141,8 +137,7 @@ def test_decomposition_and_ladder_equal_the_cone_enumeration(spec, sigma):
 
 
 def test_ladder_matches_individual_decompositions():
-    noise = make_noise(12, LAT)
-    fld = solve_wave(MULTIPLICATIVE, noise)
+    fld, noise = solved(LINEAR, 12, LAT)
     counts = [2, 4, 8]
     ladder = temporal_qv_ladder(fld, noise, temporal_geometry(LAT, 1.0, 0.0, counts))
     assert [d.n_pieces for d in ladder] == counts
@@ -157,16 +152,14 @@ def test_qv_mean_approaches_cone_area_for_unit_sigma():
     vals = np.empty(n_rep)
     points = line(1.0, 0.0, 8)
     for seed in range(n_rep):
-        noise = make_noise(seed, LAT)
-        fld = solve_wave(CONSTANT_ONE, noise)
+        fld, _ = solved(CONSTANT_ONE, seed, LAT)
         vals[seed] = temporal_qv(fld, points)
     se = vals.std(ddof=1) / np.sqrt(n_rep)
     assert abs(vals.mean() - 1.0) < 3.5 * se
 
 
 def test_spatial_increments_are_lune_differences():
-    noise = make_noise(31, LAT)
-    fld = solve_wave(CONSTANT_ONE, noise)
+    fld, noise = solved(CONSTANT_ONE, 31, LAT)
     inc = increments(fld, segment(0.5, -1.0, 1.0, [8]).lines[0])
     n0 = LAT.level_of(0.5)
     step = round(0.25 / LAT.h)
@@ -174,7 +167,7 @@ def test_spatial_increments_are_lune_differences():
         a = LAT.col_of(-1.0) + k * step
         right = side_shell_segments(LAT, n0, a, a + step, "right")
         left = side_shell_segments(LAT, n0, a, a + step, "left")
-        want = segment_sum(noise, right) - segment_sum(noise, left)
+        want = segment_sum(noise, LAT, right) - segment_sum(noise, LAT, left)
         assert inc[k] == pytest.approx(want, rel=1e-9, abs=1e-12)
 
 
@@ -184,7 +177,7 @@ def test_spatial_qv_mean_matches_exact_lune_areas():
     points = segment(0.5, -1.0, 1.0, [8]).lines[0]
     vals = np.empty(n_rep)
     for seed in range(n_rep):
-        fld = solve_wave(CONSTANT_ONE, make_noise(seed, LAT))
+        fld, _ = solved(CONSTANT_ONE, seed, LAT)
         vals[seed] = spatial_qv(fld, points)
     want = 8 * 2.0 * spatial_shell_area(0.5, 0.25)
     se = vals.std(ddof=1) / np.sqrt(n_rep)
@@ -192,7 +185,7 @@ def test_spatial_qv_mean_matches_exact_lune_areas():
 
 
 def test_spatial_limits_for_unit_sigma():
-    fld = solve_wave(CONSTANT_ONE, make_noise(3, LAT))
+    fld, _ = solved(CONSTANT_ONE, 3, LAT)
     lim = spatial_qv_limit(fld, segment(0.5, -1.0, 1.0))
     naive = naive_qv_prediction(fld, segment(0.5, -1.0, 1.0))
     assert lim == pytest.approx(2.0 * 0.5 * 2.0, rel=1e-12)
@@ -204,7 +197,7 @@ def test_naive_prediction_overshoots_for_multiplicative_sigma():
     gap = np.empty(n_rep)
     seg = segment(1.0, -0.5, 0.5)
     for seed in range(n_rep):
-        fld = solve_wave(MULTIPLICATIVE, make_noise(seed, LAT))
+        fld, _ = solved(LINEAR, seed, LAT)
         gap[seed] = naive_qv_prediction(fld, seg) - spatial_qv_limit(fld, seg)
     se = gap.std(ddof=1) / np.sqrt(n_rep)
     assert gap.mean() > 3.0 * se
@@ -219,8 +212,7 @@ def test_rung_gap_shrinks_along_the_ladder():
     n_rep = 400
     cone = temporal_geometry(lat, 1.0, 0.0, counts)
     for seed in range(n_rep):
-        noise = make_noise(seed, lat)
-        fld = solve_wave(MULTIPLICATIVE, noise)
+        fld, noise = solved(LINEAR, seed, lat)
         ladder = temporal_qv_ladder(fld, noise, cone)
         for i, dec in enumerate(ladder):
             sq[i] += (dec.direct - dec.frozen_noise) ** 2

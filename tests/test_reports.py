@@ -8,7 +8,8 @@ from swelab.config import config_from_dict
 from swelab.ensemble import EnsembleResult
 from swelab.errors import ConfigurationError, SimulationError
 from swelab.lattice import LatticeSpec
-from swelab.noise import make_noise, render_grid
+from oracles import solved
+from swelab.noise import make_noise
 from swelab.reports import (
     evaluate_thresholds,
     format_value,
@@ -22,10 +23,10 @@ from swelab.reports import (
     write_table_csv,
     write_wave_snapshot,
 )
-from swelab.sigma import MULTIPLICATIVE
-from swelab.wave import solve_wave
+from swelab.sigma import SigmaSpec
 
 LAT = LatticeSpec(h=0.25, t_max=0.5, x_lo=-1.0, x_hi=1.0)
+LINEAR = SigmaSpec("linear", (1.0,))
 
 
 def small_config(**thresholds_kw):
@@ -68,7 +69,7 @@ def test_write_ensemble_csv_prepends_replicate_and_seed(tmp_path):
 
 
 def test_write_field_csv_covers_the_whole_trapezoid(tmp_path):
-    fld = solve_wave(MULTIPLICATIVE, make_noise(1, LAT))
+    fld, _ = solved(LINEAR, 1, LAT)
     path = tmp_path / "f.csv"
     write_field_csv(path, fld)
     lines = path.read_text().splitlines()
@@ -125,7 +126,7 @@ def test_write_json_report_is_deterministic(tmp_path):
 
 
 def test_wave_snapshot_round_trip(tmp_path):
-    fld = solve_wave(MULTIPLICATIVE, make_noise(42, LAT))
+    fld, _ = solved(LINEAR, 42, LAT)
     path = tmp_path / "w.bin"
     write_wave_snapshot(path, fld)
     lat, values = read_wave_snapshot(path)
@@ -139,16 +140,18 @@ def test_wave_snapshot_round_trip(tmp_path):
 
 
 def test_noise_snapshot_round_trip(tmp_path):
-    grid = render_grid(make_noise(42, LAT))
+    xi = make_noise([42], LAT).increments[0]
     path = tmp_path / "n.bin"
-    write_noise_snapshot(path, LAT, grid)
-    lat, got = read_noise_snapshot(path)
+    write_noise_snapshot(path, LAT, xi)
+    lat, grid = read_noise_snapshot(path)
     assert lat == LAT
-    assert got.tobytes() == grid.tobytes()
+    again = tmp_path / "again.bin"
+    write_noise_snapshot(again, lat, grid[grid != 0.0])
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_snapshot_magic_and_truncation(tmp_path):
-    fld = solve_wave(MULTIPLICATIVE, make_noise(42, LAT))
+    fld, _ = solved(LINEAR, 42, LAT)
     path = tmp_path / "w.bin"
     write_wave_snapshot(path, fld)
     with pytest.raises(SimulationError, match="magic"):

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from swelab.errors import ConfigurationError
-from swelab.sigma import CONSTANT_ONE, MULTIPLICATIVE, SigmaSpec
+from swelab.sigma import CONSTANT_ONE, SigmaSpec
+
+LINEAR = SigmaSpec("linear", (1.0,))
 
 
 def test_evaluation_per_kind():
@@ -11,7 +13,7 @@ def test_evaluation_per_kind():
     assert np.array_equal(SigmaSpec("linear", (2.0,))(u), 2.0 * u)
     assert np.array_equal(SigmaSpec("affine", (1.0, -2.0))(u), 1.0 - 2.0 * u)
     assert np.allclose(SigmaSpec("sine", (0.5,))(u), 0.5 * np.sin(u))
-    assert MULTIPLICATIVE.scalar(2.5) == 2.5
+    assert LINEAR.scalar(2.5) == 2.5
     assert CONSTANT_ONE.scalar(-7.0) == 1.0
 
 
@@ -29,7 +31,7 @@ def test_constant_and_zero_predicates():
     assert SigmaSpec("constant", (0.0,)).is_zero
     assert SigmaSpec("linear", (0.0,)).is_constant
     assert SigmaSpec("linear", (0.0,)).is_zero
-    assert not MULTIPLICATIVE.is_constant
+    assert not LINEAR.is_constant
     assert SigmaSpec("affine", (0.5, 0.0)).is_constant
     assert not SigmaSpec("affine", (0.5, 0.0)).is_zero
     assert SigmaSpec("affine", (0.0, 0.0)).is_zero
@@ -39,12 +41,12 @@ def test_constant_and_zero_predicates():
 def test_parse_and_label_round_trip():
     for text, want in [
         ("constant:1.0", CONSTANT_ONE),
-        ("linear:1", MULTIPLICATIVE),
+        ("linear:1", LINEAR),
         ("affine:0.5,2.0", SigmaSpec("affine", (0.5, 2.0))),
         ("sine: 1.5", SigmaSpec("sine", (1.5,))),
     ]:
         assert SigmaSpec.parse(text) == want
-    for spec in (CONSTANT_ONE, MULTIPLICATIVE, SigmaSpec("affine", (-1.0, 0.25))):
+    for spec in (CONSTANT_ONE, LINEAR, SigmaSpec("affine", (-1.0, 0.25))):
         assert SigmaSpec.parse(spec.label()) == spec
 
 

@@ -12,10 +12,8 @@ from swelab import fluctuations, lattice, quadvar, studies
 from swelab.config import config_from_dict
 from swelab.errors import ConfigurationError, ConfigurationWarning
 from swelab.lattice import spatial_shell_area
-from swelab.noise import make_noise
 from swelab.stats import ks_critical_value
 from swelab.studies import plan_study, run_study
-from swelab.wave import solve_wave
 
 LATTICE_BLOCK = {"h": 0.0625, "t_max": 1.0, "x_lo": -2.0, "x_hi": 2.0}
 
@@ -336,13 +334,11 @@ def test_wide_lattice_plan_matches_the_raw_enumeration():
         "qv-time", {"t": 1.0, "x": 0.0, "n_pieces": 4},
         lattice=dict(LATTICE_BLOCK, x_lo=-2.5, x_hi=2.5)))
     plan = plan_study(cfg)
-    noise = make_noise(3, plan.lattice, plan.words)
-    fld = solve_wave(cfg.sigma, noise)
+    fld, noise = oracles.solved(cfg.sigma, 3, plan.lattice, plan.words)
     dec = quadvar.temporal_qv_decomposition(fld, noise, plan.geometry)
     # the oracle enumerates the configured lattice, solved in full
     lat = cfg.lattice
-    full_noise = make_noise(3, lat)
-    full = solve_wave(cfg.sigma, full_noise)
+    full, full_noise = oracles.solved(cfg.sigma, 3, lat)
     assert asdict(dec) == oracles.cone_decomposition(
         full, full_noise, lambda u: u, 16, 0, lat.h, 4)
 
@@ -372,11 +368,9 @@ def test_solve_trapezoid_equals_the_full_solve(reads, sigma):
     # column offset of the trapezoid's base in the configured rows
     shift = (sub.col_lo - lat.col_lo) // 2
     for seed in (0, 7):
-        full_noise = make_noise(seed, lat)
-        noise = make_noise(seed, sub, plan.words)
-        assert np.array_equal(noise.flat, full_noise.flat[plan.words])
-        full = solve_wave(cfg.sigma, full_noise)
-        fld = solve_wave(cfg.sigma, noise)
+        full, full_noise = oracles.solved(cfg.sigma, seed, lat)
+        fld, noise = oracles.solved(cfg.sigma, seed, sub, plan.words)
+        assert np.array_equal(noise, full_noise[plan.words])
         for n in range(sub.n_levels + 1):
             w = sub.width(n)
             assert np.array_equal(fld.level(n), full.level(n)[shift:shift + w])

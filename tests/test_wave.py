@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import segment_sum
+from oracles import segment_sum, solved
 from swelab.errors import AlignmentError, DomainError
 from swelab.lattice import LatticeSpec, cone_segments
 from swelab.noise import make_noise
-from swelab.sigma import CONSTANT_ONE, MULTIPLICATIVE, SigmaSpec
+from swelab.sigma import CONSTANT_ONE, SigmaSpec
 from swelab.wave import (
     cone_boundary_trace,
     field_at,
@@ -16,34 +16,32 @@ from swelab.wave import (
 )
 
 LAT = LatticeSpec(h=0.0625, t_max=1.0, x_lo=-2.0, x_hi=2.0)
+LINEAR = SigmaSpec("linear", (1.0,))
 
 
 def test_constant_sigma_telescopes_to_cone_noise_sum():
     # u(t, x) - 1 must equal sigma * (noise mass of the backward cone) exactly
     for seed in range(20):
-        noise = make_noise(seed, LAT)
         for c in (1.0, 0.75):
-            fld = solve_wave(SigmaSpec("constant", (c,)), noise)
+            fld, xi = solved(SigmaSpec("constant", (c,)), seed, LAT)
             for t, x in [(1.0, 0.0), (0.5, 0.25), (0.0625, -1.0625), (1.0, 0.875)]:
                 n0, m0 = LAT.apex(t, x)
-                want = 1.0 + c * segment_sum(noise, cone_segments(LAT, n0, m0))
+                want = 1.0 + c * segment_sum(xi, LAT, cone_segments(LAT, n0, m0))
                 got = field_at(fld, t, x)
                 assert got == pytest.approx(want, abs=1e-12 * max(1.0, abs(got)))
 
 
 def test_first_layer_is_one_plus_triangle_noise():
-    noise = make_noise(3, LAT)
-    fld = solve_wave(MULTIPLICATIVE, noise)
-    assert np.array_equal(fld.level(1), 1.0 + noise.row(0))
+    fld, xi = solved(LINEAR, 3, LAT)
+    assert np.array_equal(fld.level(1), 1.0 + xi[:LAT.cells_at(0)])
 
 
 def test_nonlinear_field_satisfies_the_discrete_integral_identity():
     # u - 1 == sum over cone cells of sigma(u at base vertex) * cell noise
     for seed in (0, 5, 11):
-        noise = make_noise(seed, LAT)
-        for sig in (MULTIPLICATIVE, SigmaSpec("affine", (0.5, 0.5)),
+        for sig in (LINEAR, SigmaSpec("affine", (0.5, 0.5)),
                     SigmaSpec("sine", (1.0,))):
-            fld = solve_wave(sig, noise)
+            fld, xi = solved(sig, seed, LAT)
             for t, x in [(1.0, 0.0), (0.75, -0.5)]:
                 n0, m0 = LAT.apex(t, x)
                 total = 0.0
@@ -51,8 +49,8 @@ def test_nonlinear_field_satisfies_the_discrete_integral_identity():
                     cols = np.arange(lo, hi + 1, 2)
                     base = fld.values[point_index(LAT, np.full(cols.size, n - 1), cols)]
                     first = LAT.col_lo + n + 1
-                    xi = noise.rows[n][(lo - first) // 2:(hi - first) // 2 + 1]
-                    total += float(np.dot(sig(base), xi))
+                    row = xi[LAT.cell_row_starts[n]:]
+                    total += float(np.dot(sig(base), row[(lo - first) // 2:(hi - first) // 2 + 1]))
                 assert field_at(fld, t, x) == pytest.approx(1.0 + total, rel=1e-9)
 
 
@@ -60,7 +58,7 @@ def test_mean_one_and_second_moment_match_recursion():
     n_rep = 4000
     u_vals = np.empty(n_rep)
     for seed in range(n_rep):
-        fld = solve_wave(MULTIPLICATIVE, make_noise(seed, LAT))
+        fld, _ = solved(LINEAR, seed, LAT)
         u_vals[seed] = field_at(fld, 1.0, 0.0)
     se_u = u_vals.std(ddof=1) / np.sqrt(n_rep)
     assert abs(u_vals.mean() - 1.0) < 4.0 * se_u
@@ -74,16 +72,16 @@ def test_mean_one_and_second_moment_match_recursion():
 
 
 def test_gather_clamps_to_initial_profile():
-    fld = solve_wave(CONSTANT_ONE, make_noise(1, LAT))
+    fld, _ = solved(CONSTANT_ONE, 1, LAT)
     levels = np.array([-1, 0, 1])
     cols = np.array([0, 0, 1])
     out = fld.values[point_index(LAT, levels, cols)]
     assert out[0] == 1.0 and out[1] == 1.0
-    assert out[2] == fld.at_point(1, 1)
+    assert out[2] == field_at(fld, LAT.h, LAT.h)
 
 
 def test_field_at_validation():
-    fld = solve_wave(CONSTANT_ONE, make_noise(1, LAT))
+    fld, _ = solved(CONSTANT_ONE, 1, LAT)
     assert field_at(fld, 0.0, 0.0) == 1.0
     with pytest.raises(AlignmentError):
         field_at(fld, 0.0625, 0.0)  # odd parity at even column
@@ -95,14 +93,14 @@ def test_field_at_validation():
         field_at(fld, 1.0, 1.875)  # aligned but outside the trapezoid
 
 
-def test_level_and_at_point_agree():
-    fld = solve_wave(MULTIPLICATIVE, make_noise(9, LAT))
+def test_level_and_field_at_agree():
+    fld, _ = solved(LINEAR, 9, LAT)
     n = 4
     row = fld.level(n)
     assert row.shape == (LAT.width(n),)
     for j in (0, 3, LAT.width(n) - 1):
         col = LAT.col_lo + n + 2 * j
-        assert fld.at_point(n, col) == row[j]
+        assert field_at(fld, n * LAT.h, col * LAT.h) == row[j]
     # packed: the initial level once, then each level in the slots of the
     # cell row below it, with no padding
     assert fld.values.shape == (1 + LAT.total_cells,)
@@ -113,7 +111,7 @@ def test_level_and_at_point_agree():
 
 
 def test_cone_boundary_trace_shape_and_endpoints():
-    fld = solve_wave(MULTIPLICATIVE, make_noise(2, LAT))
+    fld, _ = solved(LINEAR, 2, LAT)
     t, x = 0.5, 0.25
     n0, m0 = LAT.apex(t, x)
     y, points = cone_boundary_trace(LAT, n0, m0)
@@ -127,15 +125,14 @@ def test_cone_boundary_trace_shape_and_endpoints():
 
 
 def test_coupled_linearization_shares_the_noise():
-    noise = make_noise(77, LAT)
-    nonlin, lin = solve_coupled_linearization(MULTIPLICATIVE, noise)
-    ref = solve_wave(CONSTANT_ONE, noise)
-    assert np.array_equal(lin.values, ref.values)
-    assert nonlin.seed == lin.seed == 77
-    assert not np.array_equal(nonlin.values, lin.values)
+    nonlin, lin = solve_coupled_linearization(LINEAR, make_noise([77], LAT))
+    ref, _ = solved(CONSTANT_ONE, 77, LAT)
+    assert np.array_equal(lin[0].values, ref.values)
+    assert nonlin[0].seed == lin[0].seed == 77
+    assert not np.array_equal(nonlin[0].values, lin[0].values)
 
 
-BLOCK_SIGMAS = [SigmaSpec("constant", (0.75,)), MULTIPLICATIVE,
+BLOCK_SIGMAS = [SigmaSpec("constant", (0.75,)), LINEAR,
                 SigmaSpec("affine", (0.5, 0.5)), SigmaSpec("sine", (1.0,))]
 
 
@@ -145,21 +142,20 @@ def test_block_solve_equals_each_seed_alone(sigma, size):
     seeds = list(range(40, 40 + size))
     block = make_noise(seeds, LAT)
     assert block.rows.shape == (size, 1 + LAT.total_cells)
-    alone = [make_noise(seed, LAT) for seed in seeds]
-    for b, noise in enumerate(alone):
-        assert block[b].flat.tobytes() == noise.flat.tobytes()
+    assert block.increments.shape == (size, LAT.total_cells)
+    assert np.shares_memory(block.increments, block.rows)
     kept = block.copy()
     fields = solve_wave(sigma, block)
     assert len(fields) == size and fields.seeds == tuple(seeds)
     # solved in place: the block's rows now hold the fields
     assert np.shares_memory(fields.rows, block.rows)
-    for b, noise in enumerate(alone):
-        fld = solve_wave(sigma, noise)
+    alone = [solved(sigma, seed, LAT) for seed in seeds]
+    for b, (fld, xi) in enumerate(alone):
+        assert kept.increments[b].tobytes() == xi.tobytes()
         assert fields[b].seed == fld.seed
         assert fields[b].values.tobytes() == fld.values.tobytes()
-        assert kept[b].flat.tobytes() == noise.flat.tobytes()
     nonlin, lin = solve_coupled_linearization(sigma, kept)
-    for b, noise in enumerate(alone):
-        want = solve_coupled_linearization(sigma, noise)
-        assert nonlin[b].values.tobytes() == want[0].values.tobytes()
-        assert lin[b].values.tobytes() == want[1].values.tobytes()
+    for b, seed in enumerate(seeds):
+        want = solve_coupled_linearization(sigma, make_noise([seed], LAT))
+        assert nonlin[b].values.tobytes() == want[0][0].values.tobytes()
+        assert lin[b].values.tobytes() == want[1][0].values.tobytes()

@@ -5,8 +5,10 @@ Usage: python3 tools/same_bytes.py OLD_TREE NEW_TREE
 Each tree runs its own configs/acceptance/*.yaml through its own src/, at 20
 replicates and workers 1, from a scratch directory of its own into the
 relative out_dir out/<config stem>, so both reports echo the same out_dir.
-NEW_TREE runs a second time with ensemble.BLOCK_SIZE = 1, every replicate in
-a block of its own. Every file written (replicate and series CSVs, reports,
+The simulate configs run with params.snapshot set, which no shipped config
+sets, so that their field and noise snapshots are compared too. NEW_TREE
+runs a second time with ensemble.BLOCK_SIZE = 1, every replicate in a block
+of its own. Every file written (replicate and series CSVs, reports,
 snapshots) is then compared byte for byte, OLD_TREE's against NEW_TREE's and
 NEW_TREE's at block size 1 against its own at the shipped block size. The
 script lists each file that differs or exists on one side only, and exits 1
@@ -37,8 +39,11 @@ if int(block):
     swelab.ensemble.BLOCK_SIZE = int(block)
 warnings.simplefilter("ignore")
 for path in configs:
-    run_study(load_config(path, {"replicates": int(replicates) or None, "workers": 1,
-                                 "out_dir": f"out/{Path(path).stem}"}))
+    overrides = {"replicates": int(replicates) or None, "workers": 1,
+                 "out_dir": f"out/{Path(path).stem}"}
+    if load_config(path).kind == "simulate":
+        overrides["params"] = {"snapshot": True}
+    run_study(load_config(path, overrides))
 """
 
 
