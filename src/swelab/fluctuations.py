@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DegenerateInputError
 from .lattice import (
     LatticeSpec,
-    packed_index,
+    index_array,
     segment_coords,
     shell_segments,
     temporal_shell_area,
@@ -65,7 +65,7 @@ def probe_geometry(lat: LatticeSpec, t: float, x: float, scales: list[float],
         t=t,
         scales=tuple(scales),
         base=int(point_index(lat, n0, m0)),
-        tops=packed_index(point_index(lat, np.array(tops), m0)),
+        tops=index_array(point_index(lat, np.array(tops), m0)),
         y=y,
         trace=trace,
         shells=tuple(_truncated_shell(lat, n0, m0, top) for top in tops) if shells else (),
@@ -84,7 +84,7 @@ def _truncated_shell(lat: LatticeSpec, n0: int, m0: int,
     """
     segs = shell_segments(lat, m0, n0, top, col_cap=n0 - 1) if top > n0 else []
     levels, cols = segment_coords(segs)
-    return packed_index(cell_index(lat, levels, cols)), packed_index(cols - m0 + n0)
+    return index_array(cell_index(lat, levels, cols)), index_array(cols - m0 + n0)
 
 
 @dataclass(frozen=True)

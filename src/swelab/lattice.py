@@ -242,11 +242,9 @@ def segment_coords(segs: Sequence[Segment]) -> tuple[np.ndarray, np.ndarray]:
     return np.repeat(seg[:, 0], sizes), np.repeat(seg[:, 1], sizes) + 2 * rank
 
 
-def packed_index(values: np.ndarray) -> np.ndarray:
-    """Read-only copy of a nonnegative integer array in the smallest unsigned
-    dtype that holds its largest entry (cached geometry stays compact)."""
-    values = np.asarray(values)
-    top = int(values.max()) if values.size else 0
-    out = values.astype(np.min_scalar_type(top))
+def index_array(values: np.ndarray) -> np.ndarray:
+    """Read-only intp copy of a nonnegative integer array: numpy gathers
+    through intp indices without converting them on every fancy index."""
+    out = np.array(values, dtype=np.intp)
     out.flags.writeable = False
     return out

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AlignmentError
-from .lattice import LatticeSpec, cone_segments, packed_index, segment_coords
+from .lattice import LatticeSpec, cone_segments, index_array, segment_coords
 from .noise import cell_index
 from .wave import WaveField, point_index
 
@@ -98,8 +98,8 @@ def admissible_spatial_pieces(x_lo: float, x_hi: float, h: float) -> list[int]:
 # -- geometry, built once per config ------------------------------------------
 #
 # Field offsets index WaveField.values, noise offsets a row of
-# NoiseBlock.increments; every array is read-only and stored in the smallest
-# index dtype.
+# NoiseBlock.increments; every array is read-only, and every index array is
+# intp, the dtype numpy gathers through without a conversion.
 
 
 @dataclass(frozen=True)
@@ -144,15 +144,15 @@ def temporal_geometry(lat: LatticeSpec, t: float, x: float,
         bucket = (levels + dm) // step
         rungs.append(TemporalRung(
             n_pieces=n,
-            line=packed_index(point_index(lat, np.arange(n + 1) * step, m0)),
-            bucket=packed_index(bucket),
-            crossing=packed_index(point_index(lat, bucket * step - dm, cols)),
+            line=index_array(point_index(lat, np.arange(n + 1) * step, m0)),
+            bucket=index_array(bucket),
+            crossing=index_array(point_index(lat, bucket * step - dm, cols)),
         ))
     points, weights = _limit_quadrature(lat, n0, m0)
     return ConeGeometry(
         h=lat.h,
-        noise=packed_index(cell_index(lat, levels, cols)),
-        base=packed_index(point_index(lat, levels - 1, cols)),
+        noise=index_array(cell_index(lat, levels, cols)),
+        base=index_array(point_index(lat, levels - 1, cols)),
         triangles=int(np.count_nonzero(levels == 0)),
         limit_points=points,
         limit_weights=weights,
@@ -187,7 +187,7 @@ def _limit_quadrature(lat: LatticeSpec, n0: int,
     weights = h * w
     weights.flags.writeable = False
     points = point_index(lat, ls, np.repeat(m0 + dm, sizes))
-    return packed_index(points), weights
+    return index_array(points), weights
 
 
 @dataclass(frozen=True)
@@ -224,11 +224,11 @@ def spatial_geometry(lat: LatticeSpec, t: float, x_lo: float, x_hi: float,
         t=t,
         xs=xs,
         ss=ss,
-        left=packed_index(point_index(lat, ls, cols[:, None] - n0 + ls)),
-        right=packed_index(point_index(lat, ls, cols[:, None] + n0 - ls)),
-        apexes=packed_index(point_index(lat, n0, cols)),
+        left=index_array(point_index(lat, ls, cols[:, None] - n0 + ls)),
+        right=index_array(point_index(lat, ls, cols[:, None] + n0 - ls)),
+        apexes=index_array(point_index(lat, n0, cols)),
         counts=tuple(counts),
-        lines=tuple(packed_index(point_index(lat, n0, cols[::(cols.size - 1) // n]))
+        lines=tuple(index_array(point_index(lat, n0, cols[::(cols.size - 1) // n]))
                     for n in counts),
     )
 

@@ -130,10 +130,10 @@ def _config_dict(cfg: ExperimentConfig) -> dict:
 def evaluate_thresholds(cfg: ExperimentConfig,
                         stats: dict[str, float]) -> tuple[list[dict], bool | None]:
     checks = []
-    for th in cfg.thresholds:
+    for i, th in enumerate(cfg.thresholds):
         if th.stat not in stats:
             raise ConfigurationError(
-                f"threshold references unknown stat {th.stat!r}; "
+                f"thresholds[{i}].stat: threshold references unknown stat {th.stat!r}; "
                 f"this study produces {sorted(stats)}"
             )
         value = float(stats[th.stat])

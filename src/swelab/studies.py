@@ -39,7 +39,7 @@ from .fluctuations import (
     probe_geometry,
 )
 from .heat import solve_coupled_heat_linearization
-from .lattice import LatticeSpec, packed_index, spatial_shell_area
+from .lattice import LatticeSpec, index_array, spatial_shell_area
 from .linearize import heat_defect_samples, wave_defect_samples
 from .noise import make_noise
 from .quadvar import (
@@ -587,7 +587,7 @@ def _solve_trapezoid(lat: LatticeSpec,
     starts = sub.cell_row_starts
     first = lat.cell_row_starts[:top] + (lo - lat.col_lo) // 2
     words = np.repeat(first - starts[:-1], np.diff(starts)) + np.arange(sub.total_cells)
-    return sub, packed_index(words)
+    return sub, index_array(words)
 
 
 def plan_study(cfg: ExperimentConfig) -> StudyPlan:
@@ -595,12 +595,12 @@ def plan_study(cfg: ExperimentConfig) -> StudyPlan:
     reads = READS[cfg.kind](cfg.params)
     if cfg.on_heat_grid:
         sites = [cfg.heat_grid.site_of(x) for _, _, x in reads]
-        return StudyPlan(cfg, None, None, packed_index(sites), None)
+        return StudyPlan(cfg, None, None, index_array(sites), None)
     apexes = [cfg.lattice.apex(t, x) for _, t, x in reads]
     lat, words = _solve_trapezoid(cfg.lattice, apexes)
     levels, cols = np.array(apexes, dtype=np.int64).reshape(-1, 2).T
     geometry = STUDY_PLANS[cfg.kind]
-    return StudyPlan(cfg, lat, words, packed_index(point_index(lat, levels, cols)),
+    return StudyPlan(cfg, lat, words, index_array(point_index(lat, levels, cols)),
                      geometry(cfg, lat) if geometry else None)
 
 

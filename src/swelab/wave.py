@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import LatticeSpec, packed_index
+from .lattice import LatticeSpec, index_array
 from .noise import INITIAL_LEVEL, NoiseBlock
 from .sigma import CONSTANT_ONE, SigmaSpec
 
@@ -70,7 +70,13 @@ def point_index(lat: LatticeSpec, levels: np.ndarray, cols: np.ndarray) -> np.nd
 def solve_wave(sigma: SigmaSpec, noise: NoiseBlock) -> WaveBlock:
     """The fields of every seed of a block, solved in place: level n + 1
     overwrites cell row n, so the block holds fields, not increments,
-    afterwards. All rows advance one level at a time."""
+    afterwards. All rows advance one level at a time.
+
+    The rows stay seed-major, but each level is computed seed-minor, in a
+    window of the last three levels shaped (3, width(1), len(seeds)): the
+    cell row is copied in transposed, the update runs on contiguous slabs
+    rather than on one short segment per seed, and the finished level is
+    copied back over its cell row."""
     lat, u = noise.lattice, noise.rows
     # offset of each level's first point; level 0 is the single column 0
     at = [0, *(1 + lat.cell_row_starts).tolist()]
@@ -78,21 +84,28 @@ def solve_wave(sigma: SigmaSpec, noise: NoiseBlock) -> WaveBlock:
     first = u[:, at[1]:at[2]]
     first *= sigma.scalar(INITIAL_LEVEL)
     first += INITIAL_LEVEL
+    # level n sits in slot n % 3; level 0 is flat, so width(1) of it is
+    # as much as the level-2 update reads
+    window = np.empty((3, lat.width(1), len(u)))
+    window[0] = INITIAL_LEVEL
+    window[1] = first.T
     # the new level takes the rounding of prev[:-1] + prev[1:] - below +
     # sigma(below) * xi, term by term; the kick is taken before the add
     # overwrites xi
     for n in range(1, lat.n_levels):
-        prev = u[:, at[n]:at[n + 1]]
-        row = u[:, at[n + 1]:at[n + 2]]
-        if n == 1:
-            below = np.broadcast_to(u[:, :1], row.shape)
-        else:  # the columns of level n - 1 right under the new level
-            below = u[:, at[n - 1] + 1:at[n] - 1]
+        cells = u[:, at[n + 1]:at[n + 2]]
+        w = cells.shape[1]
+        prev = window[n % 3, :w + 1]
+        # the columns of level n - 1 right under the new level
+        below = window[(n - 1) % 3, 1:w + 1]
+        row = window[(n + 1) % 3, :w]
+        row[...] = cells.T
         kick = sigma(below)
         kick *= row
-        np.add(prev[:, :-1], prev[:, 1:], out=row)
+        np.add(prev[:-1], prev[1:], out=row)
         row -= below
         row += kick
+        cells[...] = row.T
     return WaveBlock(lat, sigma, noise.seeds, u)
 
 
@@ -122,4 +135,4 @@ def cone_boundary_trace(lat: LatticeSpec, level: int, col: int) -> tuple[np.ndar
     dm = np.arange(-level, level + 1)
     ys = (col + dm) * lat.h
     ys.flags.writeable = False
-    return ys, packed_index(point_index(lat, level - np.abs(dm), col + dm))
+    return ys, index_array(point_index(lat, level - np.abs(dm), col + dm))

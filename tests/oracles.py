@@ -329,6 +329,33 @@ def brownian_lil_statistics(scales, n_replicates: int, rng_seed: int) -> np.ndar
     return np.max(np.abs(paths) / denom, axis=1)
 
 
+# -- the level loop, one seed at a time ----------------------------------------
+
+
+def wave_levels(sigma, increments, lat) -> np.ndarray:
+    """One seed's field by the plain level loop, packed like WaveField.values:
+    level n + 1 is written over the slots of cell row n.
+
+    Level 1 is sigma(1) xi + 1 on the base triangles; every later level takes
+    the rounding of (prev[:-1] + prev[1:] - below) + sigma(below) xi, in that
+    order, with `below` the interior of the level under `prev`.
+    """
+    starts = lat.cell_row_starts
+    out = np.empty(1 + lat.total_cells)
+    out[0] = 1.0
+    levels = [np.ones(lat.width(0))]
+    for n in range(lat.n_levels):
+        xi = increments[starts[n]:starts[n + 1]]
+        if n == 0:
+            new = xi * float(sigma(np.float64(1.0))) + 1.0
+        else:
+            prev, below = levels[n], levels[n - 1][1:-1]
+            new = prev[:-1] + prev[1:] - below + sigma(below) * xi
+        levels.append(new)
+        out[1 + starts[n]:1 + starts[n + 1]] = new
+    return out
+
+
 # -- the package under test ----------------------------------------------------
 
 

@@ -250,6 +250,9 @@ HEAT = {"kind": "linearize", "sigma": "linear:1", "replicates": 4, "equation": "
     ("simulate", dict(BASE, kind="simulate", params={
         "spatial_lags": {"t": 0.25, "x": 0.0, "lags": [0.25, 0.125, 0.25]}}), [],
      "params.spatial_lags.lags"),
+    # a stat the study does not produce is refused after aggregation, by key
+    ("qv", dict(BASE, thresholds=[{"stat": "qv_mena", "max": 1.0}]), [],
+     "thresholds[0].stat"),
 ])
 def test_bad_input_exits_two_and_names_the_key(tmp_path, capsys, command, config, extra, key):
     path = tmp_path / "cfg.yaml"

@@ -3,13 +3,14 @@ import math
 import warnings
 from collections import Counter
 from dataclasses import asdict, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracles
 from swelab import fluctuations, lattice, quadvar, studies
-from swelab.config import config_from_dict
+from swelab.config import config_from_dict, load_config
 from swelab.errors import ConfigurationError, ConfigurationWarning
 from swelab.lattice import spatial_shell_area
 from swelab.stats import ks_critical_value
@@ -231,8 +232,12 @@ def test_threshold_on_missing_stat_fails_loudly():
         replicates=100,
         thresholds=[{"stat": "rate_l2", "min": -0.65, "max": -0.35}],
     ))
-    with pytest.raises(ConfigurationError, match="unknown stat 'rate_l2'"):
+    # three counts are too few for a slope fit, so rate_l2 is never produced
+    with pytest.raises(ConfigurationError) as err:
         run_study(cfg)
+    head, produced = str(err.value).split("; this study produces ")
+    assert head == "thresholds[0].stat: threshold references unknown stat 'rate_l2'"
+    assert produced.startswith("['") and "rate_l2" not in produced
 
 
 def test_run_study_rejects_invalid_config():
@@ -274,6 +279,26 @@ def _plan_arrays(geometry) -> list[np.ndarray]:
     return out
 
 
+SHIPPED = sorted((Path(__file__).resolve().parent.parent / "configs" / "acceptance")
+                 .glob("*.yaml"))
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
+def test_plan_index_arrays_are_read_only_intp(path):
+    plan = plan_study(load_config(str(path)))
+    arrays = [plan.points]
+    if plan.words is not None:
+        arrays.append(plan.words)
+    if plan.geometry is not None:
+        arrays += _plan_arrays(plan.geometry)
+    assert plan.points.dtype == np.intp
+    for arr in arrays:
+        assert not arr.flags.writeable
+        # every index array gathers as intp; the float arrays are the
+        # coordinates and weights
+        assert arr.dtype == np.intp or arr.dtype.kind == "f"
+
+
 def _count_enumerations(monkeypatch) -> Counter:
     """Count cone_segments and shell_segments calls, wherever they are imported."""
     calls = Counter()
@@ -313,7 +338,7 @@ def test_plan_is_built_once_per_study_and_read_only(kind, monkeypatch):
         assert moved.lattice.width(0) == plan.lattice.width(0)
         assert np.array_equal(moved.points, plan.points)
         for a, b in zip(arrays, _plan_arrays(moved.geometry), strict=True):
-            if other is wide or a.dtype.kind == "u":  # coordinates move with the apex
+            if other is wide or a.dtype == np.intp:  # coordinates move with the apex
                 assert np.array_equal(a, b)
         assert not np.array_equal(moved.words, plan.words)
     # the geometry is enumerated once per study, however many blocks run

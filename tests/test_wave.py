@@ -1,12 +1,16 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import oracles
 from oracles import segment_sum, solved
+from swelab.config import load_config
 from swelab.errors import AlignmentError, DomainError
 from swelab.lattice import LatticeSpec, cone_segments
 from swelab.noise import make_noise
 from swelab.sigma import CONSTANT_ONE, SigmaSpec
+from swelab.studies import plan_study
 from swelab.wave import (
     cone_boundary_trace,
     field_at,
@@ -159,3 +163,22 @@ def test_block_solve_equals_each_seed_alone(sigma, size):
         want = solve_coupled_linearization(sigma, make_noise([seed], LAT))
         assert nonlin[b].values.tobytes() == want[0][0].values.tobytes()
         assert lin[b].values.tobytes() == want[1][0].values.tobytes()
+
+
+# the solve trapezoid of a shipped study, whose cells carry a word map
+HOLDER = plan_study(load_config(str(Path(__file__).resolve().parent.parent / "configs"
+                                    / "acceptance" / "holder_slopes.yaml")))
+SOLVES = {"LAT": (LAT, None), "holder_slopes": (HOLDER.lattice, HOLDER.words)}
+
+
+@pytest.mark.parametrize("solve", sorted(SOLVES))
+@pytest.mark.parametrize("sigma", BLOCK_SIGMAS, ids=lambda s: s.kind)
+@pytest.mark.parametrize("size", [1, 3, 16])
+def test_block_solve_equals_the_level_loop_bitwise(solve, sigma, size):
+    lat, words = SOLVES[solve]
+    block = make_noise(list(range(60, 60 + size)), lat, words)
+    xi = block.increments.copy()
+    fields = solve_wave(sigma, block)
+    for b in range(size):
+        want = oracles.wave_levels(sigma, xi[b], lat)
+        assert fields[b].values.tobytes() == want.tobytes()
