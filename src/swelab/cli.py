@@ -6,6 +6,7 @@ Exit codes: 0 study ran and passed its declared thresholds (or none declared),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import traceback
@@ -26,7 +27,10 @@ _SUBCOMMAND_KINDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parse_args leaves it unchanged,
+    and every call gets a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="swelab",
         description="Monte Carlo lab for a singular wave equation: quadratic "

@@ -134,12 +134,14 @@ def _march(sigmas: Sequence[SigmaSpec], grid: HeatGridSpec, seeds: Sequence[int]
 
     All fields start at 1 and step together; the fields of one seed take the
     same normals. Each site's update is elementwise, so a stacked field is
-    bitwise the field marched on its own.
+    bitwise the field marched on its own. Every step writes into the arrays
+    allocated here, so no step allocates.
     """
     r = grid.dt / (grid.dx * grid.dx)
     amp = math.sqrt(grid.dt / grid.dx)
     v = np.ones((len(sigmas), len(seeds), grid.n_sites))
     lap = np.empty_like(v)
+    twice = np.empty_like(v)
     kick = np.empty_like(v)
     chunk = max(1, _CHUNK_WORDS // grid.n_sites)
     for start in range(0, n_steps, chunk):
@@ -150,10 +152,12 @@ def _march(sigmas: Sequence[SigmaSpec], grid: HeatGridSpec, seeds: Sequence[int]
             np.add(v[..., :-2], v[..., 2:], out=lap[..., 1:-1])
             np.add(v[..., -1], v[..., 1], out=lap[..., 0])
             np.add(v[..., -2], v[..., 0], out=lap[..., -1])
-            lap -= 2.0 * v
+            np.multiply(v, 2.0, out=twice)
+            lap -= twice
             lap *= r
-            for f, sigma in enumerate(sigmas):
-                np.multiply(sigma(v[f]), z, out=kick[f])
+            for sigma, field_v, field_kick in zip(sigmas, v, kick):
+                sigma(field_v, out=field_kick)
+                field_kick *= z
             v += lap
             v += kick
     return v

@@ -30,6 +30,9 @@ _U64 = np.uint64
 _SHIFT = _U64(11)
 _SCALE = 2.0 ** -53
 _HALF_ULP = 2.0 ** -54
+# k * 2^-53 + 2^-54 rounds to 1.0 for the top k = 2^53 - 1 (the 2048 words
+# >= 2^64 - 2^11); that class is clamped to the largest double below 1
+_BELOW_ONE = np.nextafter(1.0, 0.0)
 
 
 def stream_words(seed: int, tag: int, start: int, count: int) -> np.ndarray:
@@ -55,6 +58,7 @@ def words_to_unit_normals(words: np.ndarray, out: np.ndarray | None = None) -> n
     u = (words >> _SHIFT).astype(np.float64)
     u *= _SCALE
     u += _HALF_ULP
+    np.minimum(u, _BELOW_ONE, out=u)
     return ndtri(u, out=u if out is None else out)
 
 

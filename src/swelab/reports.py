@@ -7,6 +7,7 @@ float32) followed by the raw float64 grid in C order.
 """
 from __future__ import annotations
 
+import functools
 import json
 import struct
 from pathlib import Path
@@ -92,6 +93,7 @@ def write_field_csv(path: str | Path, field: WaveField) -> None:
 # -- JSON summaries ------------------------------------------------------------
 
 
+@functools.cache
 def _package_version() -> str:
     try:
         from importlib.metadata import version

@@ -32,16 +32,23 @@ class SigmaSpec:
         if not all(np.isfinite(self.params)):
             raise ConfigurationError(f"sigma parameters must be finite, got {self.params}")
 
-    def __call__(self, u):
+    def __call__(self, u, out=None):
+        """sigma(u), written into `out` when it is given (it may be `u`)."""
+        u = np.asarray(u, dtype=float)
+        if out is None:
+            out = np.empty_like(u)
         if self.kind == "constant":
-            return np.full_like(np.asarray(u, dtype=float), self.params[0])
-        if self.kind == "linear":
-            return self.params[0] * np.asarray(u, dtype=float)
-        if self.kind == "affine":
+            out[...] = self.params[0]
+        elif self.kind == "linear":
+            np.multiply(self.params[0], u, out=out)
+        elif self.kind == "affine":
             a, b = self.params
-            return a + b * np.asarray(u, dtype=float)
-        a = self.params[0]
-        return a * np.sin(np.asarray(u, dtype=float))
+            np.multiply(b, u, out=out)
+            out += a
+        else:
+            np.sin(u, out=out)
+            out *= self.params[0]
+        return out
 
     def scalar(self, u: float) -> float:
         return float(self(np.float64(u)))

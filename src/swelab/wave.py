@@ -76,7 +76,8 @@ def solve_wave(sigma: SigmaSpec, noise: NoiseBlock) -> WaveBlock:
     window of the last three levels shaped (3, width(1), len(seeds)): the
     cell row is copied in transposed, the update runs on contiguous slabs
     rather than on one short segment per seed, and the finished level is
-    copied back over its cell row."""
+    copied back over its cell row. sigma(below) goes into one kick buffer
+    per solve, so no level allocates."""
     lat, u = noise.lattice, noise.rows
     # offset of each level's first point; level 0 is the single column 0
     at = [0, *(1 + lat.cell_row_starts).tolist()]
@@ -89,6 +90,7 @@ def solve_wave(sigma: SigmaSpec, noise: NoiseBlock) -> WaveBlock:
     window = np.empty((3, lat.width(1), len(u)))
     window[0] = INITIAL_LEVEL
     window[1] = first.T
+    kicks = np.empty((lat.width(1), len(u)))
     # the new level takes the rounding of prev[:-1] + prev[1:] - below +
     # sigma(below) * xi, term by term; the kick is taken before the add
     # overwrites xi
@@ -100,7 +102,7 @@ def solve_wave(sigma: SigmaSpec, noise: NoiseBlock) -> WaveBlock:
         below = window[(n - 1) % 3, 1:w + 1]
         row = window[(n + 1) % 3, :w]
         row[...] = cells.T
-        kick = sigma(below)
+        kick = sigma(below, out=kicks[:w])
         kick *= row
         np.add(prev[:-1], prev[1:], out=row)
         row -= below

@@ -1,4 +1,5 @@
 import json
+import shutil
 import subprocess
 import sys
 import warnings
@@ -6,7 +7,7 @@ import warnings
 import pytest
 import yaml
 
-from swelab.cli import main
+from swelab.cli import _build_parser, main
 
 BASE = {
     "kind": "qv-time",
@@ -23,6 +24,28 @@ def write_cfg(tmp_path, name="cfg.yaml", **kw):
     path = tmp_path / name
     path.write_text(yaml.safe_dump(d))
     return str(path)
+
+
+def test_the_parser_is_built_once_per_process():
+    assert _build_parser() is _build_parser()
+
+
+def test_no_override_leaks_into_a_later_call(tmp_path, capsys):
+    # the bytes of a first call in a fresh process, with out_dir from the config
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, sigma="linear:1", replicates=4, out_dir=str(out))
+    proc = subprocess.run([sys.executable, "-m", "swelab.cli", "qv", cfg],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0
+    first = {p.name: p.read_bytes() for p in out.iterdir()}
+    shutil.rmtree(out)
+    assert main(["qv", cfg, "--sigma", "constant:1", "--out-dir", str(tmp_path / "c")]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["qv", cfg, "--no-such-flag"])
+    assert exc.value.code == 2
+    assert main(["qv", cfg]) == 0
+    capsys.readouterr()
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == first
 
 
 def test_exit_zero_without_thresholds(tmp_path, capsys):

@@ -124,19 +124,27 @@ def shipped_heat_grid() -> HeatGridSpec:
     return HeatGridSpec(dx=0.015625, t_max=0.0625, circumference=4.0)
 
 
-@pytest.mark.parametrize("sigma", [LINEAR, SigmaSpec.parse("sine:1")])
+@pytest.mark.parametrize("sigma", [LINEAR, SigmaSpec.parse("sine:1"),
+                                   SigmaSpec.parse("constant:0.7"),
+                                   SigmaSpec.parse("affine:0.5,2.0")])
 @pytest.mark.parametrize("step", [1024, 700])
 def test_block_march_equals_the_row_by_row_history(sigma, step):
     g = shipped_heat_grid()
     seeds = [3, 4, 5]
-    pairs = solve_coupled_heat_linearization(sigma, seeds, g, step * g.dt)
-    for seed, (v, lin) in zip(seeds, pairs):
+    want = {}
+    for seed in seeds:
         z = words_to_unit_normals(
             stream_words(seed, HEAT_STREAM_TAG, 0, g.n_steps * g.n_sites)
         ).reshape(g.n_steps, g.n_sites)
-        assert np.all(v.values == oracles.heat_march(sigma, g.dx, g.dt, step, z)[step])
-        assert np.all(lin.values == oracles.heat_march(CONSTANT_ONE, g.dx, g.dt, step, z)[step])
-        assert v.step == lin.step == step
+        want[seed] = (oracles.heat_march(sigma, g.dx, g.dt, step, z)[step],
+                      oracles.heat_march(CONSTANT_ONE, g.dx, g.dt, step, z)[step])
+    # blocks of 1, 2 (small-studies' block) and 3 seeds
+    for block in (1, 2, 3):
+        pairs = solve_coupled_heat_linearization(sigma, seeds[:block], g, step * g.dt)
+        for seed, (v, lin) in zip(seeds, pairs):
+            assert np.all(v.values == want[seed][0])
+            assert np.all(lin.values == want[seed][1])
+            assert v.step == lin.step == step
 
 
 def test_march_stops_at_the_probe_time(monkeypatch):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy import stats as sps
+from scipy.special import ndtri
 
 from oracles import segment_sum
 from swelab.errors import ConfigurationError
@@ -47,6 +48,19 @@ def test_unit_normals_pass_ks_and_moments():
     assert d < 1.358 / np.sqrt(z.size)
     assert abs(z.mean()) < 4.0 / np.sqrt(z.size)
     assert abs(z.var() - 1.0) < 4.0 * np.sqrt(2.0 / z.size)
+
+
+def test_top_word_class_maps_to_a_finite_normal():
+    # k * 2^-53 + 2^-54 rounds to 1.0 for k = 2^53 - 1, whose ndtri is inf
+    edges = np.array([0, 2**64 - 2**11 - 1, 2**64 - 2**11, 2**64 - 1], dtype=np.uint64)
+    z = words_to_unit_normals(edges)
+    assert np.all(np.isfinite(z))
+    assert np.all(np.diff(z) >= 0.0)
+    assert z[-1] == z[-2] > 8.2
+    # every other word keeps the value of the unclamped map
+    words = stream_words(5, WAVE_STREAM_TAG, 0, 100_000)
+    u = (words >> np.uint64(11)).astype(np.float64) * 2.0**-53 + 2.0**-54
+    assert words_to_unit_normals(words).tobytes() == ndtri(u).tobytes()
 
 
 def test_large_seeds_keep_full_precision():

@@ -15,6 +15,15 @@ def test_evaluation_per_kind():
     assert np.allclose(SigmaSpec("sine", (0.5,))(u), 0.5 * np.sin(u))
     assert LINEAR.scalar(2.5) == 2.5
     assert CONSTANT_ONE.scalar(-7.0) == 1.0
+    # written into a given buffer, u itself included, with the same bytes
+    for text in ("constant:3", "linear:2", "affine:1,-2", "sine:0.5"):
+        sig = SigmaSpec.parse(text)
+        buf = np.empty_like(u)
+        assert sig(u, out=buf) is buf
+        assert buf.tobytes() == sig(u).tobytes()
+        v = u.copy()
+        assert sig(v, out=v) is v
+        assert v.tobytes() == sig(u).tobytes()
 
 
 def test_kind_and_arity_validation():

@@ -1,44 +1,70 @@
-"""Time shipped studies on two source trees, interleaved in one process.
+"""Time shipped studies, or whole benchmark rounds, on two source trees,
+interleaved in one process.
 
 Usage: python3 tools/ab_studies.py OLD_TREE NEW_TREE STEM:REPLICATES... [--rounds N]
+       python3 tools/ab_studies.py OLD_TREE NEW_TREE --workload NAME [--seed S] [--rounds N]
 
 Each tree's src/swelab is imported under a module name of its own
 (swelab_old, swelab_new), so both live in one interpreter with the same
-warm caches and the same share of the machine. For N rounds (default 10),
-every study STEM (configs/acceptance/STEM.yaml of each tree) runs through
-that tree's run_study at REPLICATES replicates and workers 1, writing no
-files: one tree then the other, the first side alternating by round. The
-script prints each study's median wall seconds per tree, the ratio
-NEW/OLD, and in how many rounds NEW was faster.
+warm caches and the same share of the machine.
+
+With STEM:REPLICATES, for N rounds (default 10), every study STEM
+(configs/acceptance/STEM.yaml of each tree) runs through that tree's
+run_study at REPLICATES replicates and workers 1, writing no files: one tree
+then the other, the first side alternating by round.
+
+With --workload, each tree's bench/workloads.make_plan gives one round of
+that benchmark workload at seed S (default 1): its studies run through the
+tree's run_study, its CLI calls through the tree's cli.main with stdout and
+stderr captured, writing into a temporary directory of each tree. A round
+runs every operation of one tree, then every operation of the other, the
+first side alternating by round, so CLI costs such as argument parsing are
+timed too. A CLI call that exits with neither 0 nor 1 stops the script.
+
+The script prints each study's median wall seconds per tree (in workload
+mode summed over the study's operations in a round, plus a `round` row), the
+ratio NEW/OLD, and in how many rounds NEW was faster.
 
 Pairs taken seconds apart in one process see the same machine, which
 resolves differences of a few percent that whole-benchmark runs, drifting
 by +-10% between runs, cannot. It supplements the benchmark's parent and
-change pairs (python3 bench/run.py); it does not replace them: it times
-only run_study, with no process start, import or I/O.
+change pairs (python3 bench/run.py); it does not replace them: it times no
+process start or import.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import importlib
 import importlib.util
+import io
+import shutil
 import statistics
 import sys
+import tempfile
 import time
 import warnings
 from pathlib import Path
 
 
-def import_tree(tree: Path, name: str):
-    """The package tree/src/swelab, imported as `name` (its modules import
-    one another relatively, so they resolve inside `name`)."""
-    pkg = tree / "src" / "swelab"
+def load_module(path: Path, name: str, package_dir: Path | None = None):
+    """The module (or, with package_dir, the package) at `path`, imported as
+    `name`; a package's modules import one another relatively, so they
+    resolve inside `name`."""
     spec = importlib.util.spec_from_file_location(
-        name, pkg / "__init__.py", submodule_search_locations=[str(pkg)])
+        name, path,
+        submodule_search_locations=None if package_dir is None else [str(package_dir)])
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     spec.loader.exec_module(module)
     return module
+
+
+def import_tree(tree: Path, name: str):
+    """The package tree/src/swelab, imported as `name`."""
+    pkg = tree / "src" / "swelab"
+    return load_module(pkg / "__init__.py", name, pkg)
 
 
 def study(tree: Path, package: str, stem: str, replicates: int):
@@ -50,17 +76,34 @@ def study(tree: Path, package: str, stem: str, replicates: int):
     return lambda: run_study(cfg)
 
 
-def main(argv: list[str]) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.strip().splitlines()[0])
-    ap.add_argument("old", type=Path)
-    ap.add_argument("new", type=Path)
-    ap.add_argument("studies", nargs="+", metavar="STEM:REPLICATES")
-    ap.add_argument("--rounds", type=int, default=10)
-    args = ap.parse_args(argv)
-    warnings.simplefilter("ignore")
-    sides = ("old", "new")
-    for side in sides:
-        import_tree(getattr(args, side).resolve(), f"swelab_{side}")
+def _cli_call(main, argv: list[str]) -> None:
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        code = main(argv)
+    if code not in (0, 1):
+        raise SystemExit(f"{' '.join(argv)} exited {code}:\n{sink.getvalue()[-2000:]}")
+
+
+def workload_round(tree: Path, package: str, workload: str, seed: int, out: Path):
+    """(stem, zero-argument callable) for every operation of one round of a
+    benchmark workload, as tree/bench/workloads.py plans it into `out`."""
+    workloads = load_module(tree / "bench" / "workloads.py", f"workloads_{package}")
+    plan = workloads.make_plan(workload, seed, out)
+    config = importlib.import_module(f"{package}.config")
+    run_study = importlib.import_module(f"{package}.studies").run_study
+    main = importlib.import_module(f"{package}.cli").main
+    ops = []
+    for op in plan["studies"]:
+        cfg = config.load_config(op["config"], {
+            "replicates": op["replicates"], "base_seed": op["base_seed"],
+            "workers": 1, "out_dir": op["out"]})
+        ops.append((op["stem"], functools.partial(run_study, cfg)))
+    ops += [(op["stem"], functools.partial(_cli_call, main, op["argv"]))
+            for op in plan["cli"]]
+    return ops
+
+
+def time_studies(args, sides) -> dict:
     plans = []
     for item in args.studies:
         stem, _, reps = item.partition(":")
@@ -74,12 +117,56 @@ def main(argv: list[str]) -> int:
                 start = time.perf_counter()
                 runs[side]()
                 walls[stem, side].append(time.perf_counter() - start)
+    return walls
+
+
+def time_workload(args, sides, scratch: Path) -> dict:
+    rounds = {side: workload_round(getattr(args, side).resolve(), f"swelab_{side}",
+                                   args.workload, args.seed, scratch / side)
+              for side in sides}
+    stems = list(dict.fromkeys(stem for stem, _ in rounds["new"]))
+    walls = {(name, side): [] for name in [*stems, "round"] for side in sides}
+    for r in range(args.rounds):
+        for side in (sides if r % 2 == 0 else sides[::-1]):
+            shutil.rmtree(scratch / side, ignore_errors=True)
+            spent = dict.fromkeys(stems, 0.0)
+            for stem, run in rounds[side]:
+                start = time.perf_counter()
+                run()
+                spent[stem] += time.perf_counter() - start
+            for stem, seconds in spent.items():
+                walls[stem, side].append(seconds)
+            walls["round", side].append(sum(spent.values()))
+    return walls
+
+
+def main(argv: list[str]) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.strip().splitlines()[0])
+    ap.add_argument("old", type=Path)
+    ap.add_argument("new", type=Path)
+    ap.add_argument("studies", nargs="*", metavar="STEM:REPLICATES")
+    ap.add_argument("--workload", default=None,
+                    help="time whole rounds of this benchmark workload instead")
+    ap.add_argument("--seed", type=int, default=1, help="workload seed")
+    ap.add_argument("--rounds", type=int, default=10)
+    args = ap.parse_args(argv)
+    if bool(args.studies) == (args.workload is not None):
+        ap.error("give either STEM:REPLICATES studies or --workload, not both")
+    warnings.simplefilter("ignore")
+    sides = ("old", "new")
+    for side in sides:
+        import_tree(getattr(args, side).resolve(), f"swelab_{side}")
+    if args.workload is None:
+        walls = time_studies(args, sides)
+    else:
+        with tempfile.TemporaryDirectory() as scratch:
+            walls = time_workload(args, sides, Path(scratch))
     print(f"{'study':24s} {'old s':>8s} {'new s':>8s} {'new/old':>8s}  new faster")
-    for stem, _ in plans:
-        old, new = walls[stem, "old"], walls[stem, "new"]
+    for name in dict.fromkeys(name for name, _ in walls):
+        old, new = walls[name, "old"], walls[name, "new"]
         wins = sum(n < o for o, n in zip(old, new))
         mo, mn = statistics.median(old), statistics.median(new)
-        print(f"{stem:24s} {mo:8.3f} {mn:8.3f} {mn / mo:8.3f}  {wins} of {len(old)}")
+        print(f"{name:24s} {mo:8.3f} {mn:8.3f} {mn / mo:8.3f}  {wins} of {len(old)}")
     return 0
 
 
