@@ -25,7 +25,7 @@ from .fluctuations import (
 )
 from .heat import HeatField, HeatGridSpec, solve_coupled_heat_linearization, solve_heat
 from .lattice import LatticeSpec, spatial_shell_area, temporal_shell_area
-from .linearize import heat_defect_samples, wave_defect_samples
+from .linearize import defect_samples
 from .noise import make_noise
 from .quadvar import (
     admissible_spatial_pieces,

@@ -368,7 +368,9 @@ def validate(cfg: ExperimentConfig) -> tuple[list[str], list[str]]:
     if cfg.base_seed < 0 or cfg.base_seed + max(cfg.replicates, 1) > 2 ** 64:
         errors.append("base_seed must keep every replicate seed inside [0, 2^64)")
 
-    if not cfg.on_heat_grid and cfg.lattice is None:
+    if cfg.equation == "heat" and cfg.kind != "linearize":
+        errors.append(f"equation: heat runs only kind 'linearize', got kind {cfg.kind!r}")
+    elif not cfg.on_heat_grid and cfg.lattice is None:
         errors.append(f"kind {cfg.kind!r} requires a lattice block")
     if cfg.on_heat_grid and cfg.heat_grid is None:
         errors.append("linearize on the heat equation requires a heat_grid block")

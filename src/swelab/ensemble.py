@@ -10,6 +10,7 @@ workers > 1) and must return the same stat names for every replicate.
 """
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -108,6 +109,9 @@ def run_replicates(fn: ReplicateFn, payload, *, base_seed: int, replicates: int,
     if workers == 1:
         produced = [row for block in blocks for row in _call(block)]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # the pool starts all its processes at the first submit, so it gets
+        # no more than there are blocks or CPUs to keep busy
+        processes = min(workers, len(blocks), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=processes) as pool:
             produced = [row for rows in pool.map(_call, blocks) for row in rows]
     return _assemble(produced)

@@ -171,14 +171,9 @@ def solve_heat(sigma: SigmaSpec, seed: int, grid: HeatGridSpec) -> HeatField:
 
 
 def solve_coupled_heat_linearization(sigma: SigmaSpec, seeds: Sequence[int], grid: HeatGridSpec,
-                                     t: float) -> list[tuple[HeatField, HeatField]]:
-    """(nonlinear field, sigma==1 field) at t for each seed, driven by the
-    identical site normals."""
+                                     t: float) -> np.ndarray:
+    """Rows at t of the nonlinear fields (first) and of the sigma == 1 fields
+    (second), one per seed and driven by the identical site normals, shape
+    (2, seeds, sites)."""
     seeds = [_check_seed(seed) for seed in seeds]
-    step = grid.step_of(t)
-    v = _march((sigma, CONSTANT_ONE), grid, seeds, step)
-    return [
-        (HeatField(grid=grid, sigma=sigma, seed=seed, step=step, values=v[0, i]),
-         HeatField(grid=grid, sigma=CONSTANT_ONE, seed=seed, step=step, values=v[1, i]))
-        for i, seed in enumerate(seeds)
-    ]
+    return _march((sigma, CONSTANT_ONE), grid, seeds, grid.step_of(t))

@@ -40,7 +40,7 @@ from .fluctuations import (
 )
 from .heat import solve_coupled_heat_linearization
 from .lattice import LatticeSpec, index_array, spatial_shell_area
-from .linearize import heat_defect_samples, wave_defect_samples
+from .linearize import defect_samples
 from .noise import make_noise
 from .quadvar import (
     naive_qv_prediction,
@@ -456,24 +456,18 @@ def _rep_linearize(seeds: list[int], plan: StudyPlan) -> list[dict[str, float]]:
     cfg = plan.cfg
     if cfg.on_heat_grid:
         # the whole block marches at once, only to the probe time
-        pairs = solve_coupled_heat_linearization(cfg.sigma, seeds, cfg.heat_grid,
-                                                 cfg.params["t"])
-        defect_samples = heat_defect_samples
+        fields, linear = solve_coupled_heat_linearization(cfg.sigma, seeds, cfg.heat_grid,
+                                                          cfg.params["t"])
     else:
         # the whole block solves at once; the sigma == 1 fields on a copy
-        pairs = zip(*solve_coupled_linearization(
+        fields, linear = (block.rows for block in solve_coupled_linearization(
             cfg.sigma, make_noise(seeds, plan.lattice, plan.words)))
-        defect_samples = wave_defect_samples
-    lags = sorted(cfg.params["lags"])
-    rows = []
-    for u, lin in pairs:
-        out: dict[str, float] = {}
-        for i, s in enumerate(defect_samples(u, lin, plan.points, lags)):
-            out[f"du_{i}"] = s.field_increment
-            out[f"dl_{i}"] = s.linear_increment
-            out[f"defect_{i}"] = s.defect
-        rows.append(out)
-    return rows
+    samples = defect_samples(cfg.sigma, fields, linear, plan.points)
+    names = [f"{name}_{i}" for i in range(samples[0].shape[1])
+             for name in ("du", "dl", "defect")]
+    # (seeds, lags, 3): each lag's du, dl and defect side by side, as named
+    return [dict(zip(names, row))
+            for row in np.stack(samples, axis=2).reshape(len(seeds), -1).tolist()]
 
 
 def _agg_linearize(cfg: ExperimentConfig, ens: EnsembleResult):

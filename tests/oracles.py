@@ -329,6 +329,24 @@ def brownian_lil_statistics(scales, n_replicates: int, rng_seed: int) -> np.ndar
     return np.max(np.abs(paths) / denom, axis=1)
 
 
+# -- linearization defects, one seed at a time ---------------------------------
+
+
+def defect_row(sigma, at, at_linear, t: float, x: float, lags) -> list[tuple]:
+    """One seed's (du, dl, defect) at each lag, on Python floats. `at` and
+    `at_linear` read the nonlinear and the sigma == 1 field of the seed at a
+    point (t, x); the defect freezes sigma at the base point:
+    du - sigma(u(t, x)) * dl."""
+    base_u, base_l = at(t, x), at_linear(t, x)
+    frozen = float(sigma(np.float64(base_u)))
+    out = []
+    for lag in lags:
+        du = at(t, x + lag) - base_u
+        dl = at_linear(t, x + lag) - base_l
+        out.append((du, dl, du - frozen * dl))
+    return out
+
+
 # -- the level loop, one seed at a time ----------------------------------------
 
 

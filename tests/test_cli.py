@@ -276,6 +276,9 @@ HEAT = {"kind": "linearize", "sigma": "linear:1", "replicates": 4, "equation": "
     # a stat the study does not produce is refused after aggregation, by key
     ("qv", dict(BASE, thresholds=[{"stat": "qv_mena", "max": 1.0}]), [],
      "thresholds[0].stat"),
+    # only linearize runs on the heat equation; the rest would run the wave
+    # equation under the heat label
+    ("qv", dict(BASE, equation="heat"), [], "equation"),
 ])
 def test_bad_input_exits_two_and_names_the_key(tmp_path, capsys, command, config, extra, key):
     path = tmp_path / "cfg.yaml"

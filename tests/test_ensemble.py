@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,44 @@ def test_worker_count_never_changes_the_rows():
         assert one.index == other.index
         assert one.seeds == other.seeds
         assert one.rows.tobytes() == other.rows.tobytes()
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers and maps in
+    this process, so no process is started."""
+
+    made: list[int] = []
+
+    def __init__(self, max_workers):
+        self.made.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("workers, replicates, cpus, started", [
+    (5000, 2, 64, 1),   # one seed block
+    (5000, 37, 64, 3),  # three seed blocks
+    (5000, 37, 2, 2),   # two CPUs
+    (2, 2, 64, 1),      # workers 2 still takes the pool
+    (2, 37, 64, 2),
+])
+def test_the_pool_starts_no_more_processes_than_blocks_or_cpus(
+        monkeypatch, workers, replicates, cpus, started):
+    monkeypatch.setattr(ensemble, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(RecordingPool, "made", [])
+    got = run_replicates(record_seed, 7, base_seed=3, replicates=replicates,
+                         workers=workers)
+    assert RecordingPool.made == [started]
+    want = run_replicates(record_seed, 7, base_seed=3, replicates=replicates)
+    assert got.rows.tobytes() == want.rows.tobytes()
 
 
 def test_block_size_never_changes_the_rows(monkeypatch):

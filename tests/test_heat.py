@@ -112,11 +112,13 @@ def test_site_normal_matches_the_stream():
 
 def test_coupled_heat_solutions_share_normals():
     g = small_grid()
-    [(v, lin)] = solve_coupled_heat_linearization(LINEAR, [9], g, g.t_max)
+    [[v], [lin]] = solve_coupled_heat_linearization(LINEAR, [9], g, g.t_max)
     ref = solve_heat(CONSTANT_ONE, 9, g)
-    assert np.array_equal(lin.values, ref.values)
-    assert not np.array_equal(v.values, lin.values)
-    assert oracles.heat_at(v, g.t_max, 0.25) == v.values[g.site_of(0.25)]
+    assert np.array_equal(lin, ref.values)
+    assert not np.array_equal(v, lin)
+    assert oracles.heat_at(ref, g.t_max, 0.25) == lin[g.site_of(0.25)]
+    with pytest.raises(LookupError, match="t=0.0 is step 0.*kept only step 16"):
+        oracles.heat_at(ref, 0.0, 0.0)
 
 
 def shipped_heat_grid() -> HeatGridSpec:
@@ -140,11 +142,11 @@ def test_block_march_equals_the_row_by_row_history(sigma, step):
                       oracles.heat_march(CONSTANT_ONE, g.dx, g.dt, step, z)[step])
     # blocks of 1, 2 (small-studies' block) and 3 seeds
     for block in (1, 2, 3):
-        pairs = solve_coupled_heat_linearization(sigma, seeds[:block], g, step * g.dt)
-        for seed, (v, lin) in zip(seeds, pairs):
-            assert np.all(v.values == want[seed][0])
-            assert np.all(lin.values == want[seed][1])
-            assert v.step == lin.step == step
+        rows = solve_coupled_heat_linearization(sigma, seeds[:block], g, step * g.dt)
+        assert rows.shape == (2, block, g.n_sites)
+        for seed, v, lin in zip(seeds, *rows):
+            assert np.all(v == want[seed][0])
+            assert np.all(lin == want[seed][1])
 
 
 def test_march_stops_at_the_probe_time(monkeypatch):
@@ -156,15 +158,10 @@ def test_march_stops_at_the_probe_time(monkeypatch):
         return _normals(seeds, grid, start, stop)
 
     monkeypatch.setattr(heat, "_normals", recording_normals)
-    [(v, lin)] = solve_coupled_heat_linearization(LINEAR, [1], g, 700 * g.dt)
+    rows = solve_coupled_heat_linearization(LINEAR, [1], g, 700 * g.dt)
     assert drawn[-1][1] == 700
     assert all(stop - start <= heat._CHUNK_WORDS // g.n_sites for start, stop in drawn)
-    assert v.values.shape == lin.values.shape == (g.n_sites,)
-    oracles.heat_at(v, 700 * g.dt, 0.0)
-    with pytest.raises(LookupError, match="t=0.0625 is step 1024.*kept only step 700"):
-        oracles.heat_at(v, g.t_max, 0.0)
-    with pytest.raises(LookupError, match="kept only step 700"):
-        oracles.heat_at(lin, 0.0, 0.0)
+    assert rows.shape == (2, 1, g.n_sites)
 
 
 def test_every_seed_of_a_block_is_checked():

@@ -3,11 +3,11 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import solved
-from swelab.errors import AlignmentError, ConfigurationWarning, PreconditionError
+import oracles
+from swelab.errors import ConfigurationWarning
 from swelab.heat import HeatGridSpec, solve_coupled_heat_linearization, solve_heat
 from swelab.lattice import LatticeSpec
-from swelab.linearize import heat_defect_samples, wave_defect_samples
+from swelab.linearize import defect_samples, heat_defect_samples, wave_defect_samples
 from swelab.noise import make_noise
 from swelab.sigma import CONSTANT_ONE, SigmaSpec
 from swelab.wave import field_at, point_index, solve_coupled_linearization
@@ -15,6 +15,8 @@ from swelab.wave import field_at, point_index, solve_coupled_linearization
 LAT = LatticeSpec(h=0.0625, t_max=1.0, x_lo=-2.0, x_hi=2.0)
 LINEAR = SigmaSpec("linear", (1.0,))
 LAGS = [0.125, 0.25, 0.5]
+SIGMAS = [LINEAR, SigmaSpec.parse("sine:1"), SigmaSpec.parse("affine:0.5,2.0"),
+          SigmaSpec.parse("constant:0.7")]
 
 
 def reads(t: float, x: float, lags) -> np.ndarray:
@@ -34,86 +36,74 @@ def small_heat_grid() -> HeatGridSpec:
         return HeatGridSpec(dx=0.0625, t_max=0.015625, circumference=1.0)
 
 
+def wave_rows(sigma: SigmaSpec, seeds) -> tuple[np.ndarray, np.ndarray]:
+    fields, linear = solve_coupled_linearization(sigma, make_noise(seeds, LAT))
+    return fields.rows, linear.rows
+
+
+def test_both_equations_share_one_defect_function():
+    assert wave_defect_samples is heat_defect_samples is defect_samples
+
+
 def test_constant_sigma_wave_defect_vanishes():
     # with sigma == c both solutions see the same noise sums, so the frozen
     # coefficient c reproduces the increment with no error at all
     sigma = SigmaSpec("constant", (0.7,))
-    fld, _ = solved(sigma, 11, LAT)
-    lin, _ = solved(CONSTANT_ONE, 11, LAT)
-    for s in wave_defect_samples(fld, lin, reads(0.5, 0.0, LAGS), LAGS):
-        assert abs(s.defect) < 1e-12
-        assert s.field_increment == pytest.approx(0.7 * s.linear_increment, rel=1e-10)
+    du, dl, defect = defect_samples(sigma, *wave_rows(sigma, [11, 12]), reads(0.5, 0.0, LAGS))
+    assert du.shape == dl.shape == defect.shape == (2, len(LAGS))
+    assert np.all(np.abs(defect) < 1e-12)
+    np.testing.assert_allclose(du, 0.7 * dl, rtol=1e-10)
 
 
 def test_constant_sigma_heat_defect_vanishes():
     grid = small_heat_grid()
-    fld = solve_heat(SigmaSpec("constant", (0.7,)), 11, grid)
-    lin = solve_heat(CONSTANT_ONE, 11, grid)
-    for s in heat_defect_samples(fld, lin, sites(grid, 0.25, [0.0625, 0.125]),
-                                 [0.0625, 0.125]):
-        assert abs(s.defect) < 1e-12
+    sigma = SigmaSpec("constant", (0.7,))
+    rows = solve_coupled_heat_linearization(sigma, [11], grid, grid.t_max)
+    _, _, defect = defect_samples(sigma, *rows, sites(grid, 0.25, [0.0625, 0.125]))
+    assert np.all(np.abs(defect) < 1e-12)
 
 
 def test_defect_matches_hand_formula():
-    sigma = LINEAR
-    fields, lins = solve_coupled_linearization(sigma, make_noise([3], LAT))
-    fld, lin = fields[0], lins[0]
+    fields, linear = solve_coupled_linearization(LINEAR, make_noise([3], LAT))
+    fld, lin = fields[0], linear[0]
     t, x = 0.5, 0.25
-    samples = wave_defect_samples(fld, lin, reads(t, x, LAGS), LAGS)
+    du, dl, defect = defect_samples(LINEAR, fields.rows, linear.rows, reads(t, x, LAGS))
     frozen = field_at(fld, t, x)
-    for s in samples:
-        du = field_at(fld, t, x + s.lag) - field_at(fld, t, x)
-        dl = field_at(lin, t, x + s.lag) - field_at(lin, t, x)
-        assert s.field_increment == pytest.approx(du, rel=1e-15)
-        assert s.linear_increment == pytest.approx(dl, rel=1e-15)
-        assert s.defect == pytest.approx(du - frozen * dl, rel=1e-12, abs=1e-15)
-    assert [s.lag for s in samples] == LAGS
+    for i, lag in enumerate(LAGS):
+        want_du = field_at(fld, t, x + lag) - field_at(fld, t, x)
+        want_dl = field_at(lin, t, x + lag) - field_at(lin, t, x)
+        assert du[0, i] == pytest.approx(want_du, rel=1e-15)
+        assert dl[0, i] == pytest.approx(want_dl, rel=1e-15)
+        assert defect[0, i] == pytest.approx(want_du - frozen * want_dl, rel=1e-12, abs=1e-15)
 
 
-def test_wave_coupling_is_enforced():
-    fld, _ = solved(LINEAR, 3, LAT)
-    other, _ = solved(CONSTANT_ONE, 4, LAT)
-    with pytest.raises(PreconditionError, match="seeds differ"):
-        wave_defect_samples(fld, other, reads(0.5, 0.0, LAGS), LAGS)
-    coarse = LatticeSpec(h=0.125, t_max=1.0, x_lo=-2.0, x_hi=2.0)
-    with pytest.raises(PreconditionError, match="different lattices"):
-        wave_defect_samples(fld, solved(CONSTANT_ONE, 3, coarse)[0],
-                            reads(0.5, 0.0, LAGS), LAGS)
+@pytest.mark.parametrize("sigma", SIGMAS, ids=SigmaSpec.label)
+@pytest.mark.parametrize("block", [1, 3, 16])
+def test_wave_block_defects_equal_the_per_seed_oracle(sigma, block):
+    seeds = list(range(40, 40 + block))
+    t, x = 0.5, 0.25
+    got = np.stack(defect_samples(sigma, *wave_rows(sigma, seeds), reads(t, x, LAGS)),
+                   axis=2)
+    for b, seed in enumerate(seeds):
+        fld, _ = oracles.solved(sigma, seed, LAT)
+        lin, _ = oracles.solved(CONSTANT_ONE, seed, LAT)
+        want = oracles.defect_row(sigma, lambda t, x: field_at(fld, t, x),
+                                  lambda t, x: field_at(lin, t, x), t, x, LAGS)
+        assert got[b].tolist() == [list(lag) for lag in want]
 
 
-def test_linear_field_must_have_unit_coefficient():
-    fld, _ = solved(LINEAR, 3, LAT)
-    with pytest.raises(PreconditionError, match="constant coefficient 1"):
-        wave_defect_samples(fld, solved(SigmaSpec("constant", (2.0,)), 3, LAT)[0],
-                            reads(0.5, 0.0, LAGS), LAGS)
-    with pytest.raises(PreconditionError, match="linear:1"):
-        wave_defect_samples(fld, solved(LINEAR, 3, LAT)[0], reads(0.5, 0.0, LAGS), LAGS)
-
-
-def test_lags_must_be_positive():
-    fields, lins = solve_coupled_linearization(LINEAR, make_noise([3], LAT))
-    fld, lin = fields[0], lins[0]
-    with pytest.raises(AlignmentError, match="positive"):
-        wave_defect_samples(fld, lin, reads(0.5, 0.0, [0.125, -0.125]),
-                            [0.125, -0.125])
-
-
-def test_heat_coupling_is_enforced():
+@pytest.mark.parametrize("sigma", SIGMAS, ids=SigmaSpec.label)
+@pytest.mark.parametrize("block", [1, 3, 16])
+def test_heat_block_defects_equal_the_per_seed_oracle(sigma, block):
     grid = small_heat_grid()
-    [(fld, lin)] = solve_coupled_heat_linearization(LINEAR, [9], grid, grid.t_max)
-    other = solve_heat(CONSTANT_ONE, 10, grid)
-    with pytest.raises(PreconditionError, match="seeds differ"):
-        heat_defect_samples(fld, other, sites(grid, 0.0, [0.0625]), [0.0625])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ConfigurationWarning)
-        grid2 = HeatGridSpec(dx=0.03125, t_max=0.015625, circumference=1.0)
-    with pytest.raises(PreconditionError, match="different grids"):
-        heat_defect_samples(fld, solve_heat(CONSTANT_ONE, 9, grid2),
-                            sites(grid, 0.0, [0.0625]), [0.0625])
-    [(_, early)] = solve_coupled_heat_linearization(LINEAR, [9], grid,
-                                                    grid.t_max / 2)
-    with pytest.raises(PreconditionError, match="different grids or steps"):
-        heat_defect_samples(fld, early, sites(grid, 0.0, [0.0625]), [0.0625])
-    assert fld.seed == lin.seed
-    samples = heat_defect_samples(fld, lin, sites(grid, 0.0, [0.0625]), [0.0625])
-    assert samples[0].lag == 0.0625
+    seeds = list(range(40, 40 + block))
+    x, lags = 0.25, [0.0625, 0.125, 0.25]
+    rows = solve_coupled_heat_linearization(sigma, seeds, grid, grid.t_max)
+    got = np.stack(defect_samples(sigma, *rows, sites(grid, x, lags)), axis=2)
+    for b, seed in enumerate(seeds):
+        fld = solve_heat(sigma, seed, grid)
+        lin = solve_heat(CONSTANT_ONE, seed, grid)
+        want = oracles.defect_row(sigma, lambda t, x: oracles.heat_at(fld, t, x),
+                                  lambda t, x: oracles.heat_at(lin, t, x),
+                                  grid.t_max, x, lags)
+        assert got[b].tolist() == [list(lag) for lag in want]
