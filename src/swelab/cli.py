@@ -11,20 +11,11 @@ import json
 import sys
 import traceback
 
-from .config import config_from_dict, read_config
+from .config import KINDS, config_from_dict, read_config
 from .errors import ConfigurationError, LabError
 from .studies import run_study
 
 __all__ = ["main"]
-
-_SUBCOMMAND_KINDS = {
-    "simulate": ("simulate",),
-    "qv": ("qv-time", "qv-space", "ladder"),
-    "clt": ("clt",),
-    "lil": ("lil",),
-    "mart": ("mart",),
-    "linearize": ("linearize",),
-}
 
 
 @functools.cache
@@ -59,7 +50,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "mart": "martingale + remainder split of short-time increments",
         "linearize": "frozen-coefficient defect, wave or heat",
     }
-    for name, kinds in _SUBCOMMAND_KINDS.items():
+    for name in dict.fromkeys(kind.command for kind in KINDS.values()):
+        kinds = tuple(k for k, kind in KINDS.items() if kind.command == name)
         sp = sub.add_parser(name, parents=[common], help=helps[name])
         sp.set_defaults(func=_cmd_run, kinds=kinds)
         if name == "qv":

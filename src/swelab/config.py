@@ -6,9 +6,8 @@ for the wave equation, heat_grid for the heat equation) and a kind-specific
 params block. Every block is described by one table of fields below; parsing
 walks a mapping against its table once, so `ExperimentConfig.params` holds
 parsed values with defaults filled in. `validate` keeps only the rules that
-join several keys or depend on the geometry. `READS` lists the points each
-kind reads, in one place: `validate` resolves them and `studies.plan_study`
-solves for them.
+join several keys or depend on the geometry. What a kind is on the config
+side, the points it reads included, is its one `Kind` record in `KINDS`.
 
 Thresholds are declared here, never hard-coded in studies: a summary's
 pass/fail flags are evaluated against exactly what the config file says.
@@ -17,6 +16,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,7 +30,7 @@ from .sigma import SigmaSpec
 
 __all__ = [
     "KINDS",
-    "READS",
+    "Kind",
     "Threshold",
     "ExperimentConfig",
     "read_config",
@@ -38,9 +38,6 @@ __all__ = [
     "config_from_dict",
     "validate",
 ]
-
-KINDS = ("simulate", "qv-time", "qv-space", "clt", "lil", "mart", "linearize", "ladder")
-
 
 @dataclass(frozen=True)
 class Threshold:
@@ -86,7 +83,37 @@ class ExperimentConfig:
     @property
     def on_heat_grid(self) -> bool:
         """Heat linearize runs on heat_grid; every other study on the lattice."""
-        return self.kind == "linearize" and self.equation == "heat"
+        return self.equation == "heat" and KINDS[self.kind].heat
+
+
+@dataclass(frozen=True)
+class Kind:
+    """What one config kind is on the config side; the KINDS table holds one.
+
+    `params` is its params table. `reads(params)` lists the points its
+    replicates read, as (key, t, x), and `check(cfg, params, errors, notes)`
+    adds the rules that join its params with the geometry. Its aggregation
+    takes at least `least_replicates(params)` replicates, and its estimators
+    read the increments after the solve when `reads_noise(params)`. `heat`
+    lets it run on the heat equation too. With fewer replicates than the
+    first of `advice`, a run warns of the second. `command` is the CLI
+    subcommand that runs it.
+    """
+
+    command: str
+    params: dict
+    reads: Callable[[dict], list[Read]]
+    check: Callable[[ExperimentConfig, dict, list[str], list[str]], None]
+    least_replicates: Callable[[dict], int] = lambda p: 1
+    reads_noise: Callable[[dict], bool] = lambda p: False
+    heat: bool = False
+    advice: tuple[int, str] = (0, "")
+
+    def warnings(self, replicates: int) -> list[str]:
+        """The run warnings of a study with this many replicates."""
+        least, cost = self.advice
+        return ([f"{replicates} replicates: {cost}, {least}+ recommended"]
+                if replicates < least else [])
 
 
 # -- field parsers: (value, key) -> parsed value, or ConfigurationError naming key
@@ -202,50 +229,9 @@ _NUMBERS = (_distinct(_list(_number)), _REQUIRED)
 _LAGS = _block({"t": _NUMBER, "x": _NUMBER, "lags": _NUMBERS})
 _SCALES = {"t": _NUMBER, "x": _NUMBER, "scales": _NUMBERS}
 
-# params of each kind; README's config section lists the same fields
-_PARAMS = {
-    "simulate": {
-        "probes": (_list(_pair, least=0), ()),
-        "temporal_lags": (_LAGS, None),
-        "spatial_lags": (_LAGS, None),
-        "snapshot": (_flag, False),
-    },
-    "qv-time": {"t": _NUMBER, "x": _NUMBER, "n_pieces": (_integer, _REQUIRED)},
-    "qv-space": {"t": _NUMBER, "x_lo": _NUMBER, "x_hi": _NUMBER, "n_pieces": (_integer, _REQUIRED)},
-    "ladder": {
-        "axis": (_choice("time", "space"), "time"),
-        "t": _NUMBER,
-        "x": (_number, None),
-        "x_lo": (_number, None),
-        "x_hi": (_number, None),
-        "counts": (_distinct(_list(_integer)), _REQUIRED),
-    },
-    "clt": {**_SCALES, "standardization": (_choice("trace", "shell"), "trace")},
-    "lil": _SCALES,
-    "mart": _SCALES,
-    "linearize": {"t": _NUMBER, "x": _NUMBER, "lags": _NUMBERS},
-}
-
 _LATTICE = {"h": _NUMBER, "t_max": _NUMBER, "x_lo": _NUMBER, "x_hi": _NUMBER}
 _HEAT_GRID = {"dx": _NUMBER, "t_max": _NUMBER, "circumference": _NUMBER, "dt": (_number, 0.0)}
 _THRESHOLD = {"stat": (_text, _REQUIRED), "min": (_number, None), "max": (_number, None)}
-
-# every top-level key but params, whose table depends on the kind
-_CONFIG = {
-    "kind": (_choice(*KINDS), _REQUIRED),
-    "sigma": (_sigma, _REQUIRED),
-    "replicates": (_integer, _REQUIRED),
-    "base_seed": (_integer, 0),
-    "workers": (_integer, 1),
-    "out_dir": (_text, None),
-    "label": (_text, "study"),
-    "equation": (_choice("wave", "heat"), "wave"),
-    "lattice": (_block(_LATTICE, LatticeSpec), None),
-    "heat_grid": (_block(_HEAT_GRID, HeatGridSpec), None),
-    "thresholds": (_list(_block(_THRESHOLD, lambda **f: Threshold(f["stat"], f["min"], f["max"])),
-                         least=0), ()),
-}
-
 
 def config_from_dict(raw: dict, overrides: dict | None = None) -> ExperimentConfig:
     """Parse a config mapping. Override values that are not None replace the
@@ -263,7 +249,7 @@ def config_from_dict(raw: dict, overrides: dict | None = None) -> ExperimentConf
             raw[key] = value
     params = raw.pop("params", None)
     top = _parse(raw, _CONFIG, "")
-    top["params"] = _parse(params, _PARAMS[top["kind"]], "params")
+    top["params"] = _parse(params, KINDS[top["kind"]].params, "params")
     return ExperimentConfig(**top)
 
 
@@ -293,7 +279,7 @@ def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
 
 
 # -- read points ---------------------------------------------------------------
-# Each kind's replicates read the field at a few points; READS[kind](params)
+# Each kind's replicates read the field at a few points; KINDS[kind].reads(params)
 # lists them as (key, t, x), in the order the replicates read them, with key
 # naming the params key or keys that place the point. validate resolves every
 # one and names the key of each it refuses; studies.plan_study solves for them.
@@ -324,10 +310,6 @@ def _reads_segment(p: dict) -> list[Read]:
             ("params.t, params.x_hi", p["t"], p["x_hi"])]
 
 
-def _reads_ladder(p: dict) -> list[Read]:
-    return _reads_apex(p) if p["axis"] == "time" else _reads_segment(p)
-
-
 def _reads_probes(p: dict) -> list[Read]:
     """(t, x) and (t + scale, x) at every scale."""
     t, x = p["t"], p["x"]
@@ -340,18 +322,6 @@ def _reads_linearize(p: dict) -> list[Read]:
     return _reads_apex(p) + [("params.lags", t, x + lag) for lag in sorted(p["lags"])]
 
 
-READS = {
-    "simulate": _reads_simulate,
-    "qv-time": _reads_apex,
-    "qv-space": _reads_segment,
-    "ladder": _reads_ladder,
-    "clt": _reads_probes,
-    "lil": _reads_probes,
-    "mart": _reads_probes,
-    "linearize": _reads_linearize,
-}
-
-
 # -- validation ----------------------------------------------------------------
 
 
@@ -359,7 +329,8 @@ def validate(cfg: ExperimentConfig) -> tuple[list[str], list[str]]:
     """(errors, notes): all violations collected, plus admissibility echoes."""
     errors: list[str] = []
     notes: list[str] = []
-    need = _min_replicates(cfg)
+    kind = KINDS[cfg.kind]
+    need = kind.least_replicates(cfg.params)
     if cfg.replicates < need:
         errors.append(f"replicates must be >= {need} for kind {cfg.kind!r}, "
                       f"got {cfg.replicates}")
@@ -368,43 +339,33 @@ def validate(cfg: ExperimentConfig) -> tuple[list[str], list[str]]:
     if cfg.base_seed < 0 or cfg.base_seed + max(cfg.replicates, 1) > 2 ** 64:
         errors.append("base_seed must keep every replicate seed inside [0, 2^64)")
 
-    if cfg.equation == "heat" and cfg.kind != "linearize":
+    if cfg.equation == "heat" and not kind.heat:
         errors.append(f"equation: heat runs only kind 'linearize', got kind {cfg.kind!r}")
     elif not cfg.on_heat_grid and cfg.lattice is None:
         errors.append(f"kind {cfg.kind!r} requires a lattice block")
     if cfg.on_heat_grid and cfg.heat_grid is None:
-        errors.append("linearize on the heat equation requires a heat_grid block")
+        errors.append(f"{cfg.kind} on the heat equation requires a heat_grid block")
     if errors:
         return errors, notes
 
-    if cfg.kind in ("clt", "lil", "mart", "linearize") and cfg.sigma.is_zero:
+    if cfg.kind != "simulate" and cfg.sigma.is_zero:
         errors.append(f"sigma: vanishes identically, so u stays 1 and {cfg.kind} "
                       "has no fluctuation to measure")
-    check = _KIND_CHECKS[cfg.kind]
     try:
-        check(cfg, cfg.params, errors, notes)
+        kind.check(cfg, cfg.params, errors, notes)
     except ConfigurationError as exc:
         errors.append(str(exc))
     return errors, notes
 
 
-def _min_replicates(cfg: ExperimentConfig) -> int:
-    """Replicates the kind's aggregation needs: standard errors take two."""
-    if cfg.kind in ("simulate", "qv-time", "qv-space", "mart"):
-        return 2
-    if cfg.kind == "ladder" and cfg.params["axis"] == "space":
-        return 2
-    return 1
-
-
 def _check_reads(cfg: ExperimentConfig, errors: list[str]) -> bool:
-    """Resolve every point the kind reads (READS) once: to its apex on the
+    """Resolve every point the kind reads (Kind.reads) once: to its apex on the
     lattice, whose backward cone is then inside the base, or to its site on
     the heat grid. Each failure is recorded under its key; True if none."""
     resolve = ((lambda t, x: cfg.heat_grid.site_of(x)) if cfg.on_heat_grid
                else cfg.lattice.apex)
     placed = True
-    for key, t, x in READS[cfg.kind](cfg.params):
+    for key, t, x in KINDS[cfg.kind].reads(cfg.params):
         try:
             resolve(t, x)
         except (AlignmentError, DomainError) as exc:
@@ -555,13 +516,59 @@ def _check_ladder(cfg, p, errors, notes):
         errors.append(f"params.counts values {bad} are not admissible; choose from {good}")
 
 
-_KIND_CHECKS = {
-    "simulate": _check_simulate,
-    "qv-time": _check_qv,
-    "qv-space": _check_qv,
-    "clt": _check_clt,
-    "lil": _check_lil,
-    "mart": _check_mart,
-    "linearize": _check_linearize,
-    "ladder": _check_ladder,
+# -- the kinds -----------------------------------------------------------------
+
+# in the order `kind must be one of` lists them; README's config section lists
+# the same params
+KINDS = {
+    "simulate": Kind(
+        "simulate",
+        {"probes": (_list(_pair, least=0), ()),
+         "temporal_lags": (_LAGS, None),
+         "spatial_lags": (_LAGS, None),
+         "snapshot": (_flag, False)},
+        _reads_simulate, _check_simulate, least_replicates=lambda p: 2),
+    "qv-time": Kind(
+        "qv", {"t": _NUMBER, "x": _NUMBER, "n_pieces": (_integer, _REQUIRED)},
+        _reads_apex, _check_qv, least_replicates=lambda p: 2, reads_noise=lambda p: True),
+    "qv-space": Kind(
+        "qv", {"t": _NUMBER, "x_lo": _NUMBER, "x_hi": _NUMBER, "n_pieces": (_integer, _REQUIRED)},
+        _reads_segment, _check_qv, least_replicates=lambda p: 2),
+    "clt": Kind(
+        "clt", {**_SCALES, "standardization": (_choice("trace", "shell"), "trace")},
+        _reads_probes, _check_clt, advice=(500, "KS power too low")),
+    "lil": Kind("lil", _SCALES, _reads_probes, _check_lil),
+    "mart": Kind("mart", _SCALES, _reads_probes, _check_mart,
+                 least_replicates=lambda p: 2, reads_noise=lambda p: True),
+    "linearize": Kind("linearize", {"t": _NUMBER, "x": _NUMBER, "lags": _NUMBERS},
+                      _reads_linearize, _check_linearize, heat=True),
+    # a time-axis ladder reads its apex and the increments; a space-axis one
+    # reads its segment, and its summary carries standard errors
+    "ladder": Kind(
+        "qv",
+        {"axis": (_choice("time", "space"), "time"),
+         "t": _NUMBER,
+         "x": (_number, None),
+         "x_lo": (_number, None),
+         "x_hi": (_number, None),
+         "counts": (_distinct(_list(_integer)), _REQUIRED)},
+        lambda p: _reads_apex(p) if p["axis"] == "time" else _reads_segment(p), _check_ladder,
+        least_replicates=lambda p: 1 if p["axis"] == "time" else 2,
+        reads_noise=lambda p: p["axis"] == "time", advice=(100, "rate fits will be noisy")),
+}
+
+# every top-level key but params, whose table depends on the kind
+_CONFIG = {
+    "kind": (_choice(*KINDS), _REQUIRED),
+    "sigma": (_sigma, _REQUIRED),
+    "replicates": (_integer, _REQUIRED),
+    "base_seed": (_integer, 0),
+    "workers": (_integer, 1),
+    "out_dir": (_text, None),
+    "label": (_text, "study"),
+    "equation": (_choice("wave", "heat"), "wave"),
+    "lattice": (_block(_LATTICE, LatticeSpec), None),
+    "heat_grid": (_block(_HEAT_GRID, HeatGridSpec), None),
+    "thresholds": (_list(_block(_THRESHOLD, lambda **f: Threshold(f["stat"], f["min"], f["max"])),
+                         least=0), ()),
 }

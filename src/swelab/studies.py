@@ -1,9 +1,12 @@
 """Study runners: one ensemble experiment per config kind.
 
-A study runs in two steps. Its plan (`plan_study`) resolves, once per study,
-every point the replicates read (config.READS lists them per kind) and cuts
-the solve trapezoid out of the configured lattice: the smallest one that
-holds the backward cones of those points. The field there depends only on the
+A kind's config-side facts (its params, the points it reads, its checks,
+whether it reads the increments, its run warnings) are its `config.Kind`
+record; its study side is one entry in each of the two tables here, keyed by
+the same kinds. A study runs in two steps. Its plan (`plan_study`) resolves,
+once per study, every point the replicates read (`Kind.reads`) and cuts the
+solve trapezoid out of the configured lattice: the smallest one that holds
+the backward cones of those points. The field there depends only on the
 noise of its own cells, and each cell is drawn from its Philox word in the
 configured lattice, so every value read is the one the configured lattice
 gives. The estimators' geometry (STUDY_PLANS) is built against the solve
@@ -28,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import READS, ExperimentConfig, validate
+from .config import KINDS, ExperimentConfig, validate
 from .ensemble import EnsembleResult, run_replicates
 from .errors import ConfigurationError, ConfigurationWarning
 from .fluctuations import (
@@ -86,7 +89,7 @@ class StudyPlan:
     and what they read there. The lattice fields are None on the heat equation.
 
     `points` are the field offsets of the points the kind reads (grid sites
-    on the heat equation), in the order config.READS lists them; `geometry`
+    on the heat equation), in the order Kind.reads lists them; `geometry`
     holds the estimators' index arrays (None for the kinds that read only
     points).
     """
@@ -498,23 +501,18 @@ def _agg_linearize(cfg: ExperimentConfig, ens: EnsembleResult):
 # -- dispatch ------------------------------------------------------------------
 
 
-def _reads_noise(cfg: ExperimentConfig) -> bool:
-    """Whether the kind's estimators read the increments after the solve."""
-    return cfg.kind in ("qv-time", "mart") or (cfg.kind == "ladder"
-                                               and cfg.params["axis"] == "time")
-
-
 def _each_seed(rep, seeds: list[int], plan: StudyPlan) -> list[dict[str, float]]:
     """Draw and solve the block's fields at once, in place over their noise,
     then run the per-seed estimators rep(field, increments or None, plan); a
     copy of the increments is kept only for the kinds that read them."""
     noise = make_noise(seeds, plan.lattice, plan.words)
-    kept = noise.increments.copy() if _reads_noise(plan.cfg) else [None] * len(seeds)
+    kept = (noise.increments.copy() if KINDS[plan.cfg.kind].reads_noise(plan.cfg.params)
+            else [None] * len(seeds))
     return [rep(f, xi, plan) for f, xi in zip(solve_wave(plan.cfg.sigma, noise), kept)]
 
 
 # kind -> (config, solve trapezoid) -> the geometry its estimators read, or
-# None for the kinds that read only points (config.READS lists the points)
+# None for the kinds that read only points (Kind.reads lists the points)
 STUDY_PLANS = {
     "simulate": None,
     "qv-time": _plan_qv_time,
@@ -539,15 +537,6 @@ STUDY_RUNNERS = {
     "mart": (partial(_each_seed, _rep_mart), _agg_mart),
     "linearize": (_rep_linearize, _agg_linearize),
 }
-
-
-def _study_warnings(cfg: ExperimentConfig) -> list[str]:
-    out = []
-    if cfg.kind == "clt" and cfg.replicates < 500:
-        out.append(f"{cfg.replicates} replicates: KS power too low, 500+ recommended")
-    if cfg.kind == "ladder" and cfg.replicates < 100:
-        out.append(f"{cfg.replicates} replicates: rate fits will be noisy, 100+ recommended")
-    return out
 
 
 def _write_snapshots(cfg: ExperimentConfig, out: Path) -> list[Path]:
@@ -586,7 +575,7 @@ def _solve_trapezoid(lat: LatticeSpec,
 
 def plan_study(cfg: ExperimentConfig) -> StudyPlan:
     """The plan of a config that validate accepted."""
-    reads = READS[cfg.kind](cfg.params)
+    reads = KINDS[cfg.kind].reads(cfg.params)
     if cfg.on_heat_grid:
         sites = [cfg.heat_grid.site_of(x) for _, _, x in reads]
         return StudyPlan(cfg, None, None, index_array(sites), None)
@@ -602,7 +591,7 @@ def run_study(cfg: ExperimentConfig) -> StudyOutput:
     errors, notes = validate(cfg)
     if errors:
         raise ConfigurationError("invalid config:\n  - " + "\n  - ".join(errors))
-    warn = _study_warnings(cfg)
+    warn = KINDS[cfg.kind].warnings(cfg.replicates)
     for w in warn:
         warnings.warn(w, ConfigurationWarning, stacklevel=2)
     rep_fn, agg_fn = STUDY_RUNNERS[cfg.kind]
@@ -620,7 +609,7 @@ def run_study(cfg: ExperimentConfig) -> StudyOutput:
             p = out / f"{cfg.label}_{name}.csv"
             write_table_csv(p, columns, rows)
             files.append(p)
-        if cfg.kind == "simulate" and cfg.params["snapshot"]:
+        if cfg.params.get("snapshot"):
             files += _write_snapshots(cfg, out)
         p = out / f"{cfg.label}_report.json"
         write_json_report(p, report)

@@ -279,6 +279,12 @@ HEAT = {"kind": "linearize", "sigma": "linear:1", "replicates": 4, "equation": "
     # only linearize runs on the heat equation; the rest would run the wave
     # equation under the heat label
     ("qv", dict(BASE, equation="heat"), [], "equation"),
+    # every kind but simulate refuses sigma == 0; qv-space and the time-axis
+    # ladder would divide zero by zero after every replicate
+    ("qv", dict(BASE, sigma="constant:0"), [], "sigma:"),
+    ("qv", dict(BASE, kind="qv-space", sigma="constant:0",
+                params={"t": 0.5, "x_lo": -0.5, "x_hi": 0.5, "n_pieces": 2}), [], "sigma:"),
+    ("qv", dict(LADDER, sigma="linear:0"), [], "sigma:"),
 ])
 def test_bad_input_exits_two_and_names_the_key(tmp_path, capsys, command, config, extra, key):
     path = tmp_path / "cfg.yaml"

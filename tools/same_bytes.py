@@ -12,7 +12,8 @@ of its own. Every file written (replicate and series CSVs, reports,
 snapshots) is then compared byte for byte, OLD_TREE's against NEW_TREE's and
 NEW_TREE's at block size 1 against its own at the shipped block size. The
 script lists each file that differs or exists on one side only, and exits 1
-if there is any, 0 if there is none.
+if there is any, 0 if there is none. It exits 2 when a tree has no shipped
+config, so that there is nothing to compare, or when a study run fails.
 """
 from __future__ import annotations
 
@@ -78,6 +79,10 @@ def main(argv: list[str]) -> int:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
         return 2
     old, new = (Path(arg).resolve() for arg in argv)
+    for tree in (old, new):
+        if not any((tree / "configs" / "acceptance").glob("*.yaml")):
+            print(f"{tree} has no configs/acceptance/*.yaml to compare", file=sys.stderr)
+            return 2
     with tempfile.TemporaryDirectory() as tmp:
         try:
             old_out, new_out, single_out = [
