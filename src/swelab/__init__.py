@@ -30,11 +30,9 @@ from .noise import make_noise
 from .quadvar import (
     admissible_spatial_pieces,
     admissible_temporal_pieces,
+    line_qv,
     naive_qv_prediction,
-    spatial_qv,
     spatial_qv_limit,
-    temporal_qv,
-    temporal_qv_decomposition,
     temporal_qv_ladder,
     temporal_qv_limit,
 )

@@ -15,6 +15,7 @@ pass/fail flags are evaluated against exactly what the config file says.
 from __future__ import annotations
 
 import math
+import os
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -146,6 +147,14 @@ def _sigma(value, key: str) -> SigmaSpec:
     return SigmaSpec.parse(_text(value, key))
 
 
+def _label(value, key: str) -> str:
+    """A file-name prefix: with no path separator, every output stays in out_dir."""
+    text = _text(value, key)
+    if "/" in text or os.sep in text:
+        raise _refuse(key, "a string without a path separator", value)
+    return text
+
+
 def _choice(*options: str):
     def parse(value, key: str) -> str:
         if type(value) is str and value in options:
@@ -230,7 +239,7 @@ _LAGS = _block({"t": _NUMBER, "x": _NUMBER, "lags": _NUMBERS})
 _SCALES = {"t": _NUMBER, "x": _NUMBER, "scales": _NUMBERS}
 
 _LATTICE = {"h": _NUMBER, "t_max": _NUMBER, "x_lo": _NUMBER, "x_hi": _NUMBER}
-_HEAT_GRID = {"dx": _NUMBER, "t_max": _NUMBER, "circumference": _NUMBER, "dt": (_number, 0.0)}
+_HEAT_GRID = {"dx": _NUMBER, "t_max": _NUMBER, "circumference": _NUMBER, "dt": (_number, None)}
 _THRESHOLD = {"stat": (_text, _REQUIRED), "min": (_number, None), "max": (_number, None)}
 
 def config_from_dict(raw: dict, overrides: dict | None = None) -> ExperimentConfig:
@@ -565,7 +574,7 @@ _CONFIG = {
     "base_seed": (_integer, 0),
     "workers": (_integer, 1),
     "out_dir": (_text, None),
-    "label": (_text, "study"),
+    "label": (_label, "study"),
     "equation": (_choice("wave", "heat"), "wave"),
     "lattice": (_block(_LATTICE, LatticeSpec), None),
     "heat_grid": (_block(_HEAT_GRID, HeatGridSpec), None),

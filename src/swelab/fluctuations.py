@@ -91,7 +91,6 @@ def _truncated_shell(lat: LatticeSpec, n0: int, m0: int,
 class IncrementSample:
     """One replicate's short-time increment with its own standardization."""
 
-    scale: float
     increment: float
     variance_hat: float  # conditional variance per unit time at (t, x)
     standardized: float
@@ -127,22 +126,20 @@ def _increments(field: WaveField, probe: ProbeGeometry) -> list[float]:
     return (u[probe.tops] - u[probe.base]).tolist()
 
 
-def increment_sample(field: WaveField, probe: ProbeGeometry, k: int,
-                     standardization: str = "trace",
-                     vhat: float | None = None) -> IncrementSample:
+def increment_sample(field: WaveField, probe: ProbeGeometry, k: int, vhat: float,
+                     standardization: str = "trace") -> IncrementSample:
     """u(t+scale, x) - u(t, x) at the probe's k-th scale, standardized to an
     approximately unit variance.
 
     standardization 'trace' divides by sqrt(scale * conditional_variance): the
     per-path normalization of the mixed-Gaussian limit.  'shell' divides by the
     exact noise variance sigma(c)^2 * ((t+scale)^2 - t^2), valid only for
-    constant sigma, where the increment is exactly Gaussian.  A caller probing
-    several scales passes the conditional variance as `vhat`.
+    constant sigma, where the increment is exactly Gaussian.  `vhat` is
+    conditional_variance(field, probe); a caller probing several scales
+    computes it once.
     """
     scale = probe.scales[k]
     inc = float(field.values[probe.tops[k]]) - float(field.values[probe.base])
-    if vhat is None:
-        vhat = conditional_variance(field, probe)
     if standardization == "shell":
         var = field.sigma.scalar(1.0) ** 2 * temporal_shell_area(probe.t, probe.t + scale)
     else:
@@ -153,7 +150,6 @@ def increment_sample(field: WaveField, probe: ProbeGeometry, k: int,
             "(sigma vanishes on the cone boundary trace)"
         )
     return IncrementSample(
-        scale=scale,
         increment=inc,
         variance_hat=vhat,
         standardized=inc / math.sqrt(var),

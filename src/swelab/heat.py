@@ -45,7 +45,7 @@ def _exact_ratio(value: float, unit: float, what: str) -> int:
 @dataclass(frozen=True)
 class HeatGridSpec:
     """Rectangular grid: spacing dx on a circle of the given circumference,
-    explicit steps of size dt (default dx^2/4) up to t_max.
+    explicit steps of size dt (dx^2/4 when dt is None) up to t_max.
 
     Stability demands dt <= dx^2/2.  A circumference below 16*sqrt(t_max) lets
     the periodic images of the heat kernel overlap measurably and draws a
@@ -55,12 +55,12 @@ class HeatGridSpec:
     dx: float
     t_max: float
     circumference: float
-    dt: float = field(default=0.0)
+    dt: float | None = None
 
     def __post_init__(self):
         if not (self.dx > 0.0 and np.isfinite(self.dx)):
             raise ConfigurationError(f"dx must be positive and finite, got {self.dx!r}")
-        if self.dt == 0.0:
+        if self.dt is None:
             object.__setattr__(self, "dt", self.dx * self.dx / 4.0)
         if not (self.dt > 0.0 and np.isfinite(self.dt)):
             raise ConfigurationError(f"dt must be positive and finite, got {self.dt!r}")

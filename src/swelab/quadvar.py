@@ -37,6 +37,7 @@ __all__ = [
     "temporal_geometry",
     "spatial_geometry",
     "increments",
+    "line_qv",
     "temporal_qv",
     "temporal_qv_limit",
     "temporal_qv_decomposition",
@@ -238,12 +239,19 @@ def increments(field: WaveField, line: np.ndarray) -> np.ndarray:
     return np.diff(field.values[line])
 
 
-# -- temporal line -------------------------------------------------------------
-
-
-def temporal_qv(field: WaveField, line: np.ndarray) -> float:
+def line_qv(field: WaveField, line: np.ndarray) -> float:
+    """Sum of squared field increments along a partition line, in time or space."""
     inc = increments(field, line)
     return float(np.sum(inc * inc))
+
+
+# bench/tracer.py wraps both names (its LAYERS table), so both stay bound here;
+# its wrappers are keyed by function, so traced runs report line_qv under
+# quadvar.spatial_qv.
+temporal_qv = spatial_qv = line_qv
+
+
+# -- temporal line -------------------------------------------------------------
 
 
 def temporal_qv_limit(field: WaveField, cone: ConeGeometry) -> float:
@@ -260,7 +268,9 @@ def temporal_qv_limit(field: WaveField, cone: ConeGeometry) -> float:
 
 def temporal_qv_decomposition(field: WaveField, noise: np.ndarray,
                               cone: ConeGeometry) -> QvDecomposition:
-    """The decomposition of a cone built for exactly one piece count."""
+    """The decomposition of a cone built for exactly one piece count.
+
+    No study calls it; bench/tracer.py wraps it (its LAYERS table)."""
     (dec,) = temporal_qv_ladder(field, noise, cone)
     return dec
 
@@ -279,7 +289,7 @@ def temporal_qv_ladder(field: WaveField, noise: np.ndarray,
         shell_sums = np.bincount(rung.bucket, weights=w * xi, minlength=rung.n_pieces)
         out.append(QvDecomposition(
             n_pieces=rung.n_pieces,
-            direct=temporal_qv(field, rung.line),
+            direct=line_qv(field, rung.line),
             frozen_noise=float(np.sum(shell_sums * shell_sums)),
             frozen_area=_area_sum(w, cone),
             cone_integral=cone_integral,
@@ -297,11 +307,6 @@ def _area_sum(w: np.ndarray, cone: ConeGeometry) -> float:
 
 
 # -- spatial line --------------------------------------------------------------
-
-
-def spatial_qv(field: WaveField, line: np.ndarray) -> float:
-    inc = increments(field, line)
-    return float(np.sum(inc * inc))
 
 
 def spatial_qv_limit(field: WaveField, line: SpatialGeometry) -> float:

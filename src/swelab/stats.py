@@ -29,19 +29,13 @@ __all__ = [
 class MomentSummary:
     n: int
     mean: float
-    variance: float   # unbiased, ddof=1
-    std: float
-    std_error: float  # std / sqrt(n)
-    skewness: float   # biased (population) form
-    kurtosis: float   # excess kurtosis, biased form
+    std_error: float  # sqrt(unbiased variance / n)
 
 
 def summarize(values: np.ndarray) -> MomentSummary:
-    """Two-pass moment summary of a sample.
-
-    The second pass works on centered values, which keeps the higher moments
-    accurate when the mean is large compared to the spread.
-    """
+    """Mean and standard error of a sample; the variance is taken about the
+    mean, which keeps it accurate when the mean is large compared to the
+    spread."""
     x = np.asarray(values, dtype=np.float64).ravel()
     n = x.size
     if n < 2:
@@ -51,25 +45,8 @@ def summarize(values: np.ndarray) -> MomentSummary:
     mean = float(x.mean())
     d = x - mean
     m2 = float(np.mean(d * d))
-    m3 = float(np.mean(d * d * d))
-    m4 = float(np.mean(d * d * d * d))
-    var = m2 * n / (n - 1)
-    std = math.sqrt(var)
-    if m2 > 0.0:
-        skew = m3 / m2**1.5
-        kurt = m4 / m2**2 - 3.0
-    else:
-        skew = 0.0
-        kurt = 0.0
-    return MomentSummary(
-        n=n,
-        mean=mean,
-        variance=var,
-        std=std,
-        std_error=std / math.sqrt(n),
-        skewness=skew,
-        kurtosis=kurt,
-    )
+    std = math.sqrt(m2 * n / (n - 1))
+    return MomentSummary(n=n, mean=mean, std_error=std / math.sqrt(n))
 
 
 def standard_normal_cdf(x: np.ndarray) -> np.ndarray:

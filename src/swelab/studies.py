@@ -46,12 +46,11 @@ from .lattice import LatticeSpec, index_array, spatial_shell_area
 from .linearize import defect_samples
 from .noise import make_noise
 from .quadvar import (
+    line_qv,
     naive_qv_prediction,
     spatial_geometry,
-    spatial_qv,
     spatial_qv_limit,
     temporal_geometry,
-    temporal_qv_decomposition,
     temporal_qv_ladder,
     temporal_qv_limit,
 )
@@ -117,6 +116,11 @@ def _maybe_slope(stats: dict, prefix: str, xs, ys) -> None:
     stats[prefix + "_se"] = fit.slope_std_error
 
 
+def _rises(values) -> float:
+    """How many times a sequence goes up from one entry to the next."""
+    return float(sum(b > a for a, b in zip(values, values[1:])))
+
+
 # -- simulate ------------------------------------------------------------------
 
 
@@ -175,7 +179,7 @@ def _plan_qv_time(cfg: ExperimentConfig, lat: LatticeSpec):
 
 def _rep_qv_time(f: WaveField, noise: np.ndarray,
                  plan: StudyPlan) -> dict[str, float]:
-    dec = temporal_qv_decomposition(f, noise, plan.geometry)
+    (dec,) = temporal_qv_ladder(f, noise, plan.geometry)
     lim = temporal_qv_limit(f, plan.geometry)
     u = float(f.values[plan.points[0]])
     return {
@@ -219,7 +223,7 @@ def _plan_qv_space(cfg: ExperimentConfig, lat: LatticeSpec):
 def _rep_qv_space(f: WaveField, noise: np.ndarray | None,
                   plan: StudyPlan) -> dict[str, float]:
     line = plan.geometry
-    v = spatial_qv(f, line.lines[0])
+    v = line_qv(f, line.lines[0])
     lim = spatial_qv_limit(f, line)
     nv = naive_qv_prediction(f, line)
     return {"qv": v, "limit": lim, "naive": nv,
@@ -276,7 +280,7 @@ def _rep_ladder(f: WaveField, noise: np.ndarray | None,
         return out
     out = {"limit": spatial_qv_limit(f, g), "naive": naive_qv_prediction(f, g)}
     for n, line in zip(g.counts, g.lines):
-        out[f"v_{n}"] = spatial_qv(f, line)
+        out[f"v_{n}"] = line_qv(f, line)
     return out
 
 
@@ -311,12 +315,8 @@ def _agg_ladder(cfg: ExperimentConfig, ens: EnsembleResult):
         _maybe_slope(stats, "slope_rms_ab", counts, rms_ab)
         _maybe_slope(stats, "slope_rms_cd", counts, rms_cd)
         _maybe_slope(stats, "slope_msq_bc", counts, msq_bc)
-        stats["lp2_inversions"] = float(sum(
-            1 for i in range(len(msq) - 1) if msq[i + 1] > msq[i]
-        ))
-        stats["lp4_inversions"] = float(sum(
-            1 for i in range(len(m4) - 1) if m4[i + 1] > m4[i]
-        ))
+        stats["lp2_inversions"] = _rises(msq)
+        stats["lp4_inversions"] = _rises(m4)
         stats["lyapunov_min_ratio"] = float(min(
             q / (s * s) for q, s in zip(m4, msq)
         ))
@@ -337,9 +337,7 @@ def _agg_ladder(cfg: ExperimentConfig, ens: EnsembleResult):
         ]
     series = {"ladder": (("n_pieces", "p", "statistic", "value"), rows)}
     _maybe_slope(stats, "rate_l2", counts, np.sqrt(msq))
-    stats["lp2_inversions"] = float(sum(
-        1 for i in range(len(msq) - 1) if msq[i + 1] > msq[i]
-    ))
+    stats["lp2_inversions"] = _rises(msq)
     return stats, series
 
 
@@ -360,7 +358,7 @@ def _rep_clt(f: WaveField, noise: np.ndarray | None,
     vhat = conditional_variance(f, probe)
     out: dict[str, float] = {}
     for i in range(len(probe.scales)):
-        sample = increment_sample(f, probe, i, standardization=std, vhat=vhat)
+        sample = increment_sample(f, probe, i, vhat, standardization=std)
         out[f"std_{i}"] = sample.standardized
         out[f"inc_{i}"] = sample.increment
         if i == 0:
@@ -376,9 +374,7 @@ def _agg_clt(cfg: ExperimentConfig, ens: EnsembleResult):
     stats = {
         "ks_final": ks[-1],
         "ks_critical": critical,
-        "ks_violations": float(sum(
-            1 for i in range(len(ks) - 1) if ks[i + 1] > ks[i]
-        )),
+        "ks_violations": _rises(ks),
         "vhat_mean": float(np.mean(ens.column("vhat"))),
     }
     for i, k in enumerate(ks):
@@ -591,6 +587,13 @@ def run_study(cfg: ExperimentConfig) -> StudyOutput:
     errors, notes = validate(cfg)
     if errors:
         raise ConfigurationError("invalid config:\n  - " + "\n  - ".join(errors))
+    if cfg.out_dir is not None:
+        try:
+            out = ensure_out_dir(cfg.out_dir)
+        except OSError as exc:
+            raise ConfigurationError(
+                f"out_dir: cannot create directory {cfg.out_dir!r}: {exc.strerror or exc}"
+            ) from None
     warn = KINDS[cfg.kind].warnings(cfg.replicates)
     for w in warn:
         warnings.warn(w, ConfigurationWarning, stacklevel=2)
@@ -601,7 +604,6 @@ def run_study(cfg: ExperimentConfig) -> StudyOutput:
     report = summary_report(cfg, stats, extra={"notes": notes, "warnings": warn})
     files: list[Path] = []
     if cfg.out_dir is not None:
-        out = ensure_out_dir(cfg.out_dir)
         p = out / f"{cfg.label}_replicates.csv"
         write_ensemble_csv(p, ens)
         files.append(p)

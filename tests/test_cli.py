@@ -3,6 +3,7 @@ import shutil
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import pytest
 import yaml
@@ -285,6 +286,14 @@ HEAT = {"kind": "linearize", "sigma": "linear:1", "replicates": 4, "equation": "
     ("qv", dict(BASE, kind="qv-space", sigma="constant:0",
                 params={"t": 0.5, "x_lo": -0.5, "x_hi": 0.5, "n_pieces": 2}), [], "sigma:"),
     ("qv", dict(LADDER, sigma="linear:0"), [], "sigma:"),
+    # out_dir is created before the first replicate: an existing file, or a
+    # path under one, is refused by key
+    ("qv", BASE, ["--out-dir", __file__], "out_dir"),
+    ("qv", BASE, ["--out-dir", str(Path(__file__) / "out")], "out_dir"),
+    # label prefixes every output file inside out_dir
+    ("qv", dict(BASE, label="a/b"), [], "label"),
+    # dt: 0 is a step of zero, not the default
+    ("linearize", dict(HEAT, heat_grid=dict(HEAT["heat_grid"], dt=0)), [], "heat_grid: dt"),
 ])
 def test_bad_input_exits_two_and_names_the_key(tmp_path, capsys, command, config, extra, key):
     path = tmp_path / "cfg.yaml"

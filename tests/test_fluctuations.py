@@ -45,13 +45,15 @@ def test_conditional_variance_matches_trace_quadrature():
 def test_increment_sample_standardizations():
     fld, _ = solved(CONSTANT_ONE, 8, LAT)
     t, x, s = 0.5, 0.0, 0.125
-    sample = increment_sample(fld, probe(t, x, [s]), 0, standardization="trace")
+    pr = probe(t, x, [s])
+    vhat = conditional_variance(fld, pr)
+    sample = increment_sample(fld, pr, 0, vhat, standardization="trace")
     inc = field_at(fld, t + s, x) - field_at(fld, t, x)
     assert sample.increment == pytest.approx(inc, rel=1e-15)
     assert sample.variance_hat == pytest.approx(2.0 * t, rel=1e-12)
     assert sample.standardized == pytest.approx(inc / math.sqrt(s * 2.0 * t), rel=1e-12)
 
-    shell = increment_sample(fld, probe(t, x, [s]), 0, standardization="shell")
+    shell = increment_sample(fld, pr, 0, vhat, standardization="shell")
     var = temporal_shell_area(t, t + s)
     assert shell.standardized == pytest.approx(inc / math.sqrt(var), rel=1e-12)
     # the trace estimate is per-path; for constant sigma both carry the same increment
@@ -62,8 +64,9 @@ def test_increment_sample_preconditions():
     # the scale, standardization and horizon rules are validate's
     # (test_config.py); only the data-dependent zero variance is left here
     zero, _ = solved(SigmaSpec("constant", (0.0,)), 8, LAT)
+    pr = probe(0.5, 0.0, [0.125])
     with pytest.raises(DegenerateInputError, match="conditional variance is zero"):
-        increment_sample(zero, probe(0.5, 0.0, [0.125]), 0)
+        increment_sample(zero, pr, 0, conditional_variance(zero, pr))
 
 
 def test_martingale_part_is_the_truncated_shell_noise_for_unit_sigma():

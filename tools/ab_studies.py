@@ -23,7 +23,9 @@ timed too. A CLI call that exits with neither 0 nor 1 stops the script.
 
 The script prints each study's median wall seconds per tree (in workload
 mode summed over the study's operations in a round, plus a `round` row), the
-ratio NEW/OLD, and in how many rounds NEW was faster.
+ratio NEW/OLD, in how many rounds NEW was faster, and each tree's median
+minor page faults (ru_minflt) and system seconds (ru_stime) over the same
+calls.
 
 Pairs taken seconds apart in one process see the same machine, which
 resolves differences of a few percent that whole-benchmark runs, drifting
@@ -39,6 +41,7 @@ import functools
 import importlib
 import importlib.util
 import io
+import resource
 import shutil
 import statistics
 import sys
@@ -103,6 +106,20 @@ def workload_round(tree: Path, package: str, workload: str, seed: int, out: Path
     return ops
 
 
+def measure(run) -> tuple[float, int, float]:
+    """(wall seconds, minor page faults, system seconds) of one call."""
+    before = resource.getrusage(resource.RUSAGE_SELF)
+    start = time.perf_counter()
+    run()
+    wall = time.perf_counter() - start
+    after = resource.getrusage(resource.RUSAGE_SELF)
+    return wall, after.ru_minflt - before.ru_minflt, after.ru_stime - before.ru_stime
+
+
+def _add(a: tuple, b: tuple) -> tuple:
+    return tuple(x + y for x, y in zip(a, b))
+
+
 def time_studies(args, sides) -> dict:
     plans = []
     for item in args.studies:
@@ -110,14 +127,12 @@ def time_studies(args, sides) -> dict:
         plans.append((stem, {side: study(getattr(args, side).resolve(), f"swelab_{side}",
                                          stem, int(reps))
                              for side in sides}))
-    walls = {(stem, side): [] for stem, _ in plans for side in sides}
+    costs = {(stem, side): [] for stem, _ in plans for side in sides}
     for r in range(args.rounds):
         for stem, runs in plans:
             for side in (sides if r % 2 == 0 else sides[::-1]):
-                start = time.perf_counter()
-                runs[side]()
-                walls[stem, side].append(time.perf_counter() - start)
-    return walls
+                costs[stem, side].append(measure(runs[side]))
+    return costs
 
 
 def time_workload(args, sides, scratch: Path) -> dict:
@@ -125,19 +140,17 @@ def time_workload(args, sides, scratch: Path) -> dict:
                                    args.workload, args.seed, scratch / side)
               for side in sides}
     stems = list(dict.fromkeys(stem for stem, _ in rounds["new"]))
-    walls = {(name, side): [] for name in [*stems, "round"] for side in sides}
+    costs = {(name, side): [] for name in [*stems, "round"] for side in sides}
     for r in range(args.rounds):
         for side in (sides if r % 2 == 0 else sides[::-1]):
             shutil.rmtree(scratch / side, ignore_errors=True)
-            spent = dict.fromkeys(stems, 0.0)
+            spent = {stem: (0.0, 0, 0.0) for stem in stems}
             for stem, run in rounds[side]:
-                start = time.perf_counter()
-                run()
-                spent[stem] += time.perf_counter() - start
-            for stem, seconds in spent.items():
-                walls[stem, side].append(seconds)
-            walls["round", side].append(sum(spent.values()))
-    return walls
+                spent[stem] = _add(spent[stem], measure(run))
+            for stem, cost in spent.items():
+                costs[stem, side].append(cost)
+            costs["round", side].append(functools.reduce(_add, spent.values()))
+    return costs
 
 
 def main(argv: list[str]) -> int:
@@ -157,16 +170,19 @@ def main(argv: list[str]) -> int:
     for side in sides:
         import_tree(getattr(args, side).resolve(), f"swelab_{side}")
     if args.workload is None:
-        walls = time_studies(args, sides)
+        costs = time_studies(args, sides)
     else:
         with tempfile.TemporaryDirectory() as scratch:
-            walls = time_workload(args, sides, Path(scratch))
-    print(f"{'study':24s} {'old s':>8s} {'new s':>8s} {'new/old':>8s}  new faster")
-    for name in dict.fromkeys(name for name, _ in walls):
-        old, new = walls[name, "old"], walls[name, "new"]
-        wins = sum(n < o for o, n in zip(old, new))
-        mo, mn = statistics.median(old), statistics.median(new)
-        print(f"{name:24s} {mo:8.3f} {mn:8.3f} {mn / mo:8.3f}  {wins} of {len(old)}")
+            costs = time_workload(args, sides, Path(scratch))
+    print(f"{'study':24s} {'old s':>8s} {'new s':>8s} {'new/old':>8s}  new faster"
+          f"  {'old flt':>8s} {'new flt':>8s} {'old sys':>8s} {'new sys':>8s}")
+    for name in dict.fromkeys(name for name, _ in costs):
+        old, new = costs[name, "old"], costs[name, "new"]
+        wins = sum(n[0] < o[0] for o, n in zip(old, new))
+        (mo, fo, so), (mn, fn, sn) = (
+            [statistics.median(column) for column in zip(*runs)] for runs in (old, new))
+        print(f"{name:24s} {mo:8.3f} {mn:8.3f} {mn / mo:8.3f}  {wins:>4d} of {len(old):<3d}"
+              f"  {fo:8.0f} {fn:8.0f} {so:8.3f} {sn:8.3f}")
     return 0
 
 
