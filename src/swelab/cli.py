@@ -109,12 +109,12 @@ def _overrides(args: argparse.Namespace, kind) -> dict:
     }
 
 
-def _print_checks(checks: list[dict]) -> None:
+def _check_lines(checks: list[dict]):
     for c in checks:
         lo = "-inf" if c["min"] is None else f"{c['min']:g}"
         hi = "+inf" if c["max"] is None else f"{c['max']:g}"
         status = "PASS" if c["passed"] else "FAIL"
-        print(f"  check {c['stat']} = {c['value']:.6g} in [{lo}, {hi}] .. {status}")
+        yield f"  check {c['stat']} = {c['value']:.6g} in [{lo}, {hi}] .. {status}"
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -134,7 +134,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print(f"  note: {note}")
         for name, value in rep["stats"].items():
             print(f"  stat {name} = {value:.8g}")
-    _print_checks(rep["checks"])
+    for line in _check_lines(rep["checks"]):
+        print(line)
     for path in out.files:
         print(f"  wrote {path}")
     if rep["passed"] is None:
@@ -152,10 +153,16 @@ def _cmd_report(args: argparse.Namespace) -> int:
         raise ConfigurationError(f"cannot read report {args.path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"{args.path} is not valid JSON: {exc}") from exc
-    config = rep.get("config", {})
-    print(f"{config.get('label', '?')}: kind={config.get('kind', '?')} "
-          f"sigma={config.get('sigma', '?')} replicates={config.get('replicates', '?')}")
-    _print_checks(rep.get("checks", []))
+    try:
+        config = rep.get("config", {})
+        lines = [f"{config.get('label', '?')}: kind={config.get('kind', '?')} "
+                 f"sigma={config.get('sigma', '?')} "
+                 f"replicates={config.get('replicates', '?')}",
+                 *_check_lines(rep.get("checks", []))]
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigurationError(
+            f"{args.path} is not a swelab report ({type(exc).__name__}: {exc})") from None
+    print("\n".join(lines))
     passed = rep.get("passed")
     if passed is None:
         print("no thresholds declared")

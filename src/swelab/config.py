@@ -86,6 +86,12 @@ class ExperimentConfig:
         """Heat linearize runs on heat_grid; every other study on the lattice."""
         return self.equation == "heat" and KINDS[self.kind].heat
 
+    @property
+    def temporal_line(self) -> bool:
+        """qv-time and time-axis ladders read the line up in time above (t, x);
+        qv-space and space-axis ladders the segment [x_lo, x_hi] at time t."""
+        return self.kind == "qv-time" or (self.kind == "ladder" and self.params["axis"] == "time")
+
 
 @dataclass(frozen=True)
 class Kind:
@@ -147,9 +153,17 @@ def _sigma(value, key: str) -> SigmaSpec:
     return SigmaSpec.parse(_text(value, key))
 
 
+def _path(value, key: str) -> str:
+    """A string the file system takes: no NUL byte."""
+    text = _text(value, key)
+    if "\0" in text:
+        raise _refuse(key, "a string without a NUL byte", value)
+    return text
+
+
 def _label(value, key: str) -> str:
     """A file-name prefix: with no path separator, every output stays in out_dir."""
-    text = _text(value, key)
+    text = _path(value, key)
     if "/" in text or os.sep in text:
         raise _refuse(key, "a string without a path separator", value)
     return text
@@ -384,7 +398,7 @@ def _check_reads(cfg: ExperimentConfig, errors: list[str]) -> bool:
 
 
 def _check_height(lat: LatticeSpec, t: float, errors: list[str]) -> None:
-    """Probes and spatial lines read the cone below t, which needs t >= h."""
+    """Probes, spatial lines and wave defects read the cone below t: t >= h."""
     if t < lat.h:
         errors.append(f"params.t={t} must be >= h={lat.h}: the estimators read "
                       "the backward cone below t")
@@ -403,7 +417,7 @@ def _piece_counts(cfg: ExperimentConfig, p: dict, errors, notes) -> list[int] | 
     """Admissible piece counts of a qv study or ladder, once every point it
     reads has resolved. Spatial lines read the base [x_lo - t, x_hi + t]."""
     lat, t = cfg.lattice, p["t"]
-    temporal = cfg.kind == "qv-time" or (cfg.kind == "ladder" and p["axis"] == "time")
+    temporal = cfg.temporal_line
     if not temporal:
         _check_height(lat, t, errors)
     if not _check_reads(cfg, errors):
@@ -493,7 +507,9 @@ def _check_linearize(cfg, p, errors, notes):
     if cfg.on_heat_grid:
         grid = cfg.heat_grid
         try:
-            grid.step_of(p["t"])
+            if grid.step_of(p["t"]) < 1:
+                errors.append(f"params.t={p['t']} must be >= dt={grid.dt}: the defect "
+                              "needs at least one step")
         except ConfigurationError as exc:
             errors.append(f"params.t: {exc}")
         for lag in lags:
@@ -503,6 +519,7 @@ def _check_linearize(cfg, p, errors, notes):
             errors.append("params.lags: largest lag wraps around the circle; "
                           "enlarge circumference")
     else:
+        _check_height(cfg.lattice, p["t"], errors)
         _even_scales(cfg.lattice, lags, errors, "params.lags")
     _check_reads(cfg, errors)
 
@@ -573,7 +590,7 @@ _CONFIG = {
     "replicates": (_integer, _REQUIRED),
     "base_seed": (_integer, 0),
     "workers": (_integer, 1),
-    "out_dir": (_text, None),
+    "out_dir": (_path, None),
     "label": (_label, "study"),
     "equation": (_choice("wave", "heat"), "wave"),
     "lattice": (_block(_LATTICE, LatticeSpec), None),

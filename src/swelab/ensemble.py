@@ -2,11 +2,12 @@
 
 Replicate i always runs with seed base_seed + i. Seeds are split into blocks
 of BLOCK_SIZE consecutive replicates; the replicate callable takes one block
-of seeds and returns one row per seed, and workers take whole blocks. Rows are
-reassembled in replicate order and finite-ness is checked per replicate in
-the parent, so the output bytes depend on neither the worker count nor the
-block size. The callable must be picklable (it is sent to workers when
-workers > 1) and must return the same stat names for every replicate.
+of seeds and returns one row per seed, and workers take whole blocks. Blocks
+come back in the order they were sent, so the rows are in replicate order as
+they arrive; finite-ness is checked once over the whole table in the parent,
+and the output bytes depend on neither the worker count nor the block size.
+The callable must be picklable (it is sent to workers when workers > 1) and
+must return the same stat names for every replicate.
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ BLOCK_SIZE = 16
 
 @dataclass(frozen=True)
 class EnsembleResult:
-    """Rectangular per-replicate table, rows sorted by replicate index."""
+    """Rectangular per-replicate table, rows in replicate order."""
 
     columns: tuple[str, ...]
     index: tuple[int, ...]
@@ -55,7 +56,7 @@ class EnsembleResult:
         return self.rows[:, j]
 
 
-def _call(args) -> list[tuple[int, int, dict[str, float]]]:
+def _call(args) -> list[dict[str, float]]:
     fn, first, seeds, payload = args
     records = fn(seeds, payload)
     if len(records) != len(seeds):
@@ -64,36 +65,26 @@ def _call(args) -> list[tuple[int, int, dict[str, float]]]:
             f"rows for {len(seeds)} seeds",
             seed=seeds[0],
         )
-    return [(first + k, seed, record) for k, (seed, record) in enumerate(zip(seeds, records))]
+    return records
 
 
-def _assemble(produced: list[tuple[int, int, dict[str, float]]]) -> EnsembleResult:
-    """The rows in replicate order, with the first row's stat names as columns."""
-    produced.sort(key=lambda item: item[0])
-    columns: tuple[str, ...] | None = None
-    index: list[int] = []
-    seeds: list[int] = []
-    rows: list[list[float]] = []
-    for idx, seed, record in produced:
-        if columns is None:
-            columns = tuple(record)
+def _assemble(records: list[dict[str, float]], base_seed: int) -> EnsembleResult:
+    """Record i is replicate i, run with seed base_seed + i; the first record's
+    stat names are the columns."""
+    columns = tuple(records[0])
+    for i, record in enumerate(records):
         if tuple(record) != columns:
-            raise SimulationError(
-                f"replicate {idx} produced stats {tuple(record)}, expected {columns}",
-                seed=seed,
-            )
-        values = [float(record[name]) for name in columns]
-        bad = [name for name, v in zip(columns, values) if not np.isfinite(v)]
-        if bad:
-            raise SimulationError(
-                f"replicate {idx} produced non-finite {bad}; rerun with seed {seed}",
-                seed=seed,
-            )
-        index.append(idx)
-        seeds.append(seed)
-        rows.append(values)
-    data = np.array(rows, dtype=float).reshape(len(index), len(columns or ()))
-    return EnsembleResult(tuple(columns or ()), tuple(index), tuple(seeds), data)
+            raise SimulationError(f"replicate {i} produced stats {tuple(record)}, "
+                                  f"expected {columns}", seed=base_seed + i)
+    rows = np.array([[*record.values()] for record in records], dtype=float)
+    finite = np.isfinite(rows)
+    if not finite.all():
+        i = int(np.argmin(finite.all(axis=1)))
+        bad = [name for name, ok in zip(columns, finite[i]) if not ok]
+        raise SimulationError(f"replicate {i} produced non-finite {bad}; rerun with seed "
+                              f"{base_seed + i}", seed=base_seed + i)
+    seeds = tuple(range(base_seed, base_seed + len(records)))
+    return EnsembleResult(columns, tuple(range(len(records))), seeds, rows)
 
 
 def run_replicates(fn: ReplicateFn, payload, *, base_seed: int, replicates: int,
@@ -107,11 +98,11 @@ def run_replicates(fn: ReplicateFn, payload, *, base_seed: int, replicates: int,
         for i in range(0, replicates, BLOCK_SIZE)
     ]
     if workers == 1:
-        produced = [row for block in blocks for row in _call(block)]
+        records = [row for block in blocks for row in _call(block)]
     else:
         # the pool starts all its processes at the first submit, so it gets
         # no more than there are blocks or CPUs to keep busy
         processes = min(workers, len(blocks), os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=processes) as pool:
-            produced = [row for rows in pool.map(_call, blocks) for row in rows]
-    return _assemble(produced)
+            records = [row for rows in pool.map(_call, blocks) for row in rows]
+    return _assemble(records, base_seed)

@@ -92,7 +92,6 @@ class IncrementSample:
     """One replicate's short-time increment with its own standardization."""
 
     increment: float
-    variance_hat: float  # conditional variance per unit time at (t, x)
     standardized: float
 
 
@@ -149,11 +148,7 @@ def increment_sample(field: WaveField, probe: ProbeGeometry, k: int, vhat: float
             "increment standardization undefined: conditional variance is zero "
             "(sigma vanishes on the cone boundary trace)"
         )
-    return IncrementSample(
-        increment=inc,
-        variance_hat=vhat,
-        standardized=inc / math.sqrt(var),
-    )
+    return IncrementSample(increment=inc, standardized=inc / math.sqrt(var))
 
 
 def martingale_decomposition(field: WaveField, noise: np.ndarray,

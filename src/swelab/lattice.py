@@ -53,12 +53,9 @@ class LatticeSpec:
             raise ConfigurationError(f"h must be positive and finite, got {self.h!r}")
         if self.x_hi <= self.x_lo:
             raise ConfigurationError("x_hi must exceed x_lo")
-        try:
-            n = _exact_index(self.t_max, self.h, "t_max")
-            lo = _exact_index(self.x_lo, self.h, "x_lo")
-            hi = _exact_index(self.x_hi, self.h, "x_hi")
-        except AlignmentError as exc:
-            raise ConfigurationError(str(exc)) from None
+        n = _exact_index(self.t_max, self.h, "t_max")
+        lo = _exact_index(self.x_lo, self.h, "x_lo")
+        hi = _exact_index(self.x_hi, self.h, "x_hi")
         if n < 1:
             raise ConfigurationError("t_max must be at least one level (t_max >= h)")
         if lo % 2 != 0 or hi % 2 != 0:

@@ -7,6 +7,7 @@ float32) followed by the raw float64 grid in C order.
 """
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import struct
@@ -118,14 +119,10 @@ def _config_dict(cfg: ExperimentConfig) -> dict:
             {"stat": th.stat, "min": th.lo, "max": th.hi} for th in cfg.thresholds
         ],
     }
-    if cfg.lattice is not None:
-        lat = cfg.lattice
-        out["lattice"] = {"h": lat.h, "t_max": lat.t_max,
-                          "x_lo": lat.x_lo, "x_hi": lat.x_hi}
-    if cfg.heat_grid is not None:
-        g = cfg.heat_grid
-        out["heat_grid"] = {"dx": g.dx, "t_max": g.t_max,
-                            "circumference": g.circumference, "dt": g.dt}
+    for key in ("lattice", "heat_grid"):
+        block = getattr(cfg, key)
+        if block is not None:
+            out[key] = dataclasses.asdict(block)
     return out
 
 
@@ -173,22 +170,26 @@ def write_json_report(path: str | Path, report: dict) -> None:
 # -- binary snapshots ----------------------------------------------------------
 
 
-def _write_grid(path: str | Path, magic: bytes, d1: float, d2: float,
-                f1: float, f2: float, values: np.ndarray) -> None:
-    header = _HEADER.pack(magic, d1, d2, f1, f2)
+def _write_grid(path: str | Path, magic: bytes, lattice: LatticeSpec,
+                values: np.ndarray) -> None:
+    header = _HEADER.pack(magic, lattice.h, lattice.t_max, lattice.x_lo, lattice.x_hi)
     body = np.ascontiguousarray(values, dtype=np.float64).tobytes()
     Path(path).write_bytes(header + body)
 
 
-def _read_grid(path: str | Path, magic: bytes):
+def _read_grid(path: str | Path, magic: bytes) -> tuple[LatticeSpec, np.ndarray]:
+    """The snapshot's lattice and its flat grid. The header holds x_lo and x_hi
+    as float32; each comes back as the even multiple of h nearest it, which
+    is what the lattice requires of them."""
     blob = Path(path).read_bytes()
     if len(blob) < _HEADER.size:
         raise SimulationError(f"{path}: truncated snapshot")
-    tag, d1, d2, f1, f2 = _HEADER.unpack_from(blob)
+    tag, h, t_max, x_lo, x_hi = _HEADER.unpack_from(blob)
     if tag != magic:
         raise SimulationError(f"{path}: magic {tag!r} does not match {magic!r}")
+    lo, hi = (2 * round(x / (2 * h)) * h for x in (x_lo, x_hi))
     values = np.frombuffer(blob, dtype=np.float64, offset=_HEADER.size)
-    return d1, d2, float(f1), float(f2), values
+    return LatticeSpec(h=h, t_max=t_max, x_lo=lo, x_hi=hi), values
 
 
 def write_wave_snapshot(path: str | Path, field: WaveField) -> None:
@@ -198,12 +199,11 @@ def write_wave_snapshot(path: str | Path, field: WaveField) -> None:
     grid = np.full((lat.n_levels + 1, lat.width(0)), np.nan)
     for n, row in enumerate(grid):
         row[:lat.width(n)] = field.level(n)
-    _write_grid(path, _WAVE_MAGIC, lat.h, lat.t_max, lat.x_lo, lat.x_hi, grid)
+    _write_grid(path, _WAVE_MAGIC, lat, grid)
 
 
 def read_wave_snapshot(path: str | Path) -> tuple[LatticeSpec, np.ndarray]:
-    h, t_max, x_lo, x_hi, flat = _read_grid(path, _WAVE_MAGIC)
-    lat = LatticeSpec(h=h, t_max=t_max, x_lo=x_lo, x_hi=x_hi)
+    lat, flat = _read_grid(path, _WAVE_MAGIC)
     return lat, flat.reshape(lat.n_levels + 1, lat.width(0))
 
 
@@ -216,11 +216,9 @@ def write_noise_snapshot(path: str | Path, lattice: LatticeSpec,
     for n, row in enumerate(grid):
         cells = increments[starts[n]:starts[n + 1]]
         row[n + 1:n + 1 + 2 * cells.size:2] = cells
-    _write_grid(path, _NOISE_MAGIC, lattice.h, lattice.t_max,
-                lattice.x_lo, lattice.x_hi, grid)
+    _write_grid(path, _NOISE_MAGIC, lattice, grid)
 
 
 def read_noise_snapshot(path: str | Path) -> tuple[LatticeSpec, np.ndarray]:
-    h, t_max, x_lo, x_hi, flat = _read_grid(path, _NOISE_MAGIC)
-    lat = LatticeSpec(h=h, t_max=t_max, x_lo=x_lo, x_hi=x_hi)
+    lat, flat = _read_grid(path, _NOISE_MAGIC)
     return lat, flat.reshape(lat.n_levels, lat.col_hi - lat.col_lo + 1)

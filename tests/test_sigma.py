@@ -66,3 +66,15 @@ def test_parse_rejects_malformed_text():
     for bad in ("linear:nan", "sine:inf", "affine:0,nan", "constant:-inf"):
         with pytest.raises(ConfigurationError, match="sigma parameters must be finite"):
             SigmaSpec.parse(bad)
+
+
+def test_zero_only_when_sigma_vanishes_everywhere():
+    # an affine sigma vanishes identically only with both coefficients zero,
+    # a sine one only with its amplitude zero; sin(0) == 0 proves nothing
+    for params in ((0.0, 1.0), (0.0, -0.5), (0.25, 0.0), (-1.0, 2.0)):
+        assert not SigmaSpec("affine", params).is_zero
+    assert SigmaSpec("affine", (-0.0, 0.0)).is_zero
+    for amplitude in (1.0, -0.5):
+        assert not SigmaSpec("sine", (amplitude,)).is_zero
+    assert SigmaSpec("sine", (-0.0,)).is_zero
+    assert not SigmaSpec("constant", (-1.0,)).is_zero
