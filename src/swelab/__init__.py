@@ -23,7 +23,7 @@ from .fluctuations import (
     lil_statistic,
     martingale_decomposition,
 )
-from .heat import HeatField, HeatGridSpec, solve_coupled_heat_linearization, solve_heat
+from .heat import HeatGridSpec, solve_coupled_heat_linearization, solve_heat
 from .lattice import LatticeSpec, spatial_shell_area, temporal_shell_area
 from .linearize import defect_samples
 from .noise import make_noise

@@ -366,6 +366,9 @@ def validate(cfg: ExperimentConfig) -> tuple[list[str], list[str]]:
         errors.append(f"equation: heat runs only kind 'linearize', got kind {cfg.kind!r}")
     elif not cfg.on_heat_grid and cfg.lattice is None:
         errors.append(f"kind {cfg.kind!r} requires a lattice block")
+    if cfg.heat_grid is not None and not kind.heat:
+        errors.append(f"heat_grid: kind {cfg.kind!r} never reads it; only linearize "
+                      "runs on the heat equation")
     if cfg.on_heat_grid and cfg.heat_grid is None:
         errors.append(f"{cfg.kind} on the heat equation requires a heat_grid block")
     if errors:
@@ -528,6 +531,9 @@ def _check_ladder(cfg, p, errors, notes):
     counts = p["counts"]
     if len(counts) < 4:
         notes.append("fitted rates need >= 4 ladder points")
+    for key in ("x_lo", "x_hi") if p["axis"] == "time" else ("x",):
+        if p[key] is not None:
+            errors.append(f"params.{key}: a {p['axis']}-axis ladder never reads it")
     if p["axis"] == "time" and p["x"] is None:
         errors.append("a time-axis ladder needs params.x")
         return

@@ -30,23 +30,22 @@ BLOCK_SIZE = 16
 
 @dataclass(frozen=True)
 class EnsembleResult:
-    """Rectangular per-replicate table, rows in replicate order."""
+    """Rectangular per-replicate table: row i is replicate i, run with seed
+    base_seed + i."""
 
     columns: tuple[str, ...]
-    index: tuple[int, ...]
-    seeds: tuple[int, ...]
-    rows: np.ndarray  # shape (len(index), len(columns))
+    base_seed: int
+    rows: np.ndarray  # shape (replicates, len(columns))
 
     def __post_init__(self):
-        if self.rows.shape != (len(self.index), len(self.columns)):
+        if self.rows.shape[1:] != (len(self.columns),):
             raise PreconditionError(
-                f"rows shape {self.rows.shape} does not match "
-                f"{len(self.index)} replicates x {len(self.columns)} stats"
+                f"rows shape {self.rows.shape} does not match {len(self.columns)} stats"
             )
 
     @property
     def n(self) -> int:
-        return len(self.index)
+        return len(self.rows)
 
     def column(self, name: str) -> np.ndarray:
         try:
@@ -83,8 +82,7 @@ def _assemble(records: list[dict[str, float]], base_seed: int) -> EnsembleResult
         bad = [name for name, ok in zip(columns, finite[i]) if not ok]
         raise SimulationError(f"replicate {i} produced non-finite {bad}; rerun with seed "
                               f"{base_seed + i}", seed=base_seed + i)
-    seeds = tuple(range(base_seed, base_seed + len(records)))
-    return EnsembleResult(columns, tuple(range(len(records))), seeds, rows)
+    return EnsembleResult(columns, base_seed, rows)
 
 
 def run_replicates(fn: ReplicateFn, payload, *, base_seed: int, replicates: int,

@@ -99,7 +99,6 @@ class IncrementSample:
 class MartingaleProbe:
     """Increment split at several probe scales: increment = martingale + remainder."""
 
-    scales: tuple[float, ...]
     increments: tuple[float, ...]
     martingale: tuple[float, ...]
     remainder: tuple[float, ...]
@@ -166,7 +165,6 @@ def martingale_decomposition(field: WaveField, noise: np.ndarray,
     incs = _increments(field, probe)
     ms = [float(np.sum(sv[cols] * noise[cells])) for cells, cols in probe.shells]
     return MartingaleProbe(
-        scales=probe.scales,
         increments=tuple(incs),
         martingale=tuple(ms),
         remainder=tuple(inc - m for inc, m in zip(incs, ms)),

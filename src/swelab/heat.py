@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -21,7 +21,6 @@ from .sigma import CONSTANT_ONE, SigmaSpec
 
 __all__ = [
     "HeatGridSpec",
-    "HeatField",
     "solve_heat",
     "solve_coupled_heat_linearization",
 ]
@@ -103,17 +102,6 @@ class HeatGridSpec:
         return j % self.n_sites
 
 
-@dataclass(frozen=True)
-class HeatField:
-    """One seed's field at the single step it was marched to."""
-
-    grid: HeatGridSpec
-    sigma: SigmaSpec
-    seed: int
-    step: int
-    values: np.ndarray = field(repr=False)  # (n_sites,) at `step`
-
-
 def _normals(seeds: Sequence[int], grid: HeatGridSpec, start: int, stop: int) -> np.ndarray:
     """Unit normals of steps [start, stop) for each seed, shape (steps, seeds, sites).
 
@@ -163,11 +151,9 @@ def _march(sigmas: Sequence[SigmaSpec], grid: HeatGridSpec, seeds: Sequence[int]
     return v
 
 
-def solve_heat(sigma: SigmaSpec, seed: int, grid: HeatGridSpec) -> HeatField:
-    """The field at t_max."""
-    seed = _check_seed(seed)
-    v = _march((sigma,), grid, [seed], grid.n_steps)
-    return HeatField(grid=grid, sigma=sigma, seed=seed, step=grid.n_steps, values=v[0, 0])
+def solve_heat(sigma: SigmaSpec, seed: int, grid: HeatGridSpec) -> np.ndarray:
+    """The seed's row at t_max, shape (sites,)."""
+    return _march((sigma,), grid, [_check_seed(seed)], grid.n_steps)[0, 0]
 
 
 def solve_coupled_heat_linearization(sigma: SigmaSpec, seeds: Sequence[int], grid: HeatGridSpec,

@@ -113,16 +113,16 @@ def _draw(seeds: Sequence[int], lattice: LatticeSpec,
     """NoiseBlock.rows of the seeds: each seed's normals are written straight
     into its row, then every row is scaled by sqrt(cell area) at once."""
     total = lattice.total_cells
+    if words is None:
+        words = np.arange(total)
     rows = np.empty((len(seeds), 1 + total))
     rows[:, 0] = INITIAL_LEVEL
-    first, count, gather = 0, total, None
-    if words is not None:
-        first = int(words[0])
-        count = int(words[-1]) - first + 1
-        gather = words - first
+    first = int(words[0])
+    count = int(words[-1]) - first + 1
+    gather = words - first
     for row, seed in zip(rows, seeds):
         span = stream_words(seed, WAVE_STREAM_TAG, first, count)
-        words_to_unit_normals(span if gather is None else span[gather], out=row[1:])
+        words_to_unit_normals(span[gather], out=row[1:])
     h = lattice.h
     split = 1 + lattice.cells_at(0)
     rows[:, 1:split] *= h  # base triangles, area h^2

@@ -51,8 +51,6 @@ def ensure_out_dir(path: str | Path) -> Path:
 def format_value(v) -> str:
     if isinstance(v, str):
         return v
-    if isinstance(v, (bool, np.bool_)):
-        return "1" if v else "0"
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     return "%.17g" % float(v)
@@ -70,10 +68,7 @@ def write_table_csv(path: str | Path, columns: Sequence[str],
 
 def write_ensemble_csv(path: str | Path, result: EnsembleResult) -> None:
     columns = ("replicate", "seed") + result.columns
-    rows = (
-        (idx, seed) + tuple(result.rows[k])
-        for k, (idx, seed) in enumerate(zip(result.index, result.seeds))
-    )
+    rows = ((i, result.base_seed + i) + tuple(row) for i, row in enumerate(result.rows))
     write_table_csv(path, columns, rows)
 
 

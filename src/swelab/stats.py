@@ -73,26 +73,20 @@ def ks_distance(sample: np.ndarray) -> float:
     return max(d_plus, d_minus)
 
 
-def ks_critical_value(n: int, alpha: float = 0.05) -> float:
-    """Asymptotic Kolmogorov critical value c(alpha) / sqrt(n).
+def ks_critical_value(n: int) -> float:
+    """Asymptotic Kolmogorov critical value c / sqrt(n) at the 5 percent level.
 
-    c(0.05) = 1.358 is the classical tabulated constant; only the 5 percent
-    level is needed by the experiment suite.
+    c = 1.358 is the classical tabulated constant; the experiment suite tests
+    at no other level.
     """
     if n <= 0:
         raise DegenerateInputError("sample size must be positive")
-    table = {0.10: 1.224, 0.05: 1.358, 0.01: 1.628}
-    try:
-        c = table[round(alpha, 4)]
-    except KeyError:
-        raise DegenerateInputError(f"no tabulated critical constant for alpha={alpha}")
-    return c / math.sqrt(n)
+    return 1.358 / math.sqrt(n)
 
 
 @dataclass(frozen=True)
 class SlopeFit:
     slope: float
-    intercept: float
     slope_std_error: float
 
 
@@ -127,11 +121,12 @@ def loglog_slope(x: np.ndarray, y: np.ndarray) -> SlopeFit:
         se = math.sqrt(sigma2 / sxx)
     else:
         se = 0.0
-    return SlopeFit(slope=slope, intercept=intercept, slope_std_error=se)
+    return SlopeFit(slope=slope, slope_std_error=se)
 
 
-def quantiles(values: np.ndarray, probs: tuple[float, ...] = (0.25, 0.5, 0.75)) -> tuple[float, ...]:
+def quantiles(values: np.ndarray) -> tuple[float, float, float]:
+    """The quartiles (q1, median, q3) of a sample."""
     x = np.asarray(values, dtype=np.float64).ravel()
     if x.size == 0:
         raise DegenerateInputError("empty sample")
-    return tuple(float(q) for q in np.quantile(x, probs))
+    return tuple(float(q) for q in np.quantile(x, (0.25, 0.5, 0.75)))

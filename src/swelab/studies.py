@@ -363,7 +363,7 @@ def _rep_clt(f: WaveField, noise: np.ndarray | None,
 def _agg_clt(cfg: ExperimentConfig, ens: EnsembleResult):
     scales = sorted(cfg.params["scales"], reverse=True)
     ks = [ks_distance(ens.column(f"std_{i}")) for i in range(len(scales))]
-    critical = ks_critical_value(ens.n, 0.05)
+    critical = ks_critical_value(ens.n)
     rows = [(s, k, ens.n, critical) for s, k in zip(scales, ks)]
     stats = {
         "ks_final": ks[-1],
@@ -403,12 +403,10 @@ def _agg_lil(cfg: ExperimentConfig, ens: EnsembleResult):
 
 def _rep_mart(f: WaveField, noise: np.ndarray,
               plan: StudyPlan) -> dict[str, float]:
-    probe = martingale_decomposition(f, noise, plan.geometry)
-    out = {"vhat": probe.variance_hat}
-    for i in range(len(probe.scales)):
-        out[f"m_{i}"] = probe.martingale[i]
-        out[f"r_{i}"] = probe.remainder[i]
-        out[f"inc_{i}"] = probe.increments[i]
+    split = martingale_decomposition(f, noise, plan.geometry)
+    out = {"vhat": split.variance_hat}
+    for i, parts in enumerate(zip(split.martingale, split.remainder, split.increments)):
+        out[f"m_{i}"], out[f"r_{i}"], out[f"inc_{i}"] = parts
     return out
 
 

@@ -288,12 +288,12 @@ def heat_field_from_kernel(dx: float, dt: float, n_sites: int, n_steps: int,
     return 1.0 + acc
 
 
-def heat_at(field, t: float, x: float) -> float:
-    """A heat field's value at (t, x), which must be the one step it kept."""
-    n = field.grid.step_of(t)
-    if n != field.step:
-        raise LookupError(f"t={t} is step {n}, but the field kept only step {field.step}")
-    return float(field.values[field.grid.site_of(x)])
+def heat_at(row, grid, t: float, x: float) -> float:
+    """The value at (t, x) of a solve_heat row, which holds only step t_max."""
+    n = grid.step_of(t)
+    if n != grid.n_steps:
+        raise LookupError(f"t={t} is step {n}, but the row holds only step {grid.n_steps}")
+    return float(row[grid.site_of(x)])
 
 
 def heat_march(sigma, dx: float, dt: float, n_steps: int, z: np.ndarray) -> np.ndarray:

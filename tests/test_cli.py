@@ -317,6 +317,12 @@ HEAT = {"kind": "linearize", "sigma": "linear:1", "replicates": 4, "equation": "
     ("linearize", dict(BASE, kind="linearize",
                        params={"t": 0.0, "x": 0.0, "lags": [0.125, 0.25]}), [], "params.t"),
     ("linearize", dict(HEAT, params=dict(HEAT["params"], t=0.0)), [], "params.t"),
+    # a block or key the study never reads is refused, not echoed in the report
+    ("qv", dict(BASE, heat_grid=HEAT["heat_grid"]), [], "heat_grid"),
+    ("qv", dict(LADDER, params=dict(LADDER["params"], x_lo=-7.3)), [], "params.x_lo"),
+    ("qv", dict(LADDER, params=dict(LADDER["params"], x_hi=7.3)), [], "params.x_hi"),
+    ("qv", dict(LADDER, params={"axis": "space", "t": 0.5, "x": 0.3, "x_lo": -0.5,
+                                "x_hi": 0.5, "counts": [1, 2]}), [], "params.x"),
 ])
 def test_bad_input_exits_two_and_names_the_key(tmp_path, capsys, command, config, extra, key):
     path = tmp_path / "cfg.yaml"

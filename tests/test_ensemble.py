@@ -29,8 +29,7 @@ def drop_row_of_seed(seeds, bad) -> list[dict[str, float]]:
 
 def test_each_replicate_gets_base_seed_plus_index():
     res = run_replicates(record_seed, 100, base_seed=40, replicates=4)
-    assert res.index == (0, 1, 2, 3)
-    assert res.seeds == (40, 41, 42, 43)
+    assert res.base_seed == 40
     assert res.columns == ("seed", "shifted")
     assert list(res.column("seed")) == [40.0, 41.0, 42.0, 43.0]
     assert list(res.column("shifted")) == [140.0, 141.0, 142.0, 143.0]
@@ -39,12 +38,11 @@ def test_each_replicate_gets_base_seed_plus_index():
 
 def test_worker_count_never_changes_the_rows():
     one = run_replicates(record_seed, 7, base_seed=3, replicates=37, workers=1)
-    assert one.seeds == tuple(range(3, 40))
+    assert one.base_seed == 3 and one.n == 37
     for workers in (2, 3):
         other = run_replicates(record_seed, 7, base_seed=3, replicates=37, workers=workers)
         assert one.columns == other.columns
-        assert one.index == other.index
-        assert one.seeds == other.seeds
+        assert one.base_seed == other.base_seed
         assert one.rows.tobytes() == other.rows.tobytes()
 
 
@@ -91,7 +89,7 @@ def test_block_size_never_changes_the_rows(monkeypatch):
     for size in (1, 5, 64):
         monkeypatch.setattr(ensemble, "BLOCK_SIZE", size)
         got = run_replicates(record_seed, 7, base_seed=3, replicates=37)
-        assert got.seeds == want.seeds
+        assert got.base_seed == want.base_seed
         assert got.rows.tobytes() == want.rows.tobytes()
 
 
@@ -128,7 +126,7 @@ def test_run_replicates_argument_validation():
 
 def test_result_shape_is_checked():
     with pytest.raises(PreconditionError, match="does not match"):
-        EnsembleResult(("a",), (0, 1), (0, 1), np.zeros((3, 1)))
-    res = EnsembleResult(("a",), (0,), (0,), np.array([[2.0]]))
+        EnsembleResult(("a",), 0, np.zeros((3, 2)))
+    res = EnsembleResult(("a",), 0, np.array([[2.0]]))
     with pytest.raises(KeyError, match="no stat named 'b'"):
         res.column("b")

@@ -71,8 +71,8 @@ def test_step_and_site_lookup():
 
 def test_zero_sigma_keeps_the_field_flat():
     g = small_grid()
-    fld = solve_heat(SigmaSpec("constant", (0.0,)), 4, g)
-    assert np.all(fld.values == 1.0)
+    row = solve_heat(SigmaSpec("constant", (0.0,)), 4, g)
+    assert np.all(row == 1.0)
 
 
 def test_constant_sigma_matches_kernel_reconstruction():
@@ -80,12 +80,12 @@ def test_constant_sigma_matches_kernel_reconstruction():
     # an independently written propagation of the one-step smoothing matrix
     g = small_grid()
     c = 0.7
-    fld = solve_heat(SigmaSpec("constant", (c,)), 21, g)
+    row = solve_heat(SigmaSpec("constant", (c,)), 21, g)
     z = words_to_unit_normals(
         stream_words(21, HEAT_STREAM_TAG, 0, g.n_steps * g.n_sites)
     ).reshape(g.n_steps, g.n_sites)
     want = oracles.heat_field_from_kernel(g.dx, g.dt, g.n_sites, g.n_steps, z, c)
-    assert np.allclose(fld.values, want, atol=1e-12)
+    assert np.allclose(row, want, atol=1e-12)
 
 
 def test_variance_matches_kernel_oracle():
@@ -93,7 +93,7 @@ def test_variance_matches_kernel_oracle():
     n_rep = 3000
     vals = np.empty(n_rep)
     for seed in range(n_rep):
-        vals[seed] = solve_heat(CONSTANT_ONE, seed, g).values[5]
+        vals[seed] = solve_heat(CONSTANT_ONE, seed, g)[5]
     want = oracles.heat_variance_kernel(g.dx, g.dt, g.n_sites, g.n_steps, site=5)
     var = vals.var(ddof=1)
     se = var * np.sqrt(2.0 / n_rep)
@@ -114,11 +114,11 @@ def test_coupled_heat_solutions_share_normals():
     g = small_grid()
     [[v], [lin]] = solve_coupled_heat_linearization(LINEAR, [9], g, g.t_max)
     ref = solve_heat(CONSTANT_ONE, 9, g)
-    assert np.array_equal(lin, ref.values)
+    assert np.array_equal(lin, ref)
     assert not np.array_equal(v, lin)
-    assert oracles.heat_at(ref, g.t_max, 0.25) == lin[g.site_of(0.25)]
-    with pytest.raises(LookupError, match="t=0.0 is step 0.*kept only step 16"):
-        oracles.heat_at(ref, 0.0, 0.0)
+    assert oracles.heat_at(ref, g, g.t_max, 0.25) == lin[g.site_of(0.25)]
+    with pytest.raises(LookupError, match="t=0.0 is step 0.*holds only step 16"):
+        oracles.heat_at(ref, g, 0.0, 0.0)
 
 
 def shipped_heat_grid() -> HeatGridSpec:

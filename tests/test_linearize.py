@@ -103,7 +103,7 @@ def test_heat_block_defects_equal_the_per_seed_oracle(sigma, block):
     for b, seed in enumerate(seeds):
         fld = solve_heat(sigma, seed, grid)
         lin = solve_heat(CONSTANT_ONE, seed, grid)
-        want = oracles.defect_row(sigma, lambda t, x: oracles.heat_at(fld, t, x),
-                                  lambda t, x: oracles.heat_at(lin, t, x),
+        want = oracles.defect_row(sigma, lambda t, x: oracles.heat_at(fld, grid, t, x),
+                                  lambda t, x: oracles.heat_at(lin, grid, t, x),
                                   grid.t_max, x, lags)
         assert got[b].tolist() == [list(lag) for lag in want]

@@ -44,8 +44,11 @@ def test_format_value_round_trips_float64():
     for x in [0.1, 1.0 / 3.0, math.pi, -1e-300, 6.02e23, 2.0 ** -1074]:
         assert float(format_value(x)) == x
     assert format_value("name") == "name"
+    # bool is an int, and a numpy bool converts to 1.0 or 0.0: both print as digits
     assert format_value(True) == "1"
     assert format_value(False) == "0"
+    assert format_value(np.True_) == "1"
+    assert format_value(np.False_) == "0"
     assert format_value(np.int64(-17)) == "-17"
     assert format_value(np.float64(0.5)) == "0.5"
 
@@ -59,8 +62,7 @@ def test_write_table_csv_layout(tmp_path):
 
 
 def test_write_ensemble_csv_prepends_replicate_and_seed(tmp_path):
-    res = EnsembleResult(("u", "v"), (0, 1), (9, 10),
-                         np.array([[1.5, 2.5], [3.5, 4.5]]))
+    res = EnsembleResult(("u", "v"), 9, np.array([[1.5, 2.5], [3.5, 4.5]]))
     path = tmp_path / "e.csv"
     write_ensemble_csv(path, res)
     assert path.read_text() == (

@@ -128,7 +128,7 @@ def test_clt_study_scales_run_large_to_small():
     with pytest.warns(ConfigurationWarning, match="KS power too low"):
         out = run_study(cfg)
     stats = out.report["stats"]
-    assert stats["ks_critical"] == ks_critical_value(60, 0.05)
+    assert stats["ks_critical"] == ks_critical_value(60)
     assert stats["ks_final"] == stats["ks_1"]
     assert stats["vhat_mean"] == pytest.approx(1.0, rel=1e-12)
     columns, rows = out.series["ks"]

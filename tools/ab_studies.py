@@ -24,8 +24,9 @@ timed too. A CLI call that exits with neither 0 nor 1 stops the script.
 The script prints each study's median wall seconds per tree (in workload
 mode summed over the study's operations in a round, plus a `round` row), the
 ratio NEW/OLD, in how many rounds NEW was faster, and each tree's median
-minor page faults (ru_minflt) and system seconds (ru_stime) over the same
-calls.
+minor page faults (ru_minflt), system seconds (ru_stime) and user CPU
+seconds (ru_utime) over the same calls. A change that moves work onto other
+threads can cut the wall time while it raises the user seconds.
 
 Pairs taken seconds apart in one process see the same machine, which
 resolves differences of a few percent that whole-benchmark runs, drifting
@@ -106,14 +107,16 @@ def workload_round(tree: Path, package: str, workload: str, seed: int, out: Path
     return ops
 
 
-def measure(run) -> tuple[float, int, float]:
-    """(wall seconds, minor page faults, system seconds) of one call."""
+def measure(run) -> tuple[float, int, float, float]:
+    """(wall seconds, minor page faults, system seconds, user seconds) of one
+    call; the user seconds count every thread of the process."""
     before = resource.getrusage(resource.RUSAGE_SELF)
     start = time.perf_counter()
     run()
     wall = time.perf_counter() - start
     after = resource.getrusage(resource.RUSAGE_SELF)
-    return wall, after.ru_minflt - before.ru_minflt, after.ru_stime - before.ru_stime
+    return (wall, after.ru_minflt - before.ru_minflt, after.ru_stime - before.ru_stime,
+            after.ru_utime - before.ru_utime)
 
 
 def _add(a: tuple, b: tuple) -> tuple:
@@ -144,7 +147,7 @@ def time_workload(args, sides, scratch: Path) -> dict:
     for r in range(args.rounds):
         for side in (sides if r % 2 == 0 else sides[::-1]):
             shutil.rmtree(scratch / side, ignore_errors=True)
-            spent = {stem: (0.0, 0, 0.0) for stem in stems}
+            spent = {stem: (0.0, 0, 0.0, 0.0) for stem in stems}
             for stem, run in rounds[side]:
                 spent[stem] = _add(spent[stem], measure(run))
             for stem, cost in spent.items():
@@ -175,14 +178,15 @@ def main(argv: list[str]) -> int:
         with tempfile.TemporaryDirectory() as scratch:
             costs = time_workload(args, sides, Path(scratch))
     print(f"{'study':24s} {'old s':>8s} {'new s':>8s} {'new/old':>8s}  new faster"
-          f"  {'old flt':>8s} {'new flt':>8s} {'old sys':>8s} {'new sys':>8s}")
+          f"  {'old flt':>8s} {'new flt':>8s} {'old sys':>8s} {'new sys':>8s}"
+          f" {'old usr':>8s} {'new usr':>8s}")
     for name in dict.fromkeys(name for name, _ in costs):
         old, new = costs[name, "old"], costs[name, "new"]
         wins = sum(n[0] < o[0] for o, n in zip(old, new))
-        (mo, fo, so), (mn, fn, sn) = (
+        (mo, fo, so, uo), (mn, fn, sn, un) = (
             [statistics.median(column) for column in zip(*runs)] for runs in (old, new))
         print(f"{name:24s} {mo:8.3f} {mn:8.3f} {mn / mo:8.3f}  {wins:>4d} of {len(old):<3d}"
-              f"  {fo:8.0f} {fn:8.0f} {so:8.3f} {sn:8.3f}")
+              f"  {fo:8.0f} {fn:8.0f} {so:8.3f} {sn:8.3f} {uo:8.3f} {un:8.3f}")
     return 0
 
 
