@@ -40,6 +40,9 @@ __all__ = [
     "validate",
 ]
 
+MIN_SLOPE_POINTS = 4  # the fewest points a slope, exponent or rate is fitted to
+
+
 @dataclass(frozen=True)
 class Threshold:
     """Closed or half-open acceptance interval for one summary statistic."""
@@ -407,13 +410,10 @@ def _check_height(lat: LatticeSpec, t: float, errors: list[str]) -> None:
                       "the backward cone below t")
 
 
-def _even_scales(lat: LatticeSpec, scales, errors: list[str], key: str) -> None:
-    for s in scales:
-        k = s / lat.h
-        if abs(k - round(k)) > 1e-9 or round(k) % 2 != 0 or round(k) < 2:
-            errors.append(
-                f"{key} value {s} must be an even multiple of h={lat.h}, >= {2 * lat.h}"
-            )
+def _positive(values, errors: list[str], key: str) -> None:
+    """Lags and scales are positive on either equation; where each lagged point
+    lies, on the lattice or the heat grid, is its read's to check."""
+    errors.extend(f"{key} value {v} must be positive" for v in values if v <= 0)
 
 
 def _piece_counts(cfg: ExperimentConfig, p: dict, errors, notes) -> list[int] | None:
@@ -446,9 +446,10 @@ def _check_simulate(cfg, p, errors, notes):
         if block is None:
             continue
         lags = block["lags"]
-        if len(lags) < 4:
-            notes.append(f"{key}: fitted slopes need >= 4 points, got {len(lags)}")
-        _even_scales(cfg.lattice, lags, errors, f"params.{key}.lags")
+        if len(lags) < MIN_SLOPE_POINTS:
+            notes.append(f"{key}: fitted slopes need >= {MIN_SLOPE_POINTS} points, "
+                         f"got {len(lags)}")
+        _positive(lags, errors, f"params.{key}.lags")
     _check_reads(cfg, errors)
 
 
@@ -460,30 +461,14 @@ def _check_qv(cfg, p, errors, notes):
         )
 
 
-def _check_probe_grid(cfg, p, errors, notes, *, cap_to_eighth: bool):
-    lat = cfg.lattice
-    t, scales = p["t"], p["scales"]
-    _check_height(lat, t, errors)
-    _even_scales(lat, scales, errors, "params.scales")
+def _check_probe_grid(cfg, p, errors):
+    _check_height(cfg.lattice, p["t"], errors)
+    _positive(p["scales"], errors, "params.scales")
     _check_reads(cfg, errors)
-    if cap_to_eighth:
-        for s in scales:
-            if s > t / 8.0 + 1e-12:
-                errors.append(f"params.scales value {s} exceeds t/8 = {t / 8}")
-            if s > 0.0 and math.log(1.0 / s) <= 1.0:
-                errors.append(
-                    f"params.scales value {s} is too coarse for an iterated-logarithm "
-                    f"rate: loglog(1/s) must be positive, so s < 1/e"
-                )
-        if len(scales) < 5:
-            notes.append(
-                f"iterated-logarithm grids are meant to span >= 4 dyadic halvings "
-                f"below t/8; got {len(scales)} scales"
-            )
 
 
 def _check_clt(cfg, p, errors, notes):
-    _check_probe_grid(cfg, p, errors, notes, cap_to_eighth=False)
+    _check_probe_grid(cfg, p, errors)
     if p["standardization"] == "shell" and not cfg.sigma.is_constant:
         errors.append("params.standardization: shell standardization requires a constant sigma")
     if cfg.replicates < 500:
@@ -494,19 +479,34 @@ def _check_clt(cfg, p, errors, notes):
 
 
 def _check_lil(cfg, p, errors, notes):
-    _check_probe_grid(cfg, p, errors, notes, cap_to_eighth=True)
+    _check_probe_grid(cfg, p, errors)
+    t, scales = p["t"], p["scales"]
+    for s in scales:
+        if s > t / 8.0 + 1e-12:
+            errors.append(f"params.scales value {s} exceeds t/8 = {t / 8}")
+        if s > 0.0 and math.log(1.0 / s) <= 1.0:
+            errors.append(
+                f"params.scales value {s} is too coarse for an iterated-logarithm "
+                f"rate: loglog(1/s) must be positive, so s < 1/e"
+            )
+    if len(scales) < 5:
+        notes.append(
+            f"iterated-logarithm grids are meant to span >= 4 dyadic halvings "
+            f"below t/8; got {len(scales)} scales"
+        )
 
 
 def _check_mart(cfg, p, errors, notes):
-    _check_probe_grid(cfg, p, errors, notes, cap_to_eighth=False)
-    if len(p["scales"]) < 4:
-        notes.append("fitted exponents need >= 4 scales")
+    _check_probe_grid(cfg, p, errors)
+    if len(p["scales"]) < MIN_SLOPE_POINTS:
+        notes.append(f"fitted exponents need >= {MIN_SLOPE_POINTS} scales")
 
 
 def _check_linearize(cfg, p, errors, notes):
     lags = p["lags"]
     if len(lags) < 2:
         errors.append("params.lags: linearize needs at least 2 lags to compare scales")
+    _positive(lags, errors, "params.lags")
     if cfg.on_heat_grid:
         grid = cfg.heat_grid
         try:
@@ -515,22 +515,18 @@ def _check_linearize(cfg, p, errors, notes):
                               "needs at least one step")
         except ConfigurationError as exc:
             errors.append(f"params.t: {exc}")
-        for lag in lags:
-            if lag <= 0:
-                errors.append(f"params.lags value {lag} must be positive")
         if max(lags) >= grid.circumference:
             errors.append("params.lags: largest lag wraps around the circle; "
                           "enlarge circumference")
     else:
         _check_height(cfg.lattice, p["t"], errors)
-        _even_scales(cfg.lattice, lags, errors, "params.lags")
     _check_reads(cfg, errors)
 
 
 def _check_ladder(cfg, p, errors, notes):
     counts = p["counts"]
-    if len(counts) < 4:
-        notes.append("fitted rates need >= 4 ladder points")
+    if len(counts) < MIN_SLOPE_POINTS:
+        notes.append(f"fitted rates need >= {MIN_SLOPE_POINTS} ladder points")
     for key in ("x_lo", "x_hi") if p["axis"] == "time" else ("x",):
         if p[key] is not None:
             errors.append(f"params.{key}: a {p['axis']}-axis ladder never reads it")

@@ -7,8 +7,9 @@ module computes that variance, standardized increments, the explicit
 martingale/remainder split of the increment, and an iterated-logarithm probe.
 
 `probe_geometry` resolves every point and cell they read once per config, for
-a config that `config.validate` accepted (scales even multiples of h, the
-cone of (t + scale, x) inside the base); the estimators only gather and sum.
+a config that `config.validate` accepted (scales positive, and (t + scale, x)
+a lattice point whose cone lies inside the base); the estimators only gather
+and sum.
 """
 from __future__ import annotations
 
@@ -30,7 +31,6 @@ from .wave import WaveField, cone_boundary_trace, point_index
 
 __all__ = [
     "ProbeGeometry",
-    "IncrementSample",
     "MartingaleProbe",
     "probe_geometry",
     "conditional_variance",
@@ -88,14 +88,6 @@ def _truncated_shell(lat: LatticeSpec, n0: int, m0: int,
 
 
 @dataclass(frozen=True)
-class IncrementSample:
-    """One replicate's short-time increment with its own standardization."""
-
-    increment: float
-    standardized: float
-
-
-@dataclass(frozen=True)
 class MartingaleProbe:
     """Increment split at several probe scales: increment = martingale + remainder."""
 
@@ -124,30 +116,35 @@ def _increments(field: WaveField, probe: ProbeGeometry) -> list[float]:
     return (u[probe.tops] - u[probe.base]).tolist()
 
 
-def increment_sample(field: WaveField, probe: ProbeGeometry, k: int, vhat: float,
-                     standardization: str = "trace") -> IncrementSample:
-    """u(t+scale, x) - u(t, x) at the probe's k-th scale, standardized to an
-    approximately unit variance.
+def _nonzero(vhat: float) -> float:
+    """The conditional variance, refused where nothing is left to divide by."""
+    if vhat <= 0.0:
+        raise DegenerateInputError(
+            "conditional variance is zero (sigma vanishes on the cone boundary trace)"
+        )
+    return vhat
+
+
+def increment_sample(field: WaveField, probe: ProbeGeometry, vhat: float,
+                     standardization: str = "trace") -> tuple[list[float], list[float]]:
+    """(increments, standardized): u(t+scale, x) - u(t, x) at every scale of
+    the probe, in order, and each standardized to an approximately unit
+    variance.
 
     standardization 'trace' divides by sqrt(scale * conditional_variance): the
     per-path normalization of the mixed-Gaussian limit.  'shell' divides by the
     exact noise variance sigma(c)^2 * ((t+scale)^2 - t^2), valid only for
     constant sigma, where the increment is exactly Gaussian.  `vhat` is
-    conditional_variance(field, probe); a caller probing several scales
-    computes it once.
+    conditional_variance(field, probe), which the caller also reports.
     """
-    scale = probe.scales[k]
-    inc = float(field.values[probe.tops[k]]) - float(field.values[probe.base])
+    vhat = _nonzero(vhat)
+    incs = _increments(field, probe)
     if standardization == "shell":
-        var = field.sigma.scalar(1.0) ** 2 * temporal_shell_area(probe.t, probe.t + scale)
+        c2 = field.sigma.scalar(1.0) ** 2
+        variances = [c2 * temporal_shell_area(probe.t, probe.t + s) for s in probe.scales]
     else:
-        var = scale * vhat
-    if var <= 0.0:
-        raise DegenerateInputError(
-            "increment standardization undefined: conditional variance is zero "
-            "(sigma vanishes on the cone boundary trace)"
-        )
-    return IncrementSample(increment=inc, standardized=inc / math.sqrt(var))
+        variances = [s * vhat for s in probe.scales]
+    return incs, [inc / math.sqrt(var) for inc, var in zip(incs, variances)]
 
 
 def martingale_decomposition(field: WaveField, noise: np.ndarray,
@@ -180,11 +177,7 @@ def lil_statistic(field: WaveField, probe: ProbeGeometry) -> tuple[float, ...]:
     against a control process probed at the same resolution, never against the
     continuum constant.
     """
-    vhat = conditional_variance(field, probe)
-    if vhat <= 0.0:
-        raise DegenerateInputError(
-            "iterated-logarithm statistic undefined: conditional variance is zero"
-        )
+    vhat = _nonzero(conditional_variance(field, probe))
     return tuple(
         abs(inc) / math.sqrt(2.0 * scale * math.log(math.log(1.0 / scale)) * vhat)
         for scale, inc in zip(probe.scales, _increments(field, probe))

@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import KINDS, ExperimentConfig, validate
+from .config import KINDS, MIN_SLOPE_POINTS, ExperimentConfig, validate
 from .ensemble import EnsembleResult, run_replicates
 from .errors import ConfigurationError, ConfigurationWarning
 from .fluctuations import (
@@ -69,8 +69,6 @@ from .wave import WaveField, point_index, solve_coupled_linearization, solve_wav
 
 __all__ = ["StudyOutput", "StudyPlan", "plan_study", "run_study", "STUDY_PLANS",
            "STUDY_RUNNERS"]
-
-MIN_SLOPE_POINTS = 4
 
 
 @dataclass(frozen=True)
@@ -347,14 +345,11 @@ def _plan_probes(cfg: ExperimentConfig, lat: LatticeSpec, descending: bool = Fal
 
 def _rep_clt(f: WaveField, noise: np.ndarray | None,
              plan: StudyPlan) -> dict[str, float]:
-    probe = plan.geometry
-    std = plan.cfg.params["standardization"]
-    vhat = conditional_variance(f, probe)
+    vhat = conditional_variance(f, plan.geometry)
+    incs, stds = increment_sample(f, plan.geometry, vhat, plan.cfg.params["standardization"])
     out: dict[str, float] = {}
-    for i in range(len(probe.scales)):
-        sample = increment_sample(f, probe, i, vhat, standardization=std)
-        out[f"std_{i}"] = sample.standardized
-        out[f"inc_{i}"] = sample.increment
+    for i, pair in enumerate(zip(stds, incs)):
+        out[f"std_{i}"], out[f"inc_{i}"] = pair
         if i == 0:
             out["vhat"] = vhat
     return out

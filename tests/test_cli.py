@@ -323,6 +323,28 @@ HEAT = {"kind": "linearize", "sigma": "linear:1", "replicates": 4, "equation": "
     ("qv", dict(LADDER, params=dict(LADDER["params"], x_hi=7.3)), [], "params.x_hi"),
     ("qv", dict(LADDER, params={"axis": "space", "t": 0.5, "x": 0.3, "x_lo": -0.5,
                                 "x_hi": 0.5, "counts": [1, 2]}), [], "params.x"),
+    # an odd multiple of h is refused once, by the read of its lagged point
+    ("clt", dict(CLT, params=dict(CLT["params"], scales=[0.125, 0.1875])), [],
+     "params.scales"),
+    ("mart", dict(CLT, kind="mart", params=dict(CLT["params"], scales=[0.125, 0.1875])), [],
+     "params.scales"),
+    ("lil", dict(LIL, params=dict(LIL["params"], scales=[0.125, 0.1875])), [],
+     "params.scales"),
+    ("simulate", dict(BASE, kind="simulate", params={
+        "temporal_lags": {"t": 0.25, "x": 0.0, "lags": [0.125, 0.1875]}}), [],
+     "params.temporal_lags.lags"),
+    ("simulate", dict(BASE, kind="simulate", params={
+        "spatial_lags": {"t": 0.5, "x": 0.0, "lags": [0.125, 0.1875]}}), [],
+     "params.spatial_lags.lags"),
+    ("linearize", dict(BASE, kind="linearize",
+                       params={"t": 0.5, "x": 0.0, "lags": [0.125, 0.1875]}), [],
+     "params.lags"),
+    # a lag at or below zero, with one text on either equation
+    ("linearize", dict(BASE, kind="linearize",
+                       params={"t": 0.5, "x": 0.0, "lags": [0.0, 0.125]}), [],
+     "params.lags value 0.0 must be positive"),
+    ("linearize", dict(HEAT, params=dict(HEAT["params"], lags=[0.0, 0.125])), [],
+     "params.lags value 0.0 must be positive"),
 ])
 def test_bad_input_exits_two_and_names_the_key(tmp_path, capsys, command, config, extra, key):
     path = tmp_path / "cfg.yaml"
@@ -330,4 +352,4 @@ def test_bad_input_exits_two_and_names_the_key(tmp_path, capsys, command, config
     code = main([command, str(path), *extra])
     err = capsys.readouterr().err
     assert code == 2
-    assert key in err and "Traceback" not in err
+    assert err.count(key) == 1 and "Traceback" not in err

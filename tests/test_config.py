@@ -251,9 +251,11 @@ def test_lil_rules():
     over = dict(base, params=dict(base["params"], scales=[2 ** -3]))
     errors, _ = validate(config_from_dict(over))
     assert "params.scales value 0.125 exceeds t/8 = 0.0625" in errors
+    # an odd multiple of h is refused by the read of (t + s, x) alone
     odd = dict(base, params=dict(base["params"], scales=[3 * 2 ** -7]))
     errors, _ = validate(config_from_dict(odd))
-    assert any("even multiple" in e for e in errors)
+    assert errors == ["params.scales: (t, x)=(0.5234375, 0.0) has odd parity "
+                      "(t/h + x/h must be even)"]
 
 
 def test_lil_rejects_scales_without_iterated_log_decay():
@@ -282,9 +284,9 @@ def test_probe_grid_rules(kind):
 
     if kind != "lil":  # on this lattice every lil grid breaks the t/8 cap
         assert errors() == []
-    floor = "params.scales value {} must be an even multiple of h=0.0625, >= 0.125"
-    assert floor.format(0.0) in errors(scales=[0.0])
-    assert floor.format(0.0625) in errors(scales=[0.0625])
+    assert "params.scales value 0.0 must be positive" in errors(scales=[0.0])
+    assert ("params.scales: (t, x)=(0.5625, 0.0) has odd parity (t/h + x/h must be even)"
+            in errors(scales=[0.0625]))
     # the read of (t + s, x) covers the horizon and the base width
     assert ("params.scales: (t, x)=(1.125, 0.0) lies outside the simulated trapezoid"
             in errors(t=1.0, scales=[0.125]))
@@ -292,6 +294,60 @@ def test_probe_grid_rules(kind):
             "cone below t" in errors(t=0.0))
     with pytest.raises(ConfigurationError, match="params.scales must be a nonempty list"):
         config_from_dict(probe_dict(kind, scales=[]))
+
+
+LIL_FINE = {"kind": "lil", "sigma": "constant:1", "replicates": 4,
+            "lattice": {"h": 2 ** -7, "t_max": 0.625, "x_lo": -1.25, "x_hi": 1.25},
+            "params": {"t": 0.5, "x": 0.0, "scales": [2 ** -4, 2 ** -5]}}
+WAVE_LINEARIZE = {"kind": "linearize", "sigma": "linear:1", "replicates": 4,
+                  "lattice": dict(LATTICE_BLOCK), "params": {"t": 0.5, "x": 0.0}}
+HEAT_LINEARIZE = {"kind": "linearize", "sigma": "linear:1", "replicates": 4,
+                  "equation": "heat",
+                  "heat_grid": {"dx": 0.125, "t_max": 0.0625, "circumference": 4.0},
+                  "params": {"t": 0.0625, "x": 0.0}}
+
+
+def simulate_dict(key: str, t: float, lags: list[float]) -> dict:
+    return {"kind": "simulate", "sigma": "sine:1", "replicates": 4,
+            "lattice": dict(LATTICE_BLOCK),
+            "params": {key: {"t": t, "x": 0.0, "lags": lags}}}
+
+
+def with_params(config: dict, **params) -> dict:
+    return dict(config, params=dict(config["params"], **params))
+
+
+ODD_PARITY = "{}: (t, x)=({}, {}) has odd parity (t/h + x/h must be even)"
+
+
+@pytest.mark.parametrize("config, error", [
+    # an odd multiple of h: its lagged point is off the lattice's parity
+    (probe_dict("clt", scales=[0.125, 0.1875]), ODD_PARITY.format("params.scales", 0.6875, 0.0)),
+    (probe_dict("mart", scales=[0.125, 0.1875]), ODD_PARITY.format("params.scales", 0.6875, 0.0)),
+    (with_params(LIL_FINE, scales=[2 ** -4, 3 * 2 ** -7]),
+     ODD_PARITY.format("params.scales", 0.5234375, 0.0)),
+    (simulate_dict("temporal_lags", 0.25, [0.125, 0.1875]),
+     ODD_PARITY.format("params.temporal_lags.lags", 0.4375, 0.0)),
+    (simulate_dict("spatial_lags", 0.5, [0.125, 0.1875]),
+     ODD_PARITY.format("params.spatial_lags.lags", 0.5, 0.1875)),
+    (with_params(WAVE_LINEARIZE, lags=[0.125, 0.1875]),
+     ODD_PARITY.format("params.lags", 0.5, 0.1875)),
+    # a zero or negative lag or scale, with one text on either equation
+    (probe_dict("clt", scales=[0.0, 0.125]), "params.scales value 0.0 must be positive"),
+    (probe_dict("mart", scales=[-0.125, 0.25]), "params.scales value -0.125 must be positive"),
+    (with_params(LIL_FINE, scales=[2 ** -4, -2 ** -5]),
+     "params.scales value -0.03125 must be positive"),
+    (simulate_dict("temporal_lags", 0.25, [0.0, 0.125]),
+     "params.temporal_lags.lags value 0.0 must be positive"),
+    (simulate_dict("spatial_lags", 0.5, [-0.125, 0.125]),
+     "params.spatial_lags.lags value -0.125 must be positive"),
+    (with_params(WAVE_LINEARIZE, lags=[-0.125, 0.25]), "params.lags value -0.125 must be positive"),
+    (with_params(HEAT_LINEARIZE, lags=[-0.125, 0.25]), "params.lags value -0.125 must be positive"),
+    (with_params(WAVE_LINEARIZE, lags=[0.0, 0.25]), "params.lags value 0.0 must be positive"),
+    (with_params(HEAT_LINEARIZE, lags=[0.0, 0.25]), "params.lags value 0.0 must be positive"),
+])
+def test_one_bad_lag_or_scale_is_refused_once(config, error):
+    assert validate(config_from_dict(config))[0] == [error]
 
 
 def test_temporal_alignment_rules():

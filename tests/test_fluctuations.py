@@ -44,29 +44,31 @@ def test_conditional_variance_matches_trace_quadrature():
 
 def test_increment_sample_standardizations():
     fld, _ = solved(CONSTANT_ONE, 8, LAT)
-    t, x, s = 0.5, 0.0, 0.125
-    pr = probe(t, x, [s])
+    t, x, scales = 0.5, 0.0, [0.125, 0.25]
+    pr = probe(t, x, scales)
     vhat = conditional_variance(fld, pr)
-    sample = increment_sample(fld, pr, 0, vhat, standardization="trace")
-    inc = field_at(fld, t + s, x) - field_at(fld, t, x)
-    assert sample.increment == pytest.approx(inc, rel=1e-15)
     assert vhat == pytest.approx(2.0 * t, rel=1e-12)
-    assert sample.standardized == pytest.approx(inc / math.sqrt(s * 2.0 * t), rel=1e-12)
-
-    shell = increment_sample(fld, pr, 0, vhat, standardization="shell")
-    var = temporal_shell_area(t, t + s)
-    assert shell.standardized == pytest.approx(inc / math.sqrt(var), rel=1e-12)
-    # the trace estimate is per-path; for constant sigma both carry the same increment
-    assert shell.increment == sample.increment
+    incs, stds = increment_sample(fld, pr, vhat, "trace")
+    shell_incs, shells = increment_sample(fld, pr, vhat, "shell")
+    # the trace estimate is per-path; for constant sigma both carry the same increments
+    assert shell_incs == incs
+    for s, inc, std, shell in zip(scales, incs, stds, shells):
+        want = field_at(fld, t + s, x) - field_at(fld, t, x)
+        assert inc == pytest.approx(want, rel=1e-15)
+        assert std == pytest.approx(inc / math.sqrt(s * 2.0 * t), rel=1e-12)
+        assert shell == pytest.approx(inc / math.sqrt(temporal_shell_area(t, t + s)),
+                                      rel=1e-12)
 
 
 def test_increment_sample_preconditions():
     # the scale, standardization and horizon rules are validate's
-    # (test_config.py); only the data-dependent zero variance is left here
+    # (test_config.py); only the data-dependent zero variance is left here,
+    # under either standardization
     zero, _ = solved(SigmaSpec("constant", (0.0,)), 8, LAT)
     pr = probe(0.5, 0.0, [0.125])
-    with pytest.raises(DegenerateInputError, match="conditional variance is zero"):
-        increment_sample(zero, pr, 0, conditional_variance(zero, pr))
+    for standardization in ("trace", "shell"):
+        with pytest.raises(DegenerateInputError, match="conditional variance is zero"):
+            increment_sample(zero, pr, conditional_variance(zero, pr), standardization)
 
 
 def test_martingale_part_is_the_truncated_shell_noise_for_unit_sigma():
@@ -210,5 +212,5 @@ def test_lil_scale_validation():
     # the scale grid rules are validate's (test_config.py); only the
     # data-dependent zero variance is left here
     zero, _ = solved(SigmaSpec("linear", (0.0,)), 4, FINE)
-    with pytest.raises(DegenerateInputError):
+    with pytest.raises(DegenerateInputError, match="conditional variance is zero"):
         lil_statistic(zero, probe(0.5, 0.0, [2**-5], lat=FINE))

@@ -15,6 +15,7 @@ from swelab.errors import ConfigurationError, ConfigurationWarning
 from swelab.lattice import spatial_shell_area
 from swelab.stats import ks_critical_value
 from swelab.studies import plan_study, run_study
+from swelab.wave import cone_boundary_trace, field_at
 
 LATTICE_BLOCK = {"h": 0.0625, "t_max": 1.0, "x_lo": -2.0, "x_hi": 2.0}
 
@@ -134,6 +135,34 @@ def test_clt_study_scales_run_large_to_small():
     columns, rows = out.series["ks"]
     assert columns == ("scale", "ks", "n", "critical_5pct")
     assert [r[0] for r in rows] == [0.25, 0.125]
+
+
+@pytest.mark.parametrize("standardization, sigma", [("trace", "linear:1"),
+                                                    ("shell", "constant:0.5")])
+def test_clt_study_rows_equal_the_pointwise_oracle(standardization, sigma):
+    scales = [0.125, 0.25, 0.375]
+    t, x = 0.5, 0.125
+    cfg = config_from_dict(make_cfg(
+        "clt", {"t": t, "x": x, "scales": scales, "standardization": standardization},
+        sigma=sigma, replicates=6, base_seed=3,
+    ))
+    with pytest.warns(ConfigurationWarning, match="KS power too low"):
+        ens = run_study(cfg).ensemble
+    descending = sorted(scales, reverse=True)
+    assert ens.columns == ("std_0", "inc_0", "vhat", "std_1", "inc_1", "std_2", "inc_2")
+    lat = cfg.lattice
+    y, trace = cone_boundary_trace(lat, *lat.apex(t, x))
+    for i, row in enumerate(ens.rows):
+        fld, _ = oracles.solved(cfg.sigma, ens.base_seed + i, lat)
+        sv = fld.sigma(fld.values[trace])
+        vhat = float(np.trapezoid(sv * sv, y))
+        want = {"vhat": vhat}
+        for k, s in enumerate(descending):
+            inc = field_at(fld, t + s, x) - field_at(fld, t, x)
+            var = (cfg.sigma.scalar(1.0) ** 2 * lattice.temporal_shell_area(t, t + s)
+                   if standardization == "shell" else s * vhat)
+            want[f"inc_{k}"], want[f"std_{k}"] = inc, inc / math.sqrt(var)
+        assert dict(zip(ens.columns, row.tolist())) == want
 
 
 def test_lil_study_quartiles_are_ordered():
