@@ -28,8 +28,6 @@ from .lattice import LatticeSpec, spatial_shell_area, temporal_shell_area
 from .linearize import defect_samples
 from .noise import make_noise
 from .quadvar import (
-    admissible_spatial_pieces,
-    admissible_temporal_pieces,
     line_qv,
     naive_qv_prediction,
     spatial_qv_limit,

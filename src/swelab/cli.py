@@ -90,14 +90,13 @@ def _overrides(args: argparse.Namespace, kind) -> dict:
     pieces = getattr(args, "pieces", None)
     if pieces is not None:
         counts = [_count(v) for v in pieces.split(",")]
-        if kind == "ladder":
+        # the kind's params table takes a list of counts or one n_pieces, whose
+        # parser refuses a list by key; an unknown kind is refused before params
+        table = KINDS[kind].params if isinstance(kind, str) and kind in KINDS else {}
+        if "counts" in table:
             params["counts"] = counts
-        elif len(counts) == 1:
-            params["n_pieces"] = counts[0]
         else:
-            raise ConfigurationError(
-                "--pieces with several counts requires a ladder config"
-            )
+            params["n_pieces"] = counts[0] if len(counts) == 1 else counts
     return {
         "base_seed": args.seed,
         "replicates": args.replicates,

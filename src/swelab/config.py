@@ -26,7 +26,6 @@ import yaml
 from .errors import AlignmentError, ConfigurationError, DomainError
 from .heat import HeatGridSpec
 from .lattice import LatticeSpec
-from .quadvar import admissible_spatial_pieces, admissible_temporal_pieces
 from .sigma import SigmaSpec
 
 __all__ = [
@@ -38,6 +37,7 @@ __all__ = [
     "load_config",
     "config_from_dict",
     "validate",
+    "place_reads",
 ]
 
 MIN_SLOPE_POINTS = 4  # the fewest points a slope, exponent or rate is fitted to
@@ -101,7 +101,7 @@ class Kind:
     """What one config kind is on the config side; the KINDS table holds one.
 
     `params` is its params table. `reads(params)` lists the points its
-    replicates read, as (key, t, x), and `check(cfg, params, errors, notes)`
+    replicates read, as (key, value, t, x), and `check(cfg, params, errors, notes)`
     adds the rules that join its params with the geometry. Its aggregation
     takes at least `least_replicates(params)` replicates, and its estimators
     read the increments after the solve when `reads_noise(params)`. `heat`
@@ -306,46 +306,69 @@ def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
 
 # -- read points ---------------------------------------------------------------
 # Each kind's replicates read the field at a few points; KINDS[kind].reads(params)
-# lists them as (key, t, x), in the order the replicates read them, with key
-# naming the params key or keys that place the point. validate resolves every
-# one and names the key of each it refuses; studies.plan_study solves for them.
-Read = tuple[str, float, float]
+# lists them as (key, value, t, x), in the order the replicates read them, with
+# key naming the params key or keys that place the point and value the lag or
+# scale written there (None for a point placed directly). place_reads resolves
+# every one, for validate and for studies.plan_study alike.
+Read = tuple[str, float | None, float, float]
 
 
 def _reads_simulate(p: dict) -> list[Read]:
     """The probes, then per lag block its base point and one point per lag."""
-    out = [(f"params.probes[{i}]", t, x) for i, (t, x) in enumerate(p["probes"])]
+    out = [(f"params.probes[{i}]", None, t, x) for i, (t, x) in enumerate(p["probes"])]
     for key in ("temporal_lags", "spatial_lags"):
         block = p[key]
         if block:
             t0, x0 = block["t"], block["x"]
-            out.append((f"params.{key}.t, params.{key}.x", t0, x0))
+            out.append((f"params.{key}.t, params.{key}.x", None, t0, x0))
             for lag in sorted(block["lags"]):
                 t, x = (t0 + lag, x0) if key == "temporal_lags" else (t0, x0 + lag)
-                out.append((f"params.{key}.lags", t, x))
+                out.append((f"params.{key}.lags", lag, t, x))
     return out
 
 
 def _reads_apex(p: dict) -> list[Read]:
-    return [("params.t, params.x", p["t"], p["x"])]
+    return [("params.t, params.x", None, p["t"], p["x"])]
 
 
 def _reads_segment(p: dict) -> list[Read]:
     """The two ends of the segment: their cones hold every cone between."""
-    return [("params.t, params.x_lo", p["t"], p["x_lo"]),
-            ("params.t, params.x_hi", p["t"], p["x_hi"])]
+    return [("params.t, params.x_lo", None, p["t"], p["x_lo"]),
+            ("params.t, params.x_hi", None, p["t"], p["x_hi"])]
 
 
 def _reads_probes(p: dict) -> list[Read]:
     """(t, x) and (t + scale, x) at every scale."""
     t, x = p["t"], p["x"]
-    return _reads_apex(p) + [("params.scales", t + s, x) for s in p["scales"]]
+    return _reads_apex(p) + [("params.scales", s, t + s, x) for s in p["scales"]]
 
 
 def _reads_linearize(p: dict) -> list[Read]:
     """(t, x), then (t, x + lag) at every lag, on either equation."""
     t, x = p["t"], p["x"]
-    return _reads_apex(p) + [("params.lags", t, x + lag) for lag in sorted(p["lags"])]
+    return _reads_apex(p) + [("params.lags", lag, t, x + lag) for lag in sorted(p["lags"])]
+
+
+def place_reads(cfg: ExperimentConfig, errors: list[str]) -> list | None:
+    """Every point the kind reads, resolved once and in read order: to its
+    (level, col) apex on the lattice, whose backward cone is then inside the
+    base, or to its site on the heat grid. A lag or scale at or below zero is
+    refused by its sign alone; every refusal is recorded under its key and the
+    value written there. None if any read was refused."""
+    place = ((lambda t, x: cfg.heat_grid.site_of(x)) if cfg.on_heat_grid
+             else cfg.lattice.apex)
+    reads = KINDS[cfg.kind].reads(cfg.params)
+    points = []
+    for key, value, t, x in reads:
+        where = key if value is None else f"{key} value {value}"
+        if value is not None and value <= 0:
+            errors.append(f"{where} must be positive")
+            continue
+        try:
+            points.append(place(t, x))
+        except (AlignmentError, DomainError) as exc:
+            errors.append(f"{where}: {exc}")
+    return points if len(points) == len(reads) else None
 
 
 # -- validation ----------------------------------------------------------------
@@ -387,55 +410,46 @@ def validate(cfg: ExperimentConfig) -> tuple[list[str], list[str]]:
     return errors, notes
 
 
-def _check_reads(cfg: ExperimentConfig, errors: list[str]) -> bool:
-    """Resolve every point the kind reads (Kind.reads) once: to its apex on the
-    lattice, whose backward cone is then inside the base, or to its site on
-    the heat grid. Each failure is recorded under its key; True if none."""
-    resolve = ((lambda t, x: cfg.heat_grid.site_of(x)) if cfg.on_heat_grid
-               else cfg.lattice.apex)
-    placed = True
-    for key, t, x in KINDS[cfg.kind].reads(cfg.params):
-        try:
-            resolve(t, x)
-        except (AlignmentError, DomainError) as exc:
-            errors.append(f"{key}: {exc}")
-            placed = False
-    return placed
+def _check_height(cfg: ExperimentConfig, points: list | None, errors: list[str]) -> None:
+    """Probes, spatial lines and wave defects read the cone below their first
+    point: it lies on level 1 or above."""
+    if points is not None and points[0][0] < 1:
+        errors.append(f"params.t={cfg.params['t']} must be >= h={cfg.lattice.h}: the "
+                      "estimators read the backward cone below t")
 
 
-def _check_height(lat: LatticeSpec, t: float, errors: list[str]) -> None:
-    """Probes, spatial lines and wave defects read the cone below t: t >= h."""
-    if t < lat.h:
-        errors.append(f"params.t={t} must be >= h={lat.h}: the estimators read "
-                      "the backward cone below t")
-
-
-def _positive(values, errors: list[str], key: str) -> None:
-    """Lags and scales are positive on either equation; where each lagged point
-    lies, on the lattice or the heat grid, is its read's to check."""
-    errors.extend(f"{key} value {v} must be positive" for v in values if v <= 0)
+def _divisors(k: int) -> list[int]:
+    """Divisors of k in ascending order, pairing each d <= isqrt(k) with k // d."""
+    small = [d for d in range(1, math.isqrt(k) + 1) if k % d == 0]
+    large = [k // d for d in reversed(small) if d * d != k]
+    return small + large
 
 
 def _piece_counts(cfg: ExperimentConfig, p: dict, errors, notes) -> list[int] | None:
-    """Admissible piece counts of a qv study or ladder, once every point it
-    reads has resolved. Spatial lines read the base [x_lo - t, x_hi + t]."""
+    """Admissible piece counts of a qv study or ladder, from its resolved
+    points: N admissible when N divides half the line's length in h, the
+    level n0 of a temporal line or the column span m_hi - m_lo of a spatial
+    one, so every partition point is a lattice point."""
+    points = place_reads(cfg, errors)
     lat, t = cfg.lattice, p["t"]
-    temporal = cfg.temporal_line
-    if not temporal:
-        _check_height(lat, t, errors)
-    if not _check_reads(cfg, errors):
+    if not cfg.temporal_line:
+        _check_height(cfg, points, errors)
+    if points is None:
         return None
-    key = "params.t" if temporal else "params.x_lo, params.x_hi"
-    try:
-        if temporal:
-            good = admissible_temporal_pieces(t, lat.h)
-            where = f"temporal piece counts at t={t}, h={lat.h}"
-        else:
-            good = admissible_spatial_pieces(p["x_lo"], p["x_hi"], lat.h)
-            where = f"spatial piece counts on [{p['x_lo']}, {p['x_hi']}]"
-    except AlignmentError as exc:
-        errors.append(f"{key}: {exc}")
+    if cfg.temporal_line:
+        length, key = points[0][0], "params.t"
+        where = f"temporal piece counts at t={t}, h={lat.h}"
+        bad = f"t={t} must be a positive even multiple of h={lat.h}"
+    else:
+        (_, lo), (_, hi) = points
+        length, key = hi - lo, "params.x_lo, params.x_hi"
+        span = f"[{p['x_lo']}, {p['x_hi']}]"
+        where = f"spatial piece counts on {span}"
+        bad = f"{span} must span a positive even multiple of h={lat.h}"
+    if length < 2 or length % 2:
+        errors.append(f"{key}: {bad}")
         return None
+    good = _divisors(length // 2)
     notes.append(f"admissible {where}: {good}")
     return good
 
@@ -449,8 +463,7 @@ def _check_simulate(cfg, p, errors, notes):
         if len(lags) < MIN_SLOPE_POINTS:
             notes.append(f"{key}: fitted slopes need >= {MIN_SLOPE_POINTS} points, "
                          f"got {len(lags)}")
-        _positive(lags, errors, f"params.{key}.lags")
-    _check_reads(cfg, errors)
+    place_reads(cfg, errors)
 
 
 def _check_qv(cfg, p, errors, notes):
@@ -461,14 +474,8 @@ def _check_qv(cfg, p, errors, notes):
         )
 
 
-def _check_probe_grid(cfg, p, errors):
-    _check_height(cfg.lattice, p["t"], errors)
-    _positive(p["scales"], errors, "params.scales")
-    _check_reads(cfg, errors)
-
-
 def _check_clt(cfg, p, errors, notes):
-    _check_probe_grid(cfg, p, errors)
+    _check_height(cfg, place_reads(cfg, errors), errors)
     if p["standardization"] == "shell" and not cfg.sigma.is_constant:
         errors.append("params.standardization: shell standardization requires a constant sigma")
     if cfg.replicates < 500:
@@ -479,7 +486,7 @@ def _check_clt(cfg, p, errors, notes):
 
 
 def _check_lil(cfg, p, errors, notes):
-    _check_probe_grid(cfg, p, errors)
+    _check_height(cfg, place_reads(cfg, errors), errors)
     t, scales = p["t"], p["scales"]
     for s in scales:
         if s > t / 8.0 + 1e-12:
@@ -497,7 +504,7 @@ def _check_lil(cfg, p, errors, notes):
 
 
 def _check_mart(cfg, p, errors, notes):
-    _check_probe_grid(cfg, p, errors)
+    _check_height(cfg, place_reads(cfg, errors), errors)
     if len(p["scales"]) < MIN_SLOPE_POINTS:
         notes.append(f"fitted exponents need >= {MIN_SLOPE_POINTS} scales")
 
@@ -506,7 +513,6 @@ def _check_linearize(cfg, p, errors, notes):
     lags = p["lags"]
     if len(lags) < 2:
         errors.append("params.lags: linearize needs at least 2 lags to compare scales")
-    _positive(lags, errors, "params.lags")
     if cfg.on_heat_grid:
         grid = cfg.heat_grid
         try:
@@ -518,9 +524,9 @@ def _check_linearize(cfg, p, errors, notes):
         if max(lags) >= grid.circumference:
             errors.append("params.lags: largest lag wraps around the circle; "
                           "enlarge circumference")
+        place_reads(cfg, errors)
     else:
-        _check_height(cfg.lattice, p["t"], errors)
-    _check_reads(cfg, errors)
+        _check_height(cfg, place_reads(cfg, errors), errors)
 
 
 def _check_ladder(cfg, p, errors, notes):

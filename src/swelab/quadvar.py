@@ -17,12 +17,10 @@ piece counts admissible, cones inside the base.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlignmentError
 from .lattice import LatticeSpec, cone_segments, index_array, segment_coords
 from .noise import cell_index
 from .wave import WaveField, point_index
@@ -32,8 +30,6 @@ __all__ = [
     "ConeGeometry",
     "SpatialGeometry",
     "QvDecomposition",
-    "admissible_temporal_pieces",
-    "admissible_spatial_pieces",
     "temporal_geometry",
     "spatial_geometry",
     "increments",
@@ -68,32 +64,6 @@ class QvDecomposition:
     frozen_noise: float
     frozen_area: float
     cone_integral: float
-
-
-def _divisors(k: int) -> list[int]:
-    """Divisors of k in ascending order, pairing each d <= isqrt(k) with k // d."""
-    small = [d for d in range(1, math.isqrt(k) + 1) if k % d == 0]
-    large = [k // d for d in reversed(small) if d * d != k]
-    return small + large
-
-
-def admissible_temporal_pieces(t: float, h: float) -> list[int]:
-    """Piece counts N for which every partition time i*t/N is a lattice time of
-    the right parity: N must divide (t/h)/2."""
-    n0 = round(t / h)
-    if abs(t / h - n0) > 1e-9 or n0 % 2 != 0 or n0 < 2:
-        raise AlignmentError(f"t={t} must be a positive even multiple of h={h}")
-    return _divisors(n0 // 2)
-
-
-def admissible_spatial_pieces(x_lo: float, x_hi: float, h: float) -> list[int]:
-    """Piece counts N for which the spacing (x_hi-x_lo)/N is an even multiple of h."""
-    span = round((x_hi - x_lo) / h)
-    if abs((x_hi - x_lo) / h - span) > 1e-9 or span % 2 != 0 or span < 2:
-        raise AlignmentError(
-            f"[{x_lo}, {x_hi}] must span a positive even multiple of h={h}"
-        )
-    return _divisors(span // 2)
 
 
 # -- geometry, built once per config ------------------------------------------

@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import KINDS, MIN_SLOPE_POINTS, ExperimentConfig, validate
+from .config import KINDS, MIN_SLOPE_POINTS, ExperimentConfig, place_reads, validate
 from .ensemble import EnsembleResult, run_replicates
 from .errors import ConfigurationError, ConfigurationWarning
 from .fluctuations import (
@@ -557,14 +557,16 @@ def _solve_trapezoid(lat: LatticeSpec,
 
 
 def plan_study(cfg: ExperimentConfig) -> StudyPlan:
-    """The plan of a config that validate accepted."""
-    reads = KINDS[cfg.kind].reads(cfg.params)
+    """The plan of a config that validate accepted; a read it refuses raises
+    ConfigurationError."""
+    errors: list[str] = []
+    points = place_reads(cfg, errors)
+    if points is None:
+        raise ConfigurationError("; ".join(errors))
     if cfg.on_heat_grid:
-        sites = [cfg.heat_grid.site_of(x) for _, _, x in reads]
-        return StudyPlan(cfg, None, None, index_array(sites), None)
-    apexes = [cfg.lattice.apex(t, x) for _, t, x in reads]
-    lat, words = _solve_trapezoid(cfg.lattice, apexes)
-    levels, cols = np.array(apexes, dtype=np.int64).reshape(-1, 2).T
+        return StudyPlan(cfg, None, None, index_array(points), None)
+    lat, words = _solve_trapezoid(cfg.lattice, points)
+    levels, cols = np.array(points, dtype=np.int64).reshape(-1, 2).T
     geometry = STUDY_PLANS[cfg.kind]
     return StudyPlan(cfg, lat, words, index_array(point_index(lat, levels, cols)),
                      geometry(cfg, lat) if geometry else None)

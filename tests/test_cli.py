@@ -125,9 +125,10 @@ def test_exit_three_for_runtime_failures(tmp_path, capsys):
 
 
 def test_multi_count_pieces_require_a_ladder_config(tmp_path, capsys):
+    # --pieces fills the kind's own key; one n_pieces refuses a list by key
     code = main(["qv", write_cfg(tmp_path), "--pieces", "2,4"])
     assert code == 2
-    assert "requires a ladder config" in capsys.readouterr().err
+    assert "params.n_pieces must be an integer, got [2, 4]" in capsys.readouterr().err
     ladder = write_cfg(
         tmp_path, "ladder.yaml", kind="ladder", replicates=110,
         params={"axis": "time", "t": 0.5, "x": 0.0, "counts": [1, 2]},
@@ -345,6 +346,30 @@ HEAT = {"kind": "linearize", "sigma": "linear:1", "replicates": 4, "equation": "
      "params.lags value 0.0 must be positive"),
     ("linearize", dict(HEAT, params=dict(HEAT["params"], lags=[0.0, 0.125])), [],
      "params.lags value 0.0 must be positive"),
+    # a negative odd multiple of h is refused by its sign alone
+    ("linearize", dict(BASE, kind="linearize",
+                       params={"t": 0.5, "x": 0.0, "lags": [-0.1875, 0.125]}), [],
+     "params.lags"),
+    # an off-lattice lag or scale is named by the value written
+    ("clt", dict(CLT, params=dict(CLT["params"], scales=[0.1, 0.125])), [],
+     "params.scales value 0.1:"),
+    ("mart", dict(CLT, kind="mart", params=dict(CLT["params"], scales=[0.1, 0.125])), [],
+     "params.scales value 0.1:"),
+    ("lil", dict(LIL, params=dict(LIL["params"], scales=[0.1, 0.125, 0.25])), [],
+     "params.scales value 0.1:"),
+    ("simulate", dict(BASE, kind="simulate", params={
+        "temporal_lags": {"t": 0.25, "x": 0.0, "lags": [0.1, 0.125]}}), [],
+     "params.temporal_lags.lags value 0.1:"),
+    ("simulate", dict(BASE, kind="simulate", params={
+        "spatial_lags": {"t": 0.5, "x": 0.0, "lags": [0.1, 0.125]}}), [],
+     "params.spatial_lags.lags value 0.1:"),
+    ("linearize", dict(BASE, kind="linearize",
+                       params={"t": 0.5, "x": 0.0, "lags": [0.1, 0.25]}), [],
+     "params.lags value 0.1:"),
+    ("linearize", dict(HEAT, params=dict(HEAT["params"], lags=[0.1, 0.25])), [],
+     "params.lags value 0.1:"),
+    # several counts on a kind that takes one: refused by its key
+    ("qv", BASE, ["--pieces", "2,4"], "params.n_pieces"),
 ])
 def test_bad_input_exits_two_and_names_the_key(tmp_path, capsys, command, config, extra, key):
     path = tmp_path / "cfg.yaml"

@@ -12,6 +12,7 @@ from swelab.config import (
     KINDS,
     ExperimentConfig,
     Threshold,
+    _divisors,
     config_from_dict,
     load_config,
     validate,
@@ -254,8 +255,8 @@ def test_lil_rules():
     # an odd multiple of h is refused by the read of (t + s, x) alone
     odd = dict(base, params=dict(base["params"], scales=[3 * 2 ** -7]))
     errors, _ = validate(config_from_dict(odd))
-    assert errors == ["params.scales: (t, x)=(0.5234375, 0.0) has odd parity "
-                      "(t/h + x/h must be even)"]
+    assert errors == ["params.scales value 0.0234375: (t, x)=(0.5234375, 0.0) has odd "
+                      "parity (t/h + x/h must be even)"]
 
 
 def test_lil_rejects_scales_without_iterated_log_decay():
@@ -285,11 +286,11 @@ def test_probe_grid_rules(kind):
     if kind != "lil":  # on this lattice every lil grid breaks the t/8 cap
         assert errors() == []
     assert "params.scales value 0.0 must be positive" in errors(scales=[0.0])
-    assert ("params.scales: (t, x)=(0.5625, 0.0) has odd parity (t/h + x/h must be even)"
-            in errors(scales=[0.0625]))
+    assert ("params.scales value 0.0625: (t, x)=(0.5625, 0.0) has odd parity "
+            "(t/h + x/h must be even)" in errors(scales=[0.0625]))
     # the read of (t + s, x) covers the horizon and the base width
-    assert ("params.scales: (t, x)=(1.125, 0.0) lies outside the simulated trapezoid"
-            in errors(t=1.0, scales=[0.125]))
+    assert ("params.scales value 0.125: (t, x)=(1.125, 0.0) lies outside the simulated "
+            "trapezoid" in errors(t=1.0, scales=[0.125]))
     assert ("params.t=0.0 must be >= h=0.0625: the estimators read the backward "
             "cone below t" in errors(t=0.0))
     with pytest.raises(ConfigurationError, match="params.scales must be a nonempty list"):
@@ -317,21 +318,23 @@ def with_params(config: dict, **params) -> dict:
     return dict(config, params=dict(config["params"], **params))
 
 
-ODD_PARITY = "{}: (t, x)=({}, {}) has odd parity (t/h + x/h must be even)"
+ODD_PARITY = "{} value {}: (t, x)=({}, {}) has odd parity (t/h + x/h must be even)"
 
 
 @pytest.mark.parametrize("config, error", [
     # an odd multiple of h: its lagged point is off the lattice's parity
-    (probe_dict("clt", scales=[0.125, 0.1875]), ODD_PARITY.format("params.scales", 0.6875, 0.0)),
-    (probe_dict("mart", scales=[0.125, 0.1875]), ODD_PARITY.format("params.scales", 0.6875, 0.0)),
+    (probe_dict("clt", scales=[0.125, 0.1875]),
+     ODD_PARITY.format("params.scales", 0.1875, 0.6875, 0.0)),
+    (probe_dict("mart", scales=[0.125, 0.1875]),
+     ODD_PARITY.format("params.scales", 0.1875, 0.6875, 0.0)),
     (with_params(LIL_FINE, scales=[2 ** -4, 3 * 2 ** -7]),
-     ODD_PARITY.format("params.scales", 0.5234375, 0.0)),
+     ODD_PARITY.format("params.scales", 0.0234375, 0.5234375, 0.0)),
     (simulate_dict("temporal_lags", 0.25, [0.125, 0.1875]),
-     ODD_PARITY.format("params.temporal_lags.lags", 0.4375, 0.0)),
+     ODD_PARITY.format("params.temporal_lags.lags", 0.1875, 0.4375, 0.0)),
     (simulate_dict("spatial_lags", 0.5, [0.125, 0.1875]),
-     ODD_PARITY.format("params.spatial_lags.lags", 0.5, 0.1875)),
+     ODD_PARITY.format("params.spatial_lags.lags", 0.1875, 0.5, 0.1875)),
     (with_params(WAVE_LINEARIZE, lags=[0.125, 0.1875]),
-     ODD_PARITY.format("params.lags", 0.5, 0.1875)),
+     ODD_PARITY.format("params.lags", 0.1875, 0.5, 0.1875)),
     # a zero or negative lag or scale, with one text on either equation
     (probe_dict("clt", scales=[0.0, 0.125]), "params.scales value 0.0 must be positive"),
     (probe_dict("mart", scales=[-0.125, 0.25]), "params.scales value -0.125 must be positive"),
@@ -345,9 +348,86 @@ ODD_PARITY = "{}: (t, x)=({}, {}) has odd parity (t/h + x/h must be even)"
     (with_params(HEAT_LINEARIZE, lags=[-0.125, 0.25]), "params.lags value -0.125 must be positive"),
     (with_params(WAVE_LINEARIZE, lags=[0.0, 0.25]), "params.lags value 0.0 must be positive"),
     (with_params(HEAT_LINEARIZE, lags=[0.0, 0.25]), "params.lags value 0.0 must be positive"),
+    # negative and an odd multiple of h (of dx on the heat grid): its sign alone
+    (with_params(WAVE_LINEARIZE, lags=[-0.1875, 0.125]),
+     "params.lags value -0.1875 must be positive"),
+    (with_params(HEAT_LINEARIZE, lags=[-0.1875, 0.125]),
+     "params.lags value -0.1875 must be positive"),
+    # off the lattice: named by the value written, not by the coordinate it sums to
+    (probe_dict("clt", scales=[0.1, 0.125]),
+     "params.scales value 0.1: t=0.6 is not an integer multiple of h=0.0625"),
+    (probe_dict("mart", scales=[0.125, 0.1]),
+     "params.scales value 0.1: t=0.6 is not an integer multiple of h=0.0625"),
+    (with_params(LIL_FINE, scales=[2 ** -4, 0.01]),
+     "params.scales value 0.01: t=0.51 is not an integer multiple of h=0.0078125"),
+    (simulate_dict("temporal_lags", 0.25, [0.1, 0.125]),
+     "params.temporal_lags.lags value 0.1: t=0.35 is not an integer multiple of h=0.0625"),
+    (simulate_dict("spatial_lags", 0.5, [0.1, 0.125]),
+     "params.spatial_lags.lags value 0.1: x=0.1 is not an integer multiple of h=0.0625"),
+    (with_params(WAVE_LINEARIZE, lags=[0.1, 0.25]),
+     "params.lags value 0.1: x=0.1 is not an integer multiple of h=0.0625"),
+    (with_params(HEAT_LINEARIZE, lags=[0.1, 0.25]),
+     "params.lags value 0.1: x=0.1 is not a multiple of dx=0.125"),
 ])
 def test_one_bad_lag_or_scale_is_refused_once(config, error):
     assert validate(config_from_dict(config))[0] == [error]
+
+
+H6 = 2 ** -6
+FINE_BLOCK = {"h": H6, "t_max": 1.0, "x_lo": -2.0, "x_hi": 2.0}
+
+
+def fine_qv(kind: str, lattice=FINE_BLOCK, **params) -> dict:
+    return dict(qv_time_dict(kind=kind, params={**params, "n_pieces": 4}),
+                lattice=dict(lattice))
+
+
+NEAR_H = LATTICE_BLOCK["h"] * (1 - 5e-10)
+
+
+# within LatticeSpec's relative tolerance of a lattice point: placed there, and
+# a qv line keeps the piece counts of the exact value
+@pytest.mark.parametrize("near, exact", [
+    (fine_qv("qv-time", t=(64 + 5e-8) * H6, x=0.0), fine_qv("qv-time", t=1.0, x=0.0)),
+    (fine_qv("qv-space", t=0.5, x_lo=-(96 + 5e-8) * H6, x_hi=(96 + 5e-8) * H6),
+     fine_qv("qv-space", t=0.5, x_lo=-96 * H6, x_hi=96 * H6)),
+    # on level 1, which holds the cone of a probe or a wave defect
+    (probe_dict("clt", t=NEAR_H, x=0.0625), None),
+    (with_params(WAVE_LINEARIZE, t=NEAR_H, x=0.0625, lags=[0.125, 0.25]), None),
+], ids=["qv-time", "qv-space", "clt", "linearize"])
+def test_a_point_the_lattice_places_is_accepted(near, exact):
+    errors, notes = validate(config_from_dict(near))
+    assert errors == []
+    if exact is not None:
+        counts = [note.split(": ", 1)[1] for note in notes]
+        assert counts == [note.split(": ", 1)[1] for note in validate(config_from_dict(exact))[1]]
+
+
+def test_admissible_piece_counts():
+    def validated(*args, **params):
+        return validate(config_from_dict(fine_qv(*args, **params)))
+
+    assert validated("qv-time", t=1.0, x=0.0) == ([], [
+        "admissible temporal piece counts at t=1.0, h=0.015625: [1, 2, 4, 8, 16, 32]"])
+    # odd t/h, on a column of the same parity
+    assert validated("qv-time", LATTICE_BLOCK, t=0.4375, x=0.0625) == ([
+        "params.t: t=0.4375 must be a positive even multiple of h=0.0625"], [])
+    assert validated("qv-space", t=0.5, x_lo=-1.0, x_hi=1.0) == ([], [
+        "admissible spatial piece counts on [-1.0, 1.0]: [1, 2, 4, 8, 16, 32, 64]"])
+    # an odd span puts one end off the parity of the other: its read refuses it
+    assert validated("qv-space", LATTICE_BLOCK, t=0.5, x_lo=0.0, x_hi=0.4375) == ([
+        "params.t, params.x_hi: (t, x)=(0.5, 0.4375) has odd parity "
+        "(t/h + x/h must be even)"], [])
+
+
+def test_divisors_pair_up_to_the_square_root():
+    for k in range(1, 501):
+        assert _divisors(k) == [d for d in range(1, k + 1) if k % d == 0]
+    # a lattice LatticeSpec accepts, far past anything a linear scan could list
+    finest = {"h": 2.0 ** -40, "t_max": 1.0, "x_lo": -2.0, "x_hi": 2.0}
+    errors, notes = validate(config_from_dict(fine_qv("qv-time", finest, t=1.0, x=0.0)))
+    assert errors == []
+    assert notes[0].endswith(f": {[2 ** i for i in range(40)]}")
 
 
 def test_temporal_alignment_rules():
@@ -457,7 +537,7 @@ def test_linearize_rules():
                       "params.lags value 0.0 must be positive"]
     off_grid = dict(heat, params=dict(heat["params"], lags=[0.1, 0.25]))
     errors, _ = validate(config_from_dict(off_grid))
-    assert errors == ["params.lags: x=0.1 is not a multiple of dx=0.125"]
+    assert errors == ["params.lags value 0.1: x=0.1 is not a multiple of dx=0.125"]
 
 
 def test_simulate_rules():

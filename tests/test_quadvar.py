@@ -5,12 +5,8 @@ import pytest
 
 import oracles
 from oracles import segment_sum, solved
-from swelab import quadvar
-from swelab.errors import AlignmentError
 from swelab.lattice import LatticeSpec, shell_segments, side_shell_segments, spatial_shell_area
 from swelab.quadvar import (
-    admissible_spatial_pieces,
-    admissible_temporal_pieces,
     increments,
     naive_qv_prediction,
     spatial_geometry,
@@ -37,25 +33,6 @@ def line(t: float, x: float, n: int, lat: LatticeSpec = LAT) -> np.ndarray:
 
 def segment(t: float, x_lo: float, x_hi: float, counts=()):
     return spatial_geometry(LAT, t, x_lo, x_hi, list(counts))
-
-
-def test_admissible_piece_counts():
-    assert admissible_temporal_pieces(1.0, 2**-6) == [1, 2, 4, 8, 16, 32]
-    assert admissible_temporal_pieces(0.5, 0.0625) == [1, 2, 4]
-    with pytest.raises(AlignmentError):
-        admissible_temporal_pieces(0.4375, 0.0625)  # odd t/h
-    assert admissible_spatial_pieces(-1.0, 1.0, 2**-6) == [
-        d for d in range(1, 65) if 64 % d == 0
-    ]
-    with pytest.raises(AlignmentError):
-        admissible_spatial_pieces(0.0, 0.4375, 0.0625)
-
-
-def test_divisors_pair_up_to_the_square_root():
-    for k in range(1, 501):
-        assert quadvar._divisors(k) == [d for d in range(1, k + 1) if k % d == 0]
-    # a lattice LatticeSpec accepts, far past anything a linear scan could list
-    assert admissible_temporal_pieces(1.0, 2.0**-40) == [2**i for i in range(40)]
 
 
 def test_temporal_increments_match_field_differences():
@@ -127,7 +104,7 @@ def test_decomposition_and_ladder_equal_the_cone_enumeration(spec, sigma):
     fld, noise = solved(spec, 12, LAT)
     for t, x in APEXES:
         n0, m0 = LAT.level_of(t), LAT.col_of(x)
-        counts = admissible_temporal_pieces(t, LAT.h)
+        counts = [n for n in range(1, n0 // 2 + 1) if (n0 // 2) % n == 0]
         ladder = temporal_qv_ladder(fld, noise, temporal_geometry(LAT, t, x, counts))
         for n, dec in zip(counts, ladder):
             want = oracles.cone_decomposition(fld, noise, sigma, n0, m0, LAT.h, n)
