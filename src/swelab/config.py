@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import yaml
 
-from .errors import AlignmentError, ConfigurationError, DomainError
+from .errors import ConfigurationError
 from .heat import HeatGridSpec
 from .lattice import LatticeSpec
 from .sigma import SigmaSpec
@@ -352,22 +352,29 @@ def _reads_linearize(p: dict) -> list[Read]:
 def place_reads(cfg: ExperimentConfig, errors: list[str]) -> list | None:
     """Every point the kind reads, resolved once and in read order: to its
     (level, col) apex on the lattice, whose backward cone is then inside the
-    base, or to its site on the heat grid. A lag or scale at or below zero is
-    refused by its sign alone; every refusal is recorded under its key and the
-    value written there. None if any read was refused."""
-    place = ((lambda t, x: cfg.heat_grid.site_of(x)) if cfg.on_heat_grid
+    base, or to its (step, site) on the heat grid. A lag or scale at or below
+    zero is refused by its sign alone, and one read off a refused base point
+    (the read placed directly before it) is skipped, so each bad coordinate
+    is refused once. Every refusal is recorded under its key and the value
+    written there. None if any read was refused or skipped."""
+    grid = cfg.heat_grid
+    place = ((lambda t, x: (grid.step_of(t), grid.site_of(x))) if cfg.on_heat_grid
              else cfg.lattice.apex)
     reads = KINDS[cfg.kind].reads(cfg.params)
-    points = []
+    points, base = [], None  # base: the last point placed directly, None if refused
     for key, value, t, x in reads:
         where = key if value is None else f"{key} value {value}"
         if value is not None and value <= 0:
             errors.append(f"{where} must be positive")
-            continue
-        try:
-            points.append(place(t, x))
-        except (AlignmentError, DomainError) as exc:
-            errors.append(f"{where}: {exc}")
+        elif value is None or base is not None:
+            try:
+                point = place(t, x)
+                points.append(point)
+            except ConfigurationError as exc:
+                errors.append(f"{where}: {exc}")
+                point = None
+            if value is None:
+                base = point
     return points if len(points) == len(reads) else None
 
 
@@ -411,11 +418,12 @@ def validate(cfg: ExperimentConfig) -> tuple[list[str], list[str]]:
 
 
 def _check_height(cfg: ExperimentConfig, points: list | None, errors: list[str]) -> None:
-    """Probes, spatial lines and wave defects read the cone below their first
-    point: it lies on level 1 or above."""
+    """Probes, spatial lines and defects read below their first point: it lies
+    on level 1 or above on the lattice, at step 1 or later on the heat grid."""
     if points is not None and points[0][0] < 1:
-        errors.append(f"params.t={cfg.params['t']} must be >= h={cfg.lattice.h}: the "
-                      "estimators read the backward cone below t")
+        errors.append(f"params.t={cfg.params['t']} must be >= " + (
+            f"dt={cfg.heat_grid.dt}: the defect needs at least one step" if cfg.on_heat_grid
+            else f"h={cfg.lattice.h}: the estimators read the backward cone below t"))
 
 
 def _divisors(k: int) -> list[int]:
@@ -513,20 +521,10 @@ def _check_linearize(cfg, p, errors, notes):
     lags = p["lags"]
     if len(lags) < 2:
         errors.append("params.lags: linearize needs at least 2 lags to compare scales")
-    if cfg.on_heat_grid:
-        grid = cfg.heat_grid
-        try:
-            if grid.step_of(p["t"]) < 1:
-                errors.append(f"params.t={p['t']} must be >= dt={grid.dt}: the defect "
-                              "needs at least one step")
-        except ConfigurationError as exc:
-            errors.append(f"params.t: {exc}")
-        if max(lags) >= grid.circumference:
-            errors.append("params.lags: largest lag wraps around the circle; "
-                          "enlarge circumference")
-        place_reads(cfg, errors)
-    else:
-        _check_height(cfg, place_reads(cfg, errors), errors)
+    if cfg.on_heat_grid and max(lags) >= cfg.heat_grid.circumference:
+        errors.append("params.lags: largest lag wraps around the circle; "
+                      "enlarge circumference")
+    _check_height(cfg, place_reads(cfg, errors), errors)
 
 
 def _check_ladder(cfg, p, errors, notes):

@@ -6,10 +6,9 @@ time is the integral of sigma(u)^2 along the backward cone boundary.  This
 module computes that variance, standardized increments, the explicit
 martingale/remainder split of the increment, and an iterated-logarithm probe.
 
-`probe_geometry` resolves every point and cell they read once per config, for
-a config that `config.validate` accepted (scales positive, and (t + scale, x)
-a lattice point whose cone lies inside the base); the estimators only gather
-and sum.
+The study plan resolves the points a probe reads (`config.place_reads`);
+`probe_geometry` enumerates, once per config, every point and cell the
+estimators read from them, and the estimators only gather and sum.
 """
 from __future__ import annotations
 
@@ -55,17 +54,17 @@ class ProbeGeometry:
     shells: tuple[tuple[np.ndarray, np.ndarray], ...]
 
 
-def probe_geometry(lat: LatticeSpec, t: float, x: float, scales: list[float],
-                   shells: bool = False) -> ProbeGeometry:
-    """The probe at (t, x); `LatticeSpec.apex` resolves every read point."""
-    n0, m0 = lat.apex(t, x)
-    tops = [lat.apex(t + s, x)[0] for s in scales]
+def probe_geometry(lat: LatticeSpec, t: float, apex: tuple[int, int], scales: list[float],
+                   tops: list[int], shells: bool = False) -> ProbeGeometry:
+    """The probe at the (level, col) apex of (t, x); tops[i] is the level of
+    (t + scales[i], x)."""
+    n0, m0 = apex
     y, trace = cone_boundary_trace(lat, n0, m0)
     return ProbeGeometry(
         t=t,
         scales=tuple(scales),
         base=int(point_index(lat, n0, m0)),
-        tops=index_array(point_index(lat, np.array(tops), m0)),
+        tops=index_array(point_index(lat, tops, m0)),
         y=y,
         trace=trace,
         shells=tuple(_truncated_shell(lat, n0, m0, top) for top in tops) if shells else (),

@@ -157,9 +157,9 @@ def solve_heat(sigma: SigmaSpec, seed: int, grid: HeatGridSpec) -> np.ndarray:
 
 
 def solve_coupled_heat_linearization(sigma: SigmaSpec, seeds: Sequence[int], grid: HeatGridSpec,
-                                     t: float) -> np.ndarray:
-    """Rows at t of the nonlinear fields (first) and of the sigma == 1 fields
-    (second), one per seed and driven by the identical site normals, shape
-    (2, seeds, sites)."""
+                                     n_steps: int) -> np.ndarray:
+    """Rows at step n_steps of the nonlinear fields (first) and of the
+    sigma == 1 fields (second), one per seed and driven by the identical site
+    normals, shape (2, seeds, sites)."""
     seeds = [_check_seed(seed) for seed in seeds]
-    return _march((sigma, CONSTANT_ONE), grid, seeds, grid.step_of(t))
+    return _march((sigma, CONSTANT_ONE), grid, seeds, n_steps)

@@ -10,10 +10,10 @@ an integral of sigma(u)^2 along the two characteristics through each point, not
 to the flat-slice value 2*t*int sigma(u(t,x))^2 dx; both are computed here so the
 gap is measurable.
 
-Every point and cell an estimator reads is resolved once per config by
-`temporal_geometry` or `spatial_geometry`; the estimators only gather and sum.
-The geometry assumes a config that `config.validate` accepted: apexes aligned,
-piece counts admissible, cones inside the base.
+The study plan resolves the points a line reads (`config.place_reads`);
+`temporal_geometry` or `spatial_geometry` enumerates, once per config, every
+point and cell an estimator reads from them, and the estimators only gather
+and sum.
 """
 from __future__ import annotations
 
@@ -103,10 +103,10 @@ class ConeGeometry:
     rungs: tuple[TemporalRung, ...]
 
 
-def temporal_geometry(lat: LatticeSpec, t: float, x: float,
+def temporal_geometry(lat: LatticeSpec, apex: tuple[int, int],
                       counts: list[int]) -> ConeGeometry:
-    """The cone of (t, x), enumerated once, with one rung per piece count."""
-    n0, m0 = lat.apex(t, x)
+    """The cone of a (level, col) apex, enumerated once, one rung per piece count."""
+    n0, m0 = apex
     levels, cols = segment_coords(cone_segments(lat, n0, m0))
     dm = np.abs(cols - m0)
     rungs = []
@@ -180,11 +180,10 @@ class SpatialGeometry:
     lines: tuple[np.ndarray, ...]  # per count: field offsets of its N + 1 points
 
 
-def spatial_geometry(lat: LatticeSpec, t: float, x_lo: float, x_hi: float,
+def spatial_geometry(lat: LatticeSpec, t: float, ends: list[tuple[int, int]],
                      counts: list[int]) -> SpatialGeometry:
-    """The segment [x_lo, x_hi] at time t, with one partition line per piece count."""
-    n0, m_lo = lat.apex(t, x_lo)
-    _, m_hi = lat.apex(t, x_hi)
+    """The segment between two (level, col) ends at time t, one line per piece count."""
+    (n0, m_lo), (_, m_hi) = ends
     ls = np.arange(n0 + 1)
     cols = np.arange(m_lo, m_hi + 1, 2)
     xs = cols * lat.h

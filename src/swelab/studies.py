@@ -10,7 +10,7 @@ the backward cones of those points. The field there depends only on the
 noise of its own cells, and each cell is drawn from its Philox word in the
 configured lattice, so every value read is the one the configured lattice
 gives. The estimators' geometry (STUDY_PLANS) is built against the solve
-trapezoid; a heat study's plan holds only the grid sites it reads. The
+trapezoid from the resolved points; a heat plan holds its sites and step. The
 kind's replicate function (STUDY_RUNNERS) then runs each block of seeds
 against that plan through the shared scheduler, drawing and solving the
 whole block as one array. The runner aggregates with
@@ -88,7 +88,7 @@ class StudyPlan:
     `points` are the field offsets of the points the kind reads (grid sites
     on the heat equation), in the order Kind.reads lists them; `geometry`
     holds the estimators' index arrays (None for the kinds that read only
-    points).
+    points), or on the heat equation the step the march stops at.
     """
 
     cfg: ExperimentConfig
@@ -170,13 +170,13 @@ def _agg_simulate(cfg: ExperimentConfig, ens: EnsembleResult):
 # -- quadratic variation along a line -------------------------------------------
 
 
-def _plan_line(cfg: ExperimentConfig, lat: LatticeSpec):
+def _plan_line(cfg: ExperimentConfig, lat: LatticeSpec, points: list):
     """The line's geometry at every piece count: a qv study is a one-rung ladder."""
     p = cfg.params
     counts = sorted(p["counts"]) if cfg.kind == "ladder" else [p["n_pieces"]]
     if cfg.temporal_line:
-        return temporal_geometry(lat, p["t"], p["x"], counts)
-    return spatial_geometry(lat, p["t"], p["x_lo"], p["x_hi"], counts)
+        return temporal_geometry(lat, points[0], counts)
+    return spatial_geometry(lat, p["t"], points, counts)
 
 
 # -- temporal quadratic variation ---------------------------------------------
@@ -336,11 +336,13 @@ def _agg_ladder(cfg: ExperimentConfig, ens: EnsembleResult):
 # -- central limit harness -----------------------------------------------------
 
 
-def _plan_probes(cfg: ExperimentConfig, lat: LatticeSpec, descending: bool = False,
-                 shells: bool = False):
+def _plan_probes(cfg: ExperimentConfig, lat: LatticeSpec, points: list,
+                 descending: bool = False, shells: bool = False):
+    """The probe at the apex, its scales sorted with the level of each top."""
     p = cfg.params
-    scales = sorted(p["scales"], reverse=descending)
-    return probe_geometry(lat, p["t"], p["x"], scales, shells=shells)
+    apex, *tops = points
+    scales, levels = zip(*sorted(zip(p["scales"], (n for n, _ in tops)), reverse=descending))
+    return probe_geometry(lat, p["t"], apex, scales, levels, shells=shells)
 
 
 def _rep_clt(f: WaveField, noise: np.ndarray | None,
@@ -441,9 +443,9 @@ def _agg_mart(cfg: ExperimentConfig, ens: EnsembleResult):
 def _rep_linearize(seeds: list[int], plan: StudyPlan) -> list[dict[str, float]]:
     cfg = plan.cfg
     if cfg.on_heat_grid:
-        # the whole block marches at once, only to the probe time
+        # the whole block marches at once, only to the probe step
         fields, linear = solve_coupled_heat_linearization(cfg.sigma, seeds, cfg.heat_grid,
-                                                          cfg.params["t"])
+                                                          plan.geometry)
     else:
         # the whole block solves at once; the sigma == 1 fields on a copy
         fields, linear = (block.rows for block in solve_coupled_linearization(
@@ -494,8 +496,8 @@ def _each_seed(rep, seeds: list[int], plan: StudyPlan) -> list[dict[str, float]]
     return [rep(f, xi, plan) for f, xi in zip(solve_wave(plan.cfg.sigma, noise), kept)]
 
 
-# kind -> (config, solve trapezoid) -> the geometry its estimators read, or
-# None for the kinds that read only points (Kind.reads lists the points)
+# kind -> (config, solve trapezoid, resolved points) -> the geometry its
+# estimators read, or None for the kinds that read only their points
 STUDY_PLANS = {
     "simulate": None,
     "qv-time": _plan_line,
@@ -564,12 +566,13 @@ def plan_study(cfg: ExperimentConfig) -> StudyPlan:
     if points is None:
         raise ConfigurationError("; ".join(errors))
     if cfg.on_heat_grid:
-        return StudyPlan(cfg, None, None, index_array(points), None)
+        steps, sites = zip(*points)
+        return StudyPlan(cfg, None, None, index_array(sites), steps[0])
     lat, words = _solve_trapezoid(cfg.lattice, points)
     levels, cols = np.array(points, dtype=np.int64).reshape(-1, 2).T
     geometry = STUDY_PLANS[cfg.kind]
     return StudyPlan(cfg, lat, words, index_array(point_index(lat, levels, cols)),
-                     geometry(cfg, lat) if geometry else None)
+                     geometry(cfg, lat, points) if geometry else None)
 
 
 def run_study(cfg: ExperimentConfig) -> StudyOutput:

@@ -65,6 +65,49 @@ def discrete_second_moment(n_levels: int, h: float) -> np.ndarray:
     return m
 
 
+def lattice_expectation(n_levels: int, h: float, a: float, b: float) -> np.ndarray:
+    """E[u(n h, x)^2] for sigma = affine:a,b (sigma(u) = a + b u) on the
+    characteristic lattice, exactly; a = 0, b = 1 is discrete_second_moment.
+
+    The mild form's cross terms vanish as there, and E[u] = 1, so a weight
+    sigma(u) at a vertex of level j has E[sigma^2] = a^2 + 2ab + b^2 M(j),
+    and (a + b)^2 = sigma(1)^2 on the base triangles:
+
+        M(n) = 1 + n h^2 (a+b)^2 + 2 h^2 sum_{j=0}^{n-2} (n-1-j) (a^2 + 2ab + b^2 M(j)).
+    """
+    m = np.ones(n_levels + 1)
+    for n in range(1, n_levels + 1):
+        acc = 0.0
+        for j in range(n - 1):
+            acc += (n - 1 - j) * (a * a + 2.0 * a * b + b * b * m[j])
+        m[n] = 1.0 + n * h * h * (a + b) ** 2 + 2.0 * h * h * acc
+    return m
+
+
+def weight_sq_mean(m: np.ndarray, a: float, b: float, levels) -> np.ndarray:
+    """E[sigma(u)^2] at field points of the given levels, from M =
+    lattice_expectation(..., a, b); u = 1 at and below level 0."""
+    return a * a + 2.0 * a * b + b * b * m[np.maximum(np.asarray(levels), 0)]
+
+
+def increment_sq_mean(m: np.ndarray, a: float, b: float, h: float, p, q) -> float:
+    """E[(u(p) - u(q))^2] for field points p, q = (level, col), exactly.
+
+    The difference is the noise of the cells in exactly one of the two cones;
+    by adaptedness each adds E[sigma(u)^2] at its bottom vertex, one level
+    below its row, times its area.
+    """
+    cells = set(cone_cells(*p)) ^ set(cone_cells(*q))
+    rows = np.array([n for n, _, _ in cells], dtype=int)
+    areas = np.array([area for _, _, area in cells])
+    return float(np.sum(weight_sq_mean(m, a, b, rows - 1) * areas)) * h * h
+
+
+def line_qv_mean(m: np.ndarray, a: float, b: float, h: float, points) -> float:
+    """E[sum of squared increments] along a partition line of (level, col) points."""
+    return sum(increment_sq_mean(m, a, b, h, p, q) for p, q in zip(points, points[1:]))
+
+
 # -- lattice geometry by raw enumeration --------------------------------------
 
 
@@ -180,7 +223,16 @@ def _xi(xi, lat, level: int, col: int) -> float:
 
 
 def cone_limit_columns(field, sigma, n0: int, m0: int, h: float) -> float:
-    """Columns quadrature of the cone integral of sigma(u)^2 at apex (n0, m0).
+    """Columns quadrature of the cone integral of sigma(u)^2 at apex (n0, m0)."""
+    def sq(ls, c):
+        sv = sigma(np.array([_u(field, l, c) for l in ls]))
+        return sv * sv
+    return columns_quadrature(sq, n0, m0, h)
+
+
+def columns_quadrature(sq, n0: int, m0: int, h: float) -> float:
+    """Columns quadrature over the cone of apex (n0, m0) of an integrand that
+    sq(levels, col) gives at points of one column.
 
     Each column is integrated by the trapezoid rule in time over the points
     of its parity (odd columns get u(0, .) = 1 prepended at s = 0), then the
@@ -199,8 +251,7 @@ def cone_limit_columns(field, sigma, n0: int, m0: int, h: float) -> float:
         else:
             ls = [0] + list(range(1, lmax + 1, 2))
             s = [0.0] + [l * h for l in ls[1:]]
-        sv = sigma(np.array([_u(field, l, int(c)) for l in ls]))
-        g[i] = np.trapezoid(sv * sv, np.array(s))
+        g[i] = np.trapezoid(sq(ls, int(c)), np.array(s))
     return float(np.trapezoid(g, cols * h))
 
 

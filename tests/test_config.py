@@ -15,6 +15,7 @@ from swelab.config import (
     _divisors,
     config_from_dict,
     load_config,
+    read_config,
     validate,
 )
 from swelab.errors import ConfigurationError, ConfigurationWarning
@@ -23,6 +24,7 @@ from swelab.sigma import SigmaSpec
 from swelab.studies import plan_study, run_study
 
 LATTICE_BLOCK = {"h": 0.0625, "t_max": 1.0, "x_lo": -2.0, "x_hi": 2.0}
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs" / "acceptance"
 
 
 def qv_time_dict(**kw) -> dict:
@@ -373,6 +375,48 @@ def test_one_bad_lag_or_scale_is_refused_once(config, error):
     assert validate(config_from_dict(config))[0] == [error]
 
 
+def shipped(stem: str, **params) -> dict:
+    """A shipped config with some of its params replaced."""
+    return with_params(read_config(str(CONFIG_DIR / f"{stem}.yaml")), **params)
+
+
+def holder_slopes(**blocks) -> dict:
+    """holder_slopes with some keys of its lag blocks replaced."""
+    lags = shipped("holder_slopes")["params"]
+    return shipped("holder_slopes", **{key: dict(lags[key], **block)
+                                       for key, block in blocks.items()})
+
+
+OFF_H = "params.t, params.x: {}={} is not an integer multiple of h=0.00390625"
+
+
+# a bad base point is refused once, under its own key: the lags and scales
+# read off it are skipped, not refused again
+@pytest.mark.parametrize("config, errors", [
+    (shipped("linearize_wave", t=0.3001), [OFF_H.format("t", 0.3001)]),
+    (shipped("linearize_wave", x=0.001), [OFF_H.format("x", 0.001)]),
+    (shipped("clt_multiplicative", t=0.3001), [OFF_H.format("t", 0.3001)]),
+    (shipped("martingale_split", t=0.3001), [OFF_H.format("t", 0.3001)]),
+    (shipped("linearize_heat", x=0.001),
+     ["params.t, params.x: x=0.001 is not a multiple of dx=0.015625"]),
+    (holder_slopes(temporal_lags={"x": 0.001}),
+     ["params.temporal_lags.t, params.temporal_lags.x: x=0.001 is not an integer "
+      "multiple of h=0.0078125"]),
+    # the other block is still read
+    (holder_slopes(temporal_lags={"x": 0.001}, spatial_lags={"lags": [0.03125, 0.1]}),
+     ["params.temporal_lags.t, params.temporal_lags.x: x=0.001 is not an integer "
+      "multiple of h=0.0078125",
+      "params.spatial_lags.lags value 0.1: x=0.1 is not an integer multiple of h=0.0078125"]),
+    # heat's t is resolved with the point it places
+    (shipped("linearize_heat", t=0.03),
+     ["params.t, params.x: t=0.03 is not an integer multiple of 6.103515625e-05"]),
+    (shipped("linearize_heat", t=0.125), ["params.t, params.x: t=0.125 outside [0, 0.0625]"]),
+], ids=["wave-t", "wave-x", "clt-t", "mart-t", "heat-x", "simulate-x", "simulate-both",
+        "heat-t-off-grid", "heat-t-late"])
+def test_a_bad_base_point_is_refused_once(config, errors):
+    assert validate(config_from_dict(config))[0] == errors
+
+
 H6 = 2 ** -6
 FINE_BLOCK = {"h": H6, "t_max": 1.0, "x_lo": -2.0, "x_hi": 2.0}
 
@@ -562,9 +606,6 @@ def test_simulate_rules():
     })
     errors, _ = validate(bad)
     assert len(errors) == 1 and "outside" in errors[0]
-
-
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs" / "acceptance"
 
 
 @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.yaml")), ids=lambda p: p.stem)

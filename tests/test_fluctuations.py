@@ -25,7 +25,9 @@ LINEAR = SigmaSpec("linear", (1.0,))
 
 
 def probe(t, x, scales=(), lat=LAT, shells=False):
-    return probe_geometry(lat, t, x, list(scales), shells=shells)
+    """The probe at (t, x), resolved as the study plan resolves it."""
+    tops = [lat.apex(t + s, x)[0] for s in scales]
+    return probe_geometry(lat, t, lat.apex(t, x), list(scales), tops, shells=shells)
 
 
 def test_conditional_variance_is_exact_for_unit_sigma():

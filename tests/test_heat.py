@@ -112,7 +112,7 @@ def test_site_normal_matches_the_stream():
 
 def test_coupled_heat_solutions_share_normals():
     g = small_grid()
-    [[v], [lin]] = solve_coupled_heat_linearization(LINEAR, [9], g, g.t_max)
+    [[v], [lin]] = solve_coupled_heat_linearization(LINEAR, [9], g, g.n_steps)
     ref = solve_heat(CONSTANT_ONE, 9, g)
     assert np.array_equal(lin, ref)
     assert not np.array_equal(v, lin)
@@ -142,7 +142,7 @@ def test_block_march_equals_the_row_by_row_history(sigma, step):
                       oracles.heat_march(CONSTANT_ONE, g.dx, g.dt, step, z)[step])
     # blocks of 1, 2 (small-studies' block) and 3 seeds
     for block in (1, 2, 3):
-        rows = solve_coupled_heat_linearization(sigma, seeds[:block], g, step * g.dt)
+        rows = solve_coupled_heat_linearization(sigma, seeds[:block], g, step)
         assert rows.shape == (2, block, g.n_sites)
         for seed, v, lin in zip(seeds, *rows):
             assert np.all(v == want[seed][0])
@@ -158,7 +158,7 @@ def test_march_stops_at_the_probe_time(monkeypatch):
         return _normals(seeds, grid, start, stop)
 
     monkeypatch.setattr(heat, "_normals", recording_normals)
-    rows = solve_coupled_heat_linearization(LINEAR, [1], g, 700 * g.dt)
+    rows = solve_coupled_heat_linearization(LINEAR, [1], g, 700)
     assert drawn[-1][1] == 700
     assert all(stop - start <= heat._CHUNK_WORDS // g.n_sites for start, stop in drawn)
     assert rows.shape == (2, 1, g.n_sites)
@@ -168,6 +168,6 @@ def test_every_seed_of_a_block_is_checked():
     g = small_grid()
     with pytest.raises(ConfigurationError, match=f"got {2 ** 64}"):
         solve_coupled_heat_linearization(LINEAR, [2 ** 64 - 1, 2 ** 64, 0], g,
-                                         g.t_max)
+                                         g.n_steps)
     with pytest.raises(ConfigurationError, match="integer"):
-        solve_coupled_heat_linearization(LINEAR, [1, 2.0, 3], g, g.t_max)
+        solve_coupled_heat_linearization(LINEAR, [1, 2.0, 3], g, g.n_steps)

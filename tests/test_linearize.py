@@ -58,7 +58,7 @@ def test_constant_sigma_wave_defect_vanishes():
 def test_constant_sigma_heat_defect_vanishes():
     grid = small_heat_grid()
     sigma = SigmaSpec("constant", (0.7,))
-    rows = solve_coupled_heat_linearization(sigma, [11], grid, grid.t_max)
+    rows = solve_coupled_heat_linearization(sigma, [11], grid, grid.n_steps)
     _, _, defect = defect_samples(sigma, *rows, sites(grid, 0.25, [0.0625, 0.125]))
     assert np.all(np.abs(defect) < 1e-12)
 
@@ -98,7 +98,7 @@ def test_heat_block_defects_equal_the_per_seed_oracle(sigma, block):
     grid = small_heat_grid()
     seeds = list(range(40, 40 + block))
     x, lags = 0.25, [0.0625, 0.125, 0.25]
-    rows = solve_coupled_heat_linearization(sigma, seeds, grid, grid.t_max)
+    rows = solve_coupled_heat_linearization(sigma, seeds, grid, grid.n_steps)
     got = np.stack(defect_samples(sigma, *rows, sites(grid, x, lags)), axis=2)
     for b, seed in enumerate(seeds):
         fld = solve_heat(sigma, seed, grid)

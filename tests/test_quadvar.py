@@ -8,6 +8,7 @@ from oracles import segment_sum, solved
 from swelab.lattice import LatticeSpec, shell_segments, side_shell_segments, spatial_shell_area
 from swelab.quadvar import (
     increments,
+    line_qv,
     naive_qv_prediction,
     spatial_geometry,
     spatial_qv,
@@ -20,19 +21,25 @@ from swelab.quadvar import (
 )
 from swelab.sigma import CONSTANT_ONE, SigmaSpec
 from swelab.stats import loglog_slope
-from swelab.wave import field_at
+from swelab.noise import make_noise
+from swelab.wave import field_at, solve_wave
 
 LAT = LatticeSpec(h=0.0625, t_max=1.0, x_lo=-2.0, x_hi=2.0)
 LINEAR = SigmaSpec("linear", (1.0,))
 
 
+def temporal_cone(t: float, x: float, counts, lat: LatticeSpec = LAT):
+    """The temporal geometry of (t, x), resolved as the study plan resolves it."""
+    return temporal_geometry(lat, lat.apex(t, x), list(counts))
+
+
 def line(t: float, x: float, n: int, lat: LatticeSpec = LAT) -> np.ndarray:
     """Field offsets of the n-piece partition of the time line at x."""
-    return temporal_geometry(lat, t, x, [n]).rungs[0].line
+    return temporal_cone(t, x, [n], lat).rungs[0].line
 
 
 def segment(t: float, x_lo: float, x_hi: float, counts=()):
-    return spatial_geometry(LAT, t, x_lo, x_hi, list(counts))
+    return spatial_geometry(LAT, t, [LAT.apex(t, x_lo), LAT.apex(t, x_hi)], list(counts))
 
 
 def test_temporal_increments_match_field_differences():
@@ -57,7 +64,7 @@ def test_unit_sigma_increments_are_shell_noise_sums():
 def test_unit_sigma_decomposition_identities():
     fld, noise = solved(CONSTANT_ONE, 15, LAT)
     for n in (1, 2, 8):
-        dec = temporal_qv_decomposition(fld, noise, temporal_geometry(LAT, 1.0, 0.0, [n]))
+        dec = temporal_qv_decomposition(fld, noise, temporal_cone(1.0, 0.0, [n]))
         assert dec.n_pieces == n
         # unit weights: the frozen-noise estimator IS the direct sum
         assert dec.frozen_noise == pytest.approx(dec.direct, rel=1e-10)
@@ -79,13 +86,13 @@ def test_columns_limit_matches_the_per_column_oracle(spec, sigma):
         fld, _ = solved(spec, seed, LAT)
         for t, x in APEXES:
             want = oracles.cone_limit_columns(fld, sigma, LAT.level_of(t), LAT.col_of(x), LAT.h)
-            cone = temporal_geometry(LAT, t, x, [])
+            cone = temporal_cone(t, x, [])
             assert temporal_qv_limit(fld, cone) == pytest.approx(want, rel=1e-12)
 
 
 def test_limit_quadrature_routes_agree():
     fld, noise = solved(LINEAR, 6, LAT)
-    cone = temporal_geometry(LAT, 1.0, 0.0, [1])
+    cone = temporal_cone(1.0, 0.0, [1])
     cols = temporal_qv_limit(fld, cone)
     cells = temporal_qv_ladder(fld, noise, cone)[0].cone_integral
     assert cols == pytest.approx(
@@ -105,23 +112,23 @@ def test_decomposition_and_ladder_equal_the_cone_enumeration(spec, sigma):
     for t, x in APEXES:
         n0, m0 = LAT.level_of(t), LAT.col_of(x)
         counts = [n for n in range(1, n0 // 2 + 1) if (n0 // 2) % n == 0]
-        ladder = temporal_qv_ladder(fld, noise, temporal_geometry(LAT, t, x, counts))
+        ladder = temporal_qv_ladder(fld, noise, temporal_cone(t, x, counts))
         for n, dec in zip(counts, ladder):
             want = oracles.cone_decomposition(fld, noise, sigma, n0, m0, LAT.h, n)
             assert asdict(dec) == want
-            single = temporal_qv_decomposition(fld, noise, temporal_geometry(LAT, t, x, [n]))
+            single = temporal_qv_decomposition(fld, noise, temporal_cone(t, x, [n]))
             assert asdict(single) == want
 
 
 def test_ladder_matches_individual_decompositions():
     fld, noise = solved(LINEAR, 12, LAT)
     counts = [2, 4, 8]
-    ladder = temporal_qv_ladder(fld, noise, temporal_geometry(LAT, 1.0, 0.0, counts))
+    ladder = temporal_qv_ladder(fld, noise, temporal_cone(1.0, 0.0, counts))
     assert [d.n_pieces for d in ladder] == counts
     for dec, n in zip(ladder, counts):
-        single = temporal_qv_decomposition(fld, noise, temporal_geometry(LAT, 1.0, 0.0, [n]))
+        single = temporal_qv_decomposition(fld, noise, temporal_cone(1.0, 0.0, [n]))
         assert dec == single
-    assert temporal_qv_ladder(fld, noise, temporal_geometry(LAT, 1.0, 0.0, [])) == []
+    assert temporal_qv_ladder(fld, noise, temporal_cone(1.0, 0.0, [])) == []
 
 
 def test_qv_mean_approaches_cone_area_for_unit_sigma():
@@ -187,7 +194,7 @@ def test_rung_gap_shrinks_along_the_ladder():
     counts = [2, 4, 8, 16]
     sq = np.zeros(len(counts))
     n_rep = 400
-    cone = temporal_geometry(lat, 1.0, 0.0, counts)
+    cone = temporal_cone(1.0, 0.0, counts, lat)
     for seed in range(n_rep):
         fld, noise = solved(LINEAR, seed, lat)
         ladder = temporal_qv_ladder(fld, noise, cone)
@@ -199,3 +206,48 @@ def test_rung_gap_shrinks_along_the_ladder():
     # the measured lattice rate is close to N^-1, comfortably faster than the
     # N^(-1/2) upper bound that controls it
     assert fit.slope <= -0.5
+
+
+# sigma = affine:a,b as (a, b); linear:1 is affine:0,1
+AFFINE = {"linear:1": (0.0, 1.0), "affine:0.5,1.0": (0.5, 1.0)}
+SMALL = LatticeSpec(h=2.0 ** -5, t_max=0.5, x_lo=-1.0, x_hi=1.0)
+
+
+def test_lattice_expectation_generalizes_the_second_moment():
+    n, h = SMALL.n_levels, SMALL.h
+    assert np.array_equal(oracles.lattice_expectation(n, h, 0.0, 1.0),
+                          oracles.discrete_second_moment(n, h))
+    for a, b in AFFINE.values():
+        m = oracles.lattice_expectation(n, h, a, b)
+        # u(p) - 1 is the noise of p's whole cone, and E[u] = 1
+        assert oracles.increment_sq_mean(m, a, b, h, (n, 0), (0, 0)) == pytest.approx(
+            m[n] - 1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("spec", AFFINE)
+def test_sample_means_hold_the_lattice_expectation(spec):
+    # lattice-exact means, so only Monte Carlo error is left: every direct
+    # rung of the ladder, the columns limit and one spatial line
+    a, b = AFFINE[spec]
+    lat, h, n_rep = SMALL, SMALL.h, 400
+    n0, m0 = apex = lat.apex(0.5, 0.0)
+    ends = [lat.apex(0.5, -0.25), lat.apex(0.5, 0.25)]
+    counts = [1, 2, 4, 8]  # the divisors of n0 / 2
+    cone = temporal_geometry(lat, apex, counts)
+    seg = spatial_geometry(lat, 0.5, ends, [8])
+    noise = make_noise(range(n_rep), lat)
+    xi = noise.increments.copy()
+    samples = np.array([
+        [dec.direct for dec in temporal_qv_ladder(fld, row, cone)]
+        + [temporal_qv_limit(fld, cone), line_qv(fld, seg.lines[0])]
+        for fld, row in zip(solve_wave(SigmaSpec.parse(spec), noise), xi)])
+    m = oracles.lattice_expectation(n0, h, a, b)
+    (_, m_lo), (_, m_hi) = ends
+    want = [oracles.line_qv_mean(m, a, b, h, [(k * n0 // n, m0) for k in range(n + 1)])
+            for n in counts]
+    want.append(oracles.columns_quadrature(
+        lambda ls, c: oracles.weight_sq_mean(m, a, b, ls), n0, m0, h))
+    want.append(oracles.line_qv_mean(m, a, b, h,
+                                     [(n0, c) for c in range(m_lo, m_hi + 1, (m_hi - m_lo) // 8)]))
+    se = samples.std(axis=0, ddof=1) / np.sqrt(n_rep)
+    assert np.all(np.abs(samples.mean(axis=0) - want) < 4.0 * se)

@@ -318,7 +318,9 @@ def test_plan_index_arrays_are_read_only_intp(path):
     arrays = [plan.points]
     if plan.words is not None:
         arrays.append(plan.words)
-    if plan.geometry is not None:
+    if plan.lattice is None:  # the heat plan: its geometry is the march step
+        assert plan.geometry == plan.cfg.heat_grid.n_steps
+    elif plan.geometry is not None:
         arrays += _plan_arrays(plan.geometry)
     assert plan.points.dtype == np.intp
     for arr in arrays:
