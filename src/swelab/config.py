@@ -7,7 +7,8 @@ params block. Every block is described by one table of fields below; parsing
 walks a mapping against its table once, so `ExperimentConfig.params` holds
 parsed values with defaults filled in. `validate` keeps only the rules that
 join several keys or depend on the geometry. What a kind is on the config
-side, the points it reads included, is its one `Kind` record in `KINDS`.
+side, the points it reads and its plan's geometry included, is its one `Kind`
+record in `KINDS`.
 
 Thresholds are declared here, never hard-coded in studies: a summary's
 pass/fail flags are evaluated against exactly what the config file says.
@@ -17,15 +18,19 @@ from __future__ import annotations
 import math
 import os
 import sys
+import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 import yaml
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ConfigurationWarning
+from .fluctuations import probe_geometry
 from .heat import HeatGridSpec
 from .lattice import LatticeSpec
+from .quadvar import spatial_geometry, temporal_geometry
 from .sigma import SigmaSpec
 
 __all__ = [
@@ -102,11 +107,13 @@ class Kind:
 
     `params` is its params table. `reads(params)` lists the points its
     replicates read, as (key, value, t, x), and `check(cfg, params, errors, notes)`
-    adds the rules that join its params with the geometry. Its aggregation
-    takes at least `least_replicates(params)` replicates, and its estimators
-    read the increments after the solve when `reads_noise(params)`. `heat`
-    lets it run on the heat equation too. With fewer replicates than the
-    first of `advice`, a run warns of the second. `command` is the CLI
+    adds the rules that join its params with the geometry; `geometry(cfg,
+    trapezoid, points)`, None for the kinds that read only their points,
+    builds its estimators' index arrays from the resolved points. Its
+    aggregation takes at least `least_replicates(params)` replicates, and its
+    estimators read the increments after the solve when `reads_noise(params)`.
+    `heat` lets it run on the heat equation too. With fewer replicates than
+    the first of `advice`, a run warns of the second. `command` is the CLI
     subcommand that runs it.
     """
 
@@ -114,6 +121,7 @@ class Kind:
     params: dict
     reads: Callable[[dict], list[Read]]
     check: Callable[[ExperimentConfig, dict, list[str], list[str]], None]
+    geometry: Callable[[ExperimentConfig, LatticeSpec, list], object] | None = None
     least_replicates: Callable[[dict], int] = lambda p: 1
     reads_noise: Callable[[dict], bool] = lambda p: False
     heat: bool = False
@@ -259,6 +267,18 @@ _LATTICE = {"h": _NUMBER, "t_max": _NUMBER, "x_lo": _NUMBER, "x_hi": _NUMBER}
 _HEAT_GRID = {"dx": _NUMBER, "t_max": _NUMBER, "circumference": _NUMBER, "dt": (_number, None)}
 _THRESHOLD = {"stat": (_text, _REQUIRED), "min": (_number, None), "max": (_number, None)}
 
+
+def _heat_grid(**fields) -> HeatGridSpec:
+    """A circumference below 16*sqrt(t_max) lets the periodic images of the heat
+    kernel overlap measurably: warned once, when the config is parsed."""
+    grid = HeatGridSpec(**fields)
+    if grid.circumference < 16.0 * math.sqrt(grid.t_max):
+        warnings.warn(f"circumference {grid.circumference} below 16*sqrt(t_max) "
+                      f"= {16 * math.sqrt(grid.t_max):.4g}: periodic wrap-around may bias "
+                      "increment statistics", ConfigurationWarning, stacklevel=2)
+    return grid
+
+
 def config_from_dict(raw: dict, overrides: dict | None = None) -> ExperimentConfig:
     """Parse a config mapping. Override values that are not None replace the
     config's; an overrides["params"] mapping is merged into params key by key."""
@@ -309,7 +329,8 @@ def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
 # lists them as (key, value, t, x), in the order the replicates read them, with
 # key naming the params key or keys that place the point and value the lag or
 # scale written there (None for a point placed directly). place_reads resolves
-# every one, for validate and for studies.plan_study alike.
+# every one, for validate and for studies.plan_study alike, and the plan hands
+# the resolved points, in this order, to KINDS[kind].geometry.
 Read = tuple[str, float | None, float, float]
 
 
@@ -347,6 +368,24 @@ def _reads_linearize(p: dict) -> list[Read]:
     """(t, x), then (t, x + lag) at every lag, on either equation."""
     t, x = p["t"], p["x"]
     return _reads_apex(p) + [("params.lags", lag, t, x + lag) for lag in sorted(p["lags"])]
+
+
+def _plan_line(cfg: ExperimentConfig, lat: LatticeSpec, points: list):
+    """The line's geometry at every piece count: a qv study is a one-rung ladder."""
+    p = cfg.params
+    counts = sorted(p["counts"]) if cfg.kind == "ladder" else [p["n_pieces"]]
+    if cfg.temporal_line:
+        return temporal_geometry(lat, points[0], counts)
+    return spatial_geometry(lat, p["t"], points, counts)
+
+
+def _plan_probes(cfg: ExperimentConfig, lat: LatticeSpec, points: list,
+                 descending: bool = False, shells: bool = False):
+    """The probe at the apex, its scales sorted with the level of each top."""
+    p = cfg.params
+    apex, *tops = points
+    scales, levels = zip(*sorted(zip(p["scales"], (n for n, _ in tops)), reverse=descending))
+    return probe_geometry(lat, p["t"], apex, scales, levels, shells=shells)
 
 
 def place_reads(cfg: ExperimentConfig, errors: list[str]) -> list | None:
@@ -562,15 +601,16 @@ KINDS = {
         _reads_simulate, _check_simulate, least_replicates=lambda p: 2),
     "qv-time": Kind(
         "qv", {"t": _NUMBER, "x": _NUMBER, "n_pieces": (_integer, _REQUIRED)},
-        _reads_apex, _check_qv, least_replicates=lambda p: 2, reads_noise=lambda p: True),
+        _reads_apex, _check_qv, _plan_line, least_replicates=lambda p: 2, reads_noise=lambda p: True),
     "qv-space": Kind(
         "qv", {"t": _NUMBER, "x_lo": _NUMBER, "x_hi": _NUMBER, "n_pieces": (_integer, _REQUIRED)},
-        _reads_segment, _check_qv, least_replicates=lambda p: 2),
+        _reads_segment, _check_qv, _plan_line, least_replicates=lambda p: 2),
     "clt": Kind(
         "clt", {**_SCALES, "standardization": (_choice("trace", "shell"), "trace")},
-        _reads_probes, _check_clt, advice=(500, "KS power too low")),
-    "lil": Kind("lil", _SCALES, _reads_probes, _check_lil),
-    "mart": Kind("mart", _SCALES, _reads_probes, _check_mart,
+        _reads_probes, _check_clt, partial(_plan_probes, descending=True),
+        advice=(500, "KS power too low")),
+    "lil": Kind("lil", _SCALES, _reads_probes, _check_lil, _plan_probes),
+    "mart": Kind("mart", _SCALES, _reads_probes, _check_mart, partial(_plan_probes, shells=True),
                  least_replicates=lambda p: 2, reads_noise=lambda p: True),
     "linearize": Kind("linearize", {"t": _NUMBER, "x": _NUMBER, "lags": _NUMBERS},
                       _reads_linearize, _check_linearize, heat=True),
@@ -585,7 +625,7 @@ KINDS = {
          "x_hi": (_number, None),
          "counts": (_distinct(_list(_integer)), _REQUIRED)},
         lambda p: _reads_apex(p) if p["axis"] == "time" else _reads_segment(p), _check_ladder,
-        least_replicates=lambda p: 1 if p["axis"] == "time" else 2,
+        _plan_line, least_replicates=lambda p: 1 if p["axis"] == "time" else 2,
         reads_noise=lambda p: p["axis"] == "time", advice=(100, "rate fits will be noisy")),
 }
 
@@ -600,7 +640,7 @@ _CONFIG = {
     "label": (_label, "study"),
     "equation": (_choice("wave", "heat"), "wave"),
     "lattice": (_block(_LATTICE, LatticeSpec), None),
-    "heat_grid": (_block(_HEAT_GRID, HeatGridSpec), None),
+    "heat_grid": (_block(_HEAT_GRID, _heat_grid), None),
     "thresholds": (_list(_block(_THRESHOLD, lambda **f: Threshold(f["stat"], f["min"], f["max"])),
                          least=0), ()),
 }

@@ -3,19 +3,19 @@
 v(0) = 1 on a periodic circle; each step smooths with the discrete Laplacian and
 adds sigma(v) times a scaled normal per site.  The normals come from a counter
 stream keyed separately from the wave noise, one word per (step, site), so any
-value is reproducible in isolation.  A solve marches only to the time it is
-asked for and keeps only that row.
+value is reproducible in isolation.  A solve marches to its grid's t_max and
+keeps only that row; a study that reads an earlier time marches a grid cut
+at that step.
 """
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import AlignmentError, ConfigurationError, ConfigurationWarning, DomainError
+from .errors import AlignmentError, ConfigurationError, DomainError
 from .noise import HEAT_STREAM_TAG, _check_seed, stream_words, words_to_unit_normals
 from .sigma import CONSTANT_ONE, SigmaSpec
 
@@ -46,9 +46,7 @@ class HeatGridSpec:
     """Rectangular grid: spacing dx on a circle of the given circumference,
     explicit steps of size dt (dx^2/4 when dt is None) up to t_max.
 
-    Stability demands dt <= dx^2/2.  A circumference below 16*sqrt(t_max) lets
-    the periodic images of the heat kernel overlap measurably and draws a
-    warning.
+    Stability demands dt <= dx^2/2.
     """
 
     dx: float
@@ -71,14 +69,6 @@ class HeatGridSpec:
             raise ConfigurationError("circumference must cover at least 4 sites")
         if _exact_ratio(self.t_max, self.dt, "t_max") < 1:
             raise ConfigurationError("t_max must cover at least one step")
-        if self.circumference < 16.0 * math.sqrt(self.t_max):
-            warnings.warn(
-                f"circumference {self.circumference} below 16*sqrt(t_max) "
-                f"= {16 * math.sqrt(self.t_max):.4g}: periodic wrap-around may bias "
-                "increment statistics",
-                ConfigurationWarning,
-                stacklevel=2,
-            )
 
     @property
     def n_steps(self) -> int:
@@ -116,9 +106,8 @@ def _normals(seeds: Sequence[int], grid: HeatGridSpec, start: int, stop: int) ->
     return z
 
 
-def _march(sigmas: Sequence[SigmaSpec], grid: HeatGridSpec, seeds: Sequence[int],
-           n_steps: int) -> np.ndarray:
-    """Row n_steps of every (sigma, seed) field, shape (sigmas, seeds, sites).
+def _march(sigmas: Sequence[SigmaSpec], grid: HeatGridSpec, seeds: Sequence[int]) -> np.ndarray:
+    """The row at t_max of every (sigma, seed) field, shape (sigmas, seeds, sites).
 
     All fields start at 1 and step together; the fields of one seed take the
     same normals. Each site's update is elementwise, so a stacked field is
@@ -132,8 +121,8 @@ def _march(sigmas: Sequence[SigmaSpec], grid: HeatGridSpec, seeds: Sequence[int]
     twice = np.empty_like(v)
     kick = np.empty_like(v)
     chunk = max(1, _CHUNK_WORDS // grid.n_sites)
-    for start in range(0, n_steps, chunk):
-        az = _normals(seeds, grid, start, min(start + chunk, n_steps))
+    for start in range(0, grid.n_steps, chunk):
+        az = _normals(seeds, grid, start, min(start + chunk, grid.n_steps))
         az *= amp
         for z in az:
             # lap = roll(v, 1) + roll(v, -1) - 2 v along the circle
@@ -153,13 +142,13 @@ def _march(sigmas: Sequence[SigmaSpec], grid: HeatGridSpec, seeds: Sequence[int]
 
 def solve_heat(sigma: SigmaSpec, seed: int, grid: HeatGridSpec) -> np.ndarray:
     """The seed's row at t_max, shape (sites,)."""
-    return _march((sigma,), grid, [_check_seed(seed)], grid.n_steps)[0, 0]
+    return _march((sigma,), grid, [_check_seed(seed)])[0, 0]
 
 
-def solve_coupled_heat_linearization(sigma: SigmaSpec, seeds: Sequence[int], grid: HeatGridSpec,
-                                     n_steps: int) -> np.ndarray:
-    """Rows at step n_steps of the nonlinear fields (first) and of the
-    sigma == 1 fields (second), one per seed and driven by the identical site
-    normals, shape (2, seeds, sites)."""
+def solve_coupled_heat_linearization(sigma: SigmaSpec, seeds: Sequence[int],
+                                     grid: HeatGridSpec) -> np.ndarray:
+    """Rows at t_max of the nonlinear fields (first) and of the sigma == 1
+    fields (second), one per seed and driven by the identical site normals,
+    shape (2, seeds, sites)."""
     seeds = [_check_seed(seed) for seed in seeds]
-    return _march((sigma, CONSTANT_ONE), grid, seeds, n_steps)
+    return _march((sigma, CONSTANT_ONE), grid, seeds)

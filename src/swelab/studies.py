@@ -1,23 +1,24 @@
 """Study runners: one ensemble experiment per config kind.
 
-A kind's config-side facts (its params, the points it reads, its checks,
-whether it reads the increments, its run warnings) are its `config.Kind`
-record; its study side is one entry in each of the two tables here, keyed by
-the same kinds. A study runs in two steps. Its plan (`plan_study`) resolves,
-once per study, every point the replicates read (`Kind.reads`) and cuts the
-solve trapezoid out of the configured lattice: the smallest one that holds
-the backward cones of those points. The field there depends only on the
+A kind's config-side facts (its params, the points it reads, its plan's
+geometry, its checks, whether it reads the increments, its run warnings) are
+its `config.Kind` record; its study side is its entry in STUDY_RUNNERS, keyed
+by the same kinds. A study runs in two steps. Its plan (`plan_study`)
+resolves, once per study, every point the replicates read (`Kind.reads`) and
+cuts the solve trapezoid out of the configured lattice: the smallest one that
+holds the backward cones of those points. The field there depends only on the
 noise of its own cells, and each cell is drawn from its Philox word in the
 configured lattice, so every value read is the one the configured lattice
-gives. The estimators' geometry (STUDY_PLANS) is built against the solve
-trapezoid from the resolved points; a heat plan holds its sites and step. The
-kind's replicate function (STUDY_RUNNERS) then runs each block of seeds
-against that plan through the shared scheduler, drawing and solving the
-whole block as one array. The runner aggregates with
-the package's own moment and slope kernels, evaluates the config-declared
-thresholds, and (when out_dir is set) writes replicate CSV, per-scale series
-CSV, and a JSON summary. Aggregation always happens in the parent in replicate
-order, so output bytes are independent of the worker count.
+gives. `Kind.geometry` builds the estimators' index arrays against the
+trapezoid from the resolved points. A heat plan's domain is the configured
+grid cut at the step its reads lie on. The kind's replicate function
+(STUDY_RUNNERS) then runs each block of seeds against that plan through the
+shared scheduler, drawing and solving the whole block as one array. The
+runner aggregates with the package's own moment and slope kernels, evaluates
+the config-declared thresholds, and (when out_dir is set) writes replicate
+CSV, per-scale series CSV, and a JSON summary. Aggregation always happens in
+the parent in replicate order, so output bytes are independent of the worker
+count.
 
 Fitted slopes are only reported when the ladder has at least four points;
 thresholds naming a missing slope fail loudly instead of silently passing.
@@ -25,7 +26,7 @@ thresholds naming a missing slope fail loudly instead of silently passing.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from functools import partial
 from pathlib import Path
 
@@ -39,18 +40,15 @@ from .fluctuations import (
     increment_sample,
     lil_statistic,
     martingale_decomposition,
-    probe_geometry,
 )
-from .heat import solve_coupled_heat_linearization
+from .heat import HeatGridSpec, solve_coupled_heat_linearization
 from .lattice import LatticeSpec, index_array, spatial_shell_area
 from .linearize import defect_samples
 from .noise import make_noise
 from .quadvar import (
     line_qv,
     naive_qv_prediction,
-    spatial_geometry,
     spatial_qv_limit,
-    temporal_geometry,
     temporal_qv_ladder,
     temporal_qv_limit,
 )
@@ -67,8 +65,7 @@ from .reports import (
 from .stats import ks_critical_value, ks_distance, loglog_slope, quantiles, summarize
 from .wave import WaveField, point_index, solve_coupled_linearization, solve_wave
 
-__all__ = ["StudyOutput", "StudyPlan", "plan_study", "run_study", "STUDY_PLANS",
-           "STUDY_RUNNERS"]
+__all__ = ["StudyOutput", "StudyPlan", "plan_study", "run_study", "STUDY_RUNNERS"]
 
 
 @dataclass(frozen=True)
@@ -82,18 +79,19 @@ class StudyOutput:
 
 @dataclass(frozen=True)
 class StudyPlan:
-    """A validated config, the solve trapezoid its replicates draw and solve,
-    and what they read there. The lattice fields are None on the heat equation.
+    """A validated config, the domain its replicates solve on, and what they
+    read there.
 
-    `points` are the field offsets of the points the kind reads (grid sites
-    on the heat equation), in the order Kind.reads lists them; `geometry`
-    holds the estimators' index arrays (None for the kinds that read only
-    points), or on the heat equation the step the march stops at.
+    `domain` is the solve trapezoid on the wave equation, and on the heat
+    equation the configured grid cut at the step the reads lie on. `points`
+    are the field offsets of the points the kind reads (grid sites on the
+    heat equation), in the order Kind.reads lists them; `geometry` holds the
+    estimators' index arrays, None for the kinds that read only points.
     """
 
     cfg: ExperimentConfig
-    lattice: LatticeSpec | None  # the solve trapezoid
-    words: np.ndarray | None  # Philox word of each of its cells in cfg.lattice
+    domain: LatticeSpec | HeatGridSpec
+    words: np.ndarray | None  # Philox word of each trapezoid cell in cfg.lattice
     points: np.ndarray | None
     geometry: object
 
@@ -165,18 +163,6 @@ def _agg_simulate(cfg: ExperimentConfig, ens: EnsembleResult):
         _maybe_slope(stats, f"{'temporal' if col == 'dt' else 'spatial'}_sq_slope",
                      lags, msq)
     return stats, series
-
-
-# -- quadratic variation along a line -------------------------------------------
-
-
-def _plan_line(cfg: ExperimentConfig, lat: LatticeSpec, points: list):
-    """The line's geometry at every piece count: a qv study is a one-rung ladder."""
-    p = cfg.params
-    counts = sorted(p["counts"]) if cfg.kind == "ladder" else [p["n_pieces"]]
-    if cfg.temporal_line:
-        return temporal_geometry(lat, points[0], counts)
-    return spatial_geometry(lat, p["t"], points, counts)
 
 
 # -- temporal quadratic variation ---------------------------------------------
@@ -336,15 +322,6 @@ def _agg_ladder(cfg: ExperimentConfig, ens: EnsembleResult):
 # -- central limit harness -----------------------------------------------------
 
 
-def _plan_probes(cfg: ExperimentConfig, lat: LatticeSpec, points: list,
-                 descending: bool = False, shells: bool = False):
-    """The probe at the apex, its scales sorted with the level of each top."""
-    p = cfg.params
-    apex, *tops = points
-    scales, levels = zip(*sorted(zip(p["scales"], (n for n, _ in tops)), reverse=descending))
-    return probe_geometry(lat, p["t"], apex, scales, levels, shells=shells)
-
-
 def _rep_clt(f: WaveField, noise: np.ndarray | None,
              plan: StudyPlan) -> dict[str, float]:
     vhat = conditional_variance(f, plan.geometry)
@@ -444,12 +421,11 @@ def _rep_linearize(seeds: list[int], plan: StudyPlan) -> list[dict[str, float]]:
     cfg = plan.cfg
     if cfg.on_heat_grid:
         # the whole block marches at once, only to the probe step
-        fields, linear = solve_coupled_heat_linearization(cfg.sigma, seeds, cfg.heat_grid,
-                                                          plan.geometry)
+        fields, linear = solve_coupled_heat_linearization(cfg.sigma, seeds, plan.domain)
     else:
         # the whole block solves at once; the sigma == 1 fields on a copy
         fields, linear = (block.rows for block in solve_coupled_linearization(
-            cfg.sigma, make_noise(seeds, plan.lattice, plan.words)))
+            cfg.sigma, make_noise(seeds, plan.domain, plan.words)))
     samples = defect_samples(cfg.sigma, fields, linear, plan.points)
     names = [f"{name}_{i}" for i in range(samples[0].shape[1])
              for name in ("du", "dl", "defect")]
@@ -490,24 +466,11 @@ def _each_seed(rep, seeds: list[int], plan: StudyPlan) -> list[dict[str, float]]
     """Draw and solve the block's fields at once, in place over their noise,
     then run the per-seed estimators rep(field, increments or None, plan); a
     copy of the increments is kept only for the kinds that read them."""
-    noise = make_noise(seeds, plan.lattice, plan.words)
+    noise = make_noise(seeds, plan.domain, plan.words)
     kept = (noise.increments.copy() if KINDS[plan.cfg.kind].reads_noise(plan.cfg.params)
             else [None] * len(seeds))
     return [rep(f, xi, plan) for f, xi in zip(solve_wave(plan.cfg.sigma, noise), kept)]
 
-
-# kind -> (config, solve trapezoid, resolved points) -> the geometry its
-# estimators read, or None for the kinds that read only their points
-STUDY_PLANS = {
-    "simulate": None,
-    "qv-time": _plan_line,
-    "qv-space": _plan_line,
-    "ladder": _plan_line,
-    "clt": partial(_plan_probes, descending=True),
-    "lil": _plan_probes,
-    "mart": partial(_plan_probes, shells=True),
-    "linearize": None,
-}
 
 # kind -> (block replicate function over (seeds, plan), aggregate). Every kind
 # draws and solves a whole block at once; the wave kinds but linearize then run
@@ -566,11 +529,13 @@ def plan_study(cfg: ExperimentConfig) -> StudyPlan:
     if points is None:
         raise ConfigurationError("; ".join(errors))
     if cfg.on_heat_grid:
+        # every read lies on one step: the march stops there
         steps, sites = zip(*points)
-        return StudyPlan(cfg, None, None, index_array(sites), steps[0])
+        grid = replace(cfg.heat_grid, t_max=steps[0] * cfg.heat_grid.dt)
+        return StudyPlan(cfg, grid, None, index_array(sites), None)
     lat, words = _solve_trapezoid(cfg.lattice, points)
     levels, cols = np.array(points, dtype=np.int64).reshape(-1, 2).T
-    geometry = STUDY_PLANS[cfg.kind]
+    geometry = KINDS[cfg.kind].geometry
     return StudyPlan(cfg, lat, words, index_array(point_index(lat, levels, cols)),
                      geometry(cfg, lat, points) if geometry else None)
 

@@ -51,7 +51,28 @@ def test_one_round_of_each_mode_on_this_tree(isolated, capsys, args, rows):
     assert tool.main([str(ROOT), str(ROOT), *args, "--rounds", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].split()[:4] == ["study", "old", "s", "new"]
+    assert lines[0].split()[8:11] == ["old", "iqr", "meets"]
     assert [line.split()[0] for line in lines[1:]] == rows
-    assert all("1 of 1" in line or "0 of 1" in line for line in lines[1:])
+    for line in lines[1:]:
+        wins, _, rounds, spread, meets = line.split()[4:9]
+        assert rounds == "1" and wins in ("0", "1")
+        # one round has no spread, so NEW meets the rule exactly when it won
+        assert spread == "0.0%"
+        assert meets == ("yes" if wins == "1" else "no")
     assert tree_state() == state
     assert list(isolated.iterdir()) == []  # its temporary directory is removed
+
+
+@pytest.mark.parametrize("new, wins, spread, meets", [
+    ([0.9] * 9 + [1.1], 9, 0.0, True),  # nine of ten, median gain beyond the spread
+    ([0.9] * 6 + [1.1] * 4, 6, 0.0, False),  # six of ten: no claim
+    ([1.0] + [0.9] * 9, 9, 0.0, True),  # a tie counts for neither side
+    ([1.0] * 2 + [0.9] * 8, 8, 0.0, False),
+], ids=["nine", "six", "tie", "two-ties"])
+def test_the_rule_counts_rounds_and_weighs_the_median_against_the_spread(
+        new, wins, spread, meets):
+    tool = load_tool()
+    assert tool.meets_rule([1.0] * 10, new) == (wins, spread, meets)
+    # a gain inside OLD's own quartile spread meets nothing, however often it wins
+    noisy = [0.75, 1.25] * 5
+    assert tool.meets_rule(noisy, [x - 0.125 for x in noisy]) == (10, 0.5, False)

@@ -28,7 +28,9 @@ _RUNS: dict = {}
 
 def study(name):
     if name not in _RUNS:
-        _RUNS[name] = run_study(load_config(str(CONFIG_DIR / f"{name}.yaml")))
+        # two worker processes: replicate bytes do not depend on the count
+        _RUNS[name] = run_study(load_config(str(CONFIG_DIR / f"{name}.yaml"),
+                                            overrides={"workers": 2}))
     return _RUNS[name]
 
 

@@ -1,7 +1,11 @@
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import oracles
+from swelab.config import config_from_dict
 from swelab.errors import (
     AlignmentError,
     ConfigurationError,
@@ -22,8 +26,7 @@ LINEAR = SigmaSpec("linear", (1.0,))
 
 
 def small_grid() -> HeatGridSpec:
-    with pytest.warns(ConfigurationWarning):
-        return HeatGridSpec(dx=0.0625, t_max=0.015625, circumference=1.0)
+    return HeatGridSpec(dx=0.0625, t_max=0.015625, circumference=1.0)
 
 
 def test_stability_rejection_cites_the_bound():
@@ -46,14 +49,20 @@ def test_grid_validation_and_defaults():
         HeatGridSpec(dx=1e-150, t_max=1e10, circumference=4.0)  # t_max/dt overflows
 
 
-def test_wraparound_warning_threshold():
-    with pytest.warns(ConfigurationWarning, match="wrap-around"):
-        HeatGridSpec(dx=0.0625, t_max=0.25, circumference=4.0)
-    import warnings
+def heat_config(t_max: float) -> dict:
+    return {"kind": "linearize", "sigma": "linear:1", "replicates": 2, "equation": "heat",
+            "heat_grid": {"dx": 0.0625, "t_max": t_max, "circumference": 4.0},
+            "params": {"t": t_max, "x": 0.0, "lags": [0.0625, 0.125]}}
 
+
+def test_wraparound_warning_threshold():
+    # the config warns where it parses heat_grid; the grid itself never does
+    with pytest.warns(ConfigurationWarning, match="wrap-around"):
+        config_from_dict(heat_config(0.25))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        HeatGridSpec(dx=0.0625, t_max=0.0625, circumference=4.0)
+        config_from_dict(heat_config(0.0625))
+        HeatGridSpec(dx=0.0625, t_max=0.25, circumference=4.0)
 
 
 def test_step_and_site_lookup():
@@ -112,7 +121,7 @@ def test_site_normal_matches_the_stream():
 
 def test_coupled_heat_solutions_share_normals():
     g = small_grid()
-    [[v], [lin]] = solve_coupled_heat_linearization(LINEAR, [9], g, g.n_steps)
+    [[v], [lin]] = solve_coupled_heat_linearization(LINEAR, [9], g)
     ref = solve_heat(CONSTANT_ONE, 9, g)
     assert np.array_equal(lin, ref)
     assert not np.array_equal(v, lin)
@@ -140,9 +149,10 @@ def test_block_march_equals_the_row_by_row_history(sigma, step):
         ).reshape(g.n_steps, g.n_sites)
         want[seed] = (oracles.heat_march(sigma, g.dx, g.dt, step, z)[step],
                       oracles.heat_march(CONSTANT_ONE, g.dx, g.dt, step, z)[step])
-    # blocks of 1, 2 (small-studies' block) and 3 seeds
+    # blocks of 1, 2 (small-studies' block) and 3 seeds, on the grid cut at step
+    cut = replace(g, t_max=step * g.dt)
     for block in (1, 2, 3):
-        rows = solve_coupled_heat_linearization(sigma, seeds[:block], g, step)
+        rows = solve_coupled_heat_linearization(sigma, seeds[:block], cut)
         assert rows.shape == (2, block, g.n_sites)
         for seed, v, lin in zip(seeds, *rows):
             assert np.all(v == want[seed][0])
@@ -158,7 +168,7 @@ def test_march_stops_at_the_probe_time(monkeypatch):
         return _normals(seeds, grid, start, stop)
 
     monkeypatch.setattr(heat, "_normals", recording_normals)
-    rows = solve_coupled_heat_linearization(LINEAR, [1], g, 700)
+    rows = solve_coupled_heat_linearization(LINEAR, [1], replace(g, t_max=700 * g.dt))
     assert drawn[-1][1] == 700
     assert all(stop - start <= heat._CHUNK_WORDS // g.n_sites for start, stop in drawn)
     assert rows.shape == (2, 1, g.n_sites)
@@ -167,7 +177,6 @@ def test_march_stops_at_the_probe_time(monkeypatch):
 def test_every_seed_of_a_block_is_checked():
     g = small_grid()
     with pytest.raises(ConfigurationError, match=f"got {2 ** 64}"):
-        solve_coupled_heat_linearization(LINEAR, [2 ** 64 - 1, 2 ** 64, 0], g,
-                                         g.n_steps)
+        solve_coupled_heat_linearization(LINEAR, [2 ** 64 - 1, 2 ** 64, 0], g)
     with pytest.raises(ConfigurationError, match="integer"):
-        solve_coupled_heat_linearization(LINEAR, [1, 2.0, 3], g, g.n_steps)
+        solve_coupled_heat_linearization(LINEAR, [1, 2.0, 3], g)

@@ -7,7 +7,7 @@ from swelab.config import KINDS
 
 
 def test_the_kind_tables_agree():
-    assert set(KINDS) == set(studies.STUDY_PLANS) == set(studies.STUDY_RUNNERS)
+    assert set(KINDS) == set(studies.STUDY_RUNNERS)
     # bench/tracer.py unpacks and rewraps each runner as this pair
     for kind, runner in studies.STUDY_RUNNERS.items():
         assert isinstance(runner, tuple) and len(runner) == 2, kind

@@ -1,10 +1,7 @@
-import warnings
-
 import numpy as np
 import pytest
 
 import oracles
-from swelab.errors import ConfigurationWarning
 from swelab.heat import HeatGridSpec, solve_coupled_heat_linearization, solve_heat
 from swelab.lattice import LatticeSpec
 from swelab.linearize import defect_samples, heat_defect_samples, wave_defect_samples
@@ -31,9 +28,7 @@ def sites(grid: HeatGridSpec, x: float, lags) -> np.ndarray:
 
 
 def small_heat_grid() -> HeatGridSpec:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ConfigurationWarning)
-        return HeatGridSpec(dx=0.0625, t_max=0.015625, circumference=1.0)
+    return HeatGridSpec(dx=0.0625, t_max=0.015625, circumference=1.0)
 
 
 def wave_rows(sigma: SigmaSpec, seeds) -> tuple[np.ndarray, np.ndarray]:
@@ -58,7 +53,7 @@ def test_constant_sigma_wave_defect_vanishes():
 def test_constant_sigma_heat_defect_vanishes():
     grid = small_heat_grid()
     sigma = SigmaSpec("constant", (0.7,))
-    rows = solve_coupled_heat_linearization(sigma, [11], grid, grid.n_steps)
+    rows = solve_coupled_heat_linearization(sigma, [11], grid)
     _, _, defect = defect_samples(sigma, *rows, sites(grid, 0.25, [0.0625, 0.125]))
     assert np.all(np.abs(defect) < 1e-12)
 
@@ -98,7 +93,7 @@ def test_heat_block_defects_equal_the_per_seed_oracle(sigma, block):
     grid = small_heat_grid()
     seeds = list(range(40, 40 + block))
     x, lags = 0.25, [0.0625, 0.125, 0.25]
-    rows = solve_coupled_heat_linearization(sigma, seeds, grid, grid.n_steps)
+    rows = solve_coupled_heat_linearization(sigma, seeds, grid)
     got = np.stack(defect_samples(sigma, *rows, sites(grid, x, lags)), axis=2)
     for b, seed in enumerate(seeds):
         fld = solve_heat(sigma, seed, grid)

@@ -12,7 +12,10 @@ import oracles
 from swelab import fluctuations, lattice, quadvar, studies
 from swelab.config import config_from_dict, load_config
 from swelab.errors import ConfigurationError, ConfigurationWarning
+from swelab.heat import solve_coupled_heat_linearization
 from swelab.lattice import spatial_shell_area
+from swelab.noise import HEAT_STREAM_TAG, stream_words, words_to_unit_normals
+from swelab.sigma import CONSTANT_ONE
 from swelab.stats import ks_critical_value
 from swelab.studies import plan_study, run_study
 from swelab.wave import cone_boundary_trace, field_at
@@ -318,9 +321,7 @@ def test_plan_index_arrays_are_read_only_intp(path):
     arrays = [plan.points]
     if plan.words is not None:
         arrays.append(plan.words)
-    if plan.lattice is None:  # the heat plan: its geometry is the march step
-        assert plan.geometry == plan.cfg.heat_grid.n_steps
-    elif plan.geometry is not None:
+    if plan.geometry is not None:
         arrays += _plan_arrays(plan.geometry)
     assert plan.points.dtype == np.intp
     for arr in arrays:
@@ -365,8 +366,8 @@ def test_plan_is_built_once_per_study_and_read_only(kind, monkeypatch):
     # only the words the trapezoid draws follow the configured lattice
     for other in (wide, shifted):
         moved = plan_study(other)
-        assert moved.lattice.n_levels == plan.lattice.n_levels
-        assert moved.lattice.width(0) == plan.lattice.width(0)
+        assert moved.domain.n_levels == plan.domain.n_levels
+        assert moved.domain.width(0) == plan.domain.width(0)
         assert np.array_equal(moved.points, plan.points)
         for a, b in zip(arrays, _plan_arrays(moved.geometry), strict=True):
             if other is wide or a.dtype == np.intp:  # coordinates move with the apex
@@ -390,7 +391,7 @@ def test_wide_lattice_plan_matches_the_raw_enumeration():
         "qv-time", {"t": 1.0, "x": 0.0, "n_pieces": 4},
         lattice=dict(LATTICE_BLOCK, x_lo=-2.5, x_hi=2.5)))
     plan = plan_study(cfg)
-    fld, noise = oracles.solved(cfg.sigma, 3, plan.lattice, plan.words)
+    fld, noise = oracles.solved(cfg.sigma, 3, plan.domain, plan.words)
     dec = quadvar.temporal_qv_decomposition(fld, noise, plan.geometry)
     # the oracle enumerates the configured lattice, solved in full
     lat = cfg.lattice
@@ -419,7 +420,7 @@ def test_solve_trapezoid_equals_the_full_solve(reads, sigma):
     kind, params, block = TRAPEZOID_READS[reads]
     cfg = config_from_dict(make_cfg(kind, params, sigma=sigma, lattice=block))
     plan = plan_study(cfg)
-    lat, sub = cfg.lattice, plan.lattice
+    lat, sub = cfg.lattice, plan.domain
     assert sub.total_cells < lat.total_cells
     # column offset of the trapezoid's base in the configured rows
     shift = (sub.col_lo - lat.col_lo) // 2
@@ -462,6 +463,53 @@ def test_plan_rows_equal_the_full_trapezoid_rows(name, monkeypatch):
     monkeypatch.setattr(studies, "_solve_trapezoid", lambda lat, apexes: (lat, None))
     full = plan_study(cfg)
     if cfg.equation == "wave":
-        assert full.lattice == cfg.lattice and full.words is None
-        assert plan.lattice.total_cells < cfg.lattice.total_cells
+        assert full.domain == cfg.lattice and full.words is None
+        assert plan.domain.total_cells < cfg.lattice.total_cells
     assert rows == rep(SEED_BLOCK, full)
+
+
+# -- the heat plan -------------------------------------------------------------
+
+
+def test_the_heat_plan_marches_the_grid_cut_at_the_probe_step():
+    path = next(p for p in SHIPPED if p.stem == "linearize_heat")
+    g = load_config(str(path)).heat_grid
+    cfg = load_config(str(path), overrides={"params": {"t": 700 * g.dt}})
+    plan = plan_study(cfg)
+    assert plan.domain.n_steps == 700  # of the configured 1024
+    assert (plan.domain.dx, plan.domain.dt, plan.domain.circumference) == (
+        g.dx, g.dt, g.circumference)
+    assert plan.geometry is None
+    seeds = [3, 4]
+    rep, _ = studies.STUDY_RUNNERS["linearize"]
+    for seed, got, field, linear in zip(
+            seeds, rep(seeds, plan),
+            *solve_coupled_heat_linearization(cfg.sigma, seeds, plan.domain)):
+        z = words_to_unit_normals(
+            stream_words(seed, HEAT_STREAM_TAG, 0, 700 * g.n_sites)).reshape(700, g.n_sites)
+        want = [oracles.heat_march(sigma, g.dx, g.dt, 700, z)[700]
+                for sigma in (cfg.sigma, CONSTANT_ONE)]
+        assert np.array_equal(field, want[0]) and np.array_equal(linear, want[1])
+        # the study's row reads those two rows at the plan's sites
+        rows = oracles.defect_row(
+            cfg.sigma, lambda t, x: oracles.heat_at(want[0], plan.domain, t, x),
+            lambda t, x: oracles.heat_at(want[1], plan.domain, t, x),
+            cfg.params["t"], cfg.params["x"], sorted(cfg.params["lags"]))
+        assert [got[f"{name}_{i}"] for i in range(len(rows))
+                for name in ("du", "dl", "defect")] == [v for row in rows for v in row]
+
+
+def test_a_small_heat_circle_warns_once_at_load_and_never_in_the_plan():
+    raw = dict(KIND_CONFIGS["linearize-heat"],
+               heat_grid={"dx": 0.125, "t_max": 0.0625, "circumference": 2.0},
+               params={"t": 0.03125, "x": 0.0, "lags": [0.125, 0.25]})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        cfg = config_from_dict(raw)
+    assert [w.category for w in caught] == [ConfigurationWarning]
+    assert "wrap-around" in str(caught[0].message)
+    # the plan cuts a grid at step 8 of 16, below the same warning's threshold
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert plan_study(cfg).domain.n_steps == 8
+        assert run_study(cfg).ensemble.n == 2

@@ -168,7 +168,7 @@ def test_block_solve_equals_each_seed_alone(sigma, size):
 # the solve trapezoid of a shipped study, whose cells carry a word map
 HOLDER = plan_study(load_config(str(Path(__file__).resolve().parent.parent / "configs"
                                     / "acceptance" / "holder_slopes.yaml")))
-SOLVES = {"LAT": (LAT, None), "holder_slopes": (HOLDER.lattice, HOLDER.words)}
+SOLVES = {"LAT": (LAT, None), "holder_slopes": (HOLDER.domain, HOLDER.words)}
 
 
 @pytest.mark.parametrize("solve", sorted(SOLVES))

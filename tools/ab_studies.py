@@ -23,10 +23,19 @@ timed too. A CLI call that exits with neither 0 nor 1 stops the script.
 
 The script prints each study's median wall seconds per tree (in workload
 mode summed over the study's operations in a round, plus a `round` row), the
-ratio NEW/OLD, in how many rounds NEW was faster, and each tree's median
-minor page faults (ru_minflt), system seconds (ru_stime) and user CPU
+ratio NEW/OLD, in how many rounds NEW was faster, OLD's quartile spread
+(q3 - q1 of its wall seconds) as a share of its median, and each tree's
+median minor page faults (ru_minflt), system seconds (ru_stime) and user CPU
 seconds (ru_utime) over the same calls. A change that moves work onto other
 threads can cut the wall time while it raises the user seconds.
+
+`meets` says whether a gain of NEW over OLD meets the rule a speed claim
+rests on: NEW faster in at least nine rounds of ten, ties counting for
+neither, and NEW's median below OLD's by more than OLD's quartile spread. A
+change that wins 6 or 7 rounds of 10 reads `no`, however large its median
+ratio. On identical trees `--workload small-studies` has read NEW about 5%
+faster (cause not found), so before resting a claim on a `yes`, run the
+trees in both orders and see that the swapped run reads `no`.
 
 Pairs taken seconds apart in one process see the same machine, which
 resolves differences of a few percent that whole-benchmark runs, drifting
@@ -119,6 +128,17 @@ def measure(run) -> tuple[float, int, float, float]:
             after.ru_utime - before.ru_utime)
 
 
+def meets_rule(old: list[float], new: list[float]) -> tuple[int, float, bool]:
+    """For wall seconds paired round by round: in how many rounds NEW was
+    faster (a tie counts for neither), OLD's quartile spread q3 - q1 (0 for
+    one round), and whether NEW won at least nine tenths of the rounds with a
+    median below OLD's by more than that spread."""
+    wins = sum(n < o for o, n in zip(old, new))
+    q1, _, q3 = statistics.quantiles(old, n=4) if len(old) > 1 else old * 3
+    gain = statistics.median(old) - statistics.median(new)
+    return wins, q3 - q1, 10 * wins >= 9 * len(old) and gain > q3 - q1
+
+
 def _add(a: tuple, b: tuple) -> tuple:
     return tuple(x + y for x, y in zip(a, b))
 
@@ -178,14 +198,16 @@ def main(argv: list[str]) -> int:
         with tempfile.TemporaryDirectory() as scratch:
             costs = time_workload(args, sides, Path(scratch))
     print(f"{'study':24s} {'old s':>8s} {'new s':>8s} {'new/old':>8s}  new faster"
+          f"  {'old iqr':>7s} {'meets':>5s}"
           f"  {'old flt':>8s} {'new flt':>8s} {'old sys':>8s} {'new sys':>8s}"
           f" {'old usr':>8s} {'new usr':>8s}")
     for name in dict.fromkeys(name for name, _ in costs):
         old, new = costs[name, "old"], costs[name, "new"]
-        wins = sum(n[0] < o[0] for o, n in zip(old, new))
+        wins, spread, meets = meets_rule([o[0] for o in old], [n[0] for n in new])
         (mo, fo, so, uo), (mn, fn, sn, un) = (
             [statistics.median(column) for column in zip(*runs)] for runs in (old, new))
         print(f"{name:24s} {mo:8.3f} {mn:8.3f} {mn / mo:8.3f}  {wins:>4d} of {len(old):<3d}"
+              f"  {spread / mo:7.1%} {'yes' if meets else 'no':>5s}"
               f"  {fo:8.0f} {fn:8.0f} {so:8.3f} {sn:8.3f} {uo:8.3f} {un:8.3f}")
     return 0
 
