@@ -5,7 +5,9 @@ workers, out_dir, label, equation, thresholds) plus a geometry block (lattice
 for the wave equation, heat_grid for the heat equation) and a kind-specific
 params block. Every block is described by one table of fields below; parsing
 walks a mapping against its table once, so `ExperimentConfig.params` holds
-parsed values with defaults filled in. `validate` keeps only the rules that
+parsed values with defaults filled in, and every ladder (lags, scales,
+counts) in the order all later layers read it. Parsing warns of nothing:
+what a run warns of is `run_warnings`. `validate` keeps only the rules that
 join several keys or depend on the geometry. What a kind is on the config
 side, the points it reads and its plan's geometry included, is its one `Kind`
 record in `KINDS`.
@@ -18,7 +20,6 @@ from __future__ import annotations
 import math
 import os
 import sys
-import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import partial
@@ -26,7 +27,7 @@ from functools import partial
 import numpy as np
 import yaml
 
-from .errors import ConfigurationError, ConfigurationWarning
+from .errors import ConfigurationError
 from .fluctuations import probe_geometry
 from .heat import HeatGridSpec
 from .lattice import LatticeSpec
@@ -43,6 +44,7 @@ __all__ = [
     "config_from_dict",
     "validate",
     "place_reads",
+    "run_warnings",
 ]
 
 MIN_SLOPE_POINTS = 4  # the fewest points a slope, exponent or rate is fitted to
@@ -53,23 +55,23 @@ class Threshold:
     """Closed or half-open acceptance interval for one summary statistic."""
 
     stat: str
-    lo: float | None = None
-    hi: float | None = None
+    min: float | None = None
+    max: float | None = None
 
     def __post_init__(self):
-        if self.lo is None and self.hi is None:
+        if self.min is None and self.max is None:
             raise ConfigurationError(f"threshold on {self.stat!r} has no bounds")
-        if self.lo is not None and self.hi is not None and self.lo > self.hi:
+        if self.min is not None and self.max is not None and self.min > self.max:
             raise ConfigurationError(
-                f"threshold on {self.stat!r} has lo {self.lo} > hi {self.hi}"
+                f"threshold on {self.stat!r} has min {self.min} > max {self.max}"
             )
 
     def check(self, value: float) -> bool:
         if not np.isfinite(value):
             return False
-        if self.lo is not None and value < self.lo:
+        if self.min is not None and value < self.min:
             return False
-        if self.hi is not None and value > self.hi:
+        if self.max is not None and value > self.max:
             return False
         return True
 
@@ -113,8 +115,8 @@ class Kind:
     aggregation takes at least `least_replicates(params)` replicates, and its
     estimators read the increments after the solve when `reads_noise(params)`.
     `heat` lets it run on the heat equation too. With fewer replicates than
-    the first of `advice`, a run warns of the second. `command` is the CLI
-    subcommand that runs it.
+    the first of `advice`, a run warns of the second (`run_warnings`).
+    `command` is the CLI subcommand that runs it.
     """
 
     command: str
@@ -126,12 +128,6 @@ class Kind:
     reads_noise: Callable[[dict], bool] = lambda p: False
     heat: bool = False
     advice: tuple[int, str] = (0, "")
-
-    def warnings(self, replicates: int) -> list[str]:
-        """The run warnings of a study with this many replicates."""
-        least, cost = self.advice
-        return ([f"{replicates} replicates: {cost}, {least}+ recommended"]
-                if replicates < least else [])
 
 
 # -- field parsers: (value, key) -> parsed value, or ConfigurationError naming key
@@ -196,15 +192,18 @@ def _list(item, least: int = 1):
     return parse
 
 
-def _distinct(parse):
-    """A list parser that also refuses a repeated value: each value of a
-    ladder is one rung, and a rung given twice would count twice in a fit."""
-    def distinct(value, key: str) -> tuple:
+def _ladder(item, descending: bool):
+    """The rungs of a ladder, in the order every layer reads them: ascending,
+    or descending where the table says so. A repeated value is refused: a
+    rung given twice would count twice in a fit."""
+    parse = _list(item)
+
+    def ladder(value, key: str) -> tuple:
         out = parse(value, key)
         if len(set(out)) < len(out):
             raise _refuse(key, "a list without repeated values", value)
-        return out
-    return distinct
+        return tuple(sorted(out, reverse=descending))
+    return ladder
 
 
 def _pair(value, key: str) -> tuple[float, float]:
@@ -259,24 +258,13 @@ def _parse(raw, table: dict, where: str) -> dict:
 # -- tables --------------------------------------------------------------------
 
 _NUMBER = (_number, _REQUIRED)
-_NUMBERS = (_distinct(_list(_number)), _REQUIRED)
+_NUMBERS = (_ladder(_number, descending=False), _REQUIRED)
 _LAGS = _block({"t": _NUMBER, "x": _NUMBER, "lags": _NUMBERS})
 _SCALES = {"t": _NUMBER, "x": _NUMBER, "scales": _NUMBERS}
 
 _LATTICE = {"h": _NUMBER, "t_max": _NUMBER, "x_lo": _NUMBER, "x_hi": _NUMBER}
 _HEAT_GRID = {"dx": _NUMBER, "t_max": _NUMBER, "circumference": _NUMBER, "dt": (_number, None)}
 _THRESHOLD = {"stat": (_text, _REQUIRED), "min": (_number, None), "max": (_number, None)}
-
-
-def _heat_grid(**fields) -> HeatGridSpec:
-    """A circumference below 16*sqrt(t_max) lets the periodic images of the heat
-    kernel overlap measurably: warned once, when the config is parsed."""
-    grid = HeatGridSpec(**fields)
-    if grid.circumference < 16.0 * math.sqrt(grid.t_max):
-        warnings.warn(f"circumference {grid.circumference} below 16*sqrt(t_max) "
-                      f"= {16 * math.sqrt(grid.t_max):.4g}: periodic wrap-around may bias "
-                      "increment statistics", ConfigurationWarning, stacklevel=2)
-    return grid
 
 
 def config_from_dict(raw: dict, overrides: dict | None = None) -> ExperimentConfig:
@@ -342,7 +330,7 @@ def _reads_simulate(p: dict) -> list[Read]:
         if block:
             t0, x0 = block["t"], block["x"]
             out.append((f"params.{key}.t, params.{key}.x", None, t0, x0))
-            for lag in sorted(block["lags"]):
+            for lag in block["lags"]:
                 t, x = (t0 + lag, x0) if key == "temporal_lags" else (t0, x0 + lag)
                 out.append((f"params.{key}.lags", lag, t, x))
     return out
@@ -367,25 +355,24 @@ def _reads_probes(p: dict) -> list[Read]:
 def _reads_linearize(p: dict) -> list[Read]:
     """(t, x), then (t, x + lag) at every lag, on either equation."""
     t, x = p["t"], p["x"]
-    return _reads_apex(p) + [("params.lags", lag, t, x + lag) for lag in sorted(p["lags"])]
+    return _reads_apex(p) + [("params.lags", lag, t, x + lag) for lag in p["lags"]]
 
 
 def _plan_line(cfg: ExperimentConfig, lat: LatticeSpec, points: list):
     """The line's geometry at every piece count: a qv study is a one-rung ladder."""
     p = cfg.params
-    counts = sorted(p["counts"]) if cfg.kind == "ladder" else [p["n_pieces"]]
+    counts = p["counts"] if cfg.kind == "ladder" else [p["n_pieces"]]
     if cfg.temporal_line:
         return temporal_geometry(lat, points[0], counts)
     return spatial_geometry(lat, p["t"], points, counts)
 
 
 def _plan_probes(cfg: ExperimentConfig, lat: LatticeSpec, points: list,
-                 descending: bool = False, shells: bool = False):
-    """The probe at the apex, its scales sorted with the level of each top."""
+                 shells: bool = False):
+    """The probe at the apex, its scales with the level of each top."""
     p = cfg.params
     apex, *tops = points
-    scales, levels = zip(*sorted(zip(p["scales"], (n for n, _ in tops)), reverse=descending))
-    return probe_geometry(lat, p["t"], apex, scales, levels, shells=shells)
+    return probe_geometry(lat, p["t"], apex, p["scales"], [n for n, _ in tops], shells=shells)
 
 
 def place_reads(cfg: ExperimentConfig, errors: list[str]) -> list | None:
@@ -418,6 +405,22 @@ def place_reads(cfg: ExperimentConfig, errors: list[str]) -> list | None:
 
 
 # -- validation ----------------------------------------------------------------
+
+
+def run_warnings(cfg: ExperimentConfig) -> list[str]:
+    """What a run of a valid config warns of, none of it refused: fewer
+    replicates than its kind's advice, and on the heat grid a circumference
+    below 16*sqrt(t_max), where the periodic images of the heat kernel
+    overlap measurably."""
+    least, cost = KINDS[cfg.kind].advice
+    out = ([f"{cfg.replicates} replicates: {cost}, {least}+ recommended"]
+           if cfg.replicates < least else [])
+    grid = cfg.heat_grid
+    if cfg.on_heat_grid and grid.circumference < 16.0 * math.sqrt(grid.t_max):
+        out.append(f"heat_grid.circumference {grid.circumference} below 16*sqrt(t_max) "
+                   f"= {16 * math.sqrt(grid.t_max):.4g}: periodic wrap-around may bias "
+                   "increment statistics")
+    return out
 
 
 def validate(cfg: ExperimentConfig) -> tuple[list[str], list[str]]:
@@ -560,9 +563,11 @@ def _check_linearize(cfg, p, errors, notes):
     lags = p["lags"]
     if len(lags) < 2:
         errors.append("params.lags: linearize needs at least 2 lags to compare scales")
-    if cfg.on_heat_grid and max(lags) >= cfg.heat_grid.circumference:
-        errors.append("params.lags: largest lag wraps around the circle; "
-                      "enlarge circumference")
+    # x + lag wraps: past the antipode it lies nearer x the other way round
+    if cfg.on_heat_grid and lags[-1] > cfg.heat_grid.circumference / 2:
+        errors.append(f"params.lags value {lags[-1]} exceeds circumference/2 = "
+                      f"{cfg.heat_grid.circumference / 2}: x + lag lies nearer x "
+                      "the other way round the circle")
     _check_height(cfg, place_reads(cfg, errors), errors)
 
 
@@ -606,9 +611,11 @@ KINDS = {
         "qv", {"t": _NUMBER, "x_lo": _NUMBER, "x_hi": _NUMBER, "n_pieces": (_integer, _REQUIRED)},
         _reads_segment, _check_qv, _plan_line, least_replicates=lambda p: 2),
     "clt": Kind(
-        "clt", {**_SCALES, "standardization": (_choice("trace", "shell"), "trace")},
-        _reads_probes, _check_clt, partial(_plan_probes, descending=True),
-        advice=(500, "KS power too low")),
+        # scales from the coarsest down: the KS distance should fall along them
+        "clt", {"t": _NUMBER, "x": _NUMBER,
+                "scales": (_ladder(_number, descending=True), _REQUIRED),
+                "standardization": (_choice("trace", "shell"), "trace")},
+        _reads_probes, _check_clt, _plan_probes, advice=(500, "KS power too low")),
     "lil": Kind("lil", _SCALES, _reads_probes, _check_lil, _plan_probes),
     "mart": Kind("mart", _SCALES, _reads_probes, _check_mart, partial(_plan_probes, shells=True),
                  least_replicates=lambda p: 2, reads_noise=lambda p: True),
@@ -623,7 +630,7 @@ KINDS = {
          "x": (_number, None),
          "x_lo": (_number, None),
          "x_hi": (_number, None),
-         "counts": (_distinct(_list(_integer)), _REQUIRED)},
+         "counts": (_ladder(_integer, descending=False), _REQUIRED)},
         lambda p: _reads_apex(p) if p["axis"] == "time" else _reads_segment(p), _check_ladder,
         _plan_line, least_replicates=lambda p: 1 if p["axis"] == "time" else 2,
         reads_noise=lambda p: p["axis"] == "time", advice=(100, "rate fits will be noisy")),
@@ -640,7 +647,6 @@ _CONFIG = {
     "label": (_label, "study"),
     "equation": (_choice("wave", "heat"), "wave"),
     "lattice": (_block(_LATTICE, LatticeSpec), None),
-    "heat_grid": (_block(_HEAT_GRID, _heat_grid), None),
-    "thresholds": (_list(_block(_THRESHOLD, lambda **f: Threshold(f["stat"], f["min"], f["max"])),
-                         least=0), ()),
+    "heat_grid": (_block(_HEAT_GRID, HeatGridSpec), None),
+    "thresholds": (_list(_block(_THRESHOLD, Threshold), least=0), ()),
 }

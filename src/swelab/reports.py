@@ -100,24 +100,13 @@ def _package_version() -> str:
 
 
 def _config_dict(cfg: ExperimentConfig) -> dict:
-    out = {
-        "kind": cfg.kind,
-        "sigma": cfg.sigma.label(),
-        "replicates": cfg.replicates,
-        "base_seed": cfg.base_seed,
-        "workers": cfg.workers,
-        "out_dir": cfg.out_dir,
-        "label": cfg.label,
-        "equation": cfg.equation,
-        "params": cfg.params,
-        "thresholds": [
-            {"stat": th.stat, "min": th.lo, "max": th.hi} for th in cfg.thresholds
-        ],
-    }
+    """The parsed config as a mapping config_from_dict reads back: sigma by
+    its label, and an absent geometry block left out."""
+    out = dataclasses.asdict(cfg)
+    out["sigma"] = cfg.sigma.label()
     for key in ("lattice", "heat_grid"):
-        block = getattr(cfg, key)
-        if block is not None:
-            out[key] = dataclasses.asdict(block)
+        if out[key] is None:
+            del out[key]
     return out
 
 
@@ -131,13 +120,7 @@ def evaluate_thresholds(cfg: ExperimentConfig,
                 f"this study produces {sorted(stats)}"
             )
         value = float(stats[th.stat])
-        checks.append({
-            "stat": th.stat,
-            "min": th.lo,
-            "max": th.hi,
-            "value": value,
-            "passed": bool(th.check(value)),
-        })
+        checks.append({**dataclasses.asdict(th), "value": value, "passed": bool(th.check(value))})
     if not checks:
         return checks, None
     return checks, all(c["passed"] for c in checks)

@@ -1,8 +1,8 @@
 """Study runners: one ensemble experiment per config kind.
 
 A kind's config-side facts (its params, the points it reads, its plan's
-geometry, its checks, whether it reads the increments, its run warnings) are
-its `config.Kind` record; its study side is its entry in STUDY_RUNNERS, keyed
+geometry, its checks, whether it reads the increments, its replicate advice)
+are its `config.Kind` record; its study side is its entry in STUDY_RUNNERS, keyed
 by the same kinds. A study runs in two steps. Its plan (`plan_study`)
 resolves, once per study, every point the replicates read (`Kind.reads`) and
 cuts the solve trapezoid out of the configured lattice: the smallest one that
@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import KINDS, MIN_SLOPE_POINTS, ExperimentConfig, place_reads, validate
+from .config import KINDS, MIN_SLOPE_POINTS, ExperimentConfig, place_reads, run_warnings, validate
 from .ensemble import EnsembleResult, run_replicates
 from .errors import ConfigurationError, ConfigurationWarning
 from .fluctuations import (
@@ -154,7 +154,7 @@ def _agg_simulate(cfg: ExperimentConfig, ens: EnsembleResult):
         block = p[key]
         if not block:
             continue
-        lags = sorted(block["lags"])
+        lags = block["lags"]
         msq = [float(np.mean(ens.column(f"{col}{j}_sq"))) for j in range(len(lags))]
         rows = [(lag, m) for lag, m in zip(lags, msq)]
         series[f"{col}_lags"] = (("lag", "mean_sq_increment"), rows)
@@ -264,7 +264,7 @@ def _rep_ladder(f: WaveField, noise: np.ndarray | None,
 
 def _agg_ladder(cfg: ExperimentConfig, ens: EnsembleResult):
     p = cfg.params
-    counts = sorted(p["counts"])
+    counts = p["counts"]
     lim = ens.column("limit")
     stats: dict[str, float] = {}
     if p["axis"] == "time":
@@ -335,7 +335,7 @@ def _rep_clt(f: WaveField, noise: np.ndarray | None,
 
 
 def _agg_clt(cfg: ExperimentConfig, ens: EnsembleResult):
-    scales = sorted(cfg.params["scales"], reverse=True)
+    scales = cfg.params["scales"]
     ks = [ks_distance(ens.column(f"std_{i}")) for i in range(len(scales))]
     critical = ks_critical_value(ens.n)
     rows = [(s, k, ens.n, critical) for s, k in zip(scales, ks)]
@@ -362,7 +362,7 @@ def _rep_lil(f: WaveField, noise: np.ndarray | None,
 
 
 def _agg_lil(cfg: ExperimentConfig, ens: EnsembleResult):
-    scales = sorted(cfg.params["scales"])
+    scales = cfg.params["scales"]
     q1, med, q3 = quantiles(ens.column("stat"))
     stats = {"median": med, "q1": q1, "q3": q3}
     rows = []
@@ -385,7 +385,7 @@ def _rep_mart(f: WaveField, noise: np.ndarray,
 
 
 def _agg_mart(cfg: ExperimentConfig, ens: EnsembleResult):
-    scales = sorted(cfg.params["scales"])
+    scales = cfg.params["scales"]
     vhat_mean = float(np.mean(ens.column("vhat")))
     m_rms, r_rms, ratios, rows = [], [], [], []
     worst = 0.0
@@ -435,7 +435,7 @@ def _rep_linearize(seeds: list[int], plan: StudyPlan) -> list[dict[str, float]]:
 
 
 def _agg_linearize(cfg: ExperimentConfig, ens: EnsembleResult):
-    lags = sorted(cfg.params["lags"])
+    lags = cfg.params["lags"]
     ratios, rows = [], []
     for i, lag in enumerate(lags):
         inc_rms = float(np.sqrt(np.mean(ens.column(f"dl_{i}") ** 2)))
@@ -551,7 +551,7 @@ def run_study(cfg: ExperimentConfig) -> StudyOutput:
             raise ConfigurationError(
                 f"out_dir: cannot create directory {cfg.out_dir!r}: {exc.strerror or exc}"
             ) from None
-    warn = KINDS[cfg.kind].warnings(cfg.replicates)
+    warn = run_warnings(cfg)
     for w in warn:
         warnings.warn(w, ConfigurationWarning, stacklevel=2)
     rep_fn, agg_fn = STUDY_RUNNERS[cfg.kind]

@@ -99,13 +99,13 @@ def test_unknown_keys_and_missing_keys_are_rejected():
 def test_threshold_bounds():
     with pytest.raises(ConfigurationError, match="no bounds"):
         Threshold("x")
-    with pytest.raises(ConfigurationError, match="lo 2.0 > hi 1.0"):
+    with pytest.raises(ConfigurationError, match="min 2.0 > max 1.0"):
         Threshold("x", 2.0, 1.0)
     band = Threshold("x", -1.0, 1.0)
     assert band.check(0.0) and band.check(-1.0) and band.check(1.0)
     assert not band.check(1.5) and not band.check(math.nan) and not band.check(math.inf)
-    assert Threshold("x", lo=0.5).check(2.0)
-    assert not Threshold("x", hi=0.5).check(2.0)
+    assert Threshold("x", min=0.5).check(2.0)
+    assert not Threshold("x", max=0.5).check(2.0)
 
 
 def test_kinds_that_summarize_need_two_replicates():
@@ -568,13 +568,23 @@ def test_linearize_rules():
     assert validate(config_from_dict(heat)) == ([], [])
     wrap = dict(heat, params=dict(heat["params"], lags=[0.125, 4.0]))
     errors, _ = validate(config_from_dict(wrap))
-    assert errors == ["params.lags: largest lag wraps around the circle; enlarge circumference"]
+    assert errors == ["params.lags value 4.0 exceeds circumference/2 = 2.0: "
+                      "x + lag lies nearer x the other way round the circle"]
+    # past the antipode x + lag lies nearer x the other way round; at the
+    # antipode it lies as far both ways
+    past = dict(heat, params=dict(heat["params"], lags=[0.125, 2.125]))
+    errors, _ = validate(config_from_dict(past))
+    assert errors == ["params.lags value 2.125 exceeds circumference/2 = 2.0: "
+                      "x + lag lies nearer x the other way round the circle"]
+    antipode = dict(heat, params=dict(heat["params"], lags=[0.125, 2.0]))
+    assert validate(config_from_dict(antipode)) == ([], [])
     # the wrap rule looks at the lag alone: x + lag may pass the circumference
     edge = dict(heat, params=dict(heat["params"], x=3.875))
     assert validate(config_from_dict(edge)) == ([], [])
     behind = dict(heat, params=dict(heat["params"], x=-8.0, lags=[0.125, 5.0]))
     errors, _ = validate(config_from_dict(behind))
-    assert errors == ["params.lags: largest lag wraps around the circle; enlarge circumference"]
+    assert errors == ["params.lags value 5.0 exceeds circumference/2 = 2.0: "
+                      "x + lag lies nearer x the other way round the circle"]
     backwards = dict(heat, params=dict(heat["params"], lags=[-0.125, 0.0, 0.25]))
     errors, _ = validate(config_from_dict(backwards))
     assert errors == ["params.lags value -0.125 must be positive",
@@ -616,6 +626,41 @@ def test_report_config_block_loads_back(path, tmp_path):
         run_study(cfg)
     (report,) = tmp_path.glob("*_report.json")
     assert config_from_dict(json.loads(report.read_text())["config"]) == cfg
+
+
+def test_report_config_block_loads_back_with_both_blocks_and_one_bound(tmp_path):
+    raw = {
+        "kind": "linearize", "sigma": "linear:1", "replicates": 2, "out_dir": str(tmp_path),
+        "lattice": dict(LATTICE_BLOCK),
+        "heat_grid": {"dx": 0.125, "t_max": 0.0625, "circumference": 4.0},
+        "params": {"t": 0.5, "x": 0.0, "lags": [0.25, 0.125]},
+        "thresholds": [{"stat": "ratio_min", "min": 0.0},
+                       {"stat": "ratio_largest", "max": 10.0}],
+    }
+    cfg = config_from_dict(raw)
+    run_study(cfg)
+    (report,) = tmp_path.glob("*_report.json")
+    echo = json.loads(report.read_text())["config"]
+    assert config_from_dict(echo) == cfg
+    assert echo["lattice"] == LATTICE_BLOCK
+    assert echo["heat_grid"] == dict(raw["heat_grid"], dt=0.125 ** 2 / 4)
+    assert echo["params"]["lags"] == [0.125, 0.25]
+    assert echo["thresholds"] == [{"stat": "ratio_min", "min": 0.0, "max": None},
+                                  {"stat": "ratio_largest", "min": None, "max": 10.0}]
+
+
+def test_readme_params_table_names_what_each_kind_parses():
+    """The table under `## Configs` lists, for each kind, its params table."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## Configs\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1:3] for line in section.splitlines() if line.startswith("| ")]
+    listed: dict[str, set] = {}
+    kinds: list[str] = []
+    for kind_cell, field_cell in rows[1:]:  # below the header row
+        kinds = re.findall(r"`([^`]+)`", kind_cell) or kinds
+        for kind in kinds:
+            listed.setdefault(kind, set()).update(re.findall(r"`([^`]+)`", field_cell))
+    assert listed == {kind: set(KINDS[kind].params) for kind in KINDS}
 
 
 # keys the schema knows, by level, plus near misses and junk

@@ -5,13 +5,8 @@ import numpy as np
 import pytest
 
 import oracles
-from swelab.config import config_from_dict
-from swelab.errors import (
-    AlignmentError,
-    ConfigurationError,
-    ConfigurationWarning,
-    DomainError,
-)
+from swelab.config import config_from_dict, run_warnings
+from swelab.errors import AlignmentError, ConfigurationError, DomainError
 import swelab.heat as heat
 from swelab.heat import (
     HeatGridSpec,
@@ -56,13 +51,17 @@ def heat_config(t_max: float) -> dict:
 
 
 def test_wraparound_warning_threshold():
-    # the config warns where it parses heat_grid; the grid itself never does
-    with pytest.warns(ConfigurationWarning, match="wrap-around"):
-        config_from_dict(heat_config(0.25))
+    # neither the config nor the grid warns where it is built: a circle below
+    # 16*sqrt(t_max) is a run warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        config_from_dict(heat_config(0.0625))
+        small = config_from_dict(heat_config(0.25))
+        wide = config_from_dict(heat_config(0.0625))
         HeatGridSpec(dx=0.0625, t_max=0.25, circumference=4.0)
+    assert run_warnings(small) == [
+        "heat_grid.circumference 4.0 below 16*sqrt(t_max) = 8: periodic wrap-around "
+        "may bias increment statistics"]
+    assert run_warnings(wide) == []
 
 
 def test_step_and_site_lookup():

@@ -499,17 +499,55 @@ def test_the_heat_plan_marches_the_grid_cut_at_the_probe_step():
                 for name in ("du", "dl", "defect")] == [v for row in rows for v in row]
 
 
-def test_a_small_heat_circle_warns_once_at_load_and_never_in_the_plan():
+def test_a_small_heat_circle_warns_once_at_run_and_never_at_load():
     raw = dict(KIND_CONFIGS["linearize-heat"],
                heat_grid={"dx": 0.125, "t_max": 0.0625, "circumference": 2.0},
                params={"t": 0.03125, "x": 0.0, "lags": [0.125, 0.25]})
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        cfg = config_from_dict(raw)
-    assert [w.category for w in caught] == [ConfigurationWarning]
-    assert "wrap-around" in str(caught[0].message)
-    # the plan cuts a grid at step 8 of 16, below the same warning's threshold
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        cfg = config_from_dict(raw)
+        # the plan cuts a grid at step 8 of 16, and stays silent too
         assert plan_study(cfg).domain.n_steps == 8
-        assert run_study(cfg).ensemble.n == 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = run_study(cfg)
+    assert [w.category for w in caught] == [ConfigurationWarning]
+    assert out.report["warnings"] == [str(caught[0].message)]
+    assert out.report["warnings"][0].startswith("heat_grid.circumference 2.0 below")
+    assert out.ensemble.n == 2
+    # a wave run never reads the heat grid it carries, so it does not warn
+    wave = config_from_dict(dict(raw, equation="wave", lattice=dict(LATTICE_BLOCK),
+                                 params={"t": 0.5, "x": 0.0, "lags": [0.125, 0.25]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_study(wave).report["warnings"] == []
+
+
+# configs whose list is in read order: clt reads its scales from the coarsest
+# down, every other ladder upwards
+READ_ORDER = {
+    "clt": (make_cfg("clt", {"t": 0.5, "x": 0.0, "scales": [0.375, 0.25, 0.125]}), "scales"),
+    "lil": (make_cfg("lil", {"t": 0.5, "x": 0.0, "scales": [0.015625, 0.03125, 0.0625]},
+                     lattice={"h": 0.0078125, "t_max": 1.0, "x_lo": -1.0, "x_hi": 1.0}),
+            "scales"),
+    "linearize": (make_cfg("linearize", {"t": 0.5, "x": 0.0, "lags": [0.125, 0.25, 0.5]}),
+                  "lags"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(READ_ORDER))
+def test_a_list_written_backwards_runs_and_echoes_in_read_order(kind, tmp_path):
+    raw, key = READ_ORDER[kind]
+    order = raw["params"][key]
+    written = {}
+    for name, values in (("read", order), ("backwards", order[::-1])):
+        # one out_dir, read before the next run writes over it: both echo it
+        cfg = config_from_dict(dict(raw, out_dir=str(tmp_path),
+                                    params={**raw["params"], key: values}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConfigurationWarning)  # few clt replicates
+            files = run_study(cfg).files
+        written[name] = {p.name: p.read_bytes() for p in files}
+        echo = json.loads(written[name]["study_report.json"])["config"]["params"]
+        assert echo[key] == order
+    assert written["backwards"] == written["read"]
