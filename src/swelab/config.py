@@ -13,7 +13,8 @@ side, the points it reads and its plan's geometry included, is its one `Kind`
 record in `KINDS`.
 
 Thresholds are declared here, never hard-coded in studies: a summary's
-pass/fail flags are evaluated against exactly what the config file says.
+pass/fail flags are evaluated against exactly what the config file says, and
+`validate` refuses a threshold on a stat the kind does not report.
 """
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ import yaml
 from .errors import ConfigurationError
 from .fluctuations import probe_geometry
 from .heat import HeatGridSpec
-from .lattice import LatticeSpec
+from .lattice import _REL_TOL, LatticeSpec
 from .quadvar import spatial_geometry, temporal_geometry
 from .sigma import SigmaSpec
 
@@ -109,7 +110,9 @@ class Kind:
 
     `params` is its params table. `reads(params)` lists the points its
     replicates read, as (key, value, t, x), and `check(cfg, params, errors, notes)`
-    adds the rules that join its params with the geometry; `geometry(cfg,
+    adds the rules that join its params with the geometry. `stats(cfg)` lists
+    the names its aggregator reports, in report order; a threshold may name
+    only these. `geometry(cfg,
     trapezoid, points)`, None for the kinds that read only their points,
     builds its estimators' index arrays from the resolved points. Its
     aggregation takes at least `least_replicates(params)` replicates, and its
@@ -123,6 +126,7 @@ class Kind:
     params: dict
     reads: Callable[[dict], list[Read]]
     check: Callable[[ExperimentConfig, dict, list[str], list[str]], None]
+    stats: Callable[[ExperimentConfig], list[str]]
     geometry: Callable[[ExperimentConfig, LatticeSpec, list], object] | None = None
     least_replicates: Callable[[dict], int] = lambda p: 1
     reads_noise: Callable[[dict], bool] = lambda p: False
@@ -436,6 +440,11 @@ def validate(cfg: ExperimentConfig) -> tuple[list[str], list[str]]:
         errors.append(f"workers must be >= 1, got {cfg.workers}")
     if cfg.base_seed < 0 or cfg.base_seed + max(cfg.replicates, 1) > 2 ** 64:
         errors.append("base_seed must keep every replicate seed inside [0, 2^64)")
+    names = kind.stats(cfg)
+    for i, th in enumerate(cfg.thresholds):
+        if th.stat not in names:
+            errors.append(f"thresholds[{i}].stat: kind {cfg.kind!r} reports no stat "
+                          f"{th.stat!r}; it reports {names}")
 
     if cfg.equation == "heat" and not kind.heat:
         errors.append(f"equation: heat runs only kind 'linearize', got kind {cfg.kind!r}")
@@ -539,7 +548,7 @@ def _check_lil(cfg, p, errors, notes):
     _check_height(cfg, place_reads(cfg, errors), errors)
     t, scales = p["t"], p["scales"]
     for s in scales:
-        if s > t / 8.0 + 1e-12:
+        if s > t / 8.0 * (1.0 + _REL_TOL):
             errors.append(f"params.scales value {s} exceeds t/8 = {t / 8}")
         if s > 0.0 and math.log(1.0 / s) <= 1.0:
             errors.append(
@@ -592,6 +601,74 @@ def _check_ladder(cfg, p, errors, notes):
         errors.append(f"params.counts values {bad} are not admissible; choose from {good}")
 
 
+# -- reported stats ------------------------------------------------------------
+# What each kind's aggregator reports, in its order: studies' aggregators
+# report exactly these names, though a listed slope whose ladder reads a value
+# at or below zero is dropped at run time.
+
+
+def _moments(*names: str) -> list[str]:
+    return [f"{name}_{m}" for name in names for m in ("mean", "se")]
+
+
+def _slope(name: str, ladder) -> list[str]:
+    """A fitted slope and its standard error, on a ladder of enough rungs."""
+    return [name, f"{name}_se"] if len(ladder) >= MIN_SLOPE_POINTS else []
+
+
+def _exact(cfg: ExperimentConfig) -> list[str]:
+    """A qv study's exact mean is known for a constant sigma only."""
+    return ["exact_mean", "qv_vs_exact_sigmas"] if cfg.sigma.is_constant else []
+
+
+def _stats_simulate(cfg: ExperimentConfig) -> list[str]:
+    p = cfg.params
+    out = [f"probe{i}_{m}" for i in range(len(p["probes"]))
+           for m in ("mean", "se", "sq_mean", "sq_se")]
+    for key, col, axis in (("temporal_lags", "dt", "temporal"), ("spatial_lags", "dx", "spatial")):
+        if p[key]:
+            lags = p[key]["lags"]
+            out += [f"{col}{j}_msq" for j in range(len(lags))] + _slope(f"{axis}_sq_slope", lags)
+    return out
+
+
+def _stats_qv_time(cfg: ExperimentConfig) -> list[str]:
+    return (_moments("u", "u_sq", "qv", "cone_integral", "limit", "limit_gap")
+            + ["qv_vs_limit_sigmas"] + _exact(cfg))
+
+
+def _stats_qv_space(cfg: ExperimentConfig) -> list[str]:
+    return (_moments("qv", "limit", "naive", "limit_gap", "naive_gap")
+            + ["qv_vs_limit_sigmas", "qv_vs_naive_sigmas", "qv_over_naive",
+               "limit_per_unit", "naive_per_unit"] + _exact(cfg))
+
+
+def _stats_ladder(cfg: ExperimentConfig) -> list[str]:
+    counts = cfg.params["counts"]
+    if cfg.params["axis"] == "space":
+        return _slope("rate_l2", counts) + ["lp2_inversions"]
+    slopes = ("rate_l2", "rate_l4", "slope_rms_ab", "slope_rms_cd", "slope_msq_bc")
+    return ([name for slope in slopes for name in _slope(slope, counts)]
+            + ["lp2_inversions", "lp4_inversions", "lyapunov_min_ratio"])
+
+
+def _stats_clt(cfg: ExperimentConfig) -> list[str]:
+    return (["ks_final", "ks_critical", "ks_violations", "vhat_mean"]
+            + [f"ks_{i}" for i in range(len(cfg.params["scales"]))])
+
+
+def _stats_mart(cfg: ExperimentConfig) -> list[str]:
+    scales = cfg.params["scales"]
+    exponents = _slope("m_exponent", scales) + _slope("r_exponent", scales)
+    return (["vhat_mean", "m_mean_max_sigmas", "qv_law_ratio_final"] + exponents
+            + (["exponent_gap"] if exponents else []))
+
+
+def _stats_linearize(cfg: ExperimentConfig) -> list[str]:
+    return (["ratio_smallest", "ratio_largest", "ratio_smallest_over_largest", "ratio_min"]
+            + _slope("ratio_slope", cfg.params["lags"]))
+
+
 # -- the kinds -----------------------------------------------------------------
 
 # in the order `kind must be one of` lists them; README's config section lists
@@ -603,24 +680,27 @@ KINDS = {
          "temporal_lags": (_LAGS, None),
          "spatial_lags": (_LAGS, None),
          "snapshot": (_flag, False)},
-        _reads_simulate, _check_simulate, least_replicates=lambda p: 2),
+        _reads_simulate, _check_simulate, _stats_simulate, least_replicates=lambda p: 2),
     "qv-time": Kind(
         "qv", {"t": _NUMBER, "x": _NUMBER, "n_pieces": (_integer, _REQUIRED)},
-        _reads_apex, _check_qv, _plan_line, least_replicates=lambda p: 2, reads_noise=lambda p: True),
+        _reads_apex, _check_qv, _stats_qv_time, _plan_line, least_replicates=lambda p: 2,
+        reads_noise=lambda p: True),
     "qv-space": Kind(
         "qv", {"t": _NUMBER, "x_lo": _NUMBER, "x_hi": _NUMBER, "n_pieces": (_integer, _REQUIRED)},
-        _reads_segment, _check_qv, _plan_line, least_replicates=lambda p: 2),
+        _reads_segment, _check_qv, _stats_qv_space, _plan_line, least_replicates=lambda p: 2),
     "clt": Kind(
         # scales from the coarsest down: the KS distance should fall along them
         "clt", {"t": _NUMBER, "x": _NUMBER,
                 "scales": (_ladder(_number, descending=True), _REQUIRED),
                 "standardization": (_choice("trace", "shell"), "trace")},
-        _reads_probes, _check_clt, _plan_probes, advice=(500, "KS power too low")),
-    "lil": Kind("lil", _SCALES, _reads_probes, _check_lil, _plan_probes),
-    "mart": Kind("mart", _SCALES, _reads_probes, _check_mart, partial(_plan_probes, shells=True),
-                 least_replicates=lambda p: 2, reads_noise=lambda p: True),
+        _reads_probes, _check_clt, _stats_clt, _plan_probes, advice=(500, "KS power too low")),
+    "lil": Kind("lil", _SCALES, _reads_probes, _check_lil, lambda cfg: ["median", "q1", "q3"],
+                _plan_probes),
+    "mart": Kind("mart", _SCALES, _reads_probes, _check_mart, _stats_mart,
+                 partial(_plan_probes, shells=True), least_replicates=lambda p: 2,
+                 reads_noise=lambda p: True),
     "linearize": Kind("linearize", {"t": _NUMBER, "x": _NUMBER, "lags": _NUMBERS},
-                      _reads_linearize, _check_linearize, heat=True),
+                      _reads_linearize, _check_linearize, _stats_linearize, heat=True),
     # a time-axis ladder reads its apex and the increments; a space-axis one
     # reads its segment, and its summary carries standard errors
     "ladder": Kind(
@@ -632,7 +712,7 @@ KINDS = {
          "x_hi": (_number, None),
          "counts": (_ladder(_integer, descending=False), _REQUIRED)},
         lambda p: _reads_apex(p) if p["axis"] == "time" else _reads_segment(p), _check_ladder,
-        _plan_line, least_replicates=lambda p: 1 if p["axis"] == "time" else 2,
+        _stats_ladder, _plan_line, least_replicates=lambda p: 1 if p["axis"] == "time" else 2,
         reads_noise=lambda p: p["axis"] == "time", advice=(100, "rate fits will be noisy")),
 }
 

@@ -1,19 +1,21 @@
 """Replicate scheduling with reproducible, worker-count-independent results.
 
-Replicate i always runs with seed base_seed + i. Seeds are split into blocks
-of BLOCK_SIZE consecutive replicates; the replicate callable takes one block
-of seeds and returns one row per seed, and workers take whole blocks. Blocks
-come back in the order they were sent, so the rows are in replicate order as
-they arrive; finite-ness is checked once over the whole table in the parent,
-and the output bytes depend on neither the worker count nor the block size.
-The callable must be picklable (it is sent to workers when workers > 1) and
-must return the same stat names for every replicate.
+Replicate i always runs with seed base_seed + i. A block is the range of
+BLOCK_SIZE consecutive replicate indices; the replicate callable takes its
+seeds and the payload and returns one row per seed. Both are bound once per
+study, and each worker process is sent them once, with one run of
+consecutive blocks. Blocks come back in the order they were sent, so the rows
+are in replicate order; finite-ness is checked once over the whole table in
+the parent, and the output bytes depend on neither the worker count nor the
+block size. Both must be picklable, and every row must name the same stats.
 """
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -55,12 +57,12 @@ class EnsembleResult:
         return self.rows[:, j]
 
 
-def _call(args) -> list[dict[str, float]]:
-    fn, first, seeds, payload = args
+def _call(fn: ReplicateFn, payload, base_seed: int, block: range) -> list[dict[str, float]]:
+    seeds = [base_seed + i for i in block]
     records = fn(seeds, payload)
     if len(records) != len(seeds):
         raise SimulationError(
-            f"replicates {first}..{first + len(seeds) - 1} produced {len(records)} "
+            f"replicates {block[0]}..{block[-1]} produced {len(records)} "
             f"rows for {len(seeds)} seeds",
             seed=seeds[0],
         )
@@ -91,16 +93,16 @@ def run_replicates(fn: ReplicateFn, payload, *, base_seed: int, replicates: int,
         raise PreconditionError(f"replicates must be >= 1, got {replicates}")
     if workers < 1:
         raise PreconditionError(f"workers must be >= 1, got {workers}")
-    blocks = [
-        (fn, i, [base_seed + j for j in range(i, min(i + BLOCK_SIZE, replicates))], payload)
-        for i in range(0, replicates, BLOCK_SIZE)
-    ]
+    call = partial(_call, fn, payload, base_seed)
+    blocks = [range(i, min(i + BLOCK_SIZE, replicates)) for i in range(0, replicates, BLOCK_SIZE)]
     if workers == 1:
-        records = [row for block in blocks for row in _call(block)]
+        records = [row for block in blocks for row in call(block)]
     else:
         # the pool starts all its processes at the first submit, so it gets
-        # no more than there are blocks or CPUs to keep busy
+        # no more than there are blocks or CPUs to keep busy; each process
+        # takes one run of consecutive blocks, and with it fn and the payload
         processes = min(workers, len(blocks), os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=processes) as pool:
-            records = [row for rows in pool.map(_call, blocks) for row in rows]
+            chunks = pool.map(call, blocks, chunksize=math.ceil(len(blocks) / processes))
+            records = [row for rows in chunks for row in rows]
     return _assemble(records, base_seed)

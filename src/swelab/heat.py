@@ -61,7 +61,7 @@ class HeatGridSpec:
             object.__setattr__(self, "dt", self.dx * self.dx / 4.0)
         if not (self.dt > 0.0 and np.isfinite(self.dt)):
             raise ConfigurationError(f"dt must be positive and finite, got {self.dt!r}")
-        if self.dt > self.dx * self.dx / 2.0 + 1e-15:
+        if self.dt > self.dx * self.dx / 2.0 * (1.0 + _REL_TOL):
             raise ConfigurationError(
                 f"unstable step: dt={self.dt} exceeds dx^2/2 = {self.dx ** 2 / 2}"
             )

@@ -114,10 +114,12 @@ def evaluate_thresholds(cfg: ExperimentConfig,
                         stats: dict[str, float]) -> tuple[list[dict], bool | None]:
     checks = []
     for i, th in enumerate(cfg.thresholds):
+        # validate refused every name the kind does not report, so only a
+        # slope that could not be fitted is missing here
         if th.stat not in stats:
             raise ConfigurationError(
-                f"thresholds[{i}].stat: threshold references unknown stat {th.stat!r}; "
-                f"this study produces {sorted(stats)}"
+                f"thresholds[{i}].stat: the slope {th.stat!r} could not be fitted, since "
+                f"a value on its ladder is at or below zero; this study produces {sorted(stats)}"
             )
         value = float(stats[th.stat])
         checks.append({**dataclasses.asdict(th), "value": value, "passed": bool(th.check(value))})

@@ -20,8 +20,10 @@ CSV, per-scale series CSV, and a JSON summary. Aggregation always happens in
 the parent in replicate order, so output bytes are independent of the worker
 count.
 
-Fitted slopes are only reported when the ladder has at least four points;
-thresholds naming a missing slope fail loudly instead of silently passing.
+Fitted slopes are only reported when the ladder has at least four points.
+`validate` refuses a threshold on a stat the kind does not report
+(`Kind.stats`); a listed slope that cannot be fitted fails loudly after the
+run instead of silently passing.
 """
 from __future__ import annotations
 

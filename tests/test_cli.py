@@ -113,6 +113,23 @@ def test_one_replicate_is_rejected_before_any_work(tmp_path, capsys, monkeypatch
     assert not out.exists()
 
 
+def test_a_threshold_typo_is_rejected_before_any_work(tmp_path, capsys, monkeypatch):
+    import swelab.studies
+
+    def no_replicates(*args, **kwargs):
+        raise AssertionError("replicates ran")
+
+    monkeypatch.setattr(swelab.studies, "run_replicates", no_replicates)
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, thresholds=[{"stat": "qv_vs_exact_sigma", "max": 3.0}])
+    code = main(["qv", cfg, "--out-dir", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "thresholds[0].stat" in err and "'qv_vs_exact_sigma'" in err
+    assert "qv_vs_exact_sigmas" in err  # the list of what the kind reports
+    assert not out.exists()
+
+
 def test_exit_three_for_runtime_failures(tmp_path, capsys):
     # an absurd coefficient overflows the field; the failing seed is named
     cfg = write_cfg(tmp_path, sigma="linear:1e300", replicates=3)
@@ -289,7 +306,8 @@ HEAT = {"kind": "linearize", "sigma": "linear:1", "replicates": 4, "equation": "
     ("simulate", dict(BASE, kind="simulate", params={
         "spatial_lags": {"t": 0.25, "x": 0.0, "lags": [0.25, 0.125, 0.25]}}), [],
      "params.spatial_lags.lags"),
-    # a stat the study does not produce is refused after aggregation, by key
+    # a stat the kind does not report is refused by validate, before any
+    # replicate runs, by key
     ("qv", dict(BASE, thresholds=[{"stat": "qv_mena", "max": 1.0}]), [],
      "thresholds[0].stat"),
     # only linearize runs on the heat equation; the rest would run the wave

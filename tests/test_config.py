@@ -52,7 +52,7 @@ def test_load_config_round_trip(tmp_path):
         "params: {t: 0.5, x: 0.0, n_pieces: 4}\n"
         "thresholds:\n"
         "  - {stat: qv_mean, min: 0.2, max: 0.3}\n"
-        "  - {stat: qv_vs_exact_sigmas, max: 3.0}\n"
+        "  - {stat: qv_vs_limit_sigmas, max: 3.0}\n"
     )
     cfg = load_config(str(path))
     assert cfg.kind == "qv-time"
@@ -65,7 +65,7 @@ def test_load_config_round_trip(tmp_path):
     assert cfg.params == {"t": 0.5, "x": 0.0, "n_pieces": 4}
     assert cfg.thresholds == (
         Threshold("qv_mean", 0.2, 0.3),
-        Threshold("qv_vs_exact_sigmas", None, 3.0),
+        Threshold("qv_vs_limit_sigmas", None, 3.0),
     )
     assert validate(cfg) == ([], [
         "admissible temporal piece counts at t=0.5, h=0.0625: [1, 2, 4]",
@@ -254,6 +254,16 @@ def test_lil_rules():
     over = dict(base, params=dict(base["params"], scales=[2 ** -3]))
     errors, _ = validate(config_from_dict(over))
     assert "params.scales value 0.125 exceeds t/8 = 0.0625" in errors
+    # t/8 is a relative bound: with h = 2^-40 a scale of 2h at t = 8h is twice
+    # t/8 and refused, while at t = 16h it is t/8 itself and accepted
+    h = 2.0 ** -40
+    fine = dict(base, lattice={"h": h, "t_max": 32 * h, "x_lo": -32 * h, "x_hi": 32 * h})
+    errors, _ = validate(config_from_dict(
+        dict(fine, params={"t": 8 * h, "x": 0.0, "scales": [2 * h]})))
+    assert errors == [f"params.scales value {2 * h} exceeds t/8 = {h}"]
+    errors, _ = validate(config_from_dict(
+        dict(fine, params={"t": 16 * h, "x": 0.0, "scales": [2 * h]})))
+    assert errors == []
     # an odd multiple of h is refused by the read of (t + s, x) alone
     odd = dict(base, params=dict(base["params"], scales=[3 * 2 ** -7]))
     errors, _ = validate(config_from_dict(odd))
@@ -402,8 +412,10 @@ OFF_H = "params.t, params.x: {}={} is not an integer multiple of h=0.00390625"
     (holder_slopes(temporal_lags={"x": 0.001}),
      ["params.temporal_lags.t, params.temporal_lags.x: x=0.001 is not an integer "
       "multiple of h=0.0078125"]),
-    # the other block is still read
-    (holder_slopes(temporal_lags={"x": 0.001}, spatial_lags={"lags": [0.03125, 0.1]}),
+    # the other block is still read; with four lags its slope stays reported,
+    # so the shipped threshold on it stands
+    (holder_slopes(temporal_lags={"x": 0.001},
+                   spatial_lags={"lags": [0.03125, 0.0625, 0.1, 0.25]}),
      ["params.temporal_lags.t, params.temporal_lags.x: x=0.001 is not an integer "
       "multiple of h=0.0078125",
       "params.spatial_lags.lags value 0.1: x=0.1 is not an integer multiple of h=0.0078125"]),

@@ -1,3 +1,4 @@
+import math
 import os
 
 import numpy as np
@@ -27,6 +28,23 @@ def drop_row_of_seed(seeds, bad) -> list[dict[str, float]]:
     return [{"a": 1.0} for s in seeds if s != bad]
 
 
+class CountedPayload:
+    """A payload that counts how often this process pickles it."""
+
+    pickles = 0
+
+    def __init__(self, value):
+        self.value = value
+
+    def __reduce__(self):
+        type(self).pickles += 1
+        return CountedPayload, (self.value,)
+
+
+def record_counted(seeds, payload) -> list[dict[str, float]]:
+    return record_seed(seeds, payload.value)
+
+
 def test_each_replicate_gets_base_seed_plus_index():
     res = run_replicates(record_seed, 100, base_seed=40, replicates=4)
     assert res.base_seed == 40
@@ -47,10 +65,11 @@ def test_worker_count_never_changes_the_rows():
 
 
 class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers and maps in
-    this process, so no process is started."""
+    """Stands in for ProcessPoolExecutor: records max_workers and each map's
+    chunksize, and maps in this process, so no process is started."""
 
     made: list[int] = []
+    chunksizes: list[int] = []
 
     def __init__(self, max_workers):
         self.made.append(max_workers)
@@ -61,7 +80,8 @@ class RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items):
+    def map(self, fn, items, chunksize=1):
+        self.chunksizes.append(chunksize)
         return map(fn, items)
 
 
@@ -77,10 +97,26 @@ def test_the_pool_starts_no_more_processes_than_blocks_or_cpus(
     monkeypatch.setattr(ensemble, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(RecordingPool, "made", [])
+    monkeypatch.setattr(RecordingPool, "chunksizes", [])
     got = run_replicates(record_seed, 7, base_seed=3, replicates=replicates,
                          workers=workers)
     assert RecordingPool.made == [started]
+    # each process takes one run of consecutive blocks
+    blocks = math.ceil(replicates / ensemble.BLOCK_SIZE)
+    assert RecordingPool.chunksizes == [math.ceil(blocks / started)]
     want = run_replicates(record_seed, 7, base_seed=3, replicates=replicates)
+    assert got.rows.tobytes() == want.rows.tobytes()
+
+
+def test_each_worker_process_is_sent_the_payload_once(monkeypatch):
+    # 37 one-seed blocks on two processes: the payload crosses once per
+    # process, not once per block
+    monkeypatch.setattr(ensemble, "BLOCK_SIZE", 1)
+    monkeypatch.setattr(CountedPayload, "pickles", 0)
+    got = run_replicates(record_counted, CountedPayload(7), base_seed=3, replicates=37,
+                         workers=2)
+    assert 1 <= CountedPayload.pickles <= 2
+    want = run_replicates(record_seed, 7, base_seed=3, replicates=37)
     assert got.rows.tobytes() == want.rows.tobytes()
 
 
@@ -112,9 +148,11 @@ def test_ragged_columns_are_rejected():
 
 
 def test_a_block_must_return_one_row_per_seed():
-    with pytest.raises(SimulationError, match="replicates 16..31 produced 15 rows") as info:
-        run_replicates(drop_row_of_seed, 20, base_seed=0, replicates=37)
-    assert info.value.seed == 16
+    for workers in (1, 2):
+        with pytest.raises(SimulationError, match="replicates 16..31 produced 15 rows") as info:
+            run_replicates(drop_row_of_seed, 20, base_seed=0, replicates=37,
+                           workers=workers)
+        assert info.value.seed == 16
 
 
 def test_run_replicates_argument_validation():

@@ -27,6 +27,12 @@ def small_grid() -> HeatGridSpec:
 def test_stability_rejection_cites_the_bound():
     with pytest.raises(ConfigurationError, match="dx\\^2/2"):
         HeatGridSpec(dx=0.0625, t_max=0.015625, circumference=2.0, dt=0.0625)
+    # the bound is relative, so a fine grid gets no slack: dt/dx^2 = 10 here
+    with pytest.raises(ConfigurationError, match="dx\\^2/2"):
+        HeatGridSpec(dx=1e-8, t_max=2e-15, circumference=4e-8, dt=1e-15)
+    # dt = dx^2/2 itself is stable, on a coarse grid and a fine one
+    HeatGridSpec(dx=0.0625, t_max=0.015625, circumference=2.0, dt=0.0625 ** 2 / 2)
+    HeatGridSpec(dx=1e-8, t_max=2e-15, circumference=4e-8, dt=1e-8 ** 2 / 2)
 
 
 def test_grid_validation_and_defaults():

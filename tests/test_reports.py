@@ -97,10 +97,14 @@ def test_evaluate_thresholds():
                                                "qv_vs_exact_sigmas": 1.0})
     assert passed is False
     assert [c["passed"] for c in checks] == [False, True]
+    # validate refuses a stat the kind never reports, so a stat missing here
+    # is a slope that could not be fitted
+    slope = small_config(thresholds=[{"stat": "rate_l2", "max": -0.35}])
     with pytest.raises(ConfigurationError) as err:
-        evaluate_thresholds(cfg, {"other": 1.0})
-    assert str(err.value) == ("thresholds[0].stat: threshold references unknown stat "
-                              "'qv_mean'; this study produces ['other']")
+        evaluate_thresholds(slope, {"lp2_inversions": 1.0})
+    assert str(err.value) == ("thresholds[0].stat: the slope 'rate_l2' could not be fitted, "
+                              "since a value on its ladder is at or below zero; this study "
+                              "produces ['lp2_inversions']")
     assert evaluate_thresholds(small_config(), {"x": 1.0}) == ([], None)
 
 

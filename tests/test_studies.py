@@ -2,7 +2,7 @@ import json
 import math
 import warnings
 from collections import Counter
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +10,7 @@ import pytest
 
 import oracles
 from swelab import fluctuations, lattice, quadvar, studies
-from swelab.config import config_from_dict, load_config
+from swelab.config import KINDS, config_from_dict, load_config, validate
 from swelab.errors import ConfigurationError, ConfigurationWarning
 from swelab.heat import solve_coupled_heat_linearization
 from swelab.lattice import spatial_shell_area
@@ -264,12 +264,31 @@ def test_threshold_on_missing_stat_fails_loudly():
         replicates=100,
         thresholds=[{"stat": "rate_l2", "min": -0.65, "max": -0.35}],
     ))
-    # three counts are too few for a slope fit, so rate_l2 is never produced
-    with pytest.raises(ConfigurationError) as err:
+    # three counts are too few for a slope fit, so rate_l2 is never reported:
+    # validate refuses the threshold before any replicate runs
+    errors, _ = validate(cfg)
+    assert len(errors) == 1
+    head, reported = errors[0].split("; it reports ")
+    assert head == "thresholds[0].stat: kind 'ladder' reports no stat 'rate_l2'"
+    assert reported.startswith("['") and "rate_l2" not in reported
+    with pytest.raises(ConfigurationError, match=r"invalid config:\n  - thresholds\[0\]"):
         run_study(cfg)
-    head, produced = str(err.value).split("; this study produces ")
-    assert head == "thresholds[0].stat: threshold references unknown stat 'rate_l2'"
-    assert produced.startswith("['") and "rate_l2" not in produced
+
+
+def test_a_slope_that_cannot_be_fitted_is_refused_after_the_run():
+    # at 8 pieces of t = 1 on h = 1/16 each piece is one cell pair, where the
+    # frozen area equals the cone integral: rms_cd is 0 and has no log
+    cfg = config_from_dict(make_cfg(
+        "ladder", {"axis": "time", "t": 1.0, "x": 0.0, "counts": [1, 2, 4, 8]},
+        replicates=4, thresholds=[{"stat": "slope_rms_cd", "max": 0.0}],
+    ))
+    assert validate(cfg) == ([], ["admissible temporal piece counts at t=1.0, h=0.0625: "
+                                  "[1, 2, 4, 8]"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConfigurationWarning)
+        with pytest.raises(ConfigurationError, match="the slope 'slope_rms_cd' could not "
+                                                     "be fitted"):
+            run_study(cfg)
 
 
 def test_run_study_rejects_invalid_config():
@@ -329,6 +348,23 @@ def test_plan_index_arrays_are_read_only_intp(path):
         # every index array gathers as intp; the float arrays are the
         # coordinates and weights
         assert arr.dtype == np.intp or arr.dtype.kind == "f"
+
+
+@pytest.mark.parametrize("cfg", [
+    *(load_config(str(path), {"replicates": 4}) for path in SHIPPED),
+    config_from_dict(make_cfg("ladder", {"axis": "time", "t": 1.0, "x": 0.0,
+                                         "counts": [1, 2, 4, 8]}, replicates=4,
+                              lattice=dict(LATTICE_BLOCK, h=0.03125))),
+    config_from_dict(make_cfg("ladder", {"axis": "time", "t": 0.5, "x": 0.0,
+                                         "counts": [1, 2, 4]}, replicates=4)),
+    config_from_dict(make_cfg("ladder", {"axis": "space", "t": 0.5, "x_lo": -0.5,
+                                         "x_hi": 0.5, "counts": [1, 2, 4, 8]}, replicates=4)),
+], ids=[*(p.stem for p in SHIPPED), "time_ladder", "short_time_ladder", "space_ladder"])
+def test_each_kind_lists_the_stats_its_aggregator_reports(cfg):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConfigurationWarning)
+        out = run_study(replace(cfg, out_dir=None))
+    assert list(out.report["stats"]) == KINDS[cfg.kind].stats(cfg)
 
 
 def _count_enumerations(monkeypatch) -> Counter:
